@@ -1,16 +1,14 @@
 """Generalized Mycielskian graphs, automorphisms, distinguishing numbers."""
 
 from .automorphism import (AutListing, Budget, Permutation,
-                           enumerate_automorphisms,
-                           enumerate_automorphisms_naive, find_isomorphism,
+                           enumerate_automorphisms, find_isomorphism,
                            is_automorphism, orbit_of, search_color_preserving)
 from .constructions import (DistPrediction, isolate_case_coloring,
                             kn_base_coloring, lift_coloring, predict_dist,
                             star_case_coloring)
 from .distinguishing import (Coloring, DistResult, ExceedsCap,
-                             distinguishing_number,
-                             distinguishing_number_bruteforce,
-                             is_distinguishing, twin_lower_bound)
+                             distinguishing_number, is_distinguishing,
+                             twin_lower_bound)
 from .graph6 import (parse_edge_list, parse_graph6, write_edge_list,
                      write_graph6)
 from .graphs import (Graph, Star, classify_star, complete_graph,

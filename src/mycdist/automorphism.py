@@ -8,23 +8,35 @@ id in the smallest non-singleton cell of P is mapped, in turn, onto each
 member of the aligned cell of Q in ascending order. Discrete leaves are
 verified edge-by-edge before being reported. The DFS order is therefore
 deterministic, and full listings are additionally sorted by image vector.
+
+Refinement works in rounds. In each round every cell is split by the
+signatures its vertices have against the partition the round started
+with, and the fragments of a cell are laid out in the order of their
+signatures; the pair is stable after a round with no split. The kernel
+only re-splits dirty cells, as in the refinement of McKay & Piperno
+(Practical Graph Isomorphism II, 2014) and Paige & Tarjan (1987): after
+round 1, a cell is dirty when it has a neighbour in a fragment, other than
+the largest, of a cell that split in the round before; every other cell
+keeps its neighbour counts and can neither split nor mismatch. At a child
+node of the search, round 1 starts from the cells next to the vertex
+individualized in P, since the parent's pair was stable and matched.
+When P and Q are the same partition of the same graph, one side is
+refined and copied. The invariant: the kernel returns the same ordered
+pair, or None, as refining every cell on every round, and spends the same
+n budget steps per round, so search trees, witnesses and budget counts
+do not depend on the shortcut.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .errors import GraphTooLarge, GroupTooLarge, SearchBudgetExceeded, SizeMismatch
 from .graphs import Graph
 
 MAX_VERTICES = 24
 MAX_ELEMENTS = 10**6
-NAIVE_MAX_VERTICES = 9
 
 
 @dataclass(frozen=True)
@@ -105,48 +117,112 @@ def is_automorphism(g: Graph, p: Permutation | Sequence[int]) -> bool:
     return all(g.has_edge(img[u], img[v]) for u, v in g.edges())
 
 
-def _refine_pair(adj_s, adj_t, P, Q, budget: Budget | None):
-    """Refine an aligned pair to a stable equitable pair; None on mismatch."""
+def _refine_pair(adj_s, adj_t, P, Q, budget: Budget | None, split: int = -1):
+    """Refine an aligned pair to a stable equitable pair; None on mismatch.
+
+    Cells must be ascending. A cell is named by the position of its first
+    vertex in the concatenation of the partition: names keep the order of
+    the cells, and a split renames only the vertices that move. `split`
+    names a cell the caller has just cut into a singleton and the rest of
+    an otherwise stable matched pair; round 1 then re-splits only the cells
+    next to that singleton of P.
+    """
+    n = len(adj_s)
+    same = adj_s is adj_t and P == Q
+    cell_s, at_s = _cell_names(P, n)
+    cell_t, at_t = (cell_s, at_s) if same else _cell_names(Q, n)
+    name_s, name_t = cell_s.__getitem__, cell_t.__getitem__
+    # Dirty cells are found on the P side alone. The pair matched up to
+    # here, so a cell that is clean on the P side but not on the Q side
+    # has fewer edges into some fragment than its Q twin, and the edge
+    # count forces a cell that is dirty on the P side to mismatch in the
+    # same round.
+    if split >= 0:
+        dirty = set(map(name_s, adj_s[P[split][0]]))
+    else:
+        dirty = {s for s, cell in enumerate(at_s)
+                 if cell is not None and (len(cell) > 1 or not same)}
     while True:
-        cell_s = {}
-        for ci, cell in enumerate(P):
-            for v in cell:
-                cell_s[v] = ci
-        cell_t = {}
-        for ci, cell in enumerate(Q):
-            for v in cell:
-                cell_t[v] = ci
         if budget is not None:
-            budget.spend(len(cell_s))
-        newP, newQ = [], []
-        changed = False
-        for ci in range(len(P)):
-            groups_s: dict = {}
-            for v in P[ci]:
-                cnt = Counter()
-                for u in adj_s[v]:
-                    cnt[cell_s[u]] += 1
-                groups_s.setdefault(tuple(sorted(cnt.items())), []).append(v)
-            groups_t: dict = {}
-            for v in Q[ci]:
-                cnt = Counter()
-                for u in adj_t[v]:
-                    cnt[cell_t[u]] += 1
-                groups_t.setdefault(tuple(sorted(cnt.items())), []).append(v)
-            keys = sorted(groups_s)
-            if keys != sorted(groups_t):
+            budget.spend(n)
+        cuts = []
+        for s in dirty:
+            cell = at_s[s]
+            if same and len(cell) == 1:
+                continue
+            keys = [tuple(sorted(map(name_s, adj_s[v]))) for v in cell]
+            first = keys[0]
+            if same:
+                if keys.count(first) < len(keys):
+                    cuts.append((s, _fragments(cell, keys), None))
+                continue
+            keys_t = [tuple(sorted(map(name_t, adj_t[v]))) for v in at_t[s]]
+            if keys.count(first) == len(keys) == keys_t.count(first):
+                continue
+            if sorted(keys) != sorted(keys_t):
                 return None
-            for key in keys:
-                a, b = groups_s[key], groups_t[key]
-                if len(a) != len(b):
-                    return None
-                newP.append(sorted(a))
-                newQ.append(sorted(b))
-            if len(keys) > 1:
-                changed = True
-        P, Q = newP, newQ
-        if not changed:
-            return P, Q
+            cuts.append((s, _fragments(cell, keys), _fragments(at_t[s], keys_t)))
+        if not cuts:
+            P = [cell for cell in at_s if cell is not None]
+            return (P, list(P)) if same else (P, [cell for cell in at_t if cell is not None])
+        # the next round's dirty cells go by the names after every cut
+        for s, frags_s, frags_t in cuts:
+            _place(frags_s, s, cell_s, at_s)
+            if frags_t is not None:
+                _place(frags_t, s, cell_t, at_t)
+        dirty = set()
+        for _, frags_s, _ in cuts:
+            big = max(frags_s, key=len)
+            for frag in frags_s:
+                if frag is not big:
+                    for v in frag:
+                        dirty.update(map(name_s, adj_s[v]))
+
+
+def _cell_names(P, n: int):
+    """Per-vertex cell names and the cell starting at each position."""
+    cell_of = [0] * n
+    at: list = [None] * n
+    start = 0
+    for cell in P:
+        at[start] = cell
+        for v in cell:
+            cell_of[v] = start
+        start += len(cell)
+    return cell_of, at
+
+
+def _fragments(cell, keys) -> list[list[int]]:
+    """The vertices of cell grouped by key, ascending within each group,
+    groups in the order of their ((cell, count), ...) signatures."""
+    groups: dict = {}
+    for key, v in zip(keys, cell):
+        if key in groups:
+            groups[key].append(v)
+        else:
+            groups[key] = [v]
+    return [groups[key] for key in sorted(groups, key=_run_lengths)]
+
+
+def _place(frags, start: int, cell_of, at):
+    """Lay the fragments of the cell at start out in its place."""
+    for i, frag in enumerate(frags):
+        at[start] = frag
+        if i:
+            for v in frag:
+                cell_of[v] = start
+        start += len(frag)
+
+
+def _run_lengths(key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """((cell, count), ...) of a sorted tuple of neighbour cell names."""
+    out = []
+    for c in key:
+        if out and out[-1][0] == c:
+            out[-1][1] += 1
+        else:
+            out.append([c, 1])
+    return tuple((c, k) for c, k in out)
 
 
 def _leaf_image(adj_s, adj_t, P, Q):
@@ -159,9 +235,14 @@ def _leaf_image(adj_s, adj_t, P, Q):
     return tuple(img)
 
 
-def _search_pair(adj_s, adj_t, P, Q, budget: Budget | None) -> Iterator[tuple[int, ...]]:
-    """Yield every bijection consistent with the aligned pair (P, Q)."""
-    ref = _refine_pair(adj_s, adj_t, P, Q, budget)
+def _search_pair(adj_s, adj_t, P, Q, budget: Budget | None,
+                 split: int = -1) -> Iterator[tuple[int, ...]]:
+    """Yield every bijection consistent with the aligned pair (P, Q).
+
+    `split` is the refinement hint of _refine_pair: the cell the caller
+    cut in a pair it had refined, or -1.
+    """
+    ref = _refine_pair(adj_s, adj_t, P, Q, budget, split)
     if ref is None:
         return
     P, Q = ref
@@ -179,7 +260,7 @@ def _search_pair(adj_s, adj_t, P, Q, budget: Budget | None) -> Iterator[tuple[in
     for u in Q[best]:
         newP = P[:best] + [[v], rest_p] + P[best + 1:]
         newQ = Q[:best] + [[u], [x for x in Q[best] if x != u]] + Q[best + 1:]
-        yield from _search_pair(adj_s, adj_t, newP, newQ, budget)
+        yield from _search_pair(adj_s, adj_t, newP, newQ, budget, best)
 
 
 def _unit_pair(n: int):
@@ -206,23 +287,6 @@ def enumerate_automorphisms(g: Graph, *, max_vertices: int = MAX_VERTICES,
             raise GroupTooLarge(f"listing exceeds {max_elements} elements")
     found.sort()
     return AutListing(g.n, tuple(Permutation(img) for img in found))
-
-
-def enumerate_automorphisms_naive(g: Graph) -> AutListing:
-    """Oracle listing: filter all n! permutations. Only for n <= 9."""
-    if g.n > NAIVE_MAX_VERTICES:
-        raise GraphTooLarge(f"n={g.n} exceeds naive cap {NAIVE_MAX_VERTICES}")
-    n = g.n
-    if n == 0:
-        return AutListing(0, (Permutation(()),))
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
-    a = np.zeros((n, n), dtype=bool)
-    for u, v in g.edges():
-        a[u, v] = a[v, u] = True
-    mapped = a[perms[:, :, None], perms[:, None, :]]
-    mask = (mapped == a).all(axis=(1, 2))
-    elems = tuple(Permutation(tuple(int(x) for x in p)) for p in perms[mask])
-    return AutListing(n, elems)
 
 
 def _color_cells(n: int, colors: Sequence[int]) -> list[list[int]]:
@@ -292,7 +356,7 @@ def orbit_of(g: Graph, v: int, *, max_vertices: int = MAX_VERTICES) -> frozenset
             continue
         newP = P[:ci] + [[v], rest_p] + P[ci + 1:]
         newQ = Q[:ci] + [[u], [x for x in Q[ci] if x != u]] + Q[ci + 1:]
-        img = next(_search_pair(adj, adj, newP, newQ, None), None)
+        img = next(_search_pair(adj, adj, newP, newQ, None, ci), None)
         if img is not None:
             gens.append(img)
             orbit = _orbit_closure(v, gens)

@@ -13,7 +13,7 @@ import sys
 from .automorphism import Budget, enumerate_automorphisms, search_color_preserving
 from .constructions import (isolate_case_coloring, kn_base_coloring,
                             lift_coloring, star_case_coloring)
-from .distinguishing import (Coloring, DistResult, ExceedsCap,
+from .distinguishing import (DEFAULT_BUDGET, Coloring, DistResult, ExceedsCap,
                              distinguishing_number, is_distinguishing)
 from .errors import (GraphTooLarge, GroupTooLarge, MycdistError,
                      SearchBudgetExceeded)
@@ -25,8 +25,6 @@ from .verify import report_to_csv, report_to_json, run_verify
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-
-DEFAULT_BUDGET = 10**8
 
 
 def _read_text(path: str) -> str:

@@ -11,20 +11,13 @@ never revisited. Three prunes keep the tree small, all of them sound:
 * partial assignments equivalent to an already-explored sibling under an
   automorphism plus a color renaming are skipped (only attempted when the
   full listing is small enough to consult).
-
-The brute-force oracle ignores all of that and checks every canonical
-coloring against the naive n!-filter listing.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
-from .automorphism import (Budget, _search_pair, enumerate_automorphisms,
-                           enumerate_automorphisms_naive)
+from .automorphism import Budget, _search_pair, enumerate_automorphisms
 from .errors import GraphTooLarge, GroupTooLarge, MalformedColoring
 from .graphs import Graph, twin_classes
 
@@ -209,7 +202,10 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
     n = g.n
     if n == 0:
         return DistResult(0, Coloring(0, ()))
-    bud = budget if isinstance(budget, Budget) else Budget(budget if budget else DEFAULT_BUDGET)
+    if isinstance(budget, Budget):
+        bud = budget
+    else:
+        bud = Budget(DEFAULT_BUDGET if budget is None else budget)
     classes = twin_classes(g)
     twin_id = [0] * n
     for ci, cl in enumerate(classes):
@@ -232,45 +228,4 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
         if cert is not None:
             witness = tb if (tb >= 2 and k == tb) else None
             return DistResult(k, Coloring(k, cert), witness)
-    raise AssertionError("rainbow coloring is always distinguishing")
-
-
-def _canonical_colorings_exactly(n: int, k: int):
-    """All canonical colorings of n vertices using exactly colors 1..k."""
-    colors = [0] * n
-
-    def rec(d: int, max_used: int):
-        if d == n:
-            if max_used == k:
-                yield tuple(colors)
-            return
-        hi = min(max_used + 1, k)
-        for c in range(1, hi + 1):
-            if max(max_used, c) + (n - d - 1) < k:
-                continue
-            colors[d] = c
-            yield from rec(d + 1, max(max_used, c))
-
-    yield from rec(0, 0)
-
-
-def distinguishing_number_bruteforce(g: Graph) -> DistResult:
-    """Oracle: try every canonical coloring against the naive listing.
-
-    Independent of the refinement engine; usable up to the naive
-    enumeration cap (n <= 9).
-    """
-    n = g.n
-    if n == 0:
-        return DistResult(0, Coloring(0, ()))
-    listing = enumerate_automorphisms_naive(g)
-    nontrivial = [p.image for p in listing if not p.is_identity()]
-    if not nontrivial:
-        return DistResult(1, Coloring(1, (1,) * n))
-    perms = np.array(nontrivial, dtype=np.int8)
-    for k in range(1, n + 1):
-        for assign in _canonical_colorings_exactly(n, k):
-            c = np.array(assign, dtype=np.int16)
-            if not (c[perms] == c).all(axis=1).any():
-                return DistResult(k, Coloring(k, assign))
     raise AssertionError("rainbow coloring is always distinguishing")

@@ -17,6 +17,11 @@ class VertexOutOfRange(MycdistError):
     """Vertex id not in 0..n-1."""
 
 
+class InvalidGraph(MycdistError, ValueError):
+    """Parameters that describe no simple graph: a negative order, a loop,
+    a cycle on fewer than 3 vertices."""
+
+
 class EmptySource(MycdistError):
     """Mycielskian of the order-0 graph is not defined here."""
 

@@ -24,6 +24,8 @@ def parse_graph6(text: str | bytes) -> Graph:
         raise MalformedGraph6("empty record")
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
+        if not s:
+            raise MalformedGraph6("header without a record")
     head = ord(s[0]) - 63
     if head == 63:
         raise Unsupported("multi-byte graph6 orders (n > 62) not supported")

@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, NamedTuple
 
-from .errors import VertexOutOfRange
+from .errors import InvalidGraph, VertexOutOfRange
 
 
 class Graph:
@@ -19,13 +19,13 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
-            raise ValueError("order must be >= 0")
+            raise InvalidGraph("order must be >= 0")
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
             if u == v:
-                raise ValueError(f"loop at {u}")
+                raise InvalidGraph(f"loop at {u}")
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
@@ -202,7 +202,7 @@ def complete_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
-        raise ValueError("cycle needs n >= 3")
+        raise InvalidGraph("cycle needs n >= 3")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 

@@ -11,17 +11,18 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .automorphism import Budget, orbit_of
 from .constructions import (CASE_ISOLATE_DOMINATED, CASE_K1_TGT1, EXACT,
                             isolate_case_coloring, predict_dist)
-from .distinguishing import (distinguishing_number, is_distinguishing,
-                             twin_lower_bound)
+from .distinguishing import (DEFAULT_BUDGET, distinguishing_number,
+                             is_distinguishing, twin_lower_bound)
 from .errors import MycdistError, SearchBudgetExceeded
 from .graph6 import parse_graph6, write_graph6
-from .graphs import Graph, classify_star, connected_components, isolated_vertices
+from .graphs import Graph, classify_star, isolated_vertices
 from .mycielskian import build_mycielskian
 
 CSV_FIELDS = ["graph6", "n", "ell", "dist_g", "t", "case", "predicted_kind",
@@ -101,8 +102,6 @@ def root_orbit_conforms(orbit_class: str, g: Graph, t: int) -> bool:
         if star.m == 0 or t == 1:
             return orbit_class == ORBIT_CENTER_SHADOW
         return orbit_class in (ORBIT_FIXED, ORBIT_CENTER_SHADOW)
-    if len(connected_components(g)) > 1:
-        return orbit_class == ORBIT_FIXED
     return orbit_class == ORBIT_FIXED
 
 
@@ -175,7 +174,7 @@ def _malformed_rows(line: str, ts: list[int]) -> list[VerifyRecord]:
         method=METHOD_MALFORMED, root_orbit=None, passed=False) for t in ts]
 
 
-def run_verify(lines: list[str], ts: list[int], *, budget_steps: int = 10**8,
+def run_verify(lines: list[str], ts: list[int], *, budget_steps: int = DEFAULT_BUDGET,
                max_n: int = 6, jobs: int = 1) -> VerifyReport:
     """Sweep a corpus of graph6 records.
 
@@ -199,8 +198,9 @@ def run_verify(lines: list[str], ts: list[int], *, budget_steps: int = 10**8,
             continue
         good.append((idx, line))
     tasks = [(line, ts, budget_steps) for _, line in good]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, tasks, chunksize=8))
     else:
         results = [_worker(task) for task in tasks]

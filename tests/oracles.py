@@ -1,0 +1,73 @@
+"""Brute-force oracles for the automorphism engine and the dist search.
+
+Test-only: they filter all n! permutations with numpy and share no code
+with the refinement engine they check, so they stay out of the runtime
+package and numpy stays out of its dependencies.
+"""
+
+import itertools
+
+import numpy as np
+
+from mycdist import AutListing, Coloring, DistResult, Graph, Permutation
+from mycdist.errors import GraphTooLarge
+
+NAIVE_MAX_VERTICES = 9
+
+
+def enumerate_automorphisms_naive(g: Graph) -> AutListing:
+    """Oracle listing: filter all n! permutations. Only for n <= 9."""
+    if g.n > NAIVE_MAX_VERTICES:
+        raise GraphTooLarge(f"n={g.n} exceeds naive cap {NAIVE_MAX_VERTICES}")
+    n = g.n
+    if n == 0:
+        return AutListing(0, (Permutation(()),))
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+    a = np.zeros((n, n), dtype=bool)
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = True
+    mapped = a[perms[:, :, None], perms[:, None, :]]
+    mask = (mapped == a).all(axis=(1, 2))
+    elems = tuple(Permutation(tuple(int(x) for x in p)) for p in perms[mask])
+    return AutListing(n, elems)
+
+
+def _canonical_colorings_exactly(n: int, k: int):
+    """All canonical colorings of n vertices using exactly colors 1..k."""
+    colors = [0] * n
+
+    def rec(d: int, max_used: int):
+        if d == n:
+            if max_used == k:
+                yield tuple(colors)
+            return
+        hi = min(max_used + 1, k)
+        for c in range(1, hi + 1):
+            if max(max_used, c) + (n - d - 1) < k:
+                continue
+            colors[d] = c
+            yield from rec(d + 1, max(max_used, c))
+
+    yield from rec(0, 0)
+
+
+def distinguishing_number_bruteforce(g: Graph) -> DistResult:
+    """Oracle: try every canonical coloring against the naive listing.
+
+    Independent of the refinement engine; usable up to the naive
+    enumeration cap (n <= 9).
+    """
+    n = g.n
+    if n == 0:
+        return DistResult(0, Coloring(0, ()))
+    listing = enumerate_automorphisms_naive(g)
+    nontrivial = [p.image for p in listing if not p.is_identity()]
+    if not nontrivial:
+        return DistResult(1, Coloring(1, (1,) * n))
+    perms = np.array(nontrivial, dtype=np.int8)
+    for k in range(1, n + 1):
+        for assign in _canonical_colorings_exactly(n, k):
+            c = np.array(assign, dtype=np.int16)
+            if not (c[perms] == c).all(axis=1).any():
+                return DistResult(k, Coloring(k, assign))
+    raise AssertionError("rainbow coloring is always distinguishing")

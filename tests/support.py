@@ -4,7 +4,7 @@ Everything here is written for obviousness, not speed, and on purpose
 shares no code with the package internals it is checking.
 """
 
-from collections import deque
+from collections import Counter, deque
 
 
 def naive_component_count(n, edge_set, removed=frozenset()):
@@ -80,3 +80,51 @@ def assert_group_axioms(listing):
     for a in elems:
         for b in elems:
             assert tuple(a[x] for x in b) in elems
+
+
+# The refinement kernel as it was before the incremental rewrite: every
+# round rebuilds both cell maps and a Counter signature for every vertex.
+# The rewrite must return the same pair (or None) and spend the same
+# budget on every input.
+def reference_refine_pair(adj_s, adj_t, P, Q, budget):
+    """Refine an aligned pair to a stable equitable pair; None on mismatch."""
+    while True:
+        cell_s = {}
+        for ci, cell in enumerate(P):
+            for v in cell:
+                cell_s[v] = ci
+        cell_t = {}
+        for ci, cell in enumerate(Q):
+            for v in cell:
+                cell_t[v] = ci
+        if budget is not None:
+            budget.spend(len(cell_s))
+        newP, newQ = [], []
+        changed = False
+        for ci in range(len(P)):
+            groups_s: dict = {}
+            for v in P[ci]:
+                cnt = Counter()
+                for u in adj_s[v]:
+                    cnt[cell_s[u]] += 1
+                groups_s.setdefault(tuple(sorted(cnt.items())), []).append(v)
+            groups_t: dict = {}
+            for v in Q[ci]:
+                cnt = Counter()
+                for u in adj_t[v]:
+                    cnt[cell_t[u]] += 1
+                groups_t.setdefault(tuple(sorted(cnt.items())), []).append(v)
+            keys = sorted(groups_s)
+            if keys != sorted(groups_t):
+                return None
+            for key in keys:
+                a, b = groups_s[key], groups_t[key]
+                if len(a) != len(b):
+                    return None
+                newP.append(sorted(a))
+                newQ.append(sorted(b))
+            if len(keys) > 1:
+                changed = True
+        P, Q = newP, newQ
+        if not changed:
+            return P, Q

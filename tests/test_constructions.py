@@ -12,9 +12,10 @@ from mycdist import (Coloring, DistPrediction, Graph, build_mycielskian,
 from mycdist.constructions import (CASE_GENERIC, CASE_ISOLATE_DOMINATED,
                                    CASE_K1_T1, CASE_K1_TGT1, CASE_K2_T1,
                                    CASE_K2_TGT1, EXACT, UPPER_BOUND)
-from mycdist.distinguishing import _canonical_colorings_exactly
 from mycdist.errors import (InvalidM, InvalidN, InvalidT, MalformedColoring,
                             PreconditionViolated)
+
+from .oracles import _canonical_colorings_exactly
 
 
 def test_predict_dist_cases():

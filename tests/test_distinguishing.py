@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from mycdist import (Coloring, DistResult, ExceedsCap, Graph,
                      build_mycielskian, complete_graph, cycle_graph,
-                     disjoint_union, distinguishing_number,
-                     distinguishing_number_bruteforce, empty_graph,
-                     enumerate_automorphisms_naive, is_distinguishing,
-                     path_graph, star_graph, twin_lower_bound)
+                     disjoint_union, distinguishing_number, empty_graph,
+                     is_distinguishing, parse_graph6, path_graph,
+                     star_graph, twin_lower_bound)
 from mycdist.automorphism import Budget
-from mycdist.distinguishing import _canonical_colorings_exactly
 from mycdist.errors import MalformedColoring, SearchBudgetExceeded
+
+from .oracles import (_canonical_colorings_exactly,
+                      distinguishing_number_bruteforce,
+                      enumerate_automorphisms_naive)
 
 # value pairs frozen from distinguishing_number_bruteforce runs
 KNOWN = [
@@ -138,6 +140,24 @@ def test_budget_exhaustion():
     shared = Budget(10**6)
     distinguishing_number(cycle_graph(6), budget=shared)
     assert 0 < shared.used < 10**6
+
+
+def test_zero_budget_is_zero():
+    with pytest.raises(SearchBudgetExceeded):
+        distinguishing_number(path_graph(3), budget=0)
+
+
+# Budget.used of three searches on mu_t(G), measured with the refinement
+# kernel that re-split every cell on every round. The incremental kernel
+# must leave the search tree and the steps per round unchanged.
+@pytest.mark.parametrize("g6, t, steps", [("ElUg", 1, 47096),
+                                          ("D~{", 2, 77461),
+                                          ("E~~w", 1, 62539)])
+def test_budget_steps_pinned(g6, t, steps):
+    mu, _ = build_mycielskian(parse_graph6(g6), t)
+    budget = Budget(10**8)
+    distinguishing_number(mu, budget=budget)
+    assert budget.used == steps
 
 
 def test_orbit_pruning_is_transparent():

@@ -78,6 +78,11 @@ def test_optional_header_accepted():
     assert parse_graph6(">>graph6<<Bw").edge_count == 3
 
 
+def test_header_without_record_rejected():
+    with pytest.raises(MalformedGraph6):
+        parse_graph6(">>graph6<<")
+
+
 def test_edge_list_roundtrip():
     g = parse_graph6("Bw")
     text = write_edge_list(g)

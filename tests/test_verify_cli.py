@@ -10,6 +10,7 @@ import pytest
 from mycdist import (build_mycielskian, complete_graph, cycle_graph,
                      empty_graph, is_automorphism, kn_base_coloring,
                      parse_graph6, path_graph, star_graph, write_graph6)
+from mycdist import verify
 from mycdist.cli import main
 from mycdist.errors import MycdistError
 from mycdist.verify import (CSV_FIELDS, classify_root_orbit, process_record,
@@ -65,6 +66,12 @@ def test_run_verify_malformed_noted_not_fatal():
     assert all(r.n is None and not r.passed for r in bad)
     # good records still processed, in input order
     assert [r.graph6 for r in report.records[:2]] == ["Bw", "Bw"]
+
+
+def test_run_verify_bare_header_is_a_malformed_row():
+    report = run_verify([">>graph6<<", "Bw"], [1])
+    assert [r.method for r in report.records] == ["malformed", "search"]
+    assert report.records[0].graph6 == ">>graph6<<"
 
 
 def test_run_verify_oversized_record_is_fatal():
@@ -125,6 +132,40 @@ def test_jobs_do_not_change_report(corpus_n6):
     parallel = run_verify(lines, [1], jobs=4)
     assert report_to_csv(serial) == report_to_csv(parallel)
     assert report_to_json(serial) == report_to_json(parallel)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count and
+    runs the tasks in this process."""
+
+    def __init__(self, seen, max_workers):
+        seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs, cpus, want", [
+    (10**6, 3, 3),  # clamped to the CPU count
+    (10**6, 8, 4),  # clamped to the four records
+    (2, 8, 2),
+    (10**6, None, None),  # unknown CPU count: one worker, no pool
+    (1, 8, None),
+])
+def test_run_verify_clamps_workers(jobs, cpus, want, monkeypatch):
+    seen = []
+    monkeypatch.setattr(verify, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(seen, max_workers))
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    report = run_verify(N3_LINES, [1], jobs=jobs)
+    assert seen == ([] if want is None else [want])
+    assert report_to_csv(report) == report_to_csv(run_verify(N3_LINES, [1]))
 
 
 def test_process_record_row_shape():
@@ -355,6 +396,14 @@ def test_cli_verify_bad_inputs(monkeypatch, capsys):
     code, _, err = run_cli(["verify", "--t", "1", "/no/such/file"],
                            "", monkeypatch, capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["2 1\n0 0\n", "-1 0\n"])
+def test_cli_invalid_edge_list_exits_2(text, monkeypatch, capsys):
+    # a loop and a negative order are input errors, not tracebacks
+    code, out, err = run_cli(["dist", "--format", "edges"], text, monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_cli_verify_default_t_is_1_and_2(tmp_path, monkeypatch, capsys):
