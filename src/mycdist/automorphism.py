@@ -9,6 +9,20 @@ member of the aligned cell of Q in ascending order. Discrete leaves are
 verified edge-by-edge before being reported. The DFS order is therefore
 deterministic, and full listings are additionally sorted by image vector.
 
+Full listings come from a stabilizer chain (Seress, Permutation Group
+Algorithms, 2003) read off the first path of that search: base point b_i
+is the vertex the search individualizes at depth i, and G_i is the group
+of automorphisms fixing b_0..b_{i-1}, i.e. fixing every cell of the pair
+at depth i. Deepest level first, the orbit of b_i under G_i is grown
+inside its cell: one targeted search per member that the automorphisms
+found so far (all in G_i) do not already reach, each found automorphism
+kept as a generator, and each orbit point given one transversal element
+of G_i taking b_i to it. Every automorphism is then uniquely a product
+t_0 t_1 ... t_{k-1} of one transversal element per level, so |Aut| is
+the product of the orbit sizes and is checked against the element cap
+before any element is built; the listing is the |Aut| products, sorted.
+orbit_of runs the same orbit step on its vertex's cell.
+
 Refinement works in rounds. In each round every cell is split by the
 signatures its vertices have against the partition the round started
 with, and the fragments of a cell are laid out in the order of their
@@ -225,6 +239,15 @@ def _run_lengths(key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple((c, k) for c, k in out)
 
 
+def _target_cell(P) -> int:
+    """Index of the first smallest non-singleton cell of P; -1 if discrete."""
+    best = -1
+    for ci, cell in enumerate(P):
+        if len(cell) > 1 and (best == -1 or len(cell) < len(P[best])):
+            best = ci
+    return best
+
+
 def _leaf_image(adj_s, adj_t, P, Q):
     img = [0] * len(adj_s)
     for ci in range(len(P)):
@@ -246,10 +269,7 @@ def _search_pair(adj_s, adj_t, P, Q, budget: Budget | None,
     if ref is None:
         return
     P, Q = ref
-    best = -1
-    for ci, cell in enumerate(P):
-        if len(cell) > 1 and (best == -1 or len(cell) < len(P[best])):
-            best = ci
+    best = _target_cell(P)
     if best == -1:
         img = _leaf_image(adj_s, adj_t, P, Q)
         if img is not None:
@@ -272,21 +292,37 @@ def enumerate_automorphisms(g: Graph, *, max_vertices: int = MAX_VERTICES,
                             max_elements: int = MAX_ELEMENTS) -> AutListing:
     """Full automorphism listing of g.
 
-    Raises GraphTooLarge past max_vertices and GroupTooLarge as soon as the
-    listing would exceed max_elements.
+    Raises GraphTooLarge past max_vertices, and GroupTooLarge when the
+    group has more than max_elements elements, before any is built.
     """
     if g.n > max_vertices:
         raise GraphTooLarge(f"n={g.n} exceeds cap {max_vertices}")
     if g.n == 0:
         return AutListing(0, (Permutation(()),))
+    adj = g.adjacency
     P, Q = _unit_pair(g.n)
-    found = []
-    for img in _search_pair(g.adjacency, g.adjacency, P, Q, None):
-        found.append(img)
-        if len(found) > max_elements:
-            raise GroupTooLarge(f"listing exceeds {max_elements} elements")
-    found.sort()
-    return AutListing(g.n, tuple(Permutation(img) for img in found))
+    P, _ = _refine_pair(adj, adj, P, Q, None)
+    levels = []
+    ci = _target_cell(P)
+    while ci != -1:
+        levels.append((P, ci))
+        cut = P[:ci] + [P[ci][:1], P[ci][1:]] + P[ci + 1:]
+        P, _ = _refine_pair(adj, adj, cut, cut, None, ci)
+        ci = _target_cell(P)
+    gens: list[tuple[int, ...]] = []
+    transversals = []
+    order = 1
+    for P, ci in reversed(levels):
+        trans = _orbit(adj, P, ci, P[ci][0], gens)
+        order *= len(trans)
+        transversals.append(trans.values())
+    if order > max_elements:
+        raise GroupTooLarge(f"listing exceeds {max_elements} elements")
+    elements = [tuple(range(g.n))]
+    for trans in transversals:
+        elements = [tuple(t[x] for x in h) for t in trans for h in elements]
+    elements.sort()
+    return AutListing(g.n, tuple(Permutation(img) for img in elements))
 
 
 def _color_cells(n: int, colors: Sequence[int]) -> list[list[int]]:
@@ -316,51 +352,56 @@ def search_color_preserving(g: Graph, coloring) -> Permutation | None:
     return None
 
 
-def _orbit_closure(seed: int, gens: list[tuple[int, ...]]) -> set[int]:
-    orbit = {seed}
-    frontier = [seed]
+def _orbit(adj, P, ci: int, v: int,
+           gens: list[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
+    """Orbit of v in P[ci] under the automorphisms that fix every cell of
+    the stable pair (P, P), each orbit point mapped to one such
+    automorphism taking v to it.
+
+    gens holds automorphisms of that group that fix v, found before; one
+    targeted search runs per member of the cell that the automorphisms
+    found so far do not reach, and each one it finds is appended to gens.
+    """
+    trans = {v: tuple(range(len(adj)))}
+    cut_p = P[:ci] + [[v], [x for x in P[ci] if x != v]] + P[ci + 1:]
+    for u in P[ci]:
+        if u in trans:
+            continue
+        cut_q = P[:ci] + [[u], [x for x in P[ci] if x != u]] + P[ci + 1:]
+        img = next(_search_pair(adj, adj, cut_p, cut_q, None, ci), None)
+        if img is not None:
+            gens.append(img)
+            _close(trans, gens)
+    return trans
+
+
+def _close(trans: dict[int, tuple[int, ...]], gens: list[tuple[int, ...]]):
+    """Extend the orbit in trans to its closure under gens: a point y = g(x)
+    reached from x is mapped to g composed with the element of x."""
+    frontier = list(trans)
     while frontier:
         x = frontier.pop()
         for img in gens:
-            for y in (img[x], img.index(x)):
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-    return orbit
+            y = img[x]
+            if y not in trans:
+                trans[y] = tuple(img[z] for z in trans[x])
+                frontier.append(y)
 
 
 def orbit_of(g: Graph, v: int, *, max_vertices: int = MAX_VERTICES) -> frozenset[int]:
     """Orbit of v under Aut(g), without materializing the full listing.
 
-    One targeted search per candidate image (candidates limited to v's cell
-    of the stable equitable partition); discovered automorphisms act as
-    generators so later candidates are often settled by closure alone.
+    The orbit step of enumerate_automorphisms, run on v's cell of the
+    stable equitable partition with no automorphisms known beforehand.
     """
     g._check(v)
     if g.n > max_vertices:
         raise GraphTooLarge(f"n={g.n} exceeds cap {max_vertices}")
-    if g.n == 1:
-        return frozenset({v})
     adj = g.adjacency
     P, Q = _unit_pair(g.n)
-    ref = _refine_pair(adj, adj, P, Q, None)
-    assert ref is not None  # a graph is always consistent with itself
-    P, Q = ref
+    P, _ = _refine_pair(adj, adj, P, Q, None)
     ci = next(i for i, cell in enumerate(P) if v in cell)
-    candidates = P[ci]
-    orbit = {v}
-    gens: list[tuple[int, ...]] = []
-    rest_p = [x for x in P[ci] if x != v]
-    for u in candidates:
-        if u in orbit:
-            continue
-        newP = P[:ci] + [[v], rest_p] + P[ci + 1:]
-        newQ = Q[:ci] + [[u], [x for x in Q[ci] if x != u]] + Q[ci + 1:]
-        img = next(_search_pair(adj, adj, newP, newQ, None, ci), None)
-        if img is not None:
-            gens.append(img)
-            orbit = _orbit_closure(v, gens)
-    return frozenset(orbit)
+    return frozenset(_orbit(adj, P, ci, v, []))
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Permutation | None:

@@ -7,6 +7,7 @@ budget or capacity exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -69,7 +70,8 @@ def _parse_coloring(raw: str, n: int) -> Coloring:
         values = json.loads(raw)
     except json.JSONDecodeError as e:
         raise MycdistError(f"bad coloring JSON: {e}") from None
-    if not isinstance(values, list) or not all(isinstance(c, int) for c in values):
+    # type(), not isinstance(): JSON true and false load as bool, an int
+    if not isinstance(values, list) or not all(type(c) is int for c in values):
         raise MycdistError("coloring must be a JSON array of integers")
     if len(values) != n:
         raise MycdistError(f"coloring has {len(values)} entries, graph has {n}")
@@ -241,8 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: building it costs more than
+    most commands, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (SearchBudgetExceeded, GroupTooLarge, GraphTooLarge) as e:

@@ -22,6 +22,7 @@ from .distinguishing import Coloring
 from .errors import (InvalidM, InvalidN, InvalidT, MalformedColoring,
                      PaletteExhausted, PreconditionViolated)
 from .graphs import Graph, isolated_vertices
+from .mycielskian import MycLayout
 
 CASE_K1_T1 = "K1_t1"
 CASE_K1_TGT1 = "K1_tgt1"
@@ -63,10 +64,6 @@ def predict_dist(g: Graph, t: int, dist_g: int) -> DistPrediction:
     return DistPrediction(CASE_GENERIC, UPPER_BOUND, dist_g)
 
 
-def _order(n: int, t: int) -> int:
-    return (t + 1) * n + 1
-
-
 def star_case_coloring(m: int, t: int) -> Coloring:
     """m-coloring of mu_t(K_{1,m}) for m >= 2 (leaves 0..m-1, center m).
 
@@ -78,12 +75,13 @@ def star_case_coloring(m: int, t: int) -> Coloring:
     if t < 1:
         raise InvalidT(f"t must be >= 1, got {t}")
     n = m + 1
-    assign = [0] * _order(n, t)
+    layout = MycLayout(n, t)
+    assign = [0] * layout.order
     for s in range(t + 1):
         for i in range(m):
             assign[s * n + i] = i + 1
         assign[s * n + m] = 2
-    assign[_order(n, t) - 1] = 1
+    assign[layout.root] = 1
     return Coloring(m, tuple(assign))
 
 
@@ -102,11 +100,12 @@ def kn_base_coloring(n: int, t: int) -> tuple[int, Coloring]:
     k = 2
     while k ** (t + 1) < n:
         k += 1
-    assign = [0] * _order(n, t)
+    layout = MycLayout(n, t)
+    assign = [0] * layout.order
     for i in range(n):
         for s in range(t + 1):
             assign[s * n + i] = (i // k**s) % k + 1
-    assign[_order(n, t) - 1] = 1
+    assign[layout.root] = 1
     return k, Coloring(k, tuple(assign))
 
 
@@ -136,7 +135,8 @@ def isolate_case_coloring(g: Graph, t: int, dist_coloring_g: Coloring) -> Colori
         raise PreconditionViolated(
             f"needs t*l > source colors, got t*l = {t * ell}, k = {dist_coloring_g.k}")
     n = g.n
-    assign = [0] * _order(n, t)
+    layout = MycLayout(n, t)
+    assign = [0] * layout.order
     for s in range(t):
         for j, v in enumerate(iso):
             assign[s * n + v] = s * ell + j + 1
@@ -146,7 +146,7 @@ def isolate_case_coloring(g: Graph, t: int, dist_coloring_g: Coloring) -> Colori
         if g.degree(v) > 0:
             for s in range(t + 1):
                 assign[s * n + v] = dist_coloring_g.assign[v]
-    assign[_order(n, t) - 1] = 2  # any color except that of the first isolate chain
+    assign[layout.root] = 2  # any color except that of the first isolate chain
     return Coloring(t * ell, tuple(assign))
 
 
@@ -172,7 +172,8 @@ def lift_coloring(g: Graph, t: int, dist_coloring_g: Coloring, w_color: int = 1)
     if not (1 <= w_color <= k):
         raise PreconditionViolated(f"w_color {w_color} outside 1..{k}")
     n = g.n
-    assign = [0] * _order(n, t)
+    layout = MycLayout(n, t)
+    assign = [0] * layout.order
     for v in range(n):
         for s in range(t + 1):
             assign[s * n + v] = dist_coloring_g.assign[v]
@@ -186,5 +187,5 @@ def lift_coloring(g: Graph, t: int, dist_coloring_g: Coloring, w_color: int = 1)
             if c is None:
                 raise PaletteExhausted(f"no unused color left in 1..{k}")
             assign[s * n + v] = c
-    assign[_order(n, t) - 1] = w_color
+    assign[layout.root] = w_color
     return Coloring(k, tuple(assign))

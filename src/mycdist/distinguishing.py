@@ -9,8 +9,10 @@ never revisited. Three prunes keep the tree small, all of them sound:
 * if some nontrivial automorphism preserves the colors assigned so far
   while fixing every still-uncolored vertex, no extension can work;
 * partial assignments equivalent to an already-explored sibling under an
-  automorphism plus a color renaming are skipped (only attempted when the
-  full listing is small enough to consult).
+  automorphism plus a color renaming are skipped. This prune consults the
+  full listing, so it runs only when |Aut| <= ORBIT_LISTING_CAP and the
+  graph has at most 24 vertices; the group order is known before the
+  listing is built, so a larger group costs no listing.
 """
 
 from __future__ import annotations

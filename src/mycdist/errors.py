@@ -10,7 +10,8 @@ class MalformedGraph6(MycdistError):
 
 
 class Unsupported(MycdistError):
-    """graph6 order outside the supported single-byte range (n > 62)."""
+    """Graph order outside the supported single-byte graph6 range (n > 62),
+    in graph6 or in an edge list."""
 
 
 class VertexOutOfRange(MycdistError):

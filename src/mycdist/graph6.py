@@ -1,7 +1,8 @@
 """graph6 and plain edge-list serialization.
 
-Only the single-byte graph6 header is supported (n <= 62). Bits cover the
-upper triangle in column order: (0,1), (0,2), (1,2), (0,3), ...
+Only the single-byte graph6 header is supported (n <= 62), and edge lists
+are held to the same orders. Bits cover the upper triangle in column
+order: (0,1), (0,2), (1,2), (0,3), ...
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise MalformedGraph6(f"bad header {rows[0]!r}") from None
+    if n > _MAX_N:
+        raise Unsupported(f"order {n} exceeds the supported {_MAX_N}")
     if len(rows) - 1 != m:
         raise MalformedGraph6(f"header claims {m} edges, found {len(rows) - 1}")
     edges = []

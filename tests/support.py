@@ -1,10 +1,31 @@
 """Naive reference implementations used as oracles in tests.
 
 Everything here is written for obviousness, not speed, and on purpose
-shares no code with the package internals it is checking.
+shares no code with the package internals it is checking. The one
+exception is reference_listing: it drives the package's own search,
+because what it checks is how the listing is assembled from that search;
+the naive n! listing in oracles.py checks the search itself.
 """
 
+import os
+import pathlib
 from collections import Counter, deque
+
+import mycdist
+from mycdist.automorphism import (MAX_ELEMENTS, MAX_VERTICES, AutListing,
+                                  Permutation, _search_pair, _unit_pair)
+from mycdist.errors import GraphTooLarge, GroupTooLarge
+from mycdist.graphs import Graph
+
+
+def source_tree_env():
+    """Environment for a child `python -m mycdist` that runs the same
+    source tree as the test process."""
+    src = str(pathlib.Path(mycdist.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def naive_component_count(n, edge_set, removed=frozenset()):
@@ -128,3 +149,27 @@ def reference_refine_pair(adj_s, adj_t, P, Q, budget):
         P, Q = newP, newQ
         if not changed:
             return P, Q
+
+
+# The listing as it was before the stabilizer chain: every group element
+# is its own leaf of the refinement search. The chain listing must return
+# the same elements, or raise GroupTooLarge for the same max_elements.
+def reference_listing(g: Graph, *, max_vertices: int = MAX_VERTICES,
+                      max_elements: int = MAX_ELEMENTS) -> AutListing:
+    """Full automorphism listing of g.
+
+    Raises GraphTooLarge past max_vertices and GroupTooLarge as soon as the
+    listing would exceed max_elements.
+    """
+    if g.n > max_vertices:
+        raise GraphTooLarge(f"n={g.n} exceeds cap {max_vertices}")
+    if g.n == 0:
+        return AutListing(0, (Permutation(()),))
+    P, Q = _unit_pair(g.n)
+    found = []
+    for img in _search_pair(g.adjacency, g.adjacency, P, Q, None):
+        found.append(img)
+        if len(found) > max_elements:
+            raise GroupTooLarge(f"listing exceeds {max_elements} elements")
+    found.sort()
+    return AutListing(g.n, tuple(Permutation(img) for img in found))

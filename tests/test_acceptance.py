@@ -5,13 +5,10 @@ one pass/fail line per criterion either way.
 """
 
 import math
-import os
-import pathlib
 import subprocess
 import sys
 import time
 
-import mycdist
 from mycdist import (Graph, build_mycielskian, classify_star, complete_graph,
                      connected_components, cycle_graph, disjoint_union,
                      distinguishing_number, empty_graph,
@@ -25,6 +22,7 @@ from mycdist.verify import run_verify
 from .conftest import DATA
 from .oracles import (distinguishing_number_bruteforce,
                       enumerate_automorphisms_naive)
+from .support import source_tree_env
 
 
 def test_criterion_1_cycle_baselines():
@@ -205,11 +203,7 @@ def test_criterion_8_format_stability(corpus_n7, tmp_path):
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     small = [ln for ln in lines if parse_graph6(ln).n <= 5]
     subset.write_text("".join(ln + "\n" for ln in small))
-    # Run the CLI as a child process from the same source tree as this test.
-    src = str(pathlib.Path(mycdist.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = source_tree_env()
     outs = {}
     for fmt in ("json", "csv"):
         for jobs in ("1", "8"):

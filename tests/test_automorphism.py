@@ -1,5 +1,7 @@
 """Automorphism engine against the brute-force listing and known groups."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +12,12 @@ from mycdist import (Graph, build_mycielskian, complete_graph, cycle_graph,
                      neighborhood_degree_multiset, orbit_of, path_graph,
                      search_color_preserving, star_graph)
 from mycdist.automorphism import Budget, Permutation
+from mycdist.distinguishing import ORBIT_LISTING_CAP
 from mycdist.errors import (GraphTooLarge, GroupTooLarge,
                             SearchBudgetExceeded, SizeMismatch)
 
 from .oracles import enumerate_automorphisms_naive
-from .support import assert_group_axioms
+from .support import assert_group_axioms, reference_listing
 
 
 def petersen() -> Graph:
@@ -196,3 +199,47 @@ def test_budget_counter():
 def test_order_zero_graph():
     listing = enumerate_automorphisms(Graph(0))
     assert listing.order == 1 and listing.elements[0].image == ()
+
+
+def _listing_or_none(listing, g, max_elements):
+    try:
+        return listing(g, max_elements=max_elements).elements
+    except GroupTooLarge:
+        return None
+
+
+def test_listing_matches_reference_on_corpora(corpus_n7):
+    """The chain listing against the search-per-element listing: the full
+    groups of the n = 7 corpus, and mu_1 (n <= 6) and mu_2 (n <= 5) at the
+    cap the distinguishing search lists them with, where both must raise
+    for the same graphs."""
+    cases = [(g, 10**6) for _, g in corpus_n7 if g.n == 7]
+    assert len(cases) == 1044
+    for _, g in corpus_n7:
+        if g.n <= 6:
+            cases.append((build_mycielskian(g, 1)[0], ORBIT_LISTING_CAP))
+        if g.n <= 5:
+            cases.append((build_mycielskian(g, 2)[0], ORBIT_LISTING_CAP))
+    aborted = 0
+    for g, cap in cases:
+        want = _listing_or_none(reference_listing, g, cap)
+        assert _listing_or_none(enumerate_automorphisms, g, cap) == want, g.edges()
+        aborted += want is None
+    assert aborted == 14  # 8 mu_1 and 6 mu_2 groups exceed the cap
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs(7))
+def test_element_cap_is_the_group_order(g):
+    listing = enumerate_automorphisms(g)
+    assert enumerate_automorphisms(g, max_elements=listing.order) == listing
+    with pytest.raises(GroupTooLarge):
+        enumerate_automorphisms(g, max_elements=listing.order - 1)
+
+
+def test_too_large_group_raises_before_listing():
+    # |Aut| = 10! > 10**6: the order is found without listing elements
+    start = time.perf_counter()
+    with pytest.raises(GroupTooLarge):
+        enumerate_automorphisms(empty_graph(10))
+    assert time.perf_counter() - start < 5.0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mycdist import Graph, parse_edge_list, parse_graph6, write_edge_list, write_graph6
-from mycdist.errors import MalformedGraph6, Unsupported
+from mycdist.errors import MalformedGraph6, MycdistError, Unsupported
 
 KNOWN = [
     ("@", 1, []),
@@ -65,6 +65,9 @@ def test_order_boundary():
         write_graph6(Graph(63))
     with pytest.raises(Unsupported):
         parse_graph6("~" + "?" * 100)  # multi-byte order header
+    assert parse_edge_list("62 1\n0 61\n") == g
+    with pytest.raises(Unsupported):
+        parse_edge_list("63 0\n")
 
 
 @pytest.mark.parametrize("bad", ["", "A", "Bww", "B" + chr(30), "Bx"])
@@ -95,3 +98,25 @@ def test_edge_list_roundtrip():
 def test_malformed_edge_lists_rejected(bad):
     with pytest.raises(MalformedGraph6):
         parse_edge_list(bad)
+
+
+# the record bytes, '>' of the optional header, DEL and newline
+_GRAPH6_CHARS = "".join(map(chr, range(62, 128))) + "\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet=_GRAPH6_CHARS), st.binary()))
+def test_parse_graph6_raises_only_package_errors(data):
+    try:
+        parse_graph6(data)
+    except MycdistError:
+        pass
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet=" -#x0123456789\n")))
+def test_parse_edge_list_raises_only_package_errors(text):
+    try:
+        parse_edge_list(text)
+    except MycdistError:
+        pass

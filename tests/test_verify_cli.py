@@ -1,11 +1,16 @@
 """Verify pipeline and the command line surface."""
 
+import contextlib
 import csv
 import io
 import json
 import subprocess
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mycdist import (build_mycielskian, complete_graph, cycle_graph,
                      empty_graph, is_automorphism, kn_base_coloring,
@@ -16,6 +21,8 @@ from mycdist.errors import MycdistError
 from mycdist.verify import (CSV_FIELDS, classify_root_orbit, process_record,
                             report_to_csv, report_to_json, root_orbit_conforms,
                             run_verify)
+
+from .support import source_tree_env
 
 N3_LINES = ["B?", "BG", "BW", "Bw"]  # all four graphs on 3 vertices
 
@@ -413,6 +420,93 @@ def test_cli_verify_default_t_is_1_and_2(tmp_path, monkeypatch, capsys):
     assert code == 0
     (doc,) = json_docs(out)
     assert [r["t"] for r in doc["records"]] == [1, 2]
+
+
+@pytest.mark.parametrize("coloring, g6", [("[true]", "@"), ("[false]", "@"),
+                                           ("[1, true]", "A_")])
+def test_cli_check_coloring_rejects_booleans(coloring, g6, monkeypatch, capsys):
+    # JSON true loads as a bool, which Python counts as the int 1
+    code, out, err = run_cli(["check-coloring", "--coloring", coloring],
+                             g6 + "\n", monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+# Commands whose arguments would leak into the next one if parsing kept
+# state between calls: a flag left over (--k-cap), a subcommand default
+# overridden (--t of myc against the 1,2 default of verify).
+IN_ONE_PROCESS = [
+    (["dist", "--k-cap", "2"], "Dhc\n"),
+    (["dist"], "Dhc\n"),
+    (["myc", "--t", "1"], "A_\n"),
+    (["verify"], "Bw\n"),
+    (["dist", "--budget", "3"], "C~\n"),
+    (["aut"], "Dhc\n"),
+    (["check-coloring", "--coloring", "[1,2,3]"], "Bw\n"),
+]
+
+
+def test_cli_calls_in_one_process_match_fresh_processes(monkeypatch, capsys):
+    env = source_tree_env()
+    for argv, stdin_text in IN_ONE_PROCESS:
+        got = run_cli(argv, stdin_text, monkeypatch, capsys)
+        proc = subprocess.run([sys.executable, "-m", "mycdist", *argv],
+                              input=stdin_text, capture_output=True, text=True,
+                              env=env)
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+_SMALL = st.integers(-1, 4).map(str)
+_FLAG_VALUES = {
+    "--format": st.sampled_from(["graph6", "edges", "x"]),
+    "--t": st.sampled_from(["1", "2", "3", "1,2", "1,2,3", "0", "-1", "x", ""]),
+    "--budget": st.integers(-1, 2000).map(str),
+    "--k-cap": _SMALL,
+    "--coloring": st.sampled_from(["[1]", "[1,2]", "[1,2,3]", "[]", "[0]",
+                                   "[true]", "[1.5]", "{}", "x", "@-",
+                                   "@/no/such/file"]),
+    "--construction": st.sampled_from(["star", "kn", "isolate", "lift", "x"]),
+    "--m": _SMALL,
+    "--n": _SMALL,
+    "--w-color": _SMALL,
+    "--out": st.sampled_from(["json", "csv", "x"]),
+    "--max-n": _SMALL,
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand, a few flags with small values, maybe an input path.
+    --jobs is left out, so no worker process is started."""
+    argv = [draw(st.sampled_from(["myc", "aut", "dist", "check-coloring",
+                                  "coloring", "verify", "x"]))]
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=4)):
+        argv += [flag, draw(_FLAG_VALUES[flag])]
+    argv += draw(st.lists(st.sampled_from(["-", "/no/such/file", "-h"]), max_size=1))
+    return argv
+
+
+# any text, and text drawn from the characters of graph6 records and of
+# edge lists, so that some of it parses
+_STDIN = st.one_of(st.text(max_size=40),
+                   st.text(alphabet="".join(map(chr, range(63, 127))) + "\n",
+                           max_size=40),
+                   st.text(alphabet=" 0123456789\n", max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv(), _STDIN)
+def test_cli_exit_codes_on_any_input(argv, stdin_text):
+    with mock.patch("sys.stdin", io.StringIO(stdin_text)), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse: --help, or unusable arguments
+            code = e.code
+            assert code in (0, 2), argv
+            return
+    assert code in (0, 2, 3), argv
 
 
 def test_console_script_installed():
