@@ -21,7 +21,8 @@ of G_i taking b_i to it. Every automorphism is then uniquely a product
 t_0 t_1 ... t_{k-1} of one transversal element per level, so |Aut| is
 the product of the orbit sizes and is checked against the element cap
 before any element is built; the listing is the |Aut| products, sorted.
-orbit_of runs the same orbit step on its vertex's cell.
+orbit_of runs the same orbit step on its vertex's cell. first_preserving,
+the one color-preserving search, seeds the same search with color classes.
 
 Refinement works in rounds. In each round every cell is split by the
 signatures its vertices have against the partition the round started
@@ -46,10 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import GraphTooLarge, GroupTooLarge, SearchBudgetExceeded, SizeMismatch
+from .errors import GroupTooLarge, SearchBudgetExceeded, SizeMismatch
 from .graphs import Graph
 
-MAX_VERTICES = 24
 MAX_ELEMENTS = 10**6
 
 
@@ -288,15 +288,15 @@ def _unit_pair(n: int):
     return [list(cell)], [list(cell)]
 
 
-def enumerate_automorphisms(g: Graph, *, max_vertices: int = MAX_VERTICES,
+def enumerate_automorphisms(g: Graph, *,
                             max_elements: int = MAX_ELEMENTS) -> AutListing:
     """Full automorphism listing of g.
 
-    Raises GraphTooLarge past max_vertices, and GroupTooLarge when the
-    group has more than max_elements elements, before any is built.
+    Raises GroupTooLarge when the group has more than max_elements
+    elements. The group order is the product of the chain's orbit sizes,
+    known before any element is built, so the cap bounds the work on a
+    graph of any order.
     """
-    if g.n > max_vertices:
-        raise GraphTooLarge(f"n={g.n} exceeds cap {max_vertices}")
     if g.n == 0:
         return AutListing(0, (Permutation(()),))
     adj = g.adjacency
@@ -325,31 +325,36 @@ def enumerate_automorphisms(g: Graph, *, max_vertices: int = MAX_VERTICES,
     return AutListing(g.n, tuple(Permutation(img) for img in elements))
 
 
-def _color_cells(n: int, colors: Sequence[int]) -> list[list[int]]:
-    if len(colors) != n:
-        raise SizeMismatch(f"coloring length {len(colors)} != graph order {n}")
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    return [by_color[c] for c in sorted(by_color)]
+def first_preserving(adj, colors, upto: int,
+                     budget: Budget | None = None) -> tuple[int, ...] | None:
+    """First nontrivial automorphism in DFS order that preserves the colors
+    of the vertices below upto and fixes every vertex from upto on, as an
+    image vector; None if there is none.
+
+    The color classes, in color order, and the fixed vertices as
+    singletons seed the search's initial partition; no listing is built.
+    """
+    by: dict[int, list[int]] = {}
+    for v in range(upto):
+        by.setdefault(colors[v], []).append(v)
+    cells = [by[c] for c in sorted(by)]
+    cells.extend([v] for v in range(upto, len(adj)))
+    for img in _search_pair(adj, adj, cells, cells, budget):
+        if any(i != x for i, x in enumerate(img)):
+            return img
+    return None
 
 
 def search_color_preserving(g: Graph, coloring) -> Permutation | None:
     """First nontrivial color-preserving automorphism in DFS order, or None.
 
-    Accepts a Coloring or a plain sequence of 1-based colors. Never builds
-    the full listing; the color classes seed the initial partition.
+    Accepts a Coloring or a plain sequence of 1-based colors.
     """
     colors = getattr(coloring, "assign", coloring)
-    if g.n == 0:
-        return None
-    cells = _color_cells(g.n, colors)
-    P = [list(c) for c in cells]
-    Q = [list(c) for c in cells]
-    for img in _search_pair(g.adjacency, g.adjacency, P, Q, None):
-        if any(i != x for i, x in enumerate(img)):
-            return Permutation(img)
-    return None
+    if len(colors) != g.n:
+        raise SizeMismatch(f"coloring length {len(colors)} != graph order {g.n}")
+    img = first_preserving(g.adjacency, colors, g.n)
+    return None if img is None else Permutation(img)
 
 
 def _orbit(adj, P, ci: int, v: int,
@@ -388,15 +393,15 @@ def _close(trans: dict[int, tuple[int, ...]], gens: list[tuple[int, ...]]):
                 frontier.append(y)
 
 
-def orbit_of(g: Graph, v: int, *, max_vertices: int = MAX_VERTICES) -> frozenset[int]:
+def orbit_of(g: Graph, v: int) -> frozenset[int]:
     """Orbit of v under Aut(g), without materializing the full listing.
 
     The orbit step of enumerate_automorphisms, run on v's cell of the
-    stable equitable partition with no automorphisms known beforehand.
+    stable equitable partition with no automorphisms known beforehand:
+    at most one targeted search per member of that cell, on a graph of
+    any order.
     """
     g._check(v)
-    if g.n > max_vertices:
-        raise GraphTooLarge(f"n={g.n} exceeds cap {max_vertices}")
     adj = g.adjacency
     P, Q = _unit_pair(g.n)
     P, _ = _refine_pair(adj, adj, P, Q, None)

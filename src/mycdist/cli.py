@@ -16,8 +16,7 @@ from .constructions import (isolate_case_coloring, kn_base_coloring,
                             lift_coloring, star_case_coloring)
 from .distinguishing import (DEFAULT_BUDGET, Coloring, DistResult, ExceedsCap,
                              distinguishing_number, is_distinguishing)
-from .errors import (GraphTooLarge, GroupTooLarge, MycdistError,
-                     SearchBudgetExceeded)
+from .errors import GroupTooLarge, MycdistError, SearchBudgetExceeded
 from .graph6 import parse_edge_list, parse_graph6, write_edge_list, write_graph6
 from .graphs import Graph, complete_graph, star_graph
 from .mycielskian import MycLayout, build_mycielskian
@@ -95,33 +94,49 @@ def cmd_myc(args) -> int:
     return EXIT_OK
 
 
+def _orbit_closure(points, gens) -> set[int]:
+    """The points and all their images under the group gens generate."""
+    orbit = set(points)
+    frontier = list(orbit)
+    while frontier:
+        x = frontier.pop()
+        for img in gens:
+            y = img[x]
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
 def cmd_aut(args) -> int:
+    """Order, generators and orbits of Aut(g).
+
+    The generators are the greedy lex-first generating set of the sorted
+    listing: each element the earlier ones do not generate. The elements
+    whose first moved point is i come after all of G_(i+1), the pointwise
+    stabilizer of 0..i, so the earlier generators give a group H with
+    G_(i+1) <= H <= G_i, and such an element is in H exactly when its
+    image of i is in the orbit of i under H.
+    """
     g = _read_graph(args.input, args.format)
     listing = enumerate_automorphisms(g)
     gens: list[tuple[int, ...]] = []
-    known = {tuple(range(g.n))}
-    for p in listing:
-        if p.image in known:
-            continue
-        gens.append(p.image)
-        # close the partial group under the new generator
-        frontier = list(known)
-        known.add(p.image)
-        while frontier:
-            x = frontier.pop()
-            for gen in gens:
-                y = tuple(x[i] for i in gen)
-                if y not in known:
-                    known.add(y)
-                    frontier.append(y)
+    level, orbit = -1, set()
+    for p in listing.elements[1:]:  # the identity comes first
+        img = p.image
+        i = next(v for v, x in enumerate(img) if v != x)
+        if i != level:
+            level, orbit = i, _orbit_closure((i,), gens)
+        if img[i] not in orbit:
+            gens.append(img)
+            orbit = _orbit_closure(orbit, gens)
     orbits = []
     seen: set[int] = set()
     for v in range(g.n):
-        if v in seen:
-            continue
-        orbit = sorted({p.image[v] for p in listing})
-        seen.update(orbit)
-        orbits.append(orbit)
+        if v not in seen:
+            orbit = _orbit_closure((v,), gens)
+            seen |= orbit
+            orbits.append(sorted(orbit))
     _emit({"order": listing.order,
            "generators": [list(img) for img in gens],
            "orbits": orbits})
@@ -254,7 +269,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (SearchBudgetExceeded, GroupTooLarge, GraphTooLarge) as e:
+    except (SearchBudgetExceeded, GroupTooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except MycdistError as e:

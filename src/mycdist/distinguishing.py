@@ -10,17 +10,17 @@ never revisited. Three prunes keep the tree small, all of them sound:
   while fixing every still-uncolored vertex, no extension can work;
 * partial assignments equivalent to an already-explored sibling under an
   automorphism plus a color renaming are skipped. This prune consults the
-  full listing, so it runs only when |Aut| <= ORBIT_LISTING_CAP and the
-  graph has at most 24 vertices; the group order is known before the
-  listing is built, so a larger group costs no listing.
+  full listing, so it runs only when |Aut| <= ORBIT_LISTING_CAP, on a
+  graph of any order; the group order is known before the listing is
+  built, so a larger group costs no listing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automorphism import Budget, _search_pair, enumerate_automorphisms
-from .errors import GraphTooLarge, GroupTooLarge, MalformedColoring
+from .automorphism import Budget, enumerate_automorphisms, first_preserving
+from .errors import GroupTooLarge, MalformedColoring
 from .graphs import Graph, twin_classes
 
 DEFAULT_BUDGET = 10**8
@@ -93,23 +93,7 @@ def twin_lower_bound(g: Graph) -> int:
 def is_distinguishing(g: Graph, c: Coloring) -> bool:
     if c.n != g.n:
         raise MalformedColoring(f"coloring length {c.n} != graph order {g.n}")
-    return _first_preserving(g.adjacency, list(c.assign), g.n, None) is None
-
-
-def _first_preserving(adj, colors, upto, budget):
-    """First nontrivial automorphism preserving colors[:upto] and fixing
-    every vertex >= upto, or None."""
-    by: dict[int, list[int]] = {}
-    for v in range(upto):
-        by.setdefault(colors[v], []).append(v)
-    cells = [by[c] for c in sorted(by)]
-    cells.extend([v] for v in range(upto, len(adj)))
-    P = [list(cell) for cell in cells]
-    Q = [list(cell) for cell in cells]
-    for img in _search_pair(adj, adj, P, Q, budget):
-        if any(i != x for i, x in enumerate(img)):
-            return img
-    return None
+    return first_preserving(g.adjacency, c.assign, g.n) is None
 
 
 def _prefix_stabilizers(images: list[tuple[int, ...]], n: int) -> list[list[tuple[int, ...]]]:
@@ -162,7 +146,7 @@ def _search_k(g: Graph, k: int, twin_id, stabs, budget: Budget):
 
     def dfs(d: int, max_used: int):
         budget.spend(1)
-        if d >= 2 and _first_preserving(adj, colors, d, budget) is not None:
+        if d >= 2 and first_preserving(adj, colors, d, budget) is not None:
             return None
         if d == n:
             return tuple(colors)
@@ -216,11 +200,11 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
     tb = max(len(cl) for cl in classes)
 
     stabs = None
-    if use_orbits and n <= 24:
+    if use_orbits:
         try:
             listing = enumerate_automorphisms(g, max_elements=ORBIT_LISTING_CAP)
             stabs = _prefix_stabilizers([p.image for p in listing], n)
-        except (GroupTooLarge, GraphTooLarge):
+        except GroupTooLarge:
             stabs = None
 
     for k in range(max(tb, 1), n + 1):

@@ -39,10 +39,6 @@ class SizeMismatch(MycdistError):
     """Permutation length differs from graph order."""
 
 
-class GraphTooLarge(MycdistError):
-    """Graph order exceeds the configured cap for this operation."""
-
-
 class GroupTooLarge(MycdistError):
     """Automorphism listing exceeds the configured element cap."""
 

@@ -91,17 +91,24 @@ def classify_root_orbit(orbit: frozenset[int], g: Graph, t: int) -> str:
 def root_orbit_conforms(orbit_class: str, g: Graph, t: int) -> bool:
     """Does the observed root orbit match the classification for this source?
 
-    K_2 lifts to an odd cycle (orbit is everything); stars K_{1,m} with
-    m != 1 allow at most {root, top copy of the center}, with equality
-    known for m = 0 and for t = 1; every other graph pins the root.
+    K_2 lifts to an odd cycle (orbit is everything); every other graph
+    pins the root, except a star K_{1,m} with m != 1, whose root orbit is
+    {w, c^t} at every t, w the root and c^t the top copy of the center c.
+    For m = 0, mu_t(K_1) is t isolated vertices and the edge c^t w.
+    For m >= 2, with L_i the leaves:
+
+    * Upper bound. deg w = deg c^t = m + 1, while every c^i below the top
+      has degree 2m and every copy of a leaf degree 2, and m + 1 is
+      neither for m >= 2. So the root's orbit lies in {w, c^t}.
+    * Equality. Write w as c^(t+1). Swapping c^(t+1-2j) with c^(t-2j),
+      and each L_i^(t-2j) with L_i^(t-1-2j), for every j >= 0 where both
+      levels exist, is an automorphism taking w to c^t.
     """
     star = classify_star(g)
     if star is not None and star.m == 1:
         return orbit_class == ORBIT_ALL
     if star is not None:
-        if star.m == 0 or t == 1:
-            return orbit_class == ORBIT_CENTER_SHADOW
-        return orbit_class in (ORBIT_FIXED, ORBIT_CENTER_SHADOW)
+        return orbit_class == ORBIT_CENTER_SHADOW
     return orbit_class == ORBIT_FIXED
 
 
@@ -129,7 +136,7 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
     rows = []
     for t in ts:
         mu, layout = build_mycielskian(g, t)
-        orbit = orbit_of(mu, layout.root, max_vertices=mu.n)
+        orbit = orbit_of(mu, layout.root)
         orbit_class = classify_root_orbit(orbit, g, t)
         if dist_g_result is None:
             # no prediction possible without dist(g); still worth a row

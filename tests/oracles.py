@@ -10,7 +10,6 @@ import itertools
 import numpy as np
 
 from mycdist import AutListing, Coloring, DistResult, Graph, Permutation
-from mycdist.errors import GraphTooLarge
 
 NAIVE_MAX_VERTICES = 9
 
@@ -18,7 +17,7 @@ NAIVE_MAX_VERTICES = 9
 def enumerate_automorphisms_naive(g: Graph) -> AutListing:
     """Oracle listing: filter all n! permutations. Only for n <= 9."""
     if g.n > NAIVE_MAX_VERTICES:
-        raise GraphTooLarge(f"n={g.n} exceeds naive cap {NAIVE_MAX_VERTICES}")
+        raise ValueError(f"n={g.n} exceeds naive cap {NAIVE_MAX_VERTICES}")
     n = g.n
     if n == 0:
         return AutListing(0, (Permutation(()),))

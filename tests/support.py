@@ -12,9 +12,9 @@ import pathlib
 from collections import Counter, deque
 
 import mycdist
-from mycdist.automorphism import (MAX_ELEMENTS, MAX_VERTICES, AutListing,
-                                  Permutation, _search_pair, _unit_pair)
-from mycdist.errors import GraphTooLarge, GroupTooLarge
+from mycdist.automorphism import (MAX_ELEMENTS, AutListing, Permutation,
+                                  _search_pair, _unit_pair)
+from mycdist.errors import GroupTooLarge
 from mycdist.graphs import Graph
 
 
@@ -154,15 +154,12 @@ def reference_refine_pair(adj_s, adj_t, P, Q, budget):
 # The listing as it was before the stabilizer chain: every group element
 # is its own leaf of the refinement search. The chain listing must return
 # the same elements, or raise GroupTooLarge for the same max_elements.
-def reference_listing(g: Graph, *, max_vertices: int = MAX_VERTICES,
+def reference_listing(g: Graph, *,
                       max_elements: int = MAX_ELEMENTS) -> AutListing:
     """Full automorphism listing of g.
 
-    Raises GraphTooLarge past max_vertices and GroupTooLarge as soon as the
-    listing would exceed max_elements.
+    Raises GroupTooLarge as soon as the listing would exceed max_elements.
     """
-    if g.n > max_vertices:
-        raise GraphTooLarge(f"n={g.n} exceeds cap {max_vertices}")
     if g.n == 0:
         return AutListing(0, (Permutation(()),))
     P, Q = _unit_pair(g.n)
@@ -173,3 +170,36 @@ def reference_listing(g: Graph, *, max_vertices: int = MAX_VERTICES,
             raise GroupTooLarge(f"listing exceeds {max_elements} elements")
     found.sort()
     return AutListing(g.n, tuple(Permutation(img) for img in found))
+
+
+# The generators and orbits of `aut` as they were before generators were
+# picked by orbit: close the group after each generator, and read each
+# orbit off the whole listing. `aut` must print the same lists.
+def reference_aut_generators(listing: AutListing):
+    """(generators, orbits) of the sorted listing, by group closure."""
+    n = listing.n
+    gens: list[tuple[int, ...]] = []
+    known = {tuple(range(n))}
+    for p in listing:
+        if p.image in known:
+            continue
+        gens.append(p.image)
+        # close the partial group under the new generator
+        frontier = list(known)
+        known.add(p.image)
+        while frontier:
+            x = frontier.pop()
+            for gen in gens:
+                y = tuple(x[i] for i in gen)
+                if y not in known:
+                    known.add(y)
+                    frontier.append(y)
+    orbits = []
+    seen: set[int] = set()
+    for v in range(n):
+        if v in seen:
+            continue
+        orbit = sorted({p.image[v] for p in listing})
+        seen.update(orbit)
+        orbits.append(orbit)
+    return gens, orbits

@@ -123,7 +123,7 @@ def test_criterion_5_root_orbits(corpus_n6):
             if star is not None and star.m == 1:
                 assert orbit == frozenset(range(mu.n)), (g.edges(), t)
                 counts["k2"] += 1
-            elif star is not None and star.m >= 2 and t == 1:
+            elif star is not None and star.m >= 2:
                 shadow = layout.vertex_id(star.center, t)
                 assert orbit == frozenset({layout.root, shadow}), (g.edges(), t)
                 counts["star"] += 1
@@ -134,7 +134,7 @@ def test_criterion_5_root_orbits(corpus_n6):
                 assert orbit == frozenset({layout.root}), (g.edges(), t)
                 counts["connected_nonstar"] += 1
     assert counts["k2"] == 2
-    assert counts["star"] == 4  # K_{1,m} for m = 2..5
+    assert counts["star"] == 8  # K_{1,m} for m = 2..5, at t = 1 and 2
     assert counts["disconnected"] >= 100
     assert counts["connected_nonstar"] >= 200
     elapsed = time.perf_counter() - start

@@ -160,6 +160,19 @@ def test_budget_steps_pinned(g6, t, steps):
     assert budget.used == steps
 
 
+def test_sibling_prune_runs_past_24_vertices():
+    # mu_3 of an n = 6 graph has 25 vertices; with no vertex cap its group
+    # (|Aut| = 720, under ORBIT_LISTING_CAP) is listed and prunes the
+    # search, which finds the same certificate in fewer steps
+    mu, _ = build_mycielskian(parse_graph6("E~{?"), 3)
+    assert mu.n == 25
+    pruned, plain = Budget(10**8), Budget(10**8)
+    res = distinguishing_number(mu, budget=pruned)
+    assert res == distinguishing_number(mu, budget=plain, use_orbits=False)
+    assert pruned.used == 50908
+    assert plain.used == 56885
+
+
 def test_orbit_pruning_is_transparent():
     for g, want in KNOWN:
         res = distinguishing_number(g, use_orbits=False)

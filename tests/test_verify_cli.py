@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mycdist import (build_mycielskian, complete_graph, cycle_graph,
-                     empty_graph, is_automorphism, kn_base_coloring,
-                     parse_graph6, path_graph, star_graph, write_graph6)
+                     empty_graph, enumerate_automorphisms, is_automorphism,
+                     kn_base_coloring, orbit_of, parse_graph6, path_graph,
+                     star_graph, write_graph6)
 from mycdist import verify
 from mycdist.cli import main
 from mycdist.errors import MycdistError
@@ -22,7 +23,7 @@ from mycdist.verify import (CSV_FIELDS, classify_root_orbit, process_record,
                             report_to_csv, report_to_json, root_orbit_conforms,
                             run_verify)
 
-from .support import source_tree_env
+from .support import reference_aut_generators, source_tree_env
 
 N3_LINES = ["B?", "BG", "BW", "Bw"]  # all four graphs on 3 vertices
 
@@ -200,7 +201,37 @@ def test_root_orbit_classification():
         assert root_orbit_conforms(got, g, t)
     assert not root_orbit_conforms("all", complete_graph(3), 1)
     assert not root_orbit_conforms("fixed", star_graph(2), 1)
+    assert not root_orbit_conforms("fixed", star_graph(3), 2)
     assert not root_orbit_conforms("other", empty_graph(4), 2)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+@pytest.mark.parametrize("t", range(1, 5))
+def test_star_root_orbit_is_center_shadow(m, t):
+    """The argument in root_orbit_conforms, checked on K_{1,m}: the root
+    w and the top copy of the center form the root's orbit, and the
+    level reflection that swaps them is an automorphism."""
+    g = star_graph(m)
+    center = m
+    mu, layout = build_mycielskian(g, t)
+    top = layout.vertex_id(center, t)
+    orbit = orbit_of(mu, layout.root)
+    assert orbit == frozenset({layout.root, top})
+    assert root_orbit_conforms(classify_root_orbit(orbit, g, t), g, t)
+
+    def vid(i, s):  # level t + 1 of the center is the root
+        return layout.root if s == t + 1 else layout.vertex_id(i, s)
+
+    img = list(range(mu.n))
+    for j in range(t // 2 + 1):
+        hi = t - 2 * j
+        img[vid(center, hi + 1)], img[vid(center, hi)] = (
+            vid(center, hi), vid(center, hi + 1))
+        if hi >= 1:
+            for i in range(m):
+                img[vid(i, hi)], img[vid(i, hi - 1)] = vid(i, hi - 1), vid(i, hi)
+    assert img[layout.root] == top
+    assert is_automorphism(mu, img)
 
 
 def test_cli_myc_k2_gives_c5(monkeypatch, capsys):
@@ -260,6 +291,22 @@ def test_cli_aut(monkeypatch, capsys):
                 known.add(y)
                 frontier.append(y)
     assert len(known) == 10
+
+
+def test_cli_aut_generators_match_group_closure(corpus_n7, monkeypatch, capsys):
+    """`aut` picks generators by orbit; they and the orbits must be the
+    lists the closure of the whole listing gives."""
+    graphs = [g for _, g in corpus_n7 if g.n == 7]
+    assert len(graphs) == 1044
+    graphs += [build_mycielskian(g, 1)[0] for _, g in corpus_n7 if g.n <= 6]
+    graphs += [empty_graph(8), complete_graph(7)]
+    for g in graphs:
+        code, out, _ = run_cli(["aut"], write_graph6(g) + "\n", monkeypatch, capsys)
+        assert code == 0
+        (doc,) = json_docs(out)
+        gens, orbits = reference_aut_generators(enumerate_automorphisms(g))
+        assert doc["generators"] == [list(img) for img in gens], g.edges()
+        assert doc["orbits"] == orbits, g.edges()
 
 
 def test_cli_dist(monkeypatch, capsys):
