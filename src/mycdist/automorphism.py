@@ -21,8 +21,10 @@ of G_i taking b_i to it. Every automorphism is then uniquely a product
 t_0 t_1 ... t_{k-1} of one transversal element per level, so |Aut| is
 the product of the orbit sizes and is checked against the element cap
 before any element is built; the listing is the |Aut| products, sorted.
-orbit_of runs the same orbit step on its vertex's cell. first_preserving,
-the one color-preserving search, seeds the same search with color classes.
+orbit_of runs the same orbit step on its vertex's cell, and suffix_orbits
+along a chain with base n-1, ..., 0 for the orbits of every group fixing
+d..n-1. first_preserving, the one color-preserving search, seeds the same
+search with color classes.
 
 Refinement works in rounds. In each round every cell is split by the
 signatures its vertices have against the partition the round started
@@ -228,15 +230,18 @@ def _place(frags, start: int, cell_of, at):
         start += len(frag)
 
 
-def _run_lengths(key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """((cell, count), ...) of a sorted tuple of neighbour cell names."""
-    out = []
+def _run_lengths(key: tuple[int, ...]) -> tuple[int, ...]:
+    """(cell, count, cell, count, ...) of a sorted tuple of neighbour cell
+    names. Names are >= 0, so these sort as the ((cell, count), ...) pairs."""
+    out: list[int] = []
+    prev = -1
     for c in key:
-        if out and out[-1][0] == c:
-            out[-1][1] += 1
+        if c == prev:
+            out[-1] += 1
         else:
-            out.append([c, 1])
-    return tuple((c, k) for c, k in out)
+            out += (c, 1)
+            prev = c
+    return tuple(out)
 
 
 def _target_cell(P) -> int:
@@ -391,6 +396,56 @@ def _close(trans: dict[int, tuple[int, ...]], gens: list[tuple[int, ...]]):
             if y not in trans:
                 trans[y] = tuple(img[z] for z in trans[x])
                 frontier.append(y)
+
+
+def suffix_orbits(g: Graph) -> list[tuple[int, ...]]:
+    """orbs[d][v], for d = 0..n and v < d: a name for the orbit of v under
+    H_d, the automorphisms fixing every vertex from d on.
+
+    One stabilizer chain with base n-1, n-2, ..., 0: level b is the stable
+    pair with n-1..b+1 individualized, whose cell-fixing group is H_(b+1).
+    Deepest level first, the orbit step of enumerate_automorphisms grows
+    the orbit of b; the generators it finds there lie in H_(b+1), and with
+    those of the levels below they generate it. So the orbits of H_d are
+    the classes of a union-find that has merged the generators of every
+    level with base below d.
+    """
+    n = g.n
+    if n == 0:
+        return [()]
+    adj = g.adjacency
+    P, Q = _unit_pair(n)
+    P, _ = _refine_pair(adj, adj, P, Q, None)
+    levels = []
+    for b in range(n - 1, -1, -1):
+        if len(P) == n:
+            break
+        ci = next(i for i, cell in enumerate(P) if b in cell)
+        if len(P[ci]) > 1:
+            levels.append((b, P, ci))
+            cut = P[:ci] + [[b], [x for x in P[ci] if x != b]] + P[ci + 1:]
+            P, _ = _refine_pair(adj, adj, cut, cut, None, ci)
+    gens: list[tuple[int, ...]] = []
+    new_at: dict[int, list[tuple[int, ...]]] = {}
+    for b, P, ci in reversed(levels):
+        known = len(gens)
+        _orbit(adj, P, ci, b, gens)
+        new_at[b] = gens[known:]
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    orbs = []
+    for d in range(n + 1):
+        orbs.append(tuple(find(v) for v in range(d)))
+        for img in new_at.get(d, ()):
+            for v, w in enumerate(img):
+                root[find(v)] = find(w)
+    return orbs
 
 
 def orbit_of(g: Graph, v: int) -> frozenset[int]:

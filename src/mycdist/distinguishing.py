@@ -2,29 +2,43 @@
 
 A coloring is distinguishing when no nontrivial automorphism preserves
 all color classes. The exact search enumerates colorings in canonical
-form (colors renumbered by first occurrence), so color permutations are
-never revisited. Three prunes keep the tree small, all of them sound:
+form (colors renumbered by first occurrence) and in lex order, so color
+permutations are never revisited and the first distinguishing k-coloring
+found is the lex-first one. Three prunes keep the tree small, all of them
+sound:
 
 * twins (equal open neighborhoods) must receive distinct colors;
 * if some nontrivial automorphism preserves the colors assigned so far
-  while fixing every still-uncolored vertex, no extension can work;
-* partial assignments equivalent to an already-explored sibling under an
-  automorphism plus a color renaming are skipped. This prune consults the
-  full listing, so it runs only when |Aut| <= ORBIT_LISTING_CAP, on a
-  graph of any order; the group order is known before the listing is
-  built, so a larger group costs no listing.
+  while fixing every still-uncolored vertex, no extension can work. Such
+  an automorphism lies in H_d, the group fixing every vertex from d on,
+  and maps some colored vertex to another of the same color in the same
+  H_d-orbit; where no two colored vertices share both, the search for it
+  is skipped. The orbits of every H_d come from one stabilizer chain;
+* lex-leader rejection (Crawford, Ginsberg, Luks & Roy, KR 1996; orderly
+  generation, McKay 1998): a prefix colors[0..d-1] is cut when some
+  automorphism h mapping {0..d-1} onto itself makes it smaller, i.e.
+  colors[h(0)], ..., colors[h(d-1)] renumbered by first occurrence is
+  lexicographically below it. If c* is the first distinguishing
+  k-coloring, c* o h renumbered is one as well (its preserving group is
+  conjugate to that of c*), and on {0..d-1} it is that smaller prefix, so
+  it would come before c*: only failed subtrees are cut, and the returned
+  certificate is the one the unpruned search returns. The prefix
+  stabilizers are read off the full listing, so this prune runs only when
+  |Aut| <= ORBIT_LISTING_CAP, on a graph of any order; the group order is
+  known before the listing is built, so a larger group costs no listing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automorphism import Budget, enumerate_automorphisms, first_preserving
+from .automorphism import (Budget, enumerate_automorphisms, first_preserving,
+                           suffix_orbits)
 from .errors import GroupTooLarge, MalformedColoring
 from .graphs import Graph, twin_classes
 
 DEFAULT_BUDGET = 10**8
-# listings larger than this are not consulted for sibling-orbit pruning
+# listings larger than this are not consulted for lex-leader pruning
 ORBIT_LISTING_CAP = 960
 
 
@@ -96,71 +110,72 @@ def is_distinguishing(g: Graph, c: Coloring) -> bool:
     return first_preserving(g.adjacency, c.assign, g.n) is None
 
 
-def _prefix_stabilizers(images: list[tuple[int, ...]], n: int) -> list[list[tuple[int, ...]]]:
-    """stabs[d] = nontrivial listing elements mapping {0..d} onto itself."""
-    stabs: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    ident = tuple(range(n))
+def _prefix_actions(images: list[tuple[int, ...]], n: int) -> list[list]:
+    """acts[d], for 2 <= d < n: the distinct actions (m, h[m:d]) of the
+    listing elements h that map {0..d-1} onto itself and move one of its
+    points, m the first point h moves."""
+    acts: list[set] = [set() for _ in range(n)]
     for img in images:
-        if img == ident:
-            continue
-        hi = 0
-        for d in range(n):
-            hi = max(hi, img[d])
-            if hi == d:
-                stabs[d].append(img)
-    return stabs
+        m = next((v for v, w in enumerate(img) if v != w), n)
+        hi = m - 1  # max(img[:d]), as img fixes 0..m-1
+        for d in range(m + 1, n):
+            hi = max(hi, img[d - 1])
+            if hi == d - 1 and d >= 2:
+                acts[d].add((m, img[m:d]))
+    return [sorted(a) for a in acts]
 
 
-def _sibling_equivalent(stab, colors, d, c_old, c_new) -> bool:
-    """True if the assignments differing only in colors[d] (c_old vs c_new)
-    are related by a prefix automorphism plus a color bijection."""
-    for img in stab:
-        rho: dict[int, int] = {}
-        used: set[int] = set()
-        ok = True
-        for v in range(d + 1):
-            w = img[v]
-            x = c_old if w == d else colors[w]
-            y = c_new if v == d else colors[v]
-            if x in rho:
-                if rho[x] != y:
-                    ok = False
-                    break
-            elif y in used:
-                ok = False
+def _smaller_image(acts, colors, top) -> bool:
+    """True if some action (m, h[m:d]) of acts maps the canonical prefix
+    colors[:d] to one that, renumbered by first occurrence, is
+    lexicographically smaller. Positions below m are fixed, so the
+    renumbering starts as the identity on colors 1..top[m] = max(colors[:m])."""
+    for m, act in acts:
+        base = nxt = top[m]
+        renamed: dict[int, int] = {}
+        for i, w in enumerate(act, m):
+            x = colors[w]
+            if x > base:
+                y = renamed.get(x)
+                if y is None:
+                    nxt += 1
+                    y = renamed[x] = nxt
+                x = y
+            c = colors[i]
+            if x != c:
+                if x < c:
+                    return True
                 break
-            else:
-                rho[x] = y
-                used.add(y)
-        if ok:
-            return True
     return False
 
 
-def _search_k(g: Graph, k: int, twin_id, stabs, budget: Budget):
+def _search_k(g: Graph, k: int, twin_id, acts, orbits, budget: Budget):
     """First canonical distinguishing coloring with exactly k colors, or None."""
     n = g.n
     adj = g.adjacency
     colors = [0] * n
+    top = [0] * (n + 1)  # top[d] = max(colors[:d]) on the current path
     class_used: list[set[int]] = [set() for _ in range(max(twin_id) + 1)]
 
     def dfs(d: int, max_used: int):
         budget.spend(1)
-        if d >= 2 and first_preserving(adj, colors, d, budget) is not None:
-            return None
+        top[d] = max_used
+        if d >= 2:
+            if d < n and acts[d] and _smaller_image(acts[d], colors, top):
+                return None
+            # a preserving automorphism fixing d..n-1 must move some vertex
+            # to another of its color in the same orbit of that stabilizer
+            if (len(set(zip(colors, orbits[d]))) < d
+                    and first_preserving(adj, colors, d, budget) is not None):
+                return None
         if d == n:
             return tuple(colors)
-        tried_old: list[int] = []
-        stab = stabs[d] if stabs is not None else []
         cls = twin_id[d]
         for c in range(1, min(max_used + 1, k) + 1):
             if c in class_used[cls]:
                 continue
             if max(max_used, c) + (n - d - 1) < k:
                 continue  # can no longer introduce k distinct colors
-            if c <= max_used and stab and any(
-                    _sibling_equivalent(stab, colors, d, c_old, c) for c_old in tried_old):
-                continue
             colors[d] = c
             class_used[cls].add(c)
             res = dfs(d + 1, max(max_used, c))
@@ -168,8 +183,6 @@ def _search_k(g: Graph, k: int, twin_id, stabs, budget: Budget):
             class_used[cls].discard(c)
             if res is not None:
                 return res
-            if c <= max_used:
-                tried_old.append(c)
         return None
 
     return dfs(0, 0)
@@ -183,7 +196,9 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
     The search starts at the twin lower bound and increments k after
     exhausting each level, so the returned value is minimal. Raises
     SearchBudgetExceeded when the step budget runs out; returns
-    ExceedsCap once the value is proven to exceed k_cap.
+    ExceedsCap once the value is proven to exceed k_cap. use_orbits=False
+    switches off the lex-leader prune and its listing; the certificate is
+    the same either way.
     """
     n = g.n
     if n == 0:
@@ -199,18 +214,20 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
             twin_id[v] = ci
     tb = max(len(cl) for cl in classes)
 
-    stabs = None
+    images = []
     if use_orbits:
         try:
             listing = enumerate_automorphisms(g, max_elements=ORBIT_LISTING_CAP)
-            stabs = _prefix_stabilizers([p.image for p in listing], n)
+            images = [p.image for p in listing]
         except GroupTooLarge:
-            stabs = None
+            pass
+    acts = _prefix_actions(images, n)
+    orbits = suffix_orbits(g)
 
     for k in range(max(tb, 1), n + 1):
         if k_cap is not None and k > k_cap:
             return ExceedsCap(k_cap)
-        cert = _search_k(g, k, twin_id, stabs, bud)
+        cert = _search_k(g, k, twin_id, acts, orbits, bud)
         if cert is not None:
             witness = tb if (tb >= 2 and k == tb) else None
             return DistResult(k, Coloring(k, cert), witness)

@@ -11,7 +11,8 @@ from mycdist import (Graph, build_mycielskian, complete_graph, cycle_graph,
                      find_isomorphism, is_automorphism,
                      neighborhood_degree_multiset, orbit_of, path_graph,
                      search_color_preserving, star_graph)
-from mycdist.automorphism import Budget, Permutation
+from mycdist.automorphism import (Budget, Permutation, first_preserving,
+                                  suffix_orbits)
 from mycdist.distinguishing import ORBIT_LISTING_CAP
 from mycdist.errors import GroupTooLarge, SearchBudgetExceeded, SizeMismatch
 
@@ -241,3 +242,53 @@ def test_too_large_group_raises_before_listing():
     with pytest.raises(GroupTooLarge):
         enumerate_automorphisms(empty_graph(10))
     assert time.perf_counter() - start < 5.0
+
+
+def _classes(names) -> set[frozenset[int]]:
+    by: dict = {}
+    for v, name in enumerate(names):
+        by.setdefault(name, set()).add(v)
+    return {frozenset(c) for c in by.values()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(7))
+def test_suffix_orbits_match_naive(g):
+    """Orbits on {0..d-1} of the automorphisms fixing d..n-1, for every d."""
+    orbs = suffix_orbits(g)
+    assert len(orbs) == g.n + 1
+    naive = [p.image for p in enumerate_automorphisms_naive(g)]
+    for d in range(g.n + 1):
+        stab = [img for img in naive if all(img[v] == v for v in range(d, g.n))]
+        want = {frozenset(img[v] for img in stab) for v in range(d)}
+        assert len(orbs[d]) == d
+        assert _classes(orbs[d]) == want
+
+
+def test_suffix_orbits_examples():
+    assert suffix_orbits(Graph(0)) == [()]
+    # path 0-1-2-3: only the reversal, which moves 3
+    assert [len(_classes(o)) for o in suffix_orbits(path_graph(4))] == [0, 1, 2, 3, 2]
+    # S_5 on the edgeless graph: fixing d..4 leaves S_d
+    assert [len(_classes(o)) for o in suffix_orbits(empty_graph(5))] == [0, 1, 1, 1, 1, 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(7), st.data())
+def test_first_preserving_needs_a_shared_color_and_orbit(g, data):
+    """A nontrivial automorphism fixing d..n-1 and preserving the colors
+    below d maps some vertex to another of its color and H_d-orbit, so
+    where no two prefix vertices share both the search finds nothing."""
+    colors = data.draw(st.lists(st.integers(1, 3), min_size=g.n, max_size=g.n))
+    naive = [p.image for p in enumerate_automorphisms_naive(g) if not p.is_identity()]
+    for d, orb in enumerate(suffix_orbits(g)):
+        img = first_preserving(g.adjacency, colors, d)
+        want = any(all(h[v] == v for v in range(d, g.n))
+                   and all(colors[h[v]] == colors[v] for v in range(d))
+                   for h in naive)
+        assert (img is not None) == want
+        if len(set(zip(colors, orb))) == d:
+            assert img is None
+        if img is not None:
+            assert all(orb[img[v]] == orb[v] and colors[img[v]] == colors[v]
+                       for v in range(d))

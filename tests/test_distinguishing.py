@@ -12,6 +12,7 @@ from mycdist import (Coloring, DistResult, ExceedsCap, Graph,
                      is_distinguishing, parse_graph6, path_graph,
                      star_graph, twin_lower_bound)
 from mycdist.automorphism import Budget
+from mycdist.distinguishing import _smaller_image
 from mycdist.errors import MalformedColoring, SearchBudgetExceeded
 
 from .oracles import (_canonical_colorings_exactly,
@@ -147,12 +148,13 @@ def test_zero_budget_is_zero():
         distinguishing_number(path_graph(3), budget=0)
 
 
-# Budget.used of three searches on mu_t(G), measured with the refinement
-# kernel that re-split every cell on every round. The incremental kernel
-# must leave the search tree and the steps per round unchanged.
-@pytest.mark.parametrize("g6, t, steps", [("ElUg", 1, 47096),
-                                          ("D~{", 2, 77461),
-                                          ("E~~w", 1, 62539)])
+# Budget.used of three searches on mu_t(G). The lex-leader prune and the
+# orbit filter on the color-preserving check cut these counts by design
+# (from 47096, 77461 and 62539 with the sibling prune); the refinement
+# kernel must leave the search tree and the steps per round unchanged.
+@pytest.mark.parametrize("g6, t, steps", [("ElUg", 1, 23514),
+                                          ("D~{", 2, 6231),
+                                          ("E~~w", 1, 3609)])
 def test_budget_steps_pinned(g6, t, steps):
     mu, _ = build_mycielskian(parse_graph6(g6), t)
     budget = Budget(10**8)
@@ -162,15 +164,17 @@ def test_budget_steps_pinned(g6, t, steps):
 
 def test_sibling_prune_runs_past_24_vertices():
     # mu_3 of an n = 6 graph has 25 vertices; with no vertex cap its group
-    # (|Aut| = 720, under ORBIT_LISTING_CAP) is listed and prunes the
-    # search, which finds the same certificate in fewer steps
+    # (|Aut| = 720, under ORBIT_LISTING_CAP) is listed and drives the
+    # lex-leader prune, which finds the same certificate in far fewer
+    # steps. The unpruned count is below the 56885 of a search without the
+    # orbit filter, which skips color-preserving checks in both runs.
     mu, _ = build_mycielskian(parse_graph6("E~{?"), 3)
     assert mu.n == 25
     pruned, plain = Budget(10**8), Budget(10**8)
     res = distinguishing_number(mu, budget=pruned)
     assert res == distinguishing_number(mu, budget=plain, use_orbits=False)
-    assert pruned.used == 50908
-    assert plain.used == 56885
+    assert pruned.used == 4830
+    assert plain.used == 53435
 
 
 def test_orbit_pruning_is_transparent():
@@ -178,6 +182,40 @@ def test_orbit_pruning_is_transparent():
         res = distinguishing_number(g, use_orbits=False)
         assert res.value == want
         assert is_distinguishing(g, res.certificate)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(8))
+def test_lex_leader_prune_keeps_certificates(g):
+    pruned, plain = Budget(10**8), Budget(10**8)
+    res = distinguishing_number(g, budget=pruned)
+    assert res == distinguishing_number(g, budget=plain, use_orbits=False)
+    # the pruned tree is the unpruned one with subtrees cut
+    assert pruned.used <= plain.used
+    if g.n <= 6:
+        assert res.value == distinguishing_number_bruteforce(g).value
+
+
+def test_lex_leader_prune_keeps_corpus_certificates(corpus_n6):
+    for line, g in corpus_n6:
+        mu, _ = build_mycielskian(g, 1)
+        for h in (g, mu):
+            assert distinguishing_number(h) == distinguishing_number(
+                h, use_orbits=False), line
+
+
+def test_smaller_image_renumbers_colors():
+    # h swaps 0 and 1 and fixes 2: (1, 2) maps to (2, 1), renumbered
+    # (1, 2), not smaller; (1, 2, 2) maps to (2, 1, 2), renumbered
+    # (1, 2, 1), smaller
+    top = [0, 1, 2, 2]
+    assert not _smaller_image([(0, (1, 0))], [1, 2, 0], top)
+    assert _smaller_image([(0, (1, 0, 2))], [1, 2, 2], top)
+    assert not _smaller_image([(0, (1, 0, 2))], [1, 2, 1], top)
+    # positions before the first moved point are compared as they are:
+    # h fixes 0 and swaps 1 and 2, (1, 1, 2) maps to (1, 2, 1)
+    assert not _smaller_image([(1, (2, 1))], [1, 1, 2], [0, 1, 1, 2])
+    assert _smaller_image([(1, (2, 1))], [1, 2, 1], [0, 1, 2, 2])
 
 
 @settings(max_examples=60, deadline=None)

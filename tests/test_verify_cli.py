@@ -88,8 +88,9 @@ def test_run_verify_oversized_record_is_fatal():
 
 
 def test_certified_fallback_under_tiny_budget():
-    # dist(empty_3) fits in 100 steps, the 10-vertex search does not
-    report = run_verify(["B?"], [2], budget_steps=100)
+    # dist(empty_3) fits in 8 steps (it takes 4), the 10-vertex search
+    # does not (it takes 11)
+    report = run_verify(["B?"], [2], budget_steps=8)
     (r,) = report.records
     assert r.method == "certified"
     assert r.case == "ISOLATE_DOMINATED"
