@@ -9,22 +9,22 @@ member of the aligned cell of Q in ascending order. Discrete leaves are
 verified edge-by-edge before being reported. The DFS order is therefore
 deterministic, and full listings are additionally sorted by image vector.
 
-Full listings come from a stabilizer chain (Seress, Permutation Group
-Algorithms, 2003) read off the first path of that search: base point b_i
-is the vertex the search individualizes at depth i, and G_i is the group
-of automorphisms fixing b_0..b_{i-1}, i.e. fixing every cell of the pair
-at depth i. Deepest level first, the orbit of b_i under G_i is grown
-inside its cell: one targeted search per member that the automorphisms
-found so far (all in G_i) do not already reach, each found automorphism
-kept as a generator, and each orbit point given one transversal element
-of G_i taking b_i to it. Every automorphism is then uniquely a product
-t_0 t_1 ... t_{k-1} of one transversal element per level, so |Aut| is
-the product of the orbit sizes and is checked against the element cap
-before any element is built; the listing is the |Aut| products, sorted.
-orbit_of runs the same orbit step on its vertex's cell, and suffix_orbits
-along a chain with base n-1, ..., 0 for the orbits of every group fixing
-d..n-1. first_preserving, the one color-preserving search, seeds the same
-search with color classes.
+Each group is one stabilizer chain (Seress, Permutation Group
+Algorithms, 2003) with base n-1, n-2, ..., 0: level b is the stable pair
+with n-1..b+1 individualized, whose cell-fixing group is H_(b+1), the
+automorphisms fixing b+1..n-1, and vertices whose cell is already a
+singleton are skipped. Deepest level first, the orbit of b under H_(b+1)
+is grown inside its cell: one targeted search per member that the
+automorphisms found so far (all in H_(b+1)) do not already reach, each
+found automorphism kept as a generator, and each orbit point given one
+transversal element taking b to it. Every automorphism is then uniquely a
+product of one transversal element per level, so the one chain serves
+three readers: |Aut| is the product of the orbit sizes, known before any
+element is built and checked against the element cap; the listing is the
+|Aut| products, sorted; and the orbits of every H_d are the classes of
+the generators of the levels with base below d. orbit_of runs the same
+orbit step on its vertex's cell. first_preserving, the one
+color-preserving search, seeds the same search with color classes.
 
 Refinement works in rounds. In each round every cell is split by the
 signatures its vertices have against the partition the round started
@@ -46,6 +46,7 @@ do not depend on the shortcut.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -92,20 +93,68 @@ class Permutation:
 
 @dataclass(frozen=True)
 class AutListing:
-    """Full automorphism listing, sorted lexicographically by image vector."""
+    """Aut(g) as a stabilizer chain with base n-1, n-2, ..., 0.
+
+    levels holds, deepest level first, (b, images, gens) for each base
+    point b whose cell is not a singleton once b+1..n-1 are individualized:
+    images are one automorphism fixing b+1..n-1 per point of the orbit of
+    b under those automorphisms, and gens the generators found at that
+    level. Every automorphism is uniquely a product of one image per level.
+    """
 
     n: int
-    elements: tuple[Permutation, ...]
+    levels: tuple[tuple[int, tuple, tuple], ...]
+
+    @property
+    def order(self) -> int:
+        return math.prod(len(images) for _, images, _ in self.levels)
 
     def __len__(self):
-        return len(self.elements)
+        """The order; len() itself fails past sys.maxsize, order does not."""
+        return self.order
 
     def __iter__(self):
         return iter(self.elements)
 
     @property
-    def order(self) -> int:
-        return len(self.elements)
+    def elements(self) -> tuple[Permutation, ...]:
+        """Every automorphism, sorted by image vector; built on each access.
+
+        Raises GroupTooLarge when the order exceeds MAX_ELEMENTS.
+        """
+        if self.order > MAX_ELEMENTS:
+            raise GroupTooLarge(f"listing exceeds {MAX_ELEMENTS} elements")
+        elements = [tuple(range(self.n))]
+        for _, images, _ in self.levels:
+            elements = [tuple(t[x] for x in h) for t in images for h in elements]
+        elements.sort()
+        return tuple(Permutation(img) for img in elements)
+
+    def suffix_orbits(self) -> list[tuple[int, ...]]:
+        """orbs[d][v], for d = 0..n and v < d: a name for the orbit of v
+        under H_d, the automorphisms fixing every vertex from d on.
+
+        The generators found at base b lie in H_(b+1), and with those of
+        the levels below they generate it. So the orbits of H_d are the
+        classes of a union-find that has merged the generators of every
+        level with base below d.
+        """
+        new_at = {b: gens for b, _, gens in self.levels}
+        root = list(range(self.n))
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                root[v] = root[root[v]]
+                v = root[v]
+            return v
+
+        orbs = []
+        for d in range(self.n + 1):
+            orbs.append(tuple(find(v) for v in range(d)))
+            for img in new_at.get(d, ()):
+                for v, w in enumerate(img):
+                    root[find(v)] = find(w)
+        return orbs
 
 
 class Budget:
@@ -293,41 +342,37 @@ def _unit_pair(n: int):
     return [list(cell)], [list(cell)]
 
 
-def enumerate_automorphisms(g: Graph, *,
-                            max_elements: int = MAX_ELEMENTS) -> AutListing:
-    """Full automorphism listing of g.
+def enumerate_automorphisms(g: Graph) -> AutListing:
+    """Aut(g) as one stabilizer chain with base n-1, n-2, ..., 0.
 
-    Raises GroupTooLarge when the group has more than max_elements
-    elements. The group order is the product of the chain's orbit sizes,
-    known before any element is built, so the cap bounds the work on a
-    graph of any order.
+    Level b is the stable pair with n-1..b+1 individualized, whose
+    cell-fixing group is H_(b+1), the automorphisms fixing b+1..n-1.
+    Deepest level first, the orbit step grows the orbit of b in its cell.
+    No element is built: the order, the sorted listing and the orbits of
+    every H_d are read off the chain.
     """
-    if g.n == 0:
-        return AutListing(0, (Permutation(()),))
+    n = g.n
+    if n == 0:
+        return AutListing(0, ())
     adj = g.adjacency
-    P, Q = _unit_pair(g.n)
+    P, Q = _unit_pair(n)
     P, _ = _refine_pair(adj, adj, P, Q, None)
-    levels = []
-    ci = _target_cell(P)
-    while ci != -1:
-        levels.append((P, ci))
-        cut = P[:ci] + [P[ci][:1], P[ci][1:]] + P[ci + 1:]
-        P, _ = _refine_pair(adj, adj, cut, cut, None, ci)
-        ci = _target_cell(P)
+    cuts = []
+    for b in range(n - 1, -1, -1):
+        if len(P) == n:
+            break
+        ci = next(i for i, cell in enumerate(P) if b in cell)
+        if len(P[ci]) > 1:
+            cuts.append((b, P, ci))
+            cut = P[:ci] + [[b], [x for x in P[ci] if x != b]] + P[ci + 1:]
+            P, _ = _refine_pair(adj, adj, cut, cut, None, ci)
     gens: list[tuple[int, ...]] = []
-    transversals = []
-    order = 1
-    for P, ci in reversed(levels):
-        trans = _orbit(adj, P, ci, P[ci][0], gens)
-        order *= len(trans)
-        transversals.append(trans.values())
-    if order > max_elements:
-        raise GroupTooLarge(f"listing exceeds {max_elements} elements")
-    elements = [tuple(range(g.n))]
-    for trans in transversals:
-        elements = [tuple(t[x] for x in h) for t in trans for h in elements]
-    elements.sort()
-    return AutListing(g.n, tuple(Permutation(img) for img in elements))
+    levels = []
+    for b, P, ci in reversed(cuts):
+        known = len(gens)
+        trans = _orbit(adj, P, ci, b, gens)
+        levels.append((b, tuple(trans.values()), tuple(gens[known:])))
+    return AutListing(n, tuple(levels))
 
 
 def first_preserving(adj, colors, upto: int,
@@ -396,56 +441,6 @@ def _close(trans: dict[int, tuple[int, ...]], gens: list[tuple[int, ...]]):
             if y not in trans:
                 trans[y] = tuple(img[z] for z in trans[x])
                 frontier.append(y)
-
-
-def suffix_orbits(g: Graph) -> list[tuple[int, ...]]:
-    """orbs[d][v], for d = 0..n and v < d: a name for the orbit of v under
-    H_d, the automorphisms fixing every vertex from d on.
-
-    One stabilizer chain with base n-1, n-2, ..., 0: level b is the stable
-    pair with n-1..b+1 individualized, whose cell-fixing group is H_(b+1).
-    Deepest level first, the orbit step of enumerate_automorphisms grows
-    the orbit of b; the generators it finds there lie in H_(b+1), and with
-    those of the levels below they generate it. So the orbits of H_d are
-    the classes of a union-find that has merged the generators of every
-    level with base below d.
-    """
-    n = g.n
-    if n == 0:
-        return [()]
-    adj = g.adjacency
-    P, Q = _unit_pair(n)
-    P, _ = _refine_pair(adj, adj, P, Q, None)
-    levels = []
-    for b in range(n - 1, -1, -1):
-        if len(P) == n:
-            break
-        ci = next(i for i, cell in enumerate(P) if b in cell)
-        if len(P[ci]) > 1:
-            levels.append((b, P, ci))
-            cut = P[:ci] + [[b], [x for x in P[ci] if x != b]] + P[ci + 1:]
-            P, _ = _refine_pair(adj, adj, cut, cut, None, ci)
-    gens: list[tuple[int, ...]] = []
-    new_at: dict[int, list[tuple[int, ...]]] = {}
-    for b, P, ci in reversed(levels):
-        known = len(gens)
-        _orbit(adj, P, ci, b, gens)
-        new_at[b] = gens[known:]
-    root = list(range(n))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    orbs = []
-    for d in range(n + 1):
-        orbs.append(tuple(find(v) for v in range(d)))
-        for img in new_at.get(d, ()):
-            for v, w in enumerate(img):
-                root[find(v)] = find(w)
-    return orbs
 
 
 def orbit_of(g: Graph, v: int) -> frozenset[int]:

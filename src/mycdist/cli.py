@@ -210,36 +210,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generalized Mycielskian graphs and distinguishing numbers.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", nargs="?", default="-",
-                           help="graph file, or - for stdin (default)")
-        p.add_argument("--format", choices=("graph6", "edges"), default="graph6")
-        p.add_argument("--t", default="1", help="comma-separated t values")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="search step budget")
+    def common(p, *flags):
+        """The input argument, and the named ones of --format, --t and
+        --budget: each subcommand takes only the flags it reads."""
+        p.add_argument("input", nargs="?", default="-",
+                       help="graph file, or - for stdin (default)")
+        if "format" in flags:
+            p.add_argument("--format", choices=("graph6", "edges"), default="graph6")
+        if "t" in flags:
+            p.add_argument("--t", default="1", help="comma-separated t values")
+        if "budget" in flags:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                           help="search step budget")
 
     p = sub.add_parser("myc", help="build mu_t of the input graph")
-    common(p)
+    common(p, "format", "t")
     p.set_defaults(fn=cmd_myc)
 
     p = sub.add_parser("aut", help="automorphism listing summary")
-    common(p)
+    common(p, "format")
     p.set_defaults(fn=cmd_aut)
 
     p = sub.add_parser("dist", help="exact distinguishing number")
-    common(p)
+    common(p, "format", "budget")
     p.add_argument("--k-cap", type=int, default=None)
     p.set_defaults(fn=cmd_dist)
 
     p = sub.add_parser("check-coloring", help="is the coloring distinguishing?")
-    common(p)
+    common(p, "format")
     p.add_argument("--coloring", required=True,
                    help="JSON array of 1-based colors, or @file")
     p.set_defaults(fn=cmd_check_coloring)
 
     p = sub.add_parser("coloring", help="emit a constructive coloring of mu_t")
-    common(p)
+    common(p, "format", "t", "budget")
     p.add_argument("--construction", choices=("star", "kn", "isolate", "lift"),
                    required=True)
     p.add_argument("--m", type=int, default=None, help="star leaf count")
@@ -248,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_coloring)
 
     p = sub.add_parser("verify", help="sweep a corpus against the case analysis")
-    common(p)
+    common(p, "t", "budget")
     p.set_defaults(t="1,2")
     p.add_argument("--out", choices=("json", "csv"), default="json")
     p.add_argument("--max-n", type=int, default=6)

@@ -13,7 +13,8 @@ sound:
   an automorphism lies in H_d, the group fixing every vertex from d on,
   and maps some colored vertex to another of the same color in the same
   H_d-orbit; where no two colored vertices share both, the search for it
-  is skipped. The orbits of every H_d come from one stabilizer chain;
+  is skipped. The orbits of every H_d are read off the group's one
+  stabilizer chain;
 * lex-leader rejection (Crawford, Ginsberg, Luks & Roy, KR 1996; orderly
   generation, McKay 1998): a prefix colors[0..d-1] is cut when some
   automorphism h mapping {0..d-1} onto itself makes it smaller, i.e.
@@ -24,17 +25,17 @@ sound:
   it would come before c*: only failed subtrees are cut, and the returned
   certificate is the one the unpruned search returns. The prefix
   stabilizers are read off the full listing, so this prune runs only when
-  |Aut| <= ORBIT_LISTING_CAP, on a graph of any order; the group order is
-  known before the listing is built, so a larger group costs no listing.
+  |Aut| <= ORBIT_LISTING_CAP, on a graph of any order. The same chain
+  gives the order before any element is built, so a larger group costs
+  no listing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automorphism import (Budget, enumerate_automorphisms, first_preserving,
-                           suffix_orbits)
-from .errors import GroupTooLarge, MalformedColoring
+from .automorphism import Budget, enumerate_automorphisms, first_preserving
+from .errors import MalformedColoring
 from .graphs import Graph, twin_classes
 
 DEFAULT_BUDGET = 10**8
@@ -196,9 +197,10 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
     The search starts at the twin lower bound and increments k after
     exhausting each level, so the returned value is minimal. Raises
     SearchBudgetExceeded when the step budget runs out; returns
-    ExceedsCap once the value is proven to exceed k_cap. use_orbits=False
-    switches off the lex-leader prune and its listing; the certificate is
-    the same either way.
+    ExceedsCap once the value is proven to exceed k_cap. One stabilizer
+    chain of g is built either way, for the orbit filter; use_orbits=False
+    switches off the lex-leader prune, so no listing is built from it. The
+    certificate is the same either way.
     """
     n = g.n
     if n == 0:
@@ -214,15 +216,12 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
             twin_id[v] = ci
     tb = max(len(cl) for cl in classes)
 
+    group = enumerate_automorphisms(g)
     images = []
-    if use_orbits:
-        try:
-            listing = enumerate_automorphisms(g, max_elements=ORBIT_LISTING_CAP)
-            images = [p.image for p in listing]
-        except GroupTooLarge:
-            pass
+    if use_orbits and group.order <= ORBIT_LISTING_CAP:
+        images = [p.image for p in group]
     acts = _prefix_actions(images, n)
-    orbits = suffix_orbits(g)
+    orbits = group.suffix_orbits()
 
     for k in range(max(tb, 1), n + 1):
         if k_cap is not None and k > k_cap:

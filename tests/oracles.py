@@ -9,26 +9,27 @@ import itertools
 
 import numpy as np
 
-from mycdist import AutListing, Coloring, DistResult, Graph, Permutation
+from mycdist import Coloring, DistResult, Graph, Permutation
 
 NAIVE_MAX_VERTICES = 9
 
 
-def enumerate_automorphisms_naive(g: Graph) -> AutListing:
-    """Oracle listing: filter all n! permutations. Only for n <= 9."""
+def enumerate_automorphisms_naive(g: Graph) -> tuple[Permutation, ...]:
+    """Oracle listing, sorted by image vector: filter all n! permutations.
+    Only for n <= 9."""
     if g.n > NAIVE_MAX_VERTICES:
         raise ValueError(f"n={g.n} exceeds naive cap {NAIVE_MAX_VERTICES}")
     n = g.n
     if n == 0:
-        return AutListing(0, (Permutation(()),))
+        return (Permutation(()),)
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
     a = np.zeros((n, n), dtype=bool)
     for u, v in g.edges():
         a[u, v] = a[v, u] = True
     mapped = a[perms[:, :, None], perms[:, None, :]]
     mask = (mapped == a).all(axis=(1, 2))
-    elems = tuple(Permutation(tuple(int(x) for x in p)) for p in perms[mask])
-    return AutListing(n, elems)
+    # itertools.permutations yields lex order, so the listing is sorted
+    return tuple(Permutation(tuple(int(x) for x in p)) for p in perms[mask])
 
 
 def _canonical_colorings_exactly(n: int, k: int):

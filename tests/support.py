@@ -12,8 +12,8 @@ import pathlib
 from collections import Counter, deque
 
 import mycdist
-from mycdist.automorphism import (MAX_ELEMENTS, AutListing, Permutation,
-                                  _search_pair, _unit_pair)
+from mycdist.automorphism import (MAX_ELEMENTS, Permutation, _search_pair,
+                                  _unit_pair)
 from mycdist.errors import GroupTooLarge
 from mycdist.graphs import Graph
 
@@ -88,9 +88,9 @@ def bfs_distances(g):
 
 
 def assert_group_axioms(listing):
-    """Closure, identity, inverses over the full listing."""
+    """Closure, identity, inverses over a full listing of Permutations."""
     elems = {p.image for p in listing}
-    n = listing.n
+    n = listing[0].n
     ident = tuple(range(n))
     assert ident in elems
     for a in elems:
@@ -153,15 +153,15 @@ def reference_refine_pair(adj_s, adj_t, P, Q, budget):
 
 # The listing as it was before the stabilizer chain: every group element
 # is its own leaf of the refinement search. The chain listing must return
-# the same elements, or raise GroupTooLarge for the same max_elements.
+# the same elements wherever the group has at most max_elements of them.
 def reference_listing(g: Graph, *,
-                      max_elements: int = MAX_ELEMENTS) -> AutListing:
-    """Full automorphism listing of g.
+                      max_elements: int = MAX_ELEMENTS) -> tuple[Permutation, ...]:
+    """Full automorphism listing of g, sorted by image vector.
 
     Raises GroupTooLarge as soon as the listing would exceed max_elements.
     """
     if g.n == 0:
-        return AutListing(0, (Permutation(()),))
+        return (Permutation(()),)
     P, Q = _unit_pair(g.n)
     found = []
     for img in _search_pair(g.adjacency, g.adjacency, P, Q, None):
@@ -169,15 +169,15 @@ def reference_listing(g: Graph, *,
         if len(found) > max_elements:
             raise GroupTooLarge(f"listing exceeds {max_elements} elements")
     found.sort()
-    return AutListing(g.n, tuple(Permutation(img) for img in found))
+    return tuple(Permutation(img) for img in found)
 
 
 # The generators and orbits of `aut` as they were before generators were
 # picked by orbit: close the group after each generator, and read each
 # orbit off the whole listing. `aut` must print the same lists.
-def reference_aut_generators(listing: AutListing):
+def reference_aut_generators(listing: tuple[Permutation, ...]):
     """(generators, orbits) of the sorted listing, by group closure."""
-    n = listing.n
+    n = listing[0].n
     gens: list[tuple[int, ...]] = []
     known = {tuple(range(n))}
     for p in listing:

@@ -167,7 +167,7 @@ def test_criterion_6_oracle_equivalences(corpus_n7):
         assert g.n <= 8
         fast = enumerate_automorphisms(g)
         naive = enumerate_automorphisms_naive(g)
-        assert fast.elements == naive.elements, g.edges()
+        assert fast.elements == naive, g.edges()
     mid = time.perf_counter()
     for line, g in corpus_n7:
         a = distinguishing_number(g).value

@@ -1,6 +1,8 @@
 """Automorphism engine against the brute-force listing and known groups."""
 
+import math
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,8 @@ from mycdist import (Graph, build_mycielskian, complete_graph, cycle_graph,
                      find_isomorphism, is_automorphism,
                      neighborhood_degree_multiset, orbit_of, path_graph,
                      search_color_preserving, star_graph)
-from mycdist.automorphism import (Budget, Permutation, first_preserving,
-                                  suffix_orbits)
+from mycdist import automorphism
+from mycdist.automorphism import Budget, Permutation, first_preserving
 from mycdist.distinguishing import ORBIT_LISTING_CAP
 from mycdist.errors import GroupTooLarge, SearchBudgetExceeded, SizeMismatch
 
@@ -92,12 +94,12 @@ def test_fast_listing_matches_naive_on_fixtures():
     for g in FIXTURES:
         fast = enumerate_automorphisms(g)
         naive = enumerate_automorphisms_naive(g)
-        assert fast.elements == naive.elements, g.edges()
+        assert fast.elements == naive, g.edges()
 
 
 def test_listing_is_sorted_and_a_group():
     for g in FIXTURES:
-        listing = enumerate_automorphisms(g)
+        listing = enumerate_automorphisms(g).elements
         images = [p.image for p in listing]
         assert images == sorted(images)
         assert_group_axioms(listing)
@@ -116,8 +118,7 @@ def test_automorphisms_preserve_local_structure():
 @settings(max_examples=120, deadline=None)
 @given(graphs(6))
 def test_fast_listing_matches_naive(g):
-    assert (enumerate_automorphisms(g).elements
-            == enumerate_automorphisms_naive(g).elements)
+    assert enumerate_automorphisms(g).elements == enumerate_automorphisms_naive(g)
 
 
 @settings(max_examples=80, deadline=None)
@@ -178,9 +179,7 @@ def test_find_isomorphism():
 def test_caps():
     # no vertex cap: the element cap and the step budget bound the work
     with pytest.raises(GroupTooLarge):
-        enumerate_automorphisms(empty_graph(25))
-    with pytest.raises(GroupTooLarge):
-        enumerate_automorphisms(complete_graph(5), max_elements=10)
+        enumerate_automorphisms(empty_graph(25)).elements
     assert orbit_of(empty_graph(25), 0) == frozenset(range(25))
     # the oracle keeps its own cap, with no runtime error type
     with pytest.raises(ValueError):
@@ -200,9 +199,9 @@ def test_order_zero_graph():
     assert listing.order == 1 and listing.elements[0].image == ()
 
 
-def _listing_or_none(listing, g, max_elements):
+def _reference_or_none(g, max_elements):
     try:
-        return listing(g, max_elements=max_elements).elements
+        return reference_listing(g, max_elements=max_elements)
     except GroupTooLarge:
         return None
 
@@ -210,8 +209,8 @@ def _listing_or_none(listing, g, max_elements):
 def test_listing_matches_reference_on_corpora(corpus_n7):
     """The chain listing against the search-per-element listing: the full
     groups of the n = 7 corpus, and mu_1 (n <= 6) and mu_2 (n <= 5) at the
-    cap the distinguishing search lists them with, where both must raise
-    for the same graphs."""
+    cap the distinguishing search lists them with. The reference must
+    raise exactly where the chain's order is over the cap."""
     cases = [(g, 10**6) for _, g in corpus_n7 if g.n == 7]
     assert len(cases) == 1044
     for _, g in corpus_n7:
@@ -221,8 +220,9 @@ def test_listing_matches_reference_on_corpora(corpus_n7):
             cases.append((build_mycielskian(g, 2)[0], ORBIT_LISTING_CAP))
     aborted = 0
     for g, cap in cases:
-        want = _listing_or_none(reference_listing, g, cap)
-        assert _listing_or_none(enumerate_automorphisms, g, cap) == want, g.edges()
+        want = _reference_or_none(g, cap)
+        group = enumerate_automorphisms(g)
+        assert (group.elements if group.order <= cap else None) == want, g.edges()
         aborted += want is None
     assert aborted == 14  # 8 mu_1 and 6 mu_2 groups exceed the cap
 
@@ -230,18 +230,30 @@ def test_listing_matches_reference_on_corpora(corpus_n7):
 @settings(max_examples=120, deadline=None)
 @given(graphs(7))
 def test_element_cap_is_the_group_order(g):
-    listing = enumerate_automorphisms(g)
-    assert enumerate_automorphisms(g, max_elements=listing.order) == listing
-    with pytest.raises(GroupTooLarge):
-        enumerate_automorphisms(g, max_elements=listing.order - 1)
+    group = enumerate_automorphisms(g)
+    elements = group.elements
+    assert len(set(elements)) == group.order == len(group)
+    assert elements == enumerate_automorphisms_naive(g)
+    with mock.patch.object(automorphism, "MAX_ELEMENTS", group.order):
+        assert group.elements == elements
+    with mock.patch.object(automorphism, "MAX_ELEMENTS", group.order - 1):
+        with pytest.raises(GroupTooLarge):
+            group.elements
 
 
 def test_too_large_group_raises_before_listing():
-    # |Aut| = 10! > 10**6: the order is found without listing elements
+    # |Aut| = 10! and 25! > 10**6: the order is read off the chain, and
+    # the listing raises before building any element
     start = time.perf_counter()
-    with pytest.raises(GroupTooLarge):
-        enumerate_automorphisms(empty_graph(10))
-    assert time.perf_counter() - start < 5.0
+    for n in (10, 25):
+        group = enumerate_automorphisms(empty_graph(n))
+        assert group.order == math.factorial(n)
+        with pytest.raises(GroupTooLarge):
+            group.elements
+        with pytest.raises(GroupTooLarge):
+            list(group)
+    assert time.perf_counter() - start < 1.0
+    assert len(enumerate_automorphisms(empty_graph(10))) == math.factorial(10)
 
 
 def _classes(names) -> set[frozenset[int]]:
@@ -255,7 +267,7 @@ def _classes(names) -> set[frozenset[int]]:
 @given(graphs(7))
 def test_suffix_orbits_match_naive(g):
     """Orbits on {0..d-1} of the automorphisms fixing d..n-1, for every d."""
-    orbs = suffix_orbits(g)
+    orbs = enumerate_automorphisms(g).suffix_orbits()
     assert len(orbs) == g.n + 1
     naive = [p.image for p in enumerate_automorphisms_naive(g)]
     for d in range(g.n + 1):
@@ -265,12 +277,16 @@ def test_suffix_orbits_match_naive(g):
         assert _classes(orbs[d]) == want
 
 
+def _suffix_orbits(g):
+    return enumerate_automorphisms(g).suffix_orbits()
+
+
 def test_suffix_orbits_examples():
-    assert suffix_orbits(Graph(0)) == [()]
+    assert _suffix_orbits(Graph(0)) == [()]
     # path 0-1-2-3: only the reversal, which moves 3
-    assert [len(_classes(o)) for o in suffix_orbits(path_graph(4))] == [0, 1, 2, 3, 2]
+    assert [len(_classes(o)) for o in _suffix_orbits(path_graph(4))] == [0, 1, 2, 3, 2]
     # S_5 on the edgeless graph: fixing d..4 leaves S_d
-    assert [len(_classes(o)) for o in suffix_orbits(empty_graph(5))] == [0, 1, 1, 1, 1, 1]
+    assert [len(_classes(o)) for o in _suffix_orbits(empty_graph(5))] == [0, 1, 1, 1, 1, 1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -281,7 +297,7 @@ def test_first_preserving_needs_a_shared_color_and_orbit(g, data):
     where no two prefix vertices share both the search finds nothing."""
     colors = data.draw(st.lists(st.integers(1, 3), min_size=g.n, max_size=g.n))
     naive = [p.image for p in enumerate_automorphisms_naive(g) if not p.is_identity()]
-    for d, orb in enumerate(suffix_orbits(g)):
+    for d, orb in enumerate(enumerate_automorphisms(g).suffix_orbits()):
         img = first_preserving(g.adjacency, colors, d)
         want = any(all(h[v] == v for v in range(d, g.n))
                    and all(colors[h[v]] == colors[v] for v in range(d))

@@ -11,7 +11,8 @@ from mycdist import (Coloring, DistResult, ExceedsCap, Graph,
                      disjoint_union, distinguishing_number, empty_graph,
                      is_distinguishing, parse_graph6, path_graph,
                      star_graph, twin_lower_bound)
-from mycdist.automorphism import Budget
+from mycdist import automorphism
+from mycdist.automorphism import Budget, enumerate_automorphisms
 from mycdist.distinguishing import _smaller_image
 from mycdist.errors import MalformedColoring, SearchBudgetExceeded
 
@@ -97,7 +98,7 @@ def test_value_one_means_rigid(corpus_n6):
     for line, g in corpus_n6:
         if g.n != 6:
             continue
-        rigid = enumerate_automorphisms_naive(g).order == 1
+        rigid = len(enumerate_automorphisms_naive(g)) == 1
         if rigid:
             seen_rigid += 1
             assert distinguishing_number(g).value == 1, line
@@ -160,6 +161,23 @@ def test_budget_steps_pinned(g6, t, steps):
     budget = Budget(10**8)
     distinguishing_number(mu, budget=budget)
     assert budget.used == steps
+
+
+def test_one_stabilizer_chain_per_search(monkeypatch):
+    # one _orbit call per chain level: a search that built its group twice
+    # (once for the listing, once for the suffix orbits) makes twice as many
+    mu, _ = build_mycielskian(parse_graph6("ElUg"), 1)
+    levels = len(enumerate_automorphisms(mu).levels)
+    calls = []
+    orbit = automorphism._orbit
+
+    def counted(*args):
+        calls.append(args)
+        return orbit(*args)
+
+    monkeypatch.setattr(automorphism, "_orbit", counted)
+    distinguishing_number(mu)
+    assert len(calls) == levels > 0
 
 
 def test_sibling_prune_runs_past_24_vertices():

@@ -305,7 +305,7 @@ def test_cli_aut_generators_match_group_closure(corpus_n7, monkeypatch, capsys):
         code, out, _ = run_cli(["aut"], write_graph6(g) + "\n", monkeypatch, capsys)
         assert code == 0
         (doc,) = json_docs(out)
-        gens, orbits = reference_aut_generators(enumerate_automorphisms(g))
+        gens, orbits = reference_aut_generators(enumerate_automorphisms(g).elements)
         assert doc["generators"] == [list(img) for img in gens], g.edges()
         assert doc["orbits"] == orbits, g.edges()
 
@@ -478,6 +478,26 @@ def test_cli_check_coloring_rejects_booleans(coloring, g6, monkeypatch, capsys):
                              g6 + "\n", monkeypatch, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+# Flags a subcommand never reads are not accepted: `verify --format edges`
+# used to parse an edge list as graph6 lines, report every row malformed
+# and exit 0.
+@pytest.mark.parametrize("argv", [
+    ["myc", "--budget", "5"],
+    ["aut", "--t", "2"],
+    ["aut", "--budget", "5"],
+    ["dist", "--t", "2"],
+    ["check-coloring", "--coloring", "[1,2,3]", "--t", "2"],
+    ["check-coloring", "--coloring", "[1,2,3]", "--budget", "5"],
+    ["verify", "--format", "edges"],
+])
+def test_cli_rejects_flags_a_subcommand_does_not_read(argv, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv, "3 2\n0 1\n1 2\n", monkeypatch, capsys)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments" in out.err
 
 
 # Commands whose arguments would leak into the next one if parsing kept
