@@ -20,10 +20,10 @@ found automorphism kept as a generator, and each orbit point given one
 transversal element taking b to it. Every automorphism is then uniquely a
 product of one transversal element per level, so the one chain serves
 three readers: |Aut| is the product of the orbit sizes, known before any
-element is built and checked against the element cap; the listing is the
-|Aut| products, sorted; and the orbits of every H_d are the classes of
-the generators of the levels with base below d. orbit_of runs the same
-orbit step on its vertex's cell. first_preserving, the one
+element is built; the listing is the |Aut| products, sorted, built only
+on request; and the orbits of every H_d are the classes of the
+generators of the levels with base below d. orbit_of runs the same orbit
+step on its vertex's cell. first_preserving, the one
 color-preserving search, seeds the same search with color classes.
 
 Refinement works in rounds. In each round every cell is split by the
@@ -50,10 +50,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import GroupTooLarge, SearchBudgetExceeded, SizeMismatch
+from .errors import SearchBudgetExceeded, SizeMismatch
 from .graphs import Graph
-
-MAX_ELEMENTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,9 @@ class AutListing:
     point b whose cell is not a singleton once b+1..n-1 are individualized:
     images are one automorphism fixing b+1..n-1 per point of the orbit of
     b under those automorphisms, and gens the generators found at that
-    level. Every automorphism is uniquely a product of one image per level.
+    level. Every automorphism is uniquely a product of one image per level,
+    so order and the orbits of the suffix stabilizers are read off the
+    levels; only elements builds the group, one tuple per automorphism.
     """
 
     n: int
@@ -113,22 +113,14 @@ class AutListing:
         """The order; len() itself fails past sys.maxsize, order does not."""
         return self.order
 
-    def __iter__(self):
-        return iter(self.elements)
-
     @property
-    def elements(self) -> tuple[Permutation, ...]:
-        """Every automorphism, sorted by image vector; built on each access.
-
-        Raises GroupTooLarge when the order exceeds MAX_ELEMENTS.
-        """
-        if self.order > MAX_ELEMENTS:
-            raise GroupTooLarge(f"listing exceeds {MAX_ELEMENTS} elements")
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """The image vector of every automorphism, sorted; built on each
+        access, |Aut| tuples, so a caller checks order first."""
         elements = [tuple(range(self.n))]
         for _, images, _ in self.levels:
             elements = [tuple(t[x] for x in h) for t in images for h in elements]
-        elements.sort()
-        return tuple(Permutation(img) for img in elements)
+        return tuple(sorted(elements))
 
     def suffix_orbits(self) -> list[tuple[int, ...]]:
         """orbs[d][v], for d = 0..n and v < d: a name for the orbit of v
@@ -348,8 +340,8 @@ def enumerate_automorphisms(g: Graph) -> AutListing:
     Level b is the stable pair with n-1..b+1 individualized, whose
     cell-fixing group is H_(b+1), the automorphisms fixing b+1..n-1.
     Deepest level first, the orbit step grows the orbit of b in its cell.
-    No element is built: the order, the sorted listing and the orbits of
-    every H_d are read off the chain.
+    No element is built: the order and the orbits of every H_d are read
+    off the chain, and elements lists the group on request.
     """
     n = g.n
     if n == 0:

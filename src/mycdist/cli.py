@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 malformed input or bad parameters, 3 search
-budget or capacity exhausted.
+step budget exhausted.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from .constructions import (isolate_case_coloring, kn_base_coloring,
                             lift_coloring, star_case_coloring)
 from .distinguishing import (DEFAULT_BUDGET, Coloring, DistResult, ExceedsCap,
                              distinguishing_number, is_distinguishing)
-from .errors import GroupTooLarge, MycdistError, SearchBudgetExceeded
-from .graph6 import parse_edge_list, parse_graph6, write_edge_list, write_graph6
+from .errors import MycdistError, SearchBudgetExceeded, Unsupported
+from .graph6 import (_MAX_N, parse_edge_list, parse_graph6, write_edge_list,
+                     write_graph6)
 from .graphs import Graph, complete_graph, star_graph
 from .mycielskian import MycLayout, build_mycielskian
 from .verify import report_to_csv, report_to_json, run_verify
@@ -81,9 +82,21 @@ def _emit(doc):
     print(json.dumps(doc, indent=2))
 
 
+def _check_graph6_order(n: int, ts: list[int]):
+    """Reject a --t list with a mu_t over the graph6 order limit before
+    anything is built or printed; the order grows with t."""
+    order = MycLayout(n, max(ts)).order
+    if order > _MAX_N:
+        raise Unsupported(f"mu_{max(ts)} has {order} vertices, beyond the "
+                          f"single-byte graph6 range (n <= {_MAX_N})")
+
+
 def cmd_myc(args) -> int:
     g = _read_graph(args.input, args.format)
-    for t in _parse_t_list(args.t):
+    ts = _parse_t_list(args.t)
+    if args.format == "graph6":
+        _check_graph6_order(g.n, ts)
+    for t in ts:
         mu, layout = build_mycielskian(g, t)
         doc = {"t": t, "layout": _layout_json(layout)}
         if args.format == "edges":
@@ -94,50 +107,49 @@ def cmd_myc(args) -> int:
     return EXIT_OK
 
 
-def _orbit_closure(points, gens) -> set[int]:
-    """The points and all their images under the group gens generate."""
-    orbit = set(points)
-    frontier = list(orbit)
-    while frontier:
-        x = frontier.pop()
-        for img in gens:
-            y = img[x]
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    return orbit
-
-
 def cmd_aut(args) -> int:
-    """Order, generators and orbits of Aut(g).
+    """Order, generators and orbits of Aut(g), read off one stabilizer
+    chain; no element of the group is listed.
 
-    The generators are the greedy lex-first generating set of the sorted
-    listing: each element the earlier ones do not generate. The elements
-    whose first moved point is i come after all of G_(i+1), the pointwise
-    stabilizer of 0..i, so the earlier generators give a group H with
-    G_(i+1) <= H <= G_i, and such an element is in H exactly when its
-    image of i is in the orbit of i under H.
+    The chain is built on g relabelled by v -> n-1-v, so its base is
+    0, 1, ..., n-1 of g: level i holds, for each point j of the orbit of
+    i under G_i (the automorphisms fixing 0..i-1), one element of G_i
+    taking i to j. The generators are the greedy lex-first generating set
+    of the group sorted by image vector: each element the earlier ones do
+    not generate. The elements whose first moved point is i come after
+    all of G_(i+1), grouped by their image of i, so the earlier
+    generators give a group H with G_(i+1) <= H <= G_i, and a coset
+    {h in G_i : h(i) = j} lies in H exactly when j is in the orbit of i
+    under H. Deepest level first, each j outside that orbit adds the
+    least element of its coset, built level by level below i. The orbits
+    are the classes of the generators.
     """
     g = _read_graph(args.input, args.format)
-    listing = enumerate_automorphisms(g)
+    last = g.n - 1
+    chain = enumerate_automorphisms(
+        Graph(g.n, [(last - u, last - v) for u, v in g.edges()]))
+    trans: dict[int, dict[int, tuple[int, ...]]] = {}  # level i: {t(i): t}
+    for b, images, _ in chain.levels:  # deepest level first
+        flipped = (tuple(last - img[last - v] for v in range(g.n)) for img in images)
+        trans[last - b] = {t[last - b]: t for t in flipped}
+    orbit = list(range(g.n))  # orbit[v]: a name for the orbit of v under gens
     gens: list[tuple[int, ...]] = []
-    level, orbit = -1, set()
-    for p in listing.elements[1:]:  # the identity comes first
-        img = p.image
-        i = next(v for v, x in enumerate(img) if v != x)
-        if i != level:
-            level, orbit = i, _orbit_closure((i,), gens)
-        if img[i] not in orbit:
-            gens.append(img)
-            orbit = _orbit_closure(orbit, gens)
-    orbits = []
-    seen: set[int] = set()
-    for v in range(g.n):
-        if v not in seen:
-            orbit = _orbit_closure((v,), gens)
-            seen |= orbit
-            orbits.append(sorted(orbit))
-    _emit({"order": listing.order,
+    for i, level in trans.items():
+        for j in sorted(level):
+            if orbit[j] == orbit[i]:
+                continue
+            t = level[j]
+            # at each level p below i, the element taking p where t maps lowest
+            for p in range(i + 1, g.n):
+                if p in trans:
+                    t = tuple(t[x] for x in trans[p][min(trans[p], key=t.__getitem__)])
+            gens.append(t)
+            for v, w in enumerate(t):
+                orbit = [orbit[v] if x == orbit[w] else x for x in orbit]
+    # names in order of first use: the orbits come ordered by least member
+    orbits = [[v for v, x in enumerate(orbit) if x == name]
+              for name in dict.fromkeys(orbit)]
+    _emit({"order": chain.order,
            "generators": [list(img) for img in gens],
            "orbits": orbits})
     return EXIT_OK
@@ -165,25 +177,32 @@ def cmd_check_coloring(args) -> int:
 
 
 def cmd_coloring(args) -> int:
-    for t in _parse_t_list(args.t):
+    ts = _parse_t_list(args.t)
+    if args.construction == "star":
+        if args.m is None:
+            raise MycdistError("--construction star needs --m")
+        _check_graph6_order(args.m + 1, ts)
+    elif args.construction == "kn":
+        if args.n is None:
+            raise MycdistError("--construction kn needs --n")
+        _check_graph6_order(args.n, ts)
+    else:
+        # read once: stdin is empty after the first read
+        src = _read_graph(args.input, args.format)
+        _check_graph6_order(src.n, ts)
+        base = distinguishing_number(src, budget=Budget(args.budget))
+        assert isinstance(base, DistResult)
+    for t in ts:
         if args.construction == "star":
-            if args.m is None:
-                raise MycdistError("--construction star needs --m")
             coloring = star_case_coloring(args.m, t)
             src = star_graph(args.m)
         elif args.construction == "kn":
-            if args.n is None:
-                raise MycdistError("--construction kn needs --n")
             _, coloring = kn_base_coloring(args.n, t)
             src = complete_graph(args.n)
+        elif args.construction == "isolate":
+            coloring = isolate_case_coloring(src, t, base.certificate)
         else:
-            src = _read_graph(args.input, args.format)
-            base = distinguishing_number(src, budget=Budget(args.budget))
-            assert isinstance(base, DistResult)
-            if args.construction == "isolate":
-                coloring = isolate_case_coloring(src, t, base.certificate)
-            else:
-                coloring = lift_coloring(src, t, base.certificate, args.w_color)
+            coloring = lift_coloring(src, t, base.certificate, args.w_color)
         mu, _ = build_mycielskian(src, t)
         _emit({"construction": args.construction, "t": t, "k": coloring.k,
                "graph6": write_graph6(mu),
@@ -227,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "format", "t")
     p.set_defaults(fn=cmd_myc)
 
-    p = sub.add_parser("aut", help="automorphism listing summary")
+    p = sub.add_parser("aut", help="automorphism group order, generators and orbits")
     common(p, "format")
     p.set_defaults(fn=cmd_aut)
 
@@ -273,7 +292,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (SearchBudgetExceeded, GroupTooLarge) as e:
+    except SearchBudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except MycdistError as e:

@@ -111,7 +111,7 @@ def is_distinguishing(g: Graph, c: Coloring) -> bool:
     return first_preserving(g.adjacency, c.assign, g.n) is None
 
 
-def _prefix_actions(images: list[tuple[int, ...]], n: int) -> list[list]:
+def _prefix_actions(images: tuple[tuple[int, ...], ...], n: int) -> list[list]:
     """acts[d], for 2 <= d < n: the distinct actions (m, h[m:d]) of the
     listing elements h that map {0..d-1} onto itself and move one of its
     points, m the first point h moves."""
@@ -217,10 +217,8 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
     tb = max(len(cl) for cl in classes)
 
     group = enumerate_automorphisms(g)
-    images = []
-    if use_orbits and group.order <= ORBIT_LISTING_CAP:
-        images = [p.image for p in group]
-    acts = _prefix_actions(images, n)
+    listed = use_orbits and group.order <= ORBIT_LISTING_CAP
+    acts = _prefix_actions(group.elements if listed else (), n)
     orbits = group.suffix_orbits()
 
     for k in range(max(tb, 1), n + 1):

@@ -39,10 +39,6 @@ class SizeMismatch(MycdistError):
     """Permutation length differs from graph order."""
 
 
-class GroupTooLarge(MycdistError):
-    """Automorphism listing exceeds the configured element cap."""
-
-
 class SearchBudgetExceeded(MycdistError):
     """Search spent its step budget before finishing."""
 

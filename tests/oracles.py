@@ -9,19 +9,19 @@ import itertools
 
 import numpy as np
 
-from mycdist import Coloring, DistResult, Graph, Permutation
+from mycdist import Coloring, DistResult, Graph
 
 NAIVE_MAX_VERTICES = 9
 
 
-def enumerate_automorphisms_naive(g: Graph) -> tuple[Permutation, ...]:
-    """Oracle listing, sorted by image vector: filter all n! permutations.
-    Only for n <= 9."""
+def enumerate_automorphisms_naive(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Oracle listing of image vectors, sorted: filter all n!
+    permutations. Only for n <= 9."""
     if g.n > NAIVE_MAX_VERTICES:
         raise ValueError(f"n={g.n} exceeds naive cap {NAIVE_MAX_VERTICES}")
     n = g.n
     if n == 0:
-        return (Permutation(()),)
+        return ((),)
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
     a = np.zeros((n, n), dtype=bool)
     for u, v in g.edges():
@@ -29,7 +29,7 @@ def enumerate_automorphisms_naive(g: Graph) -> tuple[Permutation, ...]:
     mapped = a[perms[:, :, None], perms[:, None, :]]
     mask = (mapped == a).all(axis=(1, 2))
     # itertools.permutations yields lex order, so the listing is sorted
-    return tuple(Permutation(tuple(int(x) for x in p)) for p in perms[mask])
+    return tuple(tuple(int(x) for x in p) for p in perms[mask])
 
 
 def _canonical_colorings_exactly(n: int, k: int):
@@ -61,7 +61,7 @@ def distinguishing_number_bruteforce(g: Graph) -> DistResult:
     if n == 0:
         return DistResult(0, Coloring(0, ()))
     listing = enumerate_automorphisms_naive(g)
-    nontrivial = [p.image for p in listing if not p.is_identity()]
+    nontrivial = listing[1:]  # sorted, so the identity comes first
     if not nontrivial:
         return DistResult(1, Coloring(1, (1,) * n))
     perms = np.array(nontrivial, dtype=np.int8)

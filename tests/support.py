@@ -11,11 +11,20 @@ import os
 import pathlib
 from collections import Counter, deque
 
+from hypothesis import strategies as st
+
 import mycdist
-from mycdist.automorphism import (MAX_ELEMENTS, Permutation, _search_pair,
-                                  _unit_pair)
-from mycdist.errors import GroupTooLarge
+from mycdist.automorphism import _search_pair, _unit_pair
 from mycdist.graphs import Graph
+
+
+def graphs(max_n):
+    """Random graphs on 1..max_n vertices, from up to n^2 drawn edges."""
+    def build(n):
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = st.lists(pairs.filter(lambda e: e[0] != e[1]), max_size=n * n)
+        return st.builds(Graph, st.just(n), edges)
+    return st.integers(1, max_n).flatmap(build)
 
 
 def source_tree_env():
@@ -88,9 +97,9 @@ def bfs_distances(g):
 
 
 def assert_group_axioms(listing):
-    """Closure, identity, inverses over a full listing of Permutations."""
-    elems = {p.image for p in listing}
-    n = listing[0].n
+    """Closure, identity, inverses over a full listing of image vectors."""
+    elems = set(listing)
+    n = len(listing[0])
     ident = tuple(range(n))
     assert ident in elems
     for a in elems:
@@ -153,40 +162,34 @@ def reference_refine_pair(adj_s, adj_t, P, Q, budget):
 
 # The listing as it was before the stabilizer chain: every group element
 # is its own leaf of the refinement search. The chain listing must return
-# the same elements wherever the group has at most max_elements of them.
-def reference_listing(g: Graph, *,
-                      max_elements: int = MAX_ELEMENTS) -> tuple[Permutation, ...]:
-    """Full automorphism listing of g, sorted by image vector.
-
-    Raises GroupTooLarge as soon as the listing would exceed max_elements.
-    """
+# the same elements.
+def reference_listing(g: Graph):
+    """Every automorphism of g as an image vector, one search leaf each,
+    in the order the search finds them."""
     if g.n == 0:
-        return (Permutation(()),)
+        yield ()
+        return
     P, Q = _unit_pair(g.n)
-    found = []
-    for img in _search_pair(g.adjacency, g.adjacency, P, Q, None):
-        found.append(img)
-        if len(found) > max_elements:
-            raise GroupTooLarge(f"listing exceeds {max_elements} elements")
-    found.sort()
-    return tuple(Permutation(img) for img in found)
+    yield from _search_pair(g.adjacency, g.adjacency, P, Q, None)
 
 
-# The generators and orbits of `aut` as they were before generators were
-# picked by orbit: close the group after each generator, and read each
-# orbit off the whole listing. `aut` must print the same lists.
-def reference_aut_generators(listing: tuple[Permutation, ...]):
-    """(generators, orbits) of the sorted listing, by group closure."""
-    n = listing[0].n
+# The generators and orbits of `aut` as they were before they were read
+# off a stabilizer chain: scan the sorted listing, close the group after
+# each generator, and read each orbit off the whole listing. `aut` must
+# print the same lists.
+def reference_aut_generators(listing: tuple[tuple[int, ...], ...]):
+    """(generators, orbits) of the listing sorted by image vector, by
+    group closure."""
+    n = len(listing[0])
     gens: list[tuple[int, ...]] = []
     known = {tuple(range(n))}
-    for p in listing:
-        if p.image in known:
+    for img in listing:
+        if img in known:
             continue
-        gens.append(p.image)
+        gens.append(img)
         # close the partial group under the new generator
         frontier = list(known)
-        known.add(p.image)
+        known.add(img)
         while frontier:
             x = frontier.pop()
             for gen in gens:
@@ -199,7 +202,7 @@ def reference_aut_generators(listing: tuple[Permutation, ...]):
     for v in range(n):
         if v in seen:
             continue
-        orbit = sorted({p.image[v] for p in listing})
+        orbit = sorted({img[v] for img in listing})
         seen.update(orbit)
         orbits.append(orbit)
     return gens, orbits

@@ -1,9 +1,12 @@
-"""The bench's traced run, end to end on its smallest workload.
+"""The bench's traced run, end to end on its smallest sweep and on the
+CLI workload.
 
 `bench/run.py --trace 1` wraps package attributes by name, so a renamed
 or removed attribute, or a result that no longer answers len(), fails it
-with an AttributeError or TypeError. The bench's own tests do not start
-a traced run.
+with an AttributeError or TypeError. The sweep wraps the distinguishing
+search's listing; the CLI workload wraps `cli.enumerate_automorphisms`
+and `cli.search_color_preserving`. The bench's own tests do not start a
+traced run.
 """
 
 import json
@@ -11,18 +14,23 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from .support import source_tree_env
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_traced_bench_run_passes_its_gate():
+@pytest.mark.parametrize("workload, listings", [("sweep_n5_t2", 104),
+                                                ("cli_n7", 1044)],
+                         ids=["sweep_n5_t2", "cli_n7"])
+def test_traced_bench_run_passes_its_gate(workload, listings):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "sweep_n5_t2",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, env=source_tree_env(),
         timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] and result["failed"] == 0
-    assert result["metrics"]["automorphism.listing_calls"]["value"] == 104
+    assert result["metrics"]["automorphism.listing_calls"]["value"] == listings

@@ -19,6 +19,7 @@ from mycdist.errors import MalformedColoring, SearchBudgetExceeded
 from .oracles import (_canonical_colorings_exactly,
                       distinguishing_number_bruteforce,
                       enumerate_automorphisms_naive)
+from .support import graphs
 
 # value pairs frozen from distinguishing_number_bruteforce runs
 KNOWN = [
@@ -38,14 +39,6 @@ KNOWN = [
     (build_mycielskian(complete_graph(2), 1)[0], 3),  # C_5 again
     (build_mycielskian(empty_graph(2), 2)[0], 4),
 ]
-
-
-def graphs(max_n):
-    def build(n):
-        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-        edges = st.lists(pairs.filter(lambda e: e[0] != e[1]), max_size=n * n)
-        return st.builds(Graph, st.just(n), edges)
-    return st.integers(1, max_n).flatmap(build)
 
 
 def test_coloring_validation():

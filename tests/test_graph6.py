@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from mycdist import Graph, parse_edge_list, parse_graph6, write_edge_list, write_graph6
 from mycdist.errors import MalformedGraph6, MycdistError, Unsupported
 
+from .support import graphs
+
 KNOWN = [
     ("@", 1, []),
     ("A_", 2, [(0, 1)]),
@@ -29,17 +31,6 @@ def test_known_encodings_match_reference_codec(g6, n, edges):
     ref = nx.from_graph6_bytes(g6.encode())
     assert ref.number_of_nodes() == n
     assert sorted(tuple(sorted(e)) for e in ref.edges()) == edges
-
-
-def graphs(max_n):
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.builds(
-            Graph,
-            st.just(n),
-            st.lists(
-                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-                    lambda e: e[0] != e[1]),
-                max_size=n * n)))
 
 
 @settings(max_examples=200, deadline=None)

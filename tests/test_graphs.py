@@ -14,8 +14,7 @@ from mycdist import (Graph, Star, build_mycielskian, classify_star,
                      path_graph, star_graph, twin_classes)
 from mycdist.errors import VertexOutOfRange
 
-from .support import naive_cut_vertices, naive_twin_classes
-from .test_graph6 import graphs
+from .support import graphs, naive_cut_vertices, naive_twin_classes
 
 
 def random_graph(n, p, seed):

@@ -4,8 +4,10 @@ import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -23,7 +25,8 @@ from mycdist.verify import (CSV_FIELDS, classify_root_orbit, process_record,
                             report_to_csv, report_to_json, root_orbit_conforms,
                             run_verify)
 
-from .support import reference_aut_generators, source_tree_env
+from .oracles import enumerate_automorphisms_naive
+from .support import graphs, reference_aut_generators, source_tree_env
 
 N3_LINES = ["B?", "BG", "BW", "Bw"]  # all four graphs on 3 vertices
 
@@ -263,6 +266,10 @@ def test_cli_myc_edge_format(monkeypatch, capsys):
     mu = parse_edge_list(doc["edges"])
     # m + 2mt + n edges: 2 + 4 + 3
     assert mu.n == 7 and mu.edge_count == 9
+    # edge lists carry no graph6 order limit on output
+    code, out, _ = run_cli(["myc", "--format", "edges", "--t", "30"],
+                           "2 1\n0 1\n", monkeypatch, capsys)
+    assert code == 0 and json_docs(out)[0]["edges"].startswith("63 ")
 
 
 def test_cli_myc_empty_input(monkeypatch, capsys):
@@ -295,8 +302,8 @@ def test_cli_aut(monkeypatch, capsys):
 
 
 def test_cli_aut_generators_match_group_closure(corpus_n7, monkeypatch, capsys):
-    """`aut` picks generators by orbit; they and the orbits must be the
-    lists the closure of the whole listing gives."""
+    """`aut` reads generators off a stabilizer chain; they and the orbits
+    must be the lists the closure of the whole listing gives."""
     graphs = [g for _, g in corpus_n7 if g.n == 7]
     assert len(graphs) == 1044
     graphs += [build_mycielskian(g, 1)[0] for _, g in corpus_n7 if g.n <= 6]
@@ -308,6 +315,44 @@ def test_cli_aut_generators_match_group_closure(corpus_n7, monkeypatch, capsys):
         gens, orbits = reference_aut_generators(enumerate_automorphisms(g).elements)
         assert doc["generators"] == [list(img) for img in gens], g.edges()
         assert doc["orbits"] == orbits, g.edges()
+
+
+def _aut(g):
+    """Exit code and document of `aut` on g, in process."""
+    with mock.patch("sys.stdin", io.StringIO(write_graph6(g) + "\n")), \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["aut"])
+    return code, json.loads(out.getvalue())
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(8))
+def test_cli_aut_matches_closure_of_naive_listing(g):
+    naive = enumerate_automorphisms_naive(g)
+    gens, orbits = reference_aut_generators(naive)
+    code, doc = _aut(g)
+    assert code == 0
+    assert doc == {"order": len(naive), "generators": [list(img) for img in gens],
+                   "orbits": orbits}
+
+
+def test_cli_aut_prints_groups_of_any_order():
+    """Groups over 10^6 elements print like any other: the order, the
+    generators and the orbits are read off the chain, and no element
+    listing is built."""
+    cases = [(empty_graph(10), math.factorial(10)),
+             (empty_graph(25), math.factorial(25)),
+             (build_mycielskian(parse_graph6("D??"), 2)[0], 435456000)]
+    start = time.perf_counter()
+    docs = [_aut(g) for g, _ in cases]
+    assert time.perf_counter() - start < 1.0
+    for (g, order), (code, doc) in zip(cases, docs):
+        assert code == 0
+        assert doc["order"] == enumerate_automorphisms(g).order == order
+        assert all(is_automorphism(g, img) for img in doc["generators"])
+        for orbit in doc["orbits"]:
+            assert all(orbit_of(g, v) == frozenset(orbit) for v in orbit)
+        assert sorted(v for orbit in doc["orbits"] for v in orbit) == list(range(g.n))
 
 
 def test_cli_dist(monkeypatch, capsys):
@@ -415,6 +460,32 @@ def test_cli_coloring_isolate_and_lift(monkeypatch, capsys):
     code, _, _ = run_cli(["coloring", "--construction", "lift"],
                          "A_\n", monkeypatch, capsys)
     assert code == 2
+
+
+def test_cli_coloring_reads_its_input_once_for_every_t(monkeypatch, capsys):
+    code, out, _ = run_cli(["coloring", "--construction", "isolate", "--t", "2,3"],
+                           "A?\n", monkeypatch, capsys)
+    assert code == 0
+    assert [doc["t"] for doc in json_docs(out)] == [2, 3]
+
+
+# graph6 holds at most 62 vertices; a mu_t past that is rejected before
+# any mu_t or coloring is built, and before any document is printed
+@pytest.mark.parametrize("argv, stdin_text", [
+    (["myc", "--t", "1,20000"], "E~~w\n"),
+    (["myc", "--t", "30"], "A_\n"),
+    (["coloring", "--construction", "kn", "--n", "1500", "--t", "1"], ""),
+    (["coloring", "--construction", "star", "--m", "2", "--t", "300000"], ""),
+    (["coloring", "--construction", "star", "--m", "2", "--t", "1,30"], ""),
+    (["coloring", "--construction", "isolate", "--t", "1,40"], "A?\n"),
+], ids=["myc-t20000", "myc-t30", "kn-n1500", "star-t300000", "star-t30",
+        "isolate-t40"])
+def test_cli_rejects_mu_t_over_graph6_range(argv, stdin_text, monkeypatch, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, stdin_text, monkeypatch, capsys)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "graph6" in err
 
 
 def test_cli_verify_json_and_csv(tmp_path, monkeypatch, capsys):
