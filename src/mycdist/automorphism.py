@@ -21,10 +21,12 @@ transversal element taking b to it. Every automorphism is then uniquely a
 product of one transversal element per level, so the one chain serves
 three readers: |Aut| is the product of the orbit sizes, known before any
 element is built; the listing is the |Aut| products, sorted, built only
-on request; and the orbits of every H_d are the classes of the
-generators of the levels with base below d. orbit_of runs the same orbit
-step on its vertex's cell. first_preserving, the one
-color-preserving search, seeds the same search with color classes.
+on request; and the distinguishing search asks whether some element of
+H_d that moves d-1 preserves a partial coloring, a walk down the levels
+below d that multiplies transversal elements only while their product
+keeps the colors (preserving_moves_last). orbit_of runs the same orbit
+step on its vertex's cell. first_preserving, the one color-preserving
+search over a whole graph, seeds the same search with color classes.
 
 Refinement works in rounds. In each round every cell is split by the
 signatures its vertices have against the partition the round started
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import SearchBudgetExceeded, SizeMismatch
@@ -98,8 +101,8 @@ class AutListing:
     images are one automorphism fixing b+1..n-1 per point of the orbit of
     b under those automorphisms, and gens the generators found at that
     level. Every automorphism is uniquely a product of one image per level,
-    so order and the orbits of the suffix stabilizers are read off the
-    levels; only elements builds the group, one tuple per automorphism.
+    so order is read off the levels and preserving_moves_last walks them;
+    only elements builds the group, one tuple per automorphism.
     """
 
     n: int
@@ -122,31 +125,60 @@ class AutListing:
             elements = [tuple(t[x] for x in h) for t in images for h in elements]
         return tuple(sorted(elements))
 
-    def suffix_orbits(self) -> list[tuple[int, ...]]:
-        """orbs[d][v], for d = 0..n and v < d: a name for the orbit of v
-        under H_d, the automorphisms fixing every vertex from d on.
+    @cached_property
+    def _transversals(self) -> list[tuple[tuple[int, tuple[int, ...]], ...]]:
+        """trans[b], for b = 0..n-1: a pair (t(b), t[:b]) per transversal
+        element t of level b, or () where H_(b+1) fixes b."""
+        trans: list = [()] * self.n
+        for b, images, _ in self.levels:
+            if len(images) > 1:
+                trans[b] = tuple((t[b], t[:b]) for t in images)
+        return trans
 
-        The generators found at base b lie in H_(b+1), and with those of
-        the levels below they generate it. So the orbits of H_d are the
-        classes of a union-find that has merged the generators of every
-        level with base below d.
+    def preserving_moves_last(self, colors: Sequence[int], d: int,
+                              budget: Budget | None = None) -> bool:
+        """True if some automorphism h fixing d..n-1 and moving d-1
+        preserves colors[:d], for 1 <= d <= n.
+
+        Such an h is uniquely a product t_(d-1) t_(d-2) ... t_0 of one
+        transversal element per level below d, and h(b) is the product of
+        the factors above level b applied to t_b(b). The walk builds the
+        product from level d-1 down and keeps a factor only while the
+        product maps its base point b to a vertex of the color of b; where
+        H_(b+1) fixes b, it checks the image of b. At level d-1 it takes
+        only the points u != d-1 of the color of d-1, so it needs no
+        factor at all when there are none. A budget step is one
+        transversal element multiplied into the product.
         """
-        new_at = {b: gens for b, _, gens in self.levels}
-        root = list(range(self.n))
+        trans = self._transversals
 
-        def find(v: int) -> int:
-            while root[v] != v:
-                root[v] = root[root[v]]
-                v = root[v]
-            return v
+        def walk(perm, b: int) -> bool:
+            # perm: the product of the factors above level b, on 0..b
+            while b >= 0:
+                level = trans[b]
+                c = colors[b]
+                if level:
+                    for w, t in level:
+                        if colors[perm[w]] == c:
+                            if budget is not None:
+                                budget.spend()
+                            if walk([perm[x] for x in t], b - 1):
+                                return True
+                    return False
+                if colors[perm[b]] != c:
+                    return False
+                b -= 1
+            return True
 
-        orbs = []
-        for d in range(self.n + 1):
-            orbs.append(tuple(find(v) for v in range(d)))
-            for img in new_at.get(d, ()):
-                for v, w in enumerate(img):
-                    root[find(v)] = find(w)
-        return orbs
+        b = d - 1
+        c = colors[b]
+        for u, t in trans[b]:
+            if u != b and colors[u] == c:
+                if budget is not None:
+                    budget.spend()
+                if walk(t, b - 1):
+                    return True
+        return False
 
 
 class Budget:
@@ -340,8 +372,9 @@ def enumerate_automorphisms(g: Graph) -> AutListing:
     Level b is the stable pair with n-1..b+1 individualized, whose
     cell-fixing group is H_(b+1), the automorphisms fixing b+1..n-1.
     Deepest level first, the orbit step grows the orbit of b in its cell.
-    No element is built: the order and the orbits of every H_d are read
-    off the chain, and elements lists the group on request.
+    No element is built: the order is read off the chain, the
+    color-preserving walk multiplies transversal elements as it goes, and
+    elements lists the group on request.
     """
     n = g.n
     if n == 0:

@@ -10,11 +10,18 @@ sound:
 * twins (equal open neighborhoods) must receive distinct colors;
 * if some nontrivial automorphism preserves the colors assigned so far
   while fixing every still-uncolored vertex, no extension can work. Such
-  an automorphism lies in H_d, the group fixing every vertex from d on,
-  and maps some colored vertex to another of the same color in the same
-  H_d-orbit; where no two colored vertices share both, the search for it
-  is skipped. The orbits of every H_d are read off the group's one
-  stabilizer chain;
+  an automorphism lies in H_d, the group fixing every vertex from d on.
+  At a node d that the search reaches, it must move d-1: were the largest
+  point it moves some m < d-1, it would lie in H_(m+1) and preserve
+  colors[:m+1], and the same check at node m+1 on this path would have
+  cut. So the check asks only for an h in H_d with h(d-1) = u != d-1,
+  where u has the color of d-1 and lies in the orbit of d-1 under H_d;
+  where there is no such u it costs nothing more. Each such h is t_u k,
+  with t_u the element of the group's one stabilizer chain (base n-1,
+  ..., 0) that takes d-1 to u and k in H_(d-1), so the check walks the
+  chain's levels d-2, ..., 0 and keeps a partial product only while it
+  maps each base point to a vertex of that point's color
+  (AutListing.preserving_moves_last);
 * lex-leader rejection (Crawford, Ginsberg, Luks & Roy, KR 1996; orderly
   generation, McKay 1998): a prefix colors[0..d-1] is cut when some
   automorphism h mapping {0..d-1} onto itself makes it smaller, i.e.
@@ -150,10 +157,8 @@ def _smaller_image(acts, colors, top) -> bool:
     return False
 
 
-def _search_k(g: Graph, k: int, twin_id, acts, orbits, budget: Budget):
+def _search_k(n: int, k: int, twin_id, acts, moves_last, budget: Budget):
     """First canonical distinguishing coloring with exactly k colors, or None."""
-    n = g.n
-    adj = g.adjacency
     colors = [0] * n
     top = [0] * (n + 1)  # top[d] = max(colors[:d]) on the current path
     class_used: list[set[int]] = [set() for _ in range(max(twin_id) + 1)]
@@ -164,10 +169,7 @@ def _search_k(g: Graph, k: int, twin_id, acts, orbits, budget: Budget):
         if d >= 2:
             if d < n and acts[d] and _smaller_image(acts[d], colors, top):
                 return None
-            # a preserving automorphism fixing d..n-1 must move some vertex
-            # to another of its color in the same orbit of that stabilizer
-            if (len(set(zip(colors, orbits[d]))) < d
-                    and first_preserving(adj, colors, d, budget) is not None):
+            if moves_last(colors, d, budget):
                 return None
         if d == n:
             return tuple(colors)
@@ -198,9 +200,9 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
     exhausting each level, so the returned value is minimal. Raises
     SearchBudgetExceeded when the step budget runs out; returns
     ExceedsCap once the value is proven to exceed k_cap. One stabilizer
-    chain of g is built either way, for the orbit filter; use_orbits=False
-    switches off the lex-leader prune, so no listing is built from it. The
-    certificate is the same either way.
+    chain of g is built either way, for the color-preserving check;
+    use_orbits=False switches off the lex-leader prune, so no listing is
+    built from it. The certificate is the same either way.
     """
     n = g.n
     if n == 0:
@@ -219,12 +221,11 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
     group = enumerate_automorphisms(g)
     listed = use_orbits and group.order <= ORBIT_LISTING_CAP
     acts = _prefix_actions(group.elements if listed else (), n)
-    orbits = group.suffix_orbits()
 
     for k in range(max(tb, 1), n + 1):
         if k_cap is not None and k > k_cap:
             return ExceedsCap(k_cap)
-        cert = _search_k(g, k, twin_id, acts, orbits, bud)
+        cert = _search_k(n, k, twin_id, acts, group.preserving_moves_last, bud)
         if cert is not None:
             witness = tb if (tb >= 2 and k == tb) else None
             return DistResult(k, Coloring(k, cert), witness)

@@ -179,24 +179,32 @@ def reference_listing(g: Graph):
 # print the same lists.
 def reference_aut_generators(listing: tuple[tuple[int, ...], ...]):
     """(generators, orbits) of the listing sorted by image vector, by
-    group closure."""
+    group closure.
+
+    Each closure is Dimino's: the group H known before a new generator is
+    kept whole, and the larger group is the union of the cosets H r. A
+    representative r times a generator is either in a known coset or
+    starts a new one, so only the elements of new cosets are built.
+    """
     n = len(listing[0])
+    identity = tuple(range(n))
     gens: list[tuple[int, ...]] = []
-    known = {tuple(range(n))}
+    elements = [identity]
+    known = {identity}
     for img in listing:
         if img in known:
             continue
         gens.append(img)
-        # close the partial group under the new generator
-        frontier = list(known)
-        known.add(img)
-        while frontier:
-            x = frontier.pop()
+        old = list(elements)
+        reps = [identity]
+        for r in reps:  # grows while it is read
             for gen in gens:
-                y = tuple(x[i] for i in gen)
+                y = tuple(r[i] for i in gen)
                 if y not in known:
-                    known.add(y)
-                    frontier.append(y)
+                    coset = [tuple(h[i] for i in y) for h in old]
+                    elements.extend(coset)
+                    known.update(coset)
+                    reps.append(y)
     orbits = []
     seen: set[int] = set()
     for v in range(n):

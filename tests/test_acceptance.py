@@ -111,6 +111,27 @@ def test_criterion_4_case_analysis_full_sweep(corpus_n6):
           f"in {elapsed:.1f}s")
 
 
+def test_criterion_4b_case_analysis_n7_sweep(corpus_n7):
+    # all 1044 graphs on 7 vertices at t = 1,2, at the default budget;
+    # n <= 6 at t = 3 is not swept here, as mu_3(K_{3,3}) alone takes
+    # 5.6 million steps, more than half of that sweep's time
+    start = time.perf_counter()
+    lines = [line for line, g in corpus_n7 if g.n == 7]
+    report = run_verify(lines, [1, 2], max_n=7)
+    assert report.summary == {"records": 2088, "violations": 0,
+                              "budget_exceeded": 0, "malformed": 0}
+    for r in report.records:
+        assert r.passed and r.method == "search", r
+        if r.predicted_kind == "exact":
+            assert r.measured == r.predicted_value, r
+        else:
+            assert r.measured <= r.predicted_value, r
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60, f"{elapsed:.1f}s"
+    print(f"criterion 4b PASS: 1044 graphs on 7 vertices x t=1,2 swept, "
+          f"0 violations, 0 over budget in {elapsed:.1f}s")
+
+
 def test_criterion_5_root_orbits(corpus_n6):
     start = time.perf_counter()
     counts = {"connected_nonstar": 0, "disconnected": 0, "star": 0, "k2": 0}

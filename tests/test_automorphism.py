@@ -224,37 +224,44 @@ def test_listing_has_one_element_per_group_element(g):
     assert elements == enumerate_automorphisms_naive(g)
 
 
-def _classes(names) -> set[frozenset[int]]:
-    by: dict = {}
-    for v, name in enumerate(names):
-        by.setdefault(name, set()).add(v)
-    return {frozenset(c) for c in by.values()}
+def _stabilizer(naive, d: int):
+    """H_d: the elements of the naive listing fixing every vertex from d on."""
+    return [h for h in naive if all(h[v] == v for v in range(d, len(h)))]
 
 
 @settings(max_examples=150, deadline=None)
-@given(graphs(7))
-def test_suffix_orbits_match_naive(g):
-    """Orbits on {0..d-1} of the automorphisms fixing d..n-1, for every d."""
-    orbs = enumerate_automorphisms(g).suffix_orbits()
-    assert len(orbs) == g.n + 1
+@given(graphs(7), st.data())
+def test_preserving_moves_last_matches_naive(g, data):
+    """The chain walk says yes exactly when some automorphism fixing
+    d..n-1 and moving d-1 preserves the colors below d, for every d."""
+    colors = data.draw(st.lists(st.integers(1, 3), min_size=g.n, max_size=g.n))
     naive = enumerate_automorphisms_naive(g)
-    for d in range(g.n + 1):
-        stab = [img for img in naive if all(img[v] == v for v in range(d, g.n))]
-        want = {frozenset(img[v] for img in stab) for v in range(d)}
-        assert len(orbs[d]) == d
-        assert _classes(orbs[d]) == want
+    group = enumerate_automorphisms(g)
+    for d in range(1, g.n + 1):
+        want = any(h[d - 1] != d - 1
+                   and all(colors[h[v]] == colors[v] for v in range(d))
+                   for h in _stabilizer(naive, d))
+        assert group.preserving_moves_last(colors, d, Budget(10**6)) == want
 
 
-def _suffix_orbits(g):
-    return enumerate_automorphisms(g).suffix_orbits()
-
-
-def test_suffix_orbits_examples():
-    assert _suffix_orbits(Graph(0)) == [()]
-    # path 0-1-2-3: only the reversal, which moves 3
-    assert [len(_classes(o)) for o in _suffix_orbits(path_graph(4))] == [0, 1, 2, 3, 2]
-    # S_5 on the edgeless graph: fixing d..4 leaves S_d
-    assert [len(_classes(o)) for o in _suffix_orbits(empty_graph(5))] == [0, 1, 1, 1, 1, 1]
+def test_preserving_moves_last_examples():
+    # path 0-1-2-3: the reversal is the one nontrivial element, and it
+    # moves 3, so only d = 4 can say yes
+    path = enumerate_automorphisms(path_graph(4))
+    assert [path.preserving_moves_last((1, 2, 2, 1), d) for d in (1, 2, 3, 4)] == [
+        False, False, False, True]
+    assert not path.preserving_moves_last((1, 2, 1, 2), 4)
+    # S_5 on the edgeless graph: a transposition (u d-1) preserves any
+    # coloring where u < d-1 shares the color of d-1
+    sym = enumerate_automorphisms(empty_graph(5))
+    assert [sym.preserving_moves_last((1, 2, 3, 1, 4), d) for d in range(1, 6)] == [
+        False, False, False, True, False]
+    # one step per transversal element multiplied into the product
+    budget = Budget(10**6)
+    assert sym.preserving_moves_last((1, 1, 1, 1, 1), 5, budget)
+    assert budget.used == 4
+    with pytest.raises(SearchBudgetExceeded):
+        sym.preserving_moves_last((1, 1, 1, 1, 1), 5, Budget(3))
 
 
 @settings(max_examples=150, deadline=None)
@@ -264,15 +271,18 @@ def test_first_preserving_needs_a_shared_color_and_orbit(g, data):
     below d maps some vertex to another of its color and H_d-orbit, so
     where no two prefix vertices share both the search finds nothing."""
     colors = data.draw(st.lists(st.integers(1, 3), min_size=g.n, max_size=g.n))
-    naive = enumerate_automorphisms_naive(g)[1:]  # the identity comes first
-    for d, orb in enumerate(enumerate_automorphisms(g).suffix_orbits()):
+    naive = enumerate_automorphisms_naive(g)
+    identity = naive[0]  # the listing is sorted
+    for d in range(g.n + 1):
+        stab = _stabilizer(naive, d)
+        orb = [min(h[v] for h in stab) for v in range(d)]  # least orbit member
         img = first_preserving(g.adjacency, colors, d)
-        want = any(all(h[v] == v for v in range(d, g.n))
-                   and all(colors[h[v]] == colors[v] for v in range(d))
-                   for h in naive)
+        want = any(h != identity and all(colors[h[v]] == colors[v] for v in range(d))
+                   for h in stab)
         assert (img is not None) == want
         if len(set(zip(colors, orb))) == d:
             assert img is None
         if img is not None:
+            assert img in stab
             assert all(orb[img[v]] == orb[v] and colors[img[v]] == colors[v]
                        for v in range(d))

@@ -11,7 +11,7 @@ from mycdist import (Coloring, DistResult, ExceedsCap, Graph,
                      disjoint_union, distinguishing_number, empty_graph,
                      is_distinguishing, parse_graph6, path_graph,
                      star_graph, twin_lower_bound)
-from mycdist import automorphism
+from mycdist import automorphism, distinguishing
 from mycdist.automorphism import Budget, enumerate_automorphisms
 from mycdist.distinguishing import _smaller_image
 from mycdist.errors import MalformedColoring, SearchBudgetExceeded
@@ -142,13 +142,14 @@ def test_zero_budget_is_zero():
         distinguishing_number(path_graph(3), budget=0)
 
 
-# Budget.used of three searches on mu_t(G). The lex-leader prune and the
-# orbit filter on the color-preserving check cut these counts by design
-# (from 47096, 77461 and 62539 with the sibling prune); the refinement
-# kernel must leave the search tree and the steps per round unchanged.
-@pytest.mark.parametrize("g6, t, steps", [("ElUg", 1, 23514),
-                                          ("D~{", 2, 6231),
-                                          ("E~~w", 1, 3609)])
+# Budget.used of three searches on mu_t(G): one step per DFS node and one
+# per transversal element the color-preserving walk composes. Each count
+# fell by design: from 47096, 77461 and 62539 with the sibling prune, to
+# 23514, 6231 and 3609 with the lex-leader prune and a refinement search
+# for the color-preserving check, to these with the walk down the chain.
+@pytest.mark.parametrize("g6, t, steps", [("ElUg", 1, 2604),
+                                          ("D~{", 2, 312),
+                                          ("E~~w", 1, 265)])
 def test_budget_steps_pinned(g6, t, steps):
     mu, _ = build_mycielskian(parse_graph6(g6), t)
     budget = Budget(10**8)
@@ -158,7 +159,8 @@ def test_budget_steps_pinned(g6, t, steps):
 
 def test_one_stabilizer_chain_per_search(monkeypatch):
     # one _orbit call per chain level: a search that built its group twice
-    # (once for the listing, once for the suffix orbits) makes twice as many
+    # (once for the listing, once for the color-preserving walk) makes
+    # twice as many
     mu, _ = build_mycielskian(parse_graph6("ElUg"), 1)
     levels = len(enumerate_automorphisms(mu).levels)
     calls = []
@@ -177,15 +179,50 @@ def test_sibling_prune_runs_past_24_vertices():
     # mu_3 of an n = 6 graph has 25 vertices; with no vertex cap its group
     # (|Aut| = 720, under ORBIT_LISTING_CAP) is listed and drives the
     # lex-leader prune, which finds the same certificate in far fewer
-    # steps. The unpruned count is below the 56885 of a search without the
-    # orbit filter, which skips color-preserving checks in both runs.
+    # steps. Both counts fell by design when the color-preserving check
+    # became a walk down the chain (from 4830 and 53435).
     mu, _ = build_mycielskian(parse_graph6("E~{?"), 3)
     assert mu.n == 25
     pruned, plain = Budget(10**8), Budget(10**8)
     res = distinguishing_number(mu, budget=pruned)
     assert res == distinguishing_number(mu, budget=plain, use_orbits=False)
-    assert pruned.used == 4830
-    assert plain.used == 53435
+    assert pruned.used == 151
+    assert plain.used == 1434
+
+
+def test_search_makes_no_refinement_search_for_preserving_automorphisms(monkeypatch):
+    # the DFS answers its color-preserving check from the chain it holds;
+    # first_preserving stays for is_distinguishing and check-coloring
+    mu, _ = build_mycielskian(parse_graph6("ElUg"), 1)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return automorphism.first_preserving(*args)
+
+    monkeypatch.setattr(distinguishing, "first_preserving", counted)
+    res = distinguishing_number(mu)
+    assert calls == []
+    assert is_distinguishing(mu, res.certificate)
+    assert len(calls) == 1
+
+
+def test_chain_walk_is_bounded_by_the_budget():
+    # mu_2(K_{3,3}), |Aut| = 93312: the walk charges one step per
+    # transversal element it composes, so a tiny budget stops the search,
+    # and a single walk that composes one element per level stops one
+    # step short of that
+    mu, _ = build_mycielskian(parse_graph6("ElUg"), 2)
+    with pytest.raises(SearchBudgetExceeded):
+        distinguishing_number(mu, budget=50)
+    group = enumerate_automorphisms(mu)
+    colors = (1,) * mu.n
+    top = group.levels[-1][0]  # the highest base point H_(b+1) moves
+    walked = Budget(10**8)
+    assert group.preserving_moves_last(colors, top + 1, walked)
+    assert walked.used == len(group.levels)
+    with pytest.raises(SearchBudgetExceeded):
+        group.preserving_moves_last(colors, top + 1, Budget(walked.used - 1))
 
 
 def test_orbit_pruning_is_transparent():

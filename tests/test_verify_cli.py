@@ -103,15 +103,17 @@ def test_certified_fallback_under_tiny_budget():
 
 
 def test_budget_exceeded_recorded_not_fatal():
-    c6 = write_graph6(cycle_graph(6))
-    report = run_verify([c6], [1], budget_steps=1000)
+    # dist(C_5) fits in 70 steps (it takes 59), dist(mu_1(C_5)) does not
+    # (it takes 82)
+    c5 = write_graph6(cycle_graph(5))
+    report = run_verify([c5], [1], budget_steps=70)
     (r,) = report.records
     assert r.method == "budget_exceeded"
     assert r.case == "GENERIC" and r.measured is None and not r.passed
     assert report.summary == {"records": 1, "violations": 0,
                               "budget_exceeded": 1, "malformed": 0}
     # even dist(g) out of budget: still one row per t, orbit still classified
-    report = run_verify([c6], [1, 2], budget_steps=1)
+    report = run_verify([write_graph6(cycle_graph(6))], [1, 2], budget_steps=1)
     assert [r.t for r in report.records] == [1, 2]
     for r in report.records:
         assert r.method == "budget_exceeded" and r.dist_g is None
