@@ -7,7 +7,7 @@ prunes on any signature mismatch, then individualizes: the lowest vertex
 id in the smallest non-singleton cell of P is mapped, in turn, onto each
 member of the aligned cell of Q in ascending order. Discrete leaves are
 verified edge-by-edge before being reported. The DFS order is therefore
-deterministic, and full listings are additionally sorted by image vector.
+deterministic.
 
 Each group is one stabilizer chain (Seress, Permutation Group
 Algorithms, 2003) with base n-1, n-2, ..., 0: level b is the stable pair
@@ -19,13 +19,13 @@ automorphisms found so far (all in H_(b+1)) do not already reach, each
 found automorphism kept as a generator, and each orbit point given one
 transversal element taking b to it. Every automorphism is then uniquely a
 product of one transversal element per level, so the one chain serves
-three readers: |Aut| is the product of the orbit sizes, known before any
-element is built; the listing is the |Aut| products, sorted, built only
-on request; and the distinguishing search asks whether some element of
-H_d that moves d-1 preserves a partial coloring, a walk down the levels
-below d that multiplies transversal elements only while their product
-keeps the colors (preserving_moves_last). orbit_of runs the same orbit
-step on its vertex's cell. first_preserving, the one color-preserving
+two readers, and no element of the group is listed: |Aut| is the product
+of the orbit sizes; and the distinguishing search asks whether some
+element of H_d that moves d-1 preserves a partial coloring, a walk down
+the levels below d that multiplies transversal elements only while their
+product keeps the colors (preserving_moves_last), and cuts lex-leader
+prefixes with the generators kept at each level. orbit_of runs the same
+orbit step on its vertex's cell. first_preserving, the one color-preserving
 search over a whole graph, seeds the same search with color classes.
 
 Refinement works in rounds. In each round every cell is split by the
@@ -102,7 +102,7 @@ class AutListing:
     b under those automorphisms, and gens the generators found at that
     level. Every automorphism is uniquely a product of one image per level,
     so order is read off the levels and preserving_moves_last walks them;
-    only elements builds the group, one tuple per automorphism.
+    the distinguishing search reads gens, and nothing builds the group.
     """
 
     n: int
@@ -115,15 +115,6 @@ class AutListing:
     def __len__(self):
         """The order; len() itself fails past sys.maxsize, order does not."""
         return self.order
-
-    @property
-    def elements(self) -> tuple[tuple[int, ...], ...]:
-        """The image vector of every automorphism, sorted; built on each
-        access, |Aut| tuples, so a caller checks order first."""
-        elements = [tuple(range(self.n))]
-        for _, images, _ in self.levels:
-            elements = [tuple(t[x] for x in h) for t in images for h in elements]
-        return tuple(sorted(elements))
 
     @cached_property
     def _transversals(self) -> list[tuple[tuple[int, tuple[int, ...]], ...]]:
@@ -336,14 +327,14 @@ def _leaf_image(adj_s, adj_t, P, Q):
     return tuple(img)
 
 
-def _search_pair(adj_s, adj_t, P, Q, budget: Budget | None,
+def _search_pair(adj_s, adj_t, P, Q,
                  split: int = -1) -> Iterator[tuple[int, ...]]:
     """Yield every bijection consistent with the aligned pair (P, Q).
 
     `split` is the refinement hint of _refine_pair: the cell the caller
     cut in a pair it had refined, or -1.
     """
-    ref = _refine_pair(adj_s, adj_t, P, Q, budget, split)
+    ref = _refine_pair(adj_s, adj_t, P, Q, None, split)
     if ref is None:
         return
     P, Q = ref
@@ -358,7 +349,7 @@ def _search_pair(adj_s, adj_t, P, Q, budget: Budget | None,
     for u in Q[best]:
         newP = P[:best] + [[v], rest_p] + P[best + 1:]
         newQ = Q[:best] + [[u], [x for x in Q[best] if x != u]] + Q[best + 1:]
-        yield from _search_pair(adj_s, adj_t, newP, newQ, budget, best)
+        yield from _search_pair(adj_s, adj_t, newP, newQ, best)
 
 
 def _unit_pair(n: int):
@@ -372,9 +363,8 @@ def enumerate_automorphisms(g: Graph) -> AutListing:
     Level b is the stable pair with n-1..b+1 individualized, whose
     cell-fixing group is H_(b+1), the automorphisms fixing b+1..n-1.
     Deepest level first, the orbit step grows the orbit of b in its cell.
-    No element is built: the order is read off the chain, the
-    color-preserving walk multiplies transversal elements as it goes, and
-    elements lists the group on request.
+    No element is built: the order is read off the chain, and the
+    color-preserving walk multiplies transversal elements as it goes.
     """
     n = g.n
     if n == 0:
@@ -400,8 +390,7 @@ def enumerate_automorphisms(g: Graph) -> AutListing:
     return AutListing(n, tuple(levels))
 
 
-def first_preserving(adj, colors, upto: int,
-                     budget: Budget | None = None) -> tuple[int, ...] | None:
+def first_preserving(adj, colors, upto: int) -> tuple[int, ...] | None:
     """First nontrivial automorphism in DFS order that preserves the colors
     of the vertices below upto and fixes every vertex from upto on, as an
     image vector; None if there is none.
@@ -414,7 +403,7 @@ def first_preserving(adj, colors, upto: int,
         by.setdefault(colors[v], []).append(v)
     cells = [by[c] for c in sorted(by)]
     cells.extend([v] for v in range(upto, len(adj)))
-    for img in _search_pair(adj, adj, cells, cells, budget):
+    for img in _search_pair(adj, adj, cells, cells):
         if any(i != x for i, x in enumerate(img)):
             return img
     return None
@@ -448,7 +437,7 @@ def _orbit(adj, P, ci: int, v: int,
         if u in trans:
             continue
         cut_q = P[:ci] + [[u], [x for x in P[ci] if x != u]] + P[ci + 1:]
-        img = next(_search_pair(adj, adj, cut_p, cut_q, None, ci), None)
+        img = next(_search_pair(adj, adj, cut_p, cut_q, ci), None)
         if img is not None:
             gens.append(img)
             _close(trans, gens)
@@ -469,7 +458,7 @@ def _close(trans: dict[int, tuple[int, ...]], gens: list[tuple[int, ...]]):
 
 
 def orbit_of(g: Graph, v: int) -> frozenset[int]:
-    """Orbit of v under Aut(g), without materializing the full listing.
+    """Orbit of v under Aut(g), without listing the group.
 
     The orbit step of enumerate_automorphisms, run on v's cell of the
     stable equitable partition with no automorphisms known beforehand:
@@ -492,5 +481,5 @@ def find_isomorphism(g: Graph, h: Graph) -> Permutation | None:
         return Permutation(())
     P = [list(range(g.n))]
     Q = [list(range(h.n))]
-    img = next(_search_pair(g.adjacency, h.adjacency, P, Q, None), None)
+    img = next(_search_pair(g.adjacency, h.adjacency, P, Q), None)
     return Permutation(img) if img is not None else None

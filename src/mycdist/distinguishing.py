@@ -22,19 +22,24 @@ sound:
   chain's levels d-2, ..., 0 and keeps a partial product only while it
   maps each base point to a vertex of that point's color
   (AutListing.preserving_moves_last);
-* lex-leader rejection (Crawford, Ginsberg, Luks & Roy, KR 1996; orderly
-  generation, McKay 1998): a prefix colors[0..d-1] is cut when some
-  automorphism h mapping {0..d-1} onto itself makes it smaller, i.e.
-  colors[h(0)], ..., colors[h(d-1)] renumbered by first occurrence is
-  lexicographically below it. If c* is the first distinguishing
-  k-coloring, c* o h renumbered is one as well (its preserving group is
-  conjugate to that of c*), and on {0..d-1} it is that smaller prefix, so
-  it would come before c*: only failed subtrees are cut, and the returned
-  certificate is the one the unpruned search returns. The prefix
-  stabilizers are read off the full listing, so this prune runs only when
-  |Aut| <= ORBIT_LISTING_CAP, on a graph of any order. The same chain
-  gives the order before any element is built, so a larger group costs
-  no listing.
+* lex-leader rejection from a generating set (Crawford, Ginsberg, Luks
+  & Roy, KR 1996): at a node d, with 2 <= d < n, each h among the
+  chain's generators and their inverses compares colors[h(0)],
+  colors[h(1)], ..., renumbered by first occurrence, with colors[0],
+  colors[1], ..., and the prefix is cut when the first difference is
+  smaller. The walk stops with no cut at the first p with h(p) >= d, as
+  that vertex has no color yet. Every position it compared reads colors
+  already fixed, so for any completion c of the prefix, c o h renumbered
+  has those same first positions and is smaller than c. If c is
+  distinguishing, c o h is one as well (its preserving group is
+  conjugate to that of c), with as many colors, so c is not the first
+  distinguishing k-coloring: only failed subtrees are cut, the returned
+  certificate is the one the unpruned search returns, and h need not map
+  {0..d-1} onto itself. A generating set is weaker than the whole group,
+  but it is stored with the chain, so the prune runs on a group of any
+  order. The comparisons are not charged to the budget, so a budget step
+  stays one DFS node or one transversal element composed, and the pruned
+  tree never costs more than the unpruned one.
 """
 
 from __future__ import annotations
@@ -46,8 +51,6 @@ from .errors import MalformedColoring
 from .graphs import Graph, twin_classes
 
 DEFAULT_BUDGET = 10**8
-# listings larger than this are not consulted for lex-leader pruning
-ORBIT_LISTING_CAP = 960
 
 
 @dataclass(frozen=True)
@@ -118,30 +121,29 @@ def is_distinguishing(g: Graph, c: Coloring) -> bool:
     return first_preserving(g.adjacency, c.assign, g.n) is None
 
 
-def _prefix_actions(images: tuple[tuple[int, ...], ...], n: int) -> list[list]:
-    """acts[d], for 2 <= d < n: the distinct actions (m, h[m:d]) of the
-    listing elements h that map {0..d-1} onto itself and move one of its
-    points, m the first point h moves."""
-    acts: list[set] = [set() for _ in range(n)]
-    for img in images:
-        m = next((v for v, w in enumerate(img) if v != w), n)
-        hi = m - 1  # max(img[:d]), as img fixes 0..m-1
-        for d in range(m + 1, n):
-            hi = max(hi, img[d - 1])
-            if hi == d - 1 and d >= 2:
-                acts[d].add((m, img[m:d]))
-    return [sorted(a) for a in acts]
+def _generators(group) -> list[tuple[int, tuple[int, ...]]]:
+    """(m, h) for each distinct h among the chain's generators and their
+    inverses, m the first point h moves, in ascending order."""
+    gens = {h for _, _, level_gens in group.levels for h in level_gens}
+    # the inverse lists the points in the order of their images
+    gens |= {tuple(sorted(range(group.n), key=h.__getitem__)) for h in gens}
+    return sorted((next(v for v, w in enumerate(h) if v != w), h) for h in gens)
 
 
-def _smaller_image(acts, colors, top) -> bool:
-    """True if some action (m, h[m:d]) of acts maps the canonical prefix
-    colors[:d] to one that, renumbered by first occurrence, is
-    lexicographically smaller. Positions below m are fixed, so the
-    renumbering starts as the identity on colors 1..top[m] = max(colors[:m])."""
-    for m, act in acts:
-        base = nxt = top[m]
+def _smaller_image(gens, colors, d: int) -> bool:
+    """True if some (m, h) of gens maps the canonical prefix colors[:d] to
+    one that, renumbered by first occurrence, is lexicographically smaller
+    before the first position p with h(p) >= d. h fixes 0..m-1, so the
+    renumbering starts as the identity on colors 1..max(colors[:m])."""
+    for m, h in gens:
+        if m >= d - 1:
+            break  # h fixes 0..d-2 and maps d-1 above it
+        base = nxt = max(colors[:m], default=0)
         renamed: dict[int, int] = {}
-        for i, w in enumerate(act, m):
+        for p in range(m, d):
+            w = h[p]
+            if w >= d:
+                break
             x = colors[w]
             if x > base:
                 y = renamed.get(x)
@@ -149,7 +151,7 @@ def _smaller_image(acts, colors, top) -> bool:
                     nxt += 1
                     y = renamed[x] = nxt
                 x = y
-            c = colors[i]
+            c = colors[p]
             if x != c:
                 if x < c:
                     return True
@@ -157,17 +159,15 @@ def _smaller_image(acts, colors, top) -> bool:
     return False
 
 
-def _search_k(n: int, k: int, twin_id, acts, moves_last, budget: Budget):
+def _search_k(n: int, k: int, twin_id, gens, moves_last, budget: Budget):
     """First canonical distinguishing coloring with exactly k colors, or None."""
     colors = [0] * n
-    top = [0] * (n + 1)  # top[d] = max(colors[:d]) on the current path
     class_used: list[set[int]] = [set() for _ in range(max(twin_id) + 1)]
 
     def dfs(d: int, max_used: int):
         budget.spend(1)
-        top[d] = max_used
         if d >= 2:
-            if d < n and acts[d] and _smaller_image(acts[d], colors, top):
+            if d < n and _smaller_image(gens, colors, d):
                 return None
             if moves_last(colors, d, budget):
                 return None
@@ -200,9 +200,9 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
     exhausting each level, so the returned value is minimal. Raises
     SearchBudgetExceeded when the step budget runs out; returns
     ExceedsCap once the value is proven to exceed k_cap. One stabilizer
-    chain of g is built either way, for the color-preserving check;
-    use_orbits=False switches off the lex-leader prune, so no listing is
-    built from it. The certificate is the same either way.
+    chain of g is built either way, for the color-preserving check and
+    the generators of the lex-leader prune; use_orbits=False switches that
+    prune off. The certificate is the same either way.
     """
     n = g.n
     if n == 0:
@@ -219,13 +219,12 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
     tb = max(len(cl) for cl in classes)
 
     group = enumerate_automorphisms(g)
-    listed = use_orbits and group.order <= ORBIT_LISTING_CAP
-    acts = _prefix_actions(group.elements if listed else (), n)
+    gens = _generators(group) if use_orbits else []
 
     for k in range(max(tb, 1), n + 1):
         if k_cap is not None and k > k_cap:
             return ExceedsCap(k_cap)
-        cert = _search_k(n, k, twin_id, acts, group.preserving_moves_last, bud)
+        cert = _search_k(n, k, twin_id, gens, group.preserving_moves_last, bud)
         if cert is not None:
             witness = tb if (tb >= 2 and k == tb) else None
             return DistResult(k, Coloring(k, cert), witness)

@@ -1,10 +1,11 @@
 """Naive reference implementations used as oracles in tests.
 
 Everything here is written for obviousness, not speed, and on purpose
-shares no code with the package internals it is checking. The one
-exception is reference_listing: it drives the package's own search,
-because what it checks is how the listing is assembled from that search;
-the naive n! listing in oracles.py checks the search itself.
+shares no code with the package internals it is checking. The two
+exceptions read the package's own structures: reference_listing drives
+its search, because what it checks is how the chain is assembled from
+that search, and chain_elements expands the chain it builds; the naive
+n! listing in oracles.py checks both.
 """
 
 import os
@@ -160,6 +161,16 @@ def reference_refine_pair(adj_s, adj_t, P, Q, budget):
             return P, Q
 
 
+def chain_elements(group) -> tuple[tuple[int, ...], ...]:
+    """The image vector of every automorphism in an AutListing, sorted:
+    one product per choice of a transversal element at each level of the
+    chain, |Aut| tuples, so a caller checks order first."""
+    elements = [tuple(range(group.n))]
+    for _, images, _ in group.levels:
+        elements = [tuple(t[x] for x in h) for t in images for h in elements]
+    return tuple(sorted(elements))
+
+
 # The listing as it was before the stabilizer chain: every group element
 # is its own leaf of the refinement search. The chain listing must return
 # the same elements.
@@ -170,7 +181,7 @@ def reference_listing(g: Graph):
         yield ()
         return
     P, Q = _unit_pair(g.n)
-    yield from _search_pair(g.adjacency, g.adjacency, P, Q, None)
+    yield from _search_pair(g.adjacency, g.adjacency, P, Q)
 
 
 # The generators and orbits of `aut` as they were before they were read
