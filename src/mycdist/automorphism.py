@@ -28,6 +28,21 @@ prefixes with the generators kept at each level. orbit_of runs the same
 orbit step on its vertex's cell. first_preserving, the one color-preserving
 search over a whole graph, seeds the same search with color classes.
 
+The chain is seeded with automorphisms known before any search: the swap
+of each pair of consecutive members of an open-twin class, and whatever
+the caller passes as known (verify passes the lifts of Aut(G) to
+mu_t(G)), each checked edge by edge as a leaf is. Starting Schreier-Sims
+from known generators is standard practice (Seress, 2003), and nauty
+reuses the automorphisms it has found the same way (McKay & Piperno,
+2014). A seed whose largest moved point is m fixes m+1..n-1, so it lies
+in H_(m+1) and moves m; it joins the generators just before level m's
+orbit step, which first closes the orbit under the generators so far and
+only then runs a targeted search for each cell member still unreached.
+The seeds can only reach points of the true orbit, and every point they
+miss still gets its own search, so every level's orbit, and with it the
+order, is that of the unseeded chain; only the transversal elements
+chosen, the stored generators and the number of searches change.
+
 Refinement works in rounds. In each round every cell is split by the
 signatures its vertices have against the partition the round started
 with, and the fragments of a cell are laid out in the order of their
@@ -51,10 +66,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import SearchBudgetExceeded, SizeMismatch
-from .graphs import Graph
+from .graphs import Graph, twin_classes
 
 
 @dataclass(frozen=True)
@@ -321,10 +336,16 @@ def _leaf_image(adj_s, adj_t, P, Q):
     img = [0] * len(adj_s)
     for ci in range(len(P)):
         img[P[ci][0]] = Q[ci][0]
+    return tuple(img) if _maps_edges(adj_s, adj_t, img) else None
+
+
+def _maps_edges(adj_s, adj_t, img) -> bool:
+    """Does the bijection img map every neighbourhood of adj_s onto the
+    neighbourhood of the image vertex in adj_t?"""
     for v in range(len(adj_s)):
         if {img[u] for u in adj_s[v]} != adj_t[img[v]]:
-            return None
-    return tuple(img)
+            return False
+    return True
 
 
 def _search_pair(adj_s, adj_t, P, Q,
@@ -357,7 +378,9 @@ def _unit_pair(n: int):
     return [list(cell)], [list(cell)]
 
 
-def enumerate_automorphisms(g: Graph) -> AutListing:
+def enumerate_automorphisms(g: Graph,
+                            known: Iterable[Permutation | Sequence[int]] = ()
+                            ) -> AutListing:
     """Aut(g) as one stabilizer chain with base n-1, n-2, ..., 0.
 
     Level b is the stable pair with n-1..b+1 individualized, whose
@@ -365,11 +388,20 @@ def enumerate_automorphisms(g: Graph) -> AutListing:
     Deepest level first, the orbit step grows the orbit of b in its cell.
     No element is built: the order is read off the chain, and the
     color-preserving walk multiplies transversal elements as it goes.
+
+    known takes automorphisms of g already found elsewhere, as
+    Permutations or image vectors; each is checked edge by edge and one
+    that is not an automorphism raises ValueError. They and the swap of
+    each pair of consecutive members of an open-twin class seed the
+    chain's generators, which spares the orbit step a targeted search
+    for every point they reach. The chain's order and orbits do not
+    depend on the seeds.
     """
     n = g.n
+    adj = g.adjacency
+    seeds = _seeds(g, known)
     if n == 0:
         return AutListing(0, ())
-    adj = g.adjacency
     P, Q = _unit_pair(n)
     P, _ = _refine_pair(adj, adj, P, Q, None)
     cuts = []
@@ -384,10 +416,37 @@ def enumerate_automorphisms(g: Graph) -> AutListing:
     gens: list[tuple[int, ...]] = []
     levels = []
     for b, P, ci in reversed(cuts):
-        known = len(gens)
+        start = len(gens)
+        gens.extend(seeds.get(b, ()))
         trans = _orbit(adj, P, ci, b, gens)
-        levels.append((b, tuple(trans.values()), tuple(gens[known:])))
+        levels.append((b, tuple(trans.values()), tuple(gens[start:])))
     return AutListing(n, tuple(levels))
+
+
+def _seeds(g: Graph, known) -> dict[int, dict[tuple[int, ...], None]]:
+    """The twin swaps of g and the elements of known, each under the
+    largest point m it moves, in insertion order and without repeats.
+
+    A seed fixes m+1..n-1, so it lies in H_(m+1), moves m, and belongs
+    with the generators of level m, which exists because H_(m+1) moves m.
+    The identity moves nothing and is dropped.
+    """
+    n = g.n
+    adj = g.adjacency
+    by: dict[int, dict[tuple[int, ...], None]] = {}
+    for cls in twin_classes(g):
+        for u, v in zip(cls, cls[1:]):
+            img = list(range(n))
+            img[u], img[v] = v, u
+            by.setdefault(v, {})[tuple(img)] = None
+    for p in known:
+        img = p.image if isinstance(p, Permutation) else tuple(p)
+        if sorted(img) != list(range(n)) or not _maps_edges(adj, adj, img):
+            raise ValueError(f"not an automorphism of the graph: {img}")
+        moved = [v for v, w in enumerate(img) if v != w]
+        if moved:
+            by.setdefault(moved[-1], {})[img] = None
+    return by
 
 
 def first_preserving(adj, colors, upto: int) -> tuple[int, ...] | None:
@@ -427,11 +486,14 @@ def _orbit(adj, P, ci: int, v: int,
     the stable pair (P, P), each orbit point mapped to one such
     automorphism taking v to it.
 
-    gens holds automorphisms of that group that fix v, found before; one
-    targeted search runs per member of the cell that the automorphisms
-    found so far do not reach, and each one it finds is appended to gens.
+    gens holds automorphisms of that group, found or known before. The
+    orbit is first closed under them; then one targeted search runs per
+    member of the cell that the automorphisms so far do not reach, and
+    each one it finds is appended to gens. Every member is reached or
+    searched, so the orbit is exact whatever gens held.
     """
     trans = {v: tuple(range(len(adj)))}
+    _close(trans, gens)
     cut_p = P[:ci] + [[v], [x for x in P[ci] if x != v]] + P[ci + 1:]
     for u in P[ci]:
         if u in trans:

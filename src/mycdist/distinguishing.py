@@ -40,14 +40,23 @@ sound:
   order. The comparisons are not charged to the budget, so a budget step
   stays one DFS node or one transversal element composed, and the pruned
   tree never costs more than the unpruned one.
+
+distinguishing_number builds g's chain itself unless it is passed one as
+group=, as verify does with the chain it has already read the root orbit
+off, seeded with the automorphisms it knew. Seeds change which generators
+the chain stores, so the lex-leader prune may cut other prefixes and the
+budget count may move, but never the value or the certificate. The DFS
+keeps the running maximum of the colors on its path per depth, which is
+where each generator's renumbering starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automorphism import Budget, enumerate_automorphisms, first_preserving
-from .errors import MalformedColoring
+from .automorphism import (AutListing, Budget, enumerate_automorphisms,
+                          first_preserving)
+from .errors import MalformedColoring, SizeMismatch
 from .graphs import Graph, twin_classes
 
 DEFAULT_BUDGET = 10**8
@@ -130,15 +139,16 @@ def _generators(group) -> list[tuple[int, tuple[int, ...]]]:
     return sorted((next(v for v, w in enumerate(h) if v != w), h) for h in gens)
 
 
-def _smaller_image(gens, colors, d: int) -> bool:
+def _smaller_image(gens, colors, d: int, prefix_max) -> bool:
     """True if some (m, h) of gens maps the canonical prefix colors[:d] to
     one that, renumbered by first occurrence, is lexicographically smaller
     before the first position p with h(p) >= d. h fixes 0..m-1, so the
-    renumbering starts as the identity on colors 1..max(colors[:m])."""
+    renumbering starts as the identity on colors 1..prefix_max[m], where
+    prefix_max[m] = max(colors[:m])."""
     for m, h in gens:
         if m >= d - 1:
             break  # h fixes 0..d-2 and maps d-1 above it
-        base = nxt = max(colors[:m], default=0)
+        base = nxt = prefix_max[m]
         renamed: dict[int, int] = {}
         for p in range(m, d):
             w = h[p]
@@ -162,12 +172,14 @@ def _smaller_image(gens, colors, d: int) -> bool:
 def _search_k(n: int, k: int, twin_id, gens, moves_last, budget: Budget):
     """First canonical distinguishing coloring with exactly k colors, or None."""
     colors = [0] * n
+    prefix_max = [0] * (n + 1)  # prefix_max[d] = max(colors[:d]) on this path
     class_used: list[set[int]] = [set() for _ in range(max(twin_id) + 1)]
 
     def dfs(d: int, max_used: int):
         budget.spend(1)
+        prefix_max[d] = max_used
         if d >= 2:
-            if d < n and _smaller_image(gens, colors, d):
+            if d < n and _smaller_image(gens, colors, d, prefix_max):
                 return None
             if moves_last(colors, d, budget):
                 return None
@@ -193,16 +205,19 @@ def _search_k(n: int, k: int, twin_id, gens, moves_last, budget: Budget):
 
 def distinguishing_number(g: Graph, k_cap: int | None = None, *,
                           budget: int | Budget | None = None,
-                          use_orbits: bool = True) -> DistResult | ExceedsCap:
+                          use_orbits: bool = True,
+                          group: AutListing | None = None) -> DistResult | ExceedsCap:
     """Exact distinguishing number with a certificate coloring.
 
     The search starts at the twin lower bound and increments k after
     exhausting each level, so the returned value is minimal. Raises
     SearchBudgetExceeded when the step budget runs out; returns
     ExceedsCap once the value is proven to exceed k_cap. One stabilizer
-    chain of g is built either way, for the color-preserving check and
-    the generators of the lex-leader prune; use_orbits=False switches that
-    prune off. The certificate is the same either way.
+    chain of g serves the color-preserving check and the generators of
+    the lex-leader prune: group, when given, is that chain, built by
+    enumerate_automorphisms(g) with or without known automorphisms,
+    and otherwise it is built here. use_orbits=False switches that prune
+    off. The value and the certificate are the same either way.
     """
     n = g.n
     if n == 0:
@@ -218,7 +233,10 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
             twin_id[v] = ci
     tb = max(len(cl) for cl in classes)
 
-    group = enumerate_automorphisms(g)
+    if group is None:
+        group = enumerate_automorphisms(g)
+    elif group.n != n:
+        raise SizeMismatch(f"chain on {group.n} points != graph order {n}")
     gens = _generators(group) if use_orbits else []
 
     for k in range(max(tb, 1), n + 1):

@@ -4,6 +4,15 @@ Each (graph, t) record measures or certifies dist(mu_t(G)), compares it
 with predict_dist, and classifies the orbit of the root. Records are
 independent, so sweeps may run across processes; results are emitted in
 input order either way, making reports byte-identical for any --jobs.
+
+Each graph's group is built once as a stabilizer chain. Every
+automorphism sigma of G lifts to mu_t(G), acting on each layer as sigma
+does and fixing the root, so the chain of mu_t(G) is seeded with the
+lifts of the generators of G's chain and searches only for the
+automorphisms they do not reach. The root is the last vertex, the
+chain's first base point, so its orbit is read off the chain's top level
+with no search of its own, and the same chain serves the distinguishing
+search.
 """
 
 from __future__ import annotations
@@ -15,7 +24,10 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
-from .automorphism import Budget, orbit_of
+from . import distinguishing
+# bench/run.py --trace 1 wraps verify.orbit_of by name; records read the
+# root orbit off the chain instead
+from .automorphism import AutListing, Budget, orbit_of  # noqa: F401
 from .constructions import (CASE_ISOLATE_DOMINATED, CASE_K1_TGT1, EXACT,
                             isolate_case_coloring, predict_dist)
 from .distinguishing import (DEFAULT_BUDGET, distinguishing_number,
@@ -112,6 +124,24 @@ def root_orbit_conforms(orbit_class: str, g: Graph, t: int) -> bool:
     return orbit_class == ORBIT_FIXED
 
 
+def _lifts(group: AutListing, t: int) -> list[tuple[int, ...]]:
+    """The generators of G's chain lifted to mu_t(G): s*n + i goes to
+    s*n + sigma(i) on each layer s, and the root is fixed."""
+    n = group.n
+    root = (t + 1) * n
+    return [tuple(s * n + x for s in range(t + 1) for x in h) + (root,)
+            for _, _, gens in group.levels for h in gens]
+
+
+def _root_orbit(chain: AutListing, root: int) -> frozenset[int]:
+    """Orbit of the last vertex, the chain's first base point: the images
+    of the top level when the root is its base point, and the root alone
+    when the refined unit partition already isolates it."""
+    if chain.levels and chain.levels[-1][0] == root:
+        return frozenset(img[root] for img in chain.levels[-1][1])
+    return frozenset((root,))
+
+
 def _certify_exact(g: Graph, t: int, mu, prediction, dist_g_result) -> bool:
     """Twin lower bound == constructive upper bound, both checked."""
     if prediction.kind != EXACT:
@@ -129,15 +159,19 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
     g = parse_graph6(line)
     g6 = write_graph6(g)
     ell = len(isolated_vertices(g))
+    # chains are built through the distinguishing module's attribute, the
+    # one that bench/run.py --trace 1 wraps as the listing layer
+    group = distinguishing.enumerate_automorphisms(g)
     try:
-        dist_g_result = distinguishing_number(g, budget=Budget(budget_steps))
+        dist_g_result = distinguishing_number(g, budget=Budget(budget_steps),
+                                              group=group)
     except SearchBudgetExceeded:
         dist_g_result = None
     rows = []
     for t in ts:
         mu, layout = build_mycielskian(g, t)
-        orbit = orbit_of(mu, layout.root)
-        orbit_class = classify_root_orbit(orbit, g, t)
+        mu_group = distinguishing.enumerate_automorphisms(mu, known=_lifts(group, t))
+        orbit_class = classify_root_orbit(_root_orbit(mu_group, layout.root), g, t)
         if dist_g_result is None:
             # no prediction possible without dist(g); still worth a row
             rows.append(VerifyRecord(
@@ -149,7 +183,8 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
         method = METHOD_SEARCH
         measured: int | None
         try:
-            measured = distinguishing_number(mu, budget=Budget(budget_steps)).value
+            measured = distinguishing_number(mu, budget=Budget(budget_steps),
+                                             group=mu_group).value
         except SearchBudgetExceeded:
             if _certify_exact(g, t, mu, prediction, dist_g_result):
                 measured, method = prediction.value, METHOD_CERTIFIED

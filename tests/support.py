@@ -28,6 +28,27 @@ def graphs(max_n):
     return st.integers(1, max_n).flatmap(build)
 
 
+def twin_rich_graphs(max_n):
+    """Random graphs on up to max_n vertices, each vertex of a random base
+    graph blown up into an independent set of 1..3 open twins, the result
+    relabelled at random."""
+    def blow_up(base, sizes, order):
+        copies, start = [], 0
+        for size in sizes:
+            copies.append(order[start:start + size])
+            start += size
+        edges = [(a, b) for u, v in base.edges()
+                 for a in copies[u] for b in copies[v]]
+        return Graph(len(order), edges)
+
+    def build(base):
+        sizes = st.lists(st.integers(1, 3), min_size=base.n, max_size=base.n)
+        fitting = sizes.filter(lambda s: sum(s) <= max_n)
+        return fitting.flatmap(lambda s: st.permutations(range(sum(s))).map(
+            lambda order: blow_up(base, s, order)))
+    return graphs(max(1, max_n // 2)).flatmap(build)
+
+
 def source_tree_env():
     """Environment for a child `python -m mycdist` that runs the same
     source tree as the test process."""

@@ -12,12 +12,13 @@ from mycdist import (Graph, build_mycielskian, complete_graph, cycle_graph,
                      find_isomorphism, is_automorphism,
                      neighborhood_degree_multiset, orbit_of, path_graph,
                      search_color_preserving, star_graph)
+from mycdist import verify
 from mycdist.automorphism import Budget, Permutation, first_preserving
 from mycdist.errors import SearchBudgetExceeded, SizeMismatch
 
 from .oracles import enumerate_automorphisms_naive
 from .support import (assert_group_axioms, chain_elements, graphs,
-                      reference_listing)
+                      reference_listing, twin_rich_graphs)
 
 
 def petersen() -> Graph:
@@ -222,6 +223,56 @@ def test_listing_has_one_element_per_group_element(g):
     elements = chain_elements(group)
     assert len(set(elements)) == group.order == len(group)
     assert elements == enumerate_automorphisms_naive(g)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(graphs(7), twin_rich_graphs(7)), st.data())
+def test_seeded_chain_lists_the_group(g, data):
+    """Twin swaps and known automorphisms seed the generators; every
+    unreached orbit point still gets its own search, so the chain lists
+    exactly the group."""
+    naive = enumerate_automorphisms_naive(g)
+    known = data.draw(st.lists(st.sampled_from(naive), max_size=3))
+    group = enumerate_automorphisms(g, known=known)
+    assert group.order == len(naive)
+    assert chain_elements(group) == naive
+
+
+def _basic_orbits(group):
+    """Each base point with its orbit under the automorphisms fixing
+    every point above it."""
+    return [(b, sorted(img[b] for img in images)) for b, images, _ in group.levels]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(graphs(7), twin_rich_graphs(7)), st.integers(1, 2))
+def test_lifted_generators_leave_the_mycielskian_chain_unchanged(g, t):
+    mu, _ = build_mycielskian(g, t)
+    lifts = verify._lifts(enumerate_automorphisms(g), t)
+    seeded = enumerate_automorphisms(mu, known=lifts)
+    plain = enumerate_automorphisms(mu)
+    assert seeded.order == plain.order
+    assert _basic_orbits(seeded) == _basic_orbits(plain)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(graphs(7), twin_rich_graphs(7)), st.data())
+def test_known_non_automorphism_is_rejected(g, data):
+    p = data.draw(st.permutations(range(g.n)))
+    if is_automorphism(g, p):
+        assert enumerate_automorphisms(g, known=[p]).order == len(
+            enumerate_automorphisms_naive(g))
+    else:
+        with pytest.raises(ValueError):
+            enumerate_automorphisms(g, known=[p])
+
+
+def test_known_takes_permutations_and_rejects_non_bijections():
+    g = path_graph(4)
+    assert enumerate_automorphisms(g, known=[Permutation((3, 2, 1, 0))]).order == 2
+    for bad in [(1, 0, 2, 3), (0, 1, 2), (0, 0, 2, 3), (0, 1, 2, 3, 4)]:
+        with pytest.raises(ValueError):
+            enumerate_automorphisms(g, known=[bad])
 
 
 def _stabilizer(naive, d: int):

@@ -14,7 +14,7 @@ from mycdist import (Coloring, DistResult, ExceedsCap, Graph,
 from mycdist import automorphism, distinguishing
 from mycdist.automorphism import Budget, enumerate_automorphisms
 from mycdist.distinguishing import _smaller_image
-from mycdist.errors import MalformedColoring, SearchBudgetExceeded
+from mycdist.errors import MalformedColoring, SearchBudgetExceeded, SizeMismatch
 
 from .oracles import (_canonical_colorings_exactly,
                       distinguishing_number_bruteforce,
@@ -147,14 +147,16 @@ def test_zero_budget_is_zero():
 # moved by design: from 47096, 77461 and 62539 with the sibling prune, to
 # 23514, 6231 and 3609 with the lex-leader prune and a refinement search
 # for the color-preserving check, to 2604, 312 and 265 with the walk down
-# the chain, to these with the lex-leader prune read off the chain's
-# generators instead of a listing capped at 960 elements. That prune
-# no longer needs the listing, so it runs on the groups over the old cap:
-# mu_3(K_{3,3}) (|Aut| = 3359232) went from 5582768 steps to 3326.
-@pytest.mark.parametrize("g6, t, steps", [("ElUg", 1, 206),
+# the chain, to 206, 416 and 493 with the lex-leader prune read off the
+# chain's generators instead of a listing capped at 960 elements. That
+# prune no longer needs the listing, so it runs on the groups over the
+# old cap: mu_3(K_{3,3}) (|Aut| = 3359232) went from 5582768 steps to
+# 3326. The chain's generators now start with the twin swaps, which cut
+# more prefixes of K_{3,3}'s Mycielskians: 206 -> 95 and 3326 -> 221.
+@pytest.mark.parametrize("g6, t, steps", [("ElUg", 1, 95),
                                           ("D~{", 2, 416),
                                           ("E~~w", 1, 493),
-                                          ("ElUg", 3, 3326)])
+                                          ("ElUg", 3, 221)])
 def test_budget_steps_pinned(g6, t, steps):
     mu, _ = build_mycielskian(parse_graph6(g6), t)
     budget = Budget(10**8)
@@ -186,14 +188,23 @@ def test_lex_leader_prune_runs_past_24_vertices():
     # which finds the same certificate in far fewer steps. Both counts
     # fell by design when the color-preserving check became a walk down
     # the chain (from 4830 and 53435); the pruned one rose from 151 when
-    # the prune went from the whole listing to the generators.
+    # the prune went from the whole listing to the generators, and fell
+    # from 277 when the twin swaps joined the generators.
     mu, _ = build_mycielskian(parse_graph6("E~{?"), 3)
     assert mu.n == 25
     pruned, plain = Budget(10**8), Budget(10**8)
     res = distinguishing_number(mu, budget=pruned)
     assert res == distinguishing_number(mu, budget=plain, use_orbits=False)
-    assert pruned.used == 277
+    assert pruned.used == 183
     assert plain.used == 1434
+
+
+def test_search_takes_a_chain_built_beforehand():
+    mu, _ = build_mycielskian(parse_graph6("ElUg"), 1)
+    group = enumerate_automorphisms(mu)
+    assert distinguishing_number(mu, group=group) == distinguishing_number(mu)
+    with pytest.raises(SizeMismatch):
+        distinguishing_number(path_graph(3), group=enumerate_automorphisms(path_graph(4)))
 
 
 def test_search_makes_no_refinement_search_for_preserving_automorphisms(monkeypatch):
@@ -258,17 +269,23 @@ def test_lex_leader_prune_keeps_corpus_certificates(corpus_n6):
                 h, use_orbits=False), line
 
 
+def _smaller(gens, colors, d):
+    """_smaller_image with the prefix maxima that the DFS keeps."""
+    prefix_max = [max(colors[:p], default=0) for p in range(len(colors) + 1)]
+    return _smaller_image(gens, colors, d, prefix_max)
+
+
 def test_smaller_image_renumbers_colors():
     # h swaps 0 and 1 and fixes 2: (1, 2, 2) maps to (2, 1, 2), renumbered
     # (1, 2, 1), smaller; (1, 2, 1) maps to (2, 1, 1), renumbered
     # (1, 2, 2), larger
     swap = [(0, (1, 0, 2, 3))]
-    assert _smaller_image(swap, [1, 2, 2, 0], 3)
-    assert not _smaller_image(swap, [1, 2, 1, 0], 3)
+    assert _smaller(swap, [1, 2, 2, 0], 3)
+    assert not _smaller(swap, [1, 2, 1, 0], 3)
     # positions before the first moved point are compared as they are:
     # h fixes 0 and swaps 1 and 2, (1, 1, 2) maps to (1, 2, 1)
-    assert not _smaller_image([(1, (0, 2, 1, 3))], [1, 1, 2, 0], 3)
-    assert _smaller_image([(1, (0, 2, 1, 3))], [1, 2, 1, 0], 3)
+    assert not _smaller([(1, (0, 2, 1, 3))], [1, 1, 2, 0], 3)
+    assert _smaller([(1, (0, 2, 1, 3))], [1, 2, 1, 0], 3)
 
 
 def test_smaller_image_stops_at_the_first_uncolored_image():
@@ -276,17 +293,17 @@ def test_smaller_image_stops_at_the_first_uncolored_image():
     # 1 read (2, 1), renumbered (1, 2), equal; the image of 2 is 3, not
     # colored yet, so there is no cut, whatever 3 gets later
     h = [(0, (1, 0, 3, 2))]
-    assert not _smaller_image(h, [1, 2, 2, 0], 3)
-    assert not _smaller_image(h, [1, 2, 2, 1], 3)
+    assert not _smaller(h, [1, 2, 2, 0], 3)
+    assert not _smaller(h, [1, 2, 2, 1], 3)
     # at d = 4, with 3 colored, the same h cuts (1, 2, 2, 1): (2, 1, 1, 2)
     # renumbered is (1, 2, 2, 1), equal, but (1, 2, 2, 2) maps to
     # (2, 1, 2, 2), renumbered (1, 2, 1, 1), smaller
-    assert not _smaller_image(h, [1, 2, 2, 1], 4)
-    assert _smaller_image(h, [1, 2, 2, 2], 4)
+    assert not _smaller(h, [1, 2, 2, 1], 4)
+    assert _smaller(h, [1, 2, 2, 2], 4)
     # h need not map the prefix onto itself: the cycle 1 -> 2 -> 3 -> 1
     # maps 2 out of the prefix (1, 2, 1) of d = 3, but it reads
     # colors[2] = 1 < 2 at position 1 and cuts there
-    assert _smaller_image([(1, (0, 2, 3, 1))], [1, 2, 1, 0], 3)
+    assert _smaller([(1, (0, 2, 3, 1))], [1, 2, 1, 0], 3)
 
 
 def test_smaller_image_cuts_with_an_inverse_where_the_generator_does_not():
@@ -295,9 +312,9 @@ def test_smaller_image_cuts_with_an_inverse_where_the_generator_does_not():
     # (1, 1, 2, 1), already renumbered, smaller
     h = (1, 2, 3, 0)
     inv = (3, 0, 1, 2)
-    assert not _smaller_image([(0, h)], [1, 2, 1, 1], 4)
-    assert _smaller_image([(0, inv)], [1, 2, 1, 1], 4)
-    assert _smaller_image([(0, h), (0, inv)], [1, 2, 1, 1], 4)
+    assert not _smaller([(0, h)], [1, 2, 1, 1], 4)
+    assert _smaller([(0, inv)], [1, 2, 1, 1], 4)
+    assert _smaller([(0, h), (0, inv)], [1, 2, 1, 1], 4)
 
 
 @settings(max_examples=60, deadline=None)

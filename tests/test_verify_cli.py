@@ -18,7 +18,7 @@ from mycdist import (build_mycielskian, complete_graph, cycle_graph,
                      empty_graph, enumerate_automorphisms, is_automorphism,
                      kn_base_coloring, orbit_of, parse_graph6, path_graph,
                      star_graph, write_graph6)
-from mycdist import verify
+from mycdist import automorphism, distinguishing, verify
 from mycdist.cli import main
 from mycdist.errors import MycdistError
 from mycdist.verify import (CSV_FIELDS, classify_root_orbit, process_record,
@@ -189,6 +189,39 @@ def test_process_record_row_shape():
     for r in rows:
         assert r.graph6 == "Bw" and r.n == 3 and r.ell == 0 and r.dist_g == 3
         assert r.predicted_kind == "upper_bound" and r.measured <= r.predicted_value
+
+
+def test_process_record_builds_one_chain_per_graph(monkeypatch):
+    # G's chain and one per t, each shared by the distinguishing search,
+    # and the root orbit read off mu_t's chain with no search of its own
+    builds, orbits = [], []
+    build = distinguishing.enumerate_automorphisms
+
+    def counted_build(*args, **kwargs):
+        builds.append(args[0].n)
+        return build(*args, **kwargs)
+
+    def counted_orbit(*args):
+        orbits.append(args)
+        return automorphism.orbit_of(*args)
+
+    monkeypatch.setattr(distinguishing, "enumerate_automorphisms", counted_build)
+    monkeypatch.setattr(verify, "orbit_of", counted_orbit)
+    monkeypatch.setattr(automorphism, "orbit_of", counted_orbit)
+    rows = process_record("ElUg", [1, 2], 10**8)
+    assert [r.method for r in rows] == ["search", "search"]
+    assert builds == [6, 13, 19]
+    assert orbits == []
+
+
+def test_root_orbit_read_off_the_chain_matches_orbit_of(corpus_n6):
+    for line, g in corpus_n6:
+        group = enumerate_automorphisms(g)
+        for t in (1, 2, 3):
+            mu, layout = build_mycielskian(g, t)
+            chain = enumerate_automorphisms(mu, known=verify._lifts(group, t))
+            assert verify._root_orbit(chain, layout.root) == orbit_of(
+                mu, layout.root), (line, t)
 
 
 def test_root_orbit_classification():
