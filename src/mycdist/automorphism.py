@@ -29,7 +29,8 @@ orbit step on its vertex's cell. first_preserving, the one color-preserving
 search over a whole graph, seeds the same search with color classes.
 
 The chain is seeded with automorphisms known before any search: the swap
-of each pair of consecutive members of an open-twin class, and whatever
+of each pair of consecutive members of an open-twin class (the chain keeps
+the classes as twins, for the distinguishing search), and whatever
 the caller passes as known (verify passes the lifts of Aut(G) to
 mu_t(G)), each checked edge by edge as a leaf is. Starting Schreier-Sims
 from known generators is standard practice (Seress, 2003), and nauty
@@ -56,9 +57,9 @@ node of the search, round 1 starts from the cells next to the vertex
 individualized in P, since the parent's pair was stable and matched.
 When P and Q are the same partition of the same graph, one side is
 refined and copied. The invariant: the kernel returns the same ordered
-pair, or None, as refining every cell on every round, and spends the same
-n budget steps per round, so search trees, witnesses and budget counts
-do not depend on the shortcut.
+pair, or None, as refining every cell on every round, so search trees and
+witnesses do not depend on the shortcut. Refinement spends no budget
+steps.
 """
 
 from __future__ import annotations
@@ -118,10 +119,13 @@ class AutListing:
     level. Every automorphism is uniquely a product of one image per level,
     so order is read off the levels and preserving_moves_last walks them;
     the distinguishing search reads gens, and nothing builds the group.
+    twins holds the open-twin classes of g (graphs.twin_classes), whose
+    swaps seeded the chain and which the distinguishing search reads too.
     """
 
     n: int
     levels: tuple[tuple[int, tuple, tuple], ...]
+    twins: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
@@ -208,11 +212,10 @@ def is_automorphism(g: Graph, p: Permutation | Sequence[int]) -> bool:
         raise SizeMismatch(f"permutation length {len(img)} != graph order {g.n}")
     if sorted(img) != list(range(g.n)):
         return False
-    # bijection preserving all edges preserves non-edges too
-    return all(g.has_edge(img[u], img[v]) for u, v in g.edges())
+    return _maps_edges(g.adjacency, g.adjacency, img)
 
 
-def _refine_pair(adj_s, adj_t, P, Q, budget: Budget | None, split: int = -1):
+def _refine_pair(adj_s, adj_t, P, Q, split: int = -1):
     """Refine an aligned pair to a stable equitable pair; None on mismatch.
 
     Cells must be ascending. A cell is named by the position of its first
@@ -238,8 +241,6 @@ def _refine_pair(adj_s, adj_t, P, Q, budget: Budget | None, split: int = -1):
         dirty = {s for s, cell in enumerate(at_s)
                  if cell is not None and (len(cell) > 1 or not same)}
     while True:
-        if budget is not None:
-            budget.spend(n)
         cuts = []
         for s in dirty:
             cell = at_s[s]
@@ -355,7 +356,7 @@ def _search_pair(adj_s, adj_t, P, Q,
     `split` is the refinement hint of _refine_pair: the cell the caller
     cut in a pair it had refined, or -1.
     """
-    ref = _refine_pair(adj_s, adj_t, P, Q, None, split)
+    ref = _refine_pair(adj_s, adj_t, P, Q, split)
     if ref is None:
         return
     P, Q = ref
@@ -395,15 +396,16 @@ def enumerate_automorphisms(g: Graph,
     each pair of consecutive members of an open-twin class seed the
     chain's generators, which spares the orbit step a targeted search
     for every point they reach. The chain's order and orbits do not
-    depend on the seeds.
+    depend on the seeds. The twin classes are kept on the chain as twins.
     """
     n = g.n
     adj = g.adjacency
-    seeds = _seeds(g, known)
+    twins = tuple(map(tuple, twin_classes(g)))
+    seeds = _seeds(g, twins, known)
     if n == 0:
-        return AutListing(0, ())
+        return AutListing(0, (), twins)
     P, Q = _unit_pair(n)
-    P, _ = _refine_pair(adj, adj, P, Q, None)
+    P, _ = _refine_pair(adj, adj, P, Q)
     cuts = []
     for b in range(n - 1, -1, -1):
         if len(P) == n:
@@ -412,7 +414,7 @@ def enumerate_automorphisms(g: Graph,
         if len(P[ci]) > 1:
             cuts.append((b, P, ci))
             cut = P[:ci] + [[b], [x for x in P[ci] if x != b]] + P[ci + 1:]
-            P, _ = _refine_pair(adj, adj, cut, cut, None, ci)
+            P, _ = _refine_pair(adj, adj, cut, cut, ci)
     gens: list[tuple[int, ...]] = []
     levels = []
     for b, P, ci in reversed(cuts):
@@ -420,11 +422,12 @@ def enumerate_automorphisms(g: Graph,
         gens.extend(seeds.get(b, ()))
         trans = _orbit(adj, P, ci, b, gens)
         levels.append((b, tuple(trans.values()), tuple(gens[start:])))
-    return AutListing(n, tuple(levels))
+    return AutListing(n, tuple(levels), twins)
 
 
-def _seeds(g: Graph, known) -> dict[int, dict[tuple[int, ...], None]]:
-    """The twin swaps of g and the elements of known, each under the
+def _seeds(g: Graph, twins, known) -> dict[int, dict[tuple[int, ...], None]]:
+    """The swaps of consecutive members of each class of twins, the
+    open-twin classes of g, and the elements of known, each under the
     largest point m it moves, in insertion order and without repeats.
 
     A seed fixes m+1..n-1, so it lies in H_(m+1), moves m, and belongs
@@ -434,7 +437,7 @@ def _seeds(g: Graph, known) -> dict[int, dict[tuple[int, ...], None]]:
     n = g.n
     adj = g.adjacency
     by: dict[int, dict[tuple[int, ...], None]] = {}
-    for cls in twin_classes(g):
+    for cls in twins:
         for u, v in zip(cls, cls[1:]):
             img = list(range(n))
             img[u], img[v] = v, u
@@ -449,19 +452,17 @@ def _seeds(g: Graph, known) -> dict[int, dict[tuple[int, ...], None]]:
     return by
 
 
-def first_preserving(adj, colors, upto: int) -> tuple[int, ...] | None:
-    """First nontrivial automorphism in DFS order that preserves the colors
-    of the vertices below upto and fixes every vertex from upto on, as an
-    image vector; None if there is none.
+def first_preserving(adj, colors) -> tuple[int, ...] | None:
+    """First nontrivial automorphism in DFS order that preserves every
+    vertex's color, as an image vector; None if there is none.
 
-    The color classes, in color order, and the fixed vertices as
-    singletons seed the search's initial partition; no listing is built.
+    The color classes, in color order, seed the search's initial
+    partition; no listing is built.
     """
     by: dict[int, list[int]] = {}
-    for v in range(upto):
-        by.setdefault(colors[v], []).append(v)
+    for v, c in enumerate(colors):
+        by.setdefault(c, []).append(v)
     cells = [by[c] for c in sorted(by)]
-    cells.extend([v] for v in range(upto, len(adj)))
     for img in _search_pair(adj, adj, cells, cells):
         if any(i != x for i, x in enumerate(img)):
             return img
@@ -476,7 +477,7 @@ def search_color_preserving(g: Graph, coloring) -> Permutation | None:
     colors = getattr(coloring, "assign", coloring)
     if len(colors) != g.n:
         raise SizeMismatch(f"coloring length {len(colors)} != graph order {g.n}")
-    img = first_preserving(g.adjacency, colors, g.n)
+    img = first_preserving(g.adjacency, colors)
     return None if img is None else Permutation(img)
 
 
@@ -530,7 +531,7 @@ def orbit_of(g: Graph, v: int) -> frozenset[int]:
     g._check(v)
     adj = g.adjacency
     P, Q = _unit_pair(g.n)
-    P, _ = _refine_pair(adj, adj, P, Q, None)
+    P, _ = _refine_pair(adj, adj, P, Q)
     ci = next(i for i, cell in enumerate(P) if v in cell)
     return frozenset(_orbit(adj, P, ci, v, []))
 

@@ -96,12 +96,6 @@ class Coloring:
             out.append(seen[c])
         return Coloring(len(seen), tuple(out))
 
-    def classes(self) -> dict[int, list[int]]:
-        by: dict[int, list[int]] = {}
-        for v, c in enumerate(self.assign):
-            by.setdefault(c, []).append(v)
-        return by
-
 
 @dataclass(frozen=True)
 class DistResult:
@@ -127,7 +121,7 @@ def twin_lower_bound(g: Graph) -> int:
 def is_distinguishing(g: Graph, c: Coloring) -> bool:
     if c.n != g.n:
         raise MalformedColoring(f"coloring length {c.n} != graph order {g.n}")
-    return first_preserving(g.adjacency, c.assign, g.n) is None
+    return first_preserving(g.adjacency, c.assign) is None
 
 
 def _generators(group) -> list[tuple[int, tuple[int, ...]]]:
@@ -213,11 +207,13 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
     exhausting each level, so the returned value is minimal. Raises
     SearchBudgetExceeded when the step budget runs out; returns
     ExceedsCap once the value is proven to exceed k_cap. One stabilizer
-    chain of g serves the color-preserving check and the generators of
-    the lex-leader prune: group, when given, is that chain, built by
+    chain of g serves the color-preserving check, the generators of the
+    lex-leader prune, and the twin classes behind the twin prune and the
+    lower bound: group, when given, is that chain, built by
     enumerate_automorphisms(g) with or without known automorphisms,
-    and otherwise it is built here. use_orbits=False switches that prune
-    off. The value and the certificate are the same either way.
+    and otherwise it is built here. use_orbits=False switches the
+    lex-leader prune off. The value and the certificate are the same
+    either way.
     """
     n = g.n
     if n == 0:
@@ -226,17 +222,15 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
         bud = budget
     else:
         bud = Budget(DEFAULT_BUDGET if budget is None else budget)
-    classes = twin_classes(g)
-    twin_id = [0] * n
-    for ci, cl in enumerate(classes):
-        for v in cl:
-            twin_id[v] = ci
-    tb = max(len(cl) for cl in classes)
-
     if group is None:
         group = enumerate_automorphisms(g)
     elif group.n != n:
         raise SizeMismatch(f"chain on {group.n} points != graph order {n}")
+    twin_id = [0] * n
+    for ci, cl in enumerate(group.twins):
+        for v in cl:
+            twin_id[v] = ci
+    tb = max(len(cl) for cl in group.twins)
     gens = _generators(group) if use_orbits else []
 
     for k in range(max(tb, 1), n + 1):

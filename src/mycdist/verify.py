@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from . import distinguishing
@@ -242,6 +241,9 @@ def run_verify(lines: list[str], ts: list[int], *, budget_steps: int = DEFAULT_B
     tasks = [(line, ts, budget_steps) for _, line in good]
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        # imported here: the pool pulls in multiprocessing, which a
+        # one-process sweep and every other subcommand never use
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, tasks, chunksize=8))
     else:

@@ -11,7 +11,7 @@ from mycdist import (Graph, build_mycielskian, complete_graph, cycle_graph,
                      disjoint_union, empty_graph, enumerate_automorphisms,
                      find_isomorphism, is_automorphism,
                      neighborhood_degree_multiset, orbit_of, path_graph,
-                     search_color_preserving, star_graph)
+                     search_color_preserving, star_graph, twin_classes)
 from mycdist import verify
 from mycdist.automorphism import Budget, Permutation, first_preserving
 from mycdist.errors import SearchBudgetExceeded, SizeMismatch
@@ -267,6 +267,12 @@ def test_known_non_automorphism_is_rejected(g, data):
             enumerate_automorphisms(g, known=[p])
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(graphs(7), twin_rich_graphs(7)))
+def test_chain_keeps_the_twin_classes(g):
+    assert [list(cls) for cls in enumerate_automorphisms(g).twins] == twin_classes(g)
+
+
 def test_known_takes_permutations_and_rejects_non_bijections():
     g = path_graph(4)
     assert enumerate_automorphisms(g, known=[Permutation((3, 2, 1, 0))]).order == 2
@@ -318,22 +324,20 @@ def test_preserving_moves_last_examples():
 @settings(max_examples=150, deadline=None)
 @given(graphs(7), st.data())
 def test_first_preserving_needs_a_shared_color_and_orbit(g, data):
-    """A nontrivial automorphism fixing d..n-1 and preserving the colors
-    below d maps some vertex to another of its color and H_d-orbit, so
-    where no two prefix vertices share both the search finds nothing."""
+    """A nontrivial color-preserving automorphism maps some vertex to
+    another of its color and orbit, so where no two vertices share both
+    the search finds nothing."""
     colors = data.draw(st.lists(st.integers(1, 3), min_size=g.n, max_size=g.n))
     naive = enumerate_automorphisms_naive(g)
     identity = naive[0]  # the listing is sorted
-    for d in range(g.n + 1):
-        stab = _stabilizer(naive, d)
-        orb = [min(h[v] for h in stab) for v in range(d)]  # least orbit member
-        img = first_preserving(g.adjacency, colors, d)
-        want = any(h != identity and all(colors[h[v]] == colors[v] for v in range(d))
-                   for h in stab)
-        assert (img is not None) == want
-        if len(set(zip(colors, orb))) == d:
-            assert img is None
-        if img is not None:
-            assert img in stab
-            assert all(orb[img[v]] == orb[v] and colors[img[v]] == colors[v]
-                       for v in range(d))
+    orb = [min(h[v] for h in naive) for v in range(g.n)]  # least orbit member
+    img = first_preserving(g.adjacency, colors)
+    want = any(h != identity and all(colors[h[v]] == colors[v] for v in range(g.n))
+               for h in naive)
+    assert (img is not None) == want
+    if len(set(zip(colors, orb))) == g.n:
+        assert img is None
+    if img is not None:
+        assert img in naive
+        assert all(orb[img[v]] == orb[v] and colors[img[v]] == colors[v]
+                   for v in range(g.n))

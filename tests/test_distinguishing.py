@@ -44,7 +44,6 @@ KNOWN = [
 def test_coloring_validation():
     c = Coloring(2, (1, 2, 2, 1))
     assert c.n == 4 and c.used() == 2
-    assert c.classes() == {1: [0, 3], 2: [1, 2]}
     with pytest.raises(MalformedColoring):
         Coloring(2, (1, 3))
     with pytest.raises(MalformedColoring):

@@ -1,5 +1,6 @@
 """Verify pipeline and the command line surface."""
 
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -175,7 +176,7 @@ class RecordingPool:
 ])
 def test_run_verify_clamps_workers(jobs, cpus, want, monkeypatch):
     seen = []
-    monkeypatch.setattr(verify, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: RecordingPool(seen, max_workers))
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     report = run_verify(N3_LINES, [1], jobs=jobs)
@@ -212,6 +213,34 @@ def test_process_record_builds_one_chain_per_graph(monkeypatch):
     assert [r.method for r in rows] == ["search", "search"]
     assert builds == [6, 13, 19]
     assert orbits == []
+
+
+def test_process_record_finds_twin_classes_once_per_graph(monkeypatch):
+    # once for G and once per t, by the chain build; the distinguishing
+    # search reads them off the chain
+    calls = []
+    find = automorphism.twin_classes
+
+    def counted(g):
+        calls.append(g.n)
+        return find(g)
+
+    monkeypatch.setattr(automorphism, "twin_classes", counted)
+    monkeypatch.setattr(distinguishing, "twin_classes", counted)
+    rows = process_record("ElUg", [1, 2], 10**8)
+    assert [r.method for r in rows] == ["search", "search"]
+    assert calls == [6, 13, 19]
+
+
+def test_import_leaves_the_process_pool_out():
+    # concurrent.futures pulls in multiprocessing; only verify --jobs > 1
+    # uses it, and imports it there
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mycdist.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=source_tree_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_root_orbit_read_off_the_chain_matches_orbit_of(corpus_n6):
