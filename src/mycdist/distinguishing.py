@@ -7,7 +7,14 @@ permutations are never revisited and the first distinguishing k-coloring
 found is the lex-first one. Three prunes keep the tree small, all of them
 sound:
 
-* twins (equal open neighborhoods) must receive distinct colors;
+* each class of open twins (equal open neighborhoods) takes strictly
+  ascending colors in id order. For twins u < v the swap h = (u v) is an
+  automorphism. If a canonical distinguishing coloring c had
+  c(u) > c(v), c o h renumbered would distinguish too and agree with c
+  before u; c(v) < c(u) <= max(c[:u]) + 1, so c(v) already occurs before
+  u, the renumbering keeps it, and c o h reads c(v) < c(u) at u. So c is
+  not the lex-first coloring, and the DFS starts each vertex's colors
+  above those of the previous member of its class;
 * if some nontrivial automorphism preserves the colors assigned so far
   while fixing every still-uncolored vertex, no extension can work. Such
   an automorphism lies in H_d, the group fixing every vertex from d on.
@@ -163,11 +170,10 @@ def _smaller_image(gens, colors, d: int, prefix_max) -> bool:
     return False
 
 
-def _search_k(n: int, k: int, twin_id, gens, moves_last, budget: Budget):
+def _search_k(n: int, k: int, prev, gens, moves_last, budget: Budget):
     """First canonical distinguishing coloring with exactly k colors, or None."""
     colors = [0] * n
     prefix_max = [0] * (n + 1)  # prefix_max[d] = max(colors[:d]) on this path
-    class_used: list[set[int]] = [set() for _ in range(max(twin_id) + 1)]
 
     def dfs(d: int, max_used: int):
         budget.spend(1)
@@ -179,17 +185,13 @@ def _search_k(n: int, k: int, twin_id, gens, moves_last, budget: Budget):
                 return None
         if d == n:
             return tuple(colors)
-        cls = twin_id[d]
-        for c in range(1, min(max_used + 1, k) + 1):
-            if c in class_used[cls]:
-                continue
+        lo = colors[prev[d]] + 1 if prev[d] >= 0 else 1
+        for c in range(lo, min(max_used + 1, k) + 1):
             if max(max_used, c) + (n - d - 1) < k:
                 continue  # can no longer introduce k distinct colors
             colors[d] = c
-            class_used[cls].add(c)
             res = dfs(d + 1, max(max_used, c))
             colors[d] = 0
-            class_used[cls].discard(c)
             if res is not None:
                 return res
         return None
@@ -199,7 +201,6 @@ def _search_k(n: int, k: int, twin_id, gens, moves_last, budget: Budget):
 
 def distinguishing_number(g: Graph, k_cap: int | None = None, *,
                           budget: int | Budget | None = None,
-                          use_orbits: bool = True,
                           group: AutListing | None = None) -> DistResult | ExceedsCap:
     """Exact distinguishing number with a certificate coloring.
 
@@ -208,12 +209,10 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
     SearchBudgetExceeded when the step budget runs out; returns
     ExceedsCap once the value is proven to exceed k_cap. One stabilizer
     chain of g serves the color-preserving check, the generators of the
-    lex-leader prune, and the twin classes behind the twin prune and the
+    lex-leader prune, and the twin classes behind the twin order and the
     lower bound: group, when given, is that chain, built by
     enumerate_automorphisms(g) with or without known automorphisms,
-    and otherwise it is built here. use_orbits=False switches the
-    lex-leader prune off. The value and the certificate are the same
-    either way.
+    and otherwise it is built here.
     """
     n = g.n
     if n == 0:
@@ -226,17 +225,17 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
         group = enumerate_automorphisms(g)
     elif group.n != n:
         raise SizeMismatch(f"chain on {group.n} points != graph order {n}")
-    twin_id = [0] * n
-    for ci, cl in enumerate(group.twins):
-        for v in cl:
-            twin_id[v] = ci
+    prev = [-1] * n  # prev[v]: the member of v's twin class before v, or -1
+    for cl in group.twins:
+        for u, v in zip(cl, cl[1:]):
+            prev[v] = u
     tb = max(len(cl) for cl in group.twins)
-    gens = _generators(group) if use_orbits else []
+    gens = _generators(group)
 
     for k in range(max(tb, 1), n + 1):
         if k_cap is not None and k > k_cap:
             return ExceedsCap(k_cap)
-        cert = _search_k(n, k, twin_id, gens, group.preserving_moves_last, bud)
+        cert = _search_k(n, k, prev, gens, group.preserving_moves_last, bud)
         if cert is not None:
             witness = tb if (tb >= 2 and k == tb) else None
             return DistResult(k, Coloring(k, cert), witness)

@@ -1,13 +1,15 @@
 """Naive reference implementations used as oracles in tests.
 
 Everything here is written for obviousness, not speed, and on purpose
-shares no code with the package internals it is checking. The two
+shares no code with the package internals it is checking. The three
 exceptions read the package's own structures: reference_listing drives
 its search, because what it checks is how the chain is assembled from
-that search, and chain_elements expands the chain it builds; the naive
-n! listing in oracles.py checks both.
+that search, chain_elements expands the chain it builds, and
+chain_without_generators empties the generators it stores; the naive n!
+listing in oracles.py checks the first two.
 """
 
+import dataclasses
 import os
 import pathlib
 from collections import Counter, deque
@@ -15,7 +17,8 @@ from collections import Counter, deque
 from hypothesis import strategies as st
 
 import mycdist
-from mycdist.automorphism import _search_pair, _unit_pair
+from mycdist.automorphism import (_search_pair, _unit_pair,
+                                  enumerate_automorphisms)
 from mycdist.graphs import Graph
 
 
@@ -187,6 +190,15 @@ def chain_elements(group) -> tuple[tuple[int, ...], ...]:
     for _, images, _ in group.levels:
         elements = [tuple(t[x] for x in h) for t in images for h in elements]
     return tuple(sorted(elements))
+
+
+def chain_without_generators(g: Graph):
+    """g's stabilizer chain with no generators stored: the distinguishing
+    search reads its lex-leader prune off them, so given this chain as
+    group= it runs unpruned, with the same value and certificate."""
+    group = enumerate_automorphisms(g)
+    return dataclasses.replace(group, levels=tuple(
+        (b, images, ()) for b, images, _ in group.levels))
 
 
 # The listing as it was before the stabilizer chain: every group element

@@ -15,11 +15,12 @@ from mycdist import automorphism, distinguishing
 from mycdist.automorphism import Budget, enumerate_automorphisms
 from mycdist.distinguishing import _smaller_image
 from mycdist.errors import MalformedColoring, SearchBudgetExceeded, SizeMismatch
+from mycdist.graphs import twin_classes
 
 from .oracles import (_canonical_colorings_exactly,
                       distinguishing_number_bruteforce,
                       enumerate_automorphisms_naive)
-from .support import graphs
+from .support import chain_without_generators, graphs, twin_rich_graphs
 
 # value pairs frozen from distinguishing_number_bruteforce runs
 KNOWN = [
@@ -152,10 +153,12 @@ def test_zero_budget_is_zero():
 # old cap: mu_3(K_{3,3}) (|Aut| = 3359232) went from 5582768 steps to
 # 3326. The chain's generators now start with the twin swaps, which cut
 # more prefixes of K_{3,3}'s Mycielskians: 206 -> 95 and 3326 -> 221.
-@pytest.mark.parametrize("g6, t, steps", [("ElUg", 1, 95),
+# Each twin class now takes ascending colors instead of distinct ones,
+# which leaves fewer children per node: 95 -> 75 and 221 -> 165.
+@pytest.mark.parametrize("g6, t, steps", [("ElUg", 1, 75),
                                           ("D~{", 2, 416),
                                           ("E~~w", 1, 493),
-                                          ("ElUg", 3, 221)])
+                                          ("ElUg", 3, 165)])
 def test_budget_steps_pinned(g6, t, steps):
     mu, _ = build_mycielskian(parse_graph6(g6), t)
     budget = Budget(10**8)
@@ -193,7 +196,8 @@ def test_lex_leader_prune_runs_past_24_vertices():
     assert mu.n == 25
     pruned, plain = Budget(10**8), Budget(10**8)
     res = distinguishing_number(mu, budget=pruned)
-    assert res == distinguishing_number(mu, budget=plain, use_orbits=False)
+    assert res == distinguishing_number(mu, budget=plain,
+                                        group=chain_without_generators(mu))
     assert pruned.used == 183
     assert plain.used == 1434
 
@@ -243,7 +247,7 @@ def test_chain_walk_is_bounded_by_the_budget():
 
 def test_orbit_pruning_is_transparent():
     for g, want in KNOWN:
-        res = distinguishing_number(g, use_orbits=False)
+        res = distinguishing_number(g, group=chain_without_generators(g))
         assert res.value == want
         assert is_distinguishing(g, res.certificate)
 
@@ -253,7 +257,8 @@ def test_orbit_pruning_is_transparent():
 def test_lex_leader_prune_keeps_certificates(g):
     pruned, plain = Budget(10**8), Budget(10**8)
     res = distinguishing_number(g, budget=pruned)
-    assert res == distinguishing_number(g, budget=plain, use_orbits=False)
+    assert res == distinguishing_number(g, budget=plain,
+                                        group=chain_without_generators(g))
     # the pruned tree is the unpruned one with subtrees cut
     assert pruned.used <= plain.used
     if g.n <= 6:
@@ -265,7 +270,29 @@ def test_lex_leader_prune_keeps_corpus_certificates(corpus_n6):
         mu, _ = build_mycielskian(g, 1)
         for h in (g, mu):
             assert distinguishing_number(h) == distinguishing_number(
-                h, use_orbits=False), line
+                h, group=chain_without_generators(h)), line
+
+
+def _assert_twin_classes_ascend(g):
+    # swapping twins u < v is an automorphism, so a coloring with
+    # c(u) > c(v) has a smaller image that also distinguishes: the
+    # lex-first certificate gives every twin class ascending colors, the
+    # order the DFS imposes
+    cert = distinguishing_number_bruteforce(g).certificate.assign
+    for cl in twin_classes(g):
+        colors = [cert[v] for v in cl]
+        assert colors == sorted(set(colors)), (cl, cert)
+
+
+def test_oracle_certificates_ascend_on_twin_classes(corpus_n6):
+    for _, g in corpus_n6:
+        _assert_twin_classes_ascend(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(twin_rich_graphs(7))
+def test_oracle_certificates_ascend_on_twin_rich_graphs(g):
+    _assert_twin_classes_ascend(g)
 
 
 def _smaller(gens, colors, d):

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 import subprocess
 import sys
 import time
@@ -30,6 +31,7 @@ from .oracles import enumerate_automorphisms_naive
 from .support import (chain_elements, graphs, reference_aut_generators,
                       source_tree_env)
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 N3_LINES = ["B?", "BG", "BW", "Bw"]  # all four graphs on 3 vertices
 
 
@@ -436,6 +438,26 @@ def test_cli_dist(monkeypatch, capsys):
     mu5 = write_graph6(build_mycielskian(complete_graph(5), 1)[0])
     code, out, _ = run_cli(["dist"], mu5 + "\n", monkeypatch, capsys)
     assert json_docs(out)[0]["dist"] == 3  # ceil(sqrt(5))
+
+
+def test_cli_dist_matches_golden(monkeypatch, capsys):
+    # every graph with n <= 7 and mu_1, mu_2 of every graph with n <= 5,
+    # as tools/make_dist_golden.py wrote them: value, certificate and
+    # twin witness, so a prune that changes any certificate fails here
+    golden = ROOT / "tests" / "golden" / "dist.jsonl"
+    records = [json.loads(ln) for ln in golden.read_text().splitlines()]
+    assert len(records) == 1356
+    for want in records:
+        code, out, _ = run_cli(["dist"], want.pop("graph6") + "\n",
+                               monkeypatch, capsys)
+        assert code == 0
+        assert json.loads(out) == want
+
+
+def test_n6_t1_sweep_matches_bench_golden(corpus_n6):
+    golden = ROOT / "bench" / "golden" / "sweep_n6_t1.csv"
+    report = run_verify([line for line, _ in corpus_n6], [1])
+    assert report_to_csv(report) == golden.read_text()
 
 
 def test_cli_dist_k_cap_and_budget(monkeypatch, capsys):
