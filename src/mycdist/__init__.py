@@ -1,8 +1,8 @@
 """Generalized Mycielskian graphs, automorphisms, distinguishing numbers."""
 
-from .automorphism import (AutListing, Budget, Permutation,
-                           enumerate_automorphisms, find_isomorphism,
-                           is_automorphism, orbit_of, search_color_preserving)
+from .automorphism import (AutListing, Budget, enumerate_automorphisms,
+                           find_isomorphism, is_automorphism, orbit_of,
+                           search_color_preserving)
 from .constructions import (DistPrediction, isolate_case_coloring,
                             kn_base_coloring, lift_coloring, predict_dist,
                             star_case_coloring)
@@ -11,13 +11,10 @@ from .distinguishing import (Coloring, DistResult, ExceedsCap,
                              twin_lower_bound)
 from .graph6 import (parse_edge_list, parse_graph6, write_edge_list,
                      write_graph6)
-from .graphs import (Graph, Star, classify_star, complete_graph,
-                     connected_components, cut_vertices, cycle_graph,
-                     degree, disjoint_union, empty_graph, isolated_vertices,
-                     neighborhood_degree_multiset, path_graph, star_graph,
-                     twin_classes)
-from .mycielskian import (FactCheck, FactReport, MycLayout, VertexRole,
-                          build_mycielskian, validate_facts)
+from .graphs import (Graph, Star, classify_star, complete_graph, cycle_graph,
+                     disjoint_union, empty_graph, isolated_vertices,
+                     path_graph, star_graph, twin_classes)
+from .mycielskian import MycLayout, VertexRole, build_mycielskian
 from .verify import (VerifyRecord, VerifyReport, process_record,
                      report_to_csv, report_to_json, run_verify)
 

@@ -74,41 +74,6 @@ from .graphs import Graph, twin_classes
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """Bijection of 0..n-1, stored as the image vector."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.image) != list(range(len(self.image))):
-            raise ValueError(f"not a permutation: {self.image}")
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(n)))
-
-    @property
-    def n(self) -> int:
-        return len(self.image)
-
-    def __call__(self, v: int) -> int:
-        return self.image[v]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """(self.compose(other))(v) = self(other(v))."""
-        return Permutation(tuple(self.image[x] for x in other.image))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for i, x in enumerate(self.image):
-            inv[x] = i
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.image))
-
-
-@dataclass(frozen=True)
 class AutListing:
     """Aut(g) as a stabilizer chain with base n-1, n-2, ..., 0.
 
@@ -146,7 +111,7 @@ class AutListing:
         return trans
 
     def preserving_moves_last(self, colors: Sequence[int], d: int,
-                              budget: Budget | None = None) -> bool:
+                              budget: Budget) -> bool:
         """True if some automorphism h fixing d..n-1 and moving d-1
         preserves colors[:d], for 1 <= d <= n.
 
@@ -170,8 +135,7 @@ class AutListing:
                 if level:
                     for w, t in level:
                         if colors[perm[w]] == c:
-                            if budget is not None:
-                                budget.spend()
+                            budget.spend()
                             if walk([perm[x] for x in t], b - 1):
                                 return True
                     return False
@@ -184,8 +148,7 @@ class AutListing:
         c = colors[b]
         for u, t in trans[b]:
             if u != b and colors[u] == c:
-                if budget is not None:
-                    budget.spend()
+                budget.spend()
                 if walk(t, b - 1):
                     return True
         return False
@@ -206,8 +169,8 @@ class Budget:
             raise SearchBudgetExceeded(self.used)
 
 
-def is_automorphism(g: Graph, p: Permutation | Sequence[int]) -> bool:
-    img = p.image if isinstance(p, Permutation) else tuple(p)
+def is_automorphism(g: Graph, img: Sequence[int]) -> bool:
+    """Is the image vector img an automorphism of g?"""
     if len(img) != g.n:
         raise SizeMismatch(f"permutation length {len(img)} != graph order {g.n}")
     if sorted(img) != list(range(g.n)):
@@ -380,8 +343,7 @@ def _unit_pair(n: int):
 
 
 def enumerate_automorphisms(g: Graph,
-                            known: Iterable[Permutation | Sequence[int]] = ()
-                            ) -> AutListing:
+                            known: Iterable[Sequence[int]] = ()) -> AutListing:
     """Aut(g) as one stabilizer chain with base n-1, n-2, ..., 0.
 
     Level b is the stable pair with n-1..b+1 individualized, whose
@@ -390,9 +352,9 @@ def enumerate_automorphisms(g: Graph,
     No element is built: the order is read off the chain, and the
     color-preserving walk multiplies transversal elements as it goes.
 
-    known takes automorphisms of g already found elsewhere, as
-    Permutations or image vectors; each is checked edge by edge and one
-    that is not an automorphism raises ValueError. They and the swap of
+    known takes automorphisms of g already found elsewhere, as image
+    vectors; each is checked edge by edge and one that is not an
+    automorphism raises ValueError. They and the swap of
     each pair of consecutive members of an open-twin class seed the
     chain's generators, which spares the orbit step a targeted search
     for every point they reach. The chain's order and orbits do not
@@ -443,7 +405,7 @@ def _seeds(g: Graph, twins, known) -> dict[int, dict[tuple[int, ...], None]]:
             img[u], img[v] = v, u
             by.setdefault(v, {})[tuple(img)] = None
     for p in known:
-        img = p.image if isinstance(p, Permutation) else tuple(p)
+        img = tuple(p)
         if sorted(img) != list(range(n)) or not _maps_edges(adj, adj, img):
             raise ValueError(f"not an automorphism of the graph: {img}")
         moved = [v for v, w in enumerate(img) if v != w]
@@ -469,16 +431,16 @@ def first_preserving(adj, colors) -> tuple[int, ...] | None:
     return None
 
 
-def search_color_preserving(g: Graph, coloring) -> Permutation | None:
-    """First nontrivial color-preserving automorphism in DFS order, or None.
+def search_color_preserving(g: Graph, coloring) -> tuple[int, ...] | None:
+    """First nontrivial color-preserving automorphism in DFS order, as an
+    image vector, or None.
 
     Accepts a Coloring or a plain sequence of 1-based colors.
     """
     colors = getattr(coloring, "assign", coloring)
     if len(colors) != g.n:
         raise SizeMismatch(f"coloring length {len(colors)} != graph order {g.n}")
-    img = first_preserving(g.adjacency, colors)
-    return None if img is None else Permutation(img)
+    return first_preserving(g.adjacency, colors)
 
 
 def _orbit(adj, P, ci: int, v: int,
@@ -536,13 +498,13 @@ def orbit_of(g: Graph, v: int) -> frozenset[int]:
     return frozenset(_orbit(adj, P, ci, v, []))
 
 
-def find_isomorphism(g: Graph, h: Graph) -> Permutation | None:
-    """Color-free isomorphism g -> h via the same refinement search."""
+def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
+    """Color-free isomorphism g -> h via the same refinement search, as
+    the image vector of g's vertices in h."""
     if g.n != h.n or g.edge_count != h.edge_count:
         return None
     if g.n == 0:
-        return Permutation(())
+        return ()
     P = [list(range(g.n))]
     Q = [list(range(h.n))]
-    img = next(_search_pair(g.adjacency, h.adjacency, P, Q), None)
-    return Permutation(img) if img is not None else None
+    return next(_search_pair(g.adjacency, h.adjacency, P, Q), None)

@@ -172,7 +172,7 @@ def cmd_check_coloring(args) -> int:
     coloring = _parse_coloring(args.coloring, g.n)
     witness = search_color_preserving(g, coloring)
     _emit({"distinguishing": witness is None,
-           "witness": None if witness is None else list(witness.image)})
+           "witness": None if witness is None else list(witness)})
     return EXIT_OK
 
 

@@ -90,9 +90,6 @@ class Coloring:
     def n(self) -> int:
         return len(self.assign)
 
-    def used(self) -> int:
-        return len(set(self.assign))
-
     def canonical(self) -> "Coloring":
         """Renumber colors by first occurrence; k becomes the used count."""
         seen: dict[int, int] = {}

@@ -36,7 +36,8 @@ class LayoutMismatch(MycdistError):
 
 
 class SizeMismatch(MycdistError):
-    """Permutation length differs from graph order."""
+    """A permutation, coloring or chain whose length differs from the
+    graph order."""
 
 
 class SearchBudgetExceeded(MycdistError):

@@ -1,4 +1,5 @@
-"""Simple undirected graphs on vertex ids 0..n-1, plus structural predicates.
+"""Simple undirected graphs on vertex ids 0..n-1, with the few analyses
+the pipeline reads: isolated vertices, open-twin classes and stars.
 
 Graphs are immutable once built; all analyses return deterministically
 ordered results so downstream reports are reproducible.
@@ -6,7 +7,6 @@ ordered results so downstream reports are reproducible.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidGraph, VertexOutOfRange
@@ -71,15 +71,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self._m})"
 
 
-def degree(g: Graph, v: int) -> int:
-    return g.degree(v)
-
-
-def neighborhood_degree_multiset(g: Graph, v: int) -> Counter:
-    """Multiset of degrees over the open neighborhood of v."""
-    return Counter(g.degree(u) for u in g.neighbors(v))
-
-
 def isolated_vertices(g: Graph) -> list[int]:
     """Degree-0 vertices, ascending."""
     return [v for v in range(g.n) if g.degree(v) == 0]
@@ -96,69 +87,6 @@ def twin_classes(g: Graph) -> list[list[int]]:
     classes = [sorted(c) for c in by_nbhd.values()]
     classes.sort(key=lambda c: c[0])
     return classes
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Components as sorted id lists, ordered by least member."""
-    seen = [False] * g.n
-    out = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = []
-        stack = [s]
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in g.neighbors(v):
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        out.append(sorted(comp))
-    return out
-
-
-def cut_vertices(g: Graph) -> set[int]:
-    """Articulation points via iterative lowpoint DFS."""
-    disc = [-1] * g.n
-    low = [0] * g.n
-    parent = [-1] * g.n
-    cuts: set[int] = set()
-    timer = 0
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        root_children = 0
-        # stack holds (vertex, iterator over its neighbors)
-        stack = [(root, iter(sorted(g.neighbors(root))))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
-                if disc[u] == -1:
-                    parent[u] = v
-                    if v == root:
-                        root_children += 1
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    stack.append((u, iter(sorted(g.neighbors(u)))))
-                    advanced = True
-                    break
-                elif u != parent[v]:
-                    low[v] = min(low[v], disc[u])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if p != root and low[v] >= disc[p]:
-                        cuts.add(p)
-        if root_children >= 2:
-            cuts.add(root)
-    return cuts
 
 
 class Star(NamedTuple):

@@ -30,11 +30,11 @@ from .automorphism import AutListing, Budget, orbit_of  # noqa: F401
 from .constructions import (CASE_ISOLATE_DOMINATED, CASE_K1_TGT1, EXACT,
                             isolate_case_coloring, predict_dist)
 from .distinguishing import (DEFAULT_BUDGET, distinguishing_number,
-                             is_distinguishing, twin_lower_bound)
+                             is_distinguishing)
 from .errors import MycdistError, SearchBudgetExceeded
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, classify_star, isolated_vertices
-from .mycielskian import build_mycielskian
+from .mycielskian import MycLayout, build_mycielskian
 
 CSV_FIELDS = ["graph6", "n", "ell", "dist_g", "t", "case", "predicted_kind",
               "predicted_value", "measured", "method", "root_orbit", "pass"]
@@ -87,14 +87,14 @@ class VerifyReport:
 
 
 def classify_root_orbit(orbit: frozenset[int], g: Graph, t: int) -> str:
-    n = g.n
-    root = (t + 1) * n
+    layout = MycLayout(g.n, t)
+    root = layout.root
     if orbit == {root}:
         return ORBIT_FIXED
     star = classify_star(g)
-    if star is not None and orbit == {root, t * n + star.center}:
+    if star is not None and orbit == {root, layout.vertex_id(star.center, t)}:
         return ORBIT_CENTER_SHADOW
-    if orbit == frozenset(range((t + 1) * n + 1)):
+    if orbit == frozenset(range(layout.order)):
         return ORBIT_ALL
     return ORBIT_OTHER
 
@@ -127,7 +127,7 @@ def _lifts(group: AutListing, t: int) -> list[tuple[int, ...]]:
     """The generators of G's chain lifted to mu_t(G): s*n + i goes to
     s*n + sigma(i) on each layer s, and the root is fixed."""
     n = group.n
-    root = (t + 1) * n
+    root = MycLayout(n, t).root
     return [tuple(s * n + x for s in range(t + 1) for x in h) + (root,)
             for _, _, gens in group.levels for h in gens]
 
@@ -141,13 +141,15 @@ def _root_orbit(chain: AutListing, root: int) -> frozenset[int]:
     return frozenset((root,))
 
 
-def _certify_exact(g: Graph, t: int, mu, prediction, dist_g_result) -> bool:
-    """Twin lower bound == constructive upper bound, both checked."""
+def _certify_exact(g: Graph, t: int, mu, mu_group: AutListing, prediction,
+                   dist_g_result) -> bool:
+    """Twin lower bound == constructive upper bound, both checked; the
+    bound is the largest twin class kept on mu's chain."""
     if prediction.kind != EXACT:
         return False
     if prediction.case_tag not in (CASE_ISOLATE_DOMINATED, CASE_K1_TGT1):
         return False
-    if twin_lower_bound(mu) != prediction.value:
+    if max(len(cl) for cl in mu_group.twins) != prediction.value:
         return False
     coloring = isolate_case_coloring(g, t, dist_g_result.certificate)
     return coloring.k == prediction.value and is_distinguishing(mu, coloring)
@@ -185,7 +187,7 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
             measured = distinguishing_number(mu, budget=Budget(budget_steps),
                                              group=mu_group).value
         except SearchBudgetExceeded:
-            if _certify_exact(g, t, mu, prediction, dist_g_result):
+            if _certify_exact(g, t, mu, mu_group, prediction, dist_g_result):
                 measured, method = prediction.value, METHOD_CERTIFIED
             else:
                 measured, method = None, METHOD_BUDGET_EXCEEDED

@@ -6,7 +6,9 @@ exceptions read the package's own structures: reference_listing drives
 its search, because what it checks is how the chain is assembled from
 that search, chain_elements expands the chain it builds, and
 chain_without_generators empties the generators it stores; the naive n!
-listing in oracles.py checks the first two.
+listing in oracles.py checks the first two. validate_facts reads the
+MycLayout it is given, since what it checks is that a built graph fits
+that layout.
 """
 
 import dataclasses
@@ -19,7 +21,9 @@ from hypothesis import strategies as st
 import mycdist
 from mycdist.automorphism import (_search_pair, _unit_pair,
                                   enumerate_automorphisms)
+from mycdist.errors import LayoutMismatch
 from mycdist.graphs import Graph
+from mycdist.mycielskian import MycLayout
 
 
 def graphs(max_n):
@@ -91,6 +95,78 @@ def naive_cut_vertices(g):
         if naive_component_count(g.n, edge_set, removed={v}) > base:
             cuts.add(v)
     return cuts
+
+
+@dataclasses.dataclass(frozen=True)
+class FactCheck:
+    name: str
+    ok: bool
+    witness: str | None = None
+
+
+@dataclasses.dataclass(frozen=True)
+class FactReport:
+    checks: tuple[FactCheck, ...]
+
+    @property
+    def all_ok(self) -> bool:
+        return all(c.ok for c in self.checks)
+
+    def failures(self) -> list[FactCheck]:
+        return [c for c in self.checks if not c.ok]
+
+
+def validate_facts(g: Graph, t: int, h: Graph, layout: MycLayout) -> FactReport:
+    """Check the structural facts of mu_t(g) against a built graph h.
+
+    Facts: order (t+1)n+1; deg(w) = n; deg of level-s copy of i is
+    2*deg_g(i) for s < t and deg_g(i)+1 at level t; levels 1..t induce
+    independent sets.
+    """
+    if layout.n != g.n or layout.t != t:
+        raise LayoutMismatch(f"layout is for (n={layout.n}, t={layout.t}), not (n={g.n}, t={t})")
+    if h.n != layout.order:
+        raise LayoutMismatch(f"graph order {h.n} != layout order {layout.order}")
+    n = g.n
+    checks = []
+
+    checks.append(FactCheck("order", h.n == (t + 1) * n + 1))
+
+    wdeg = h.degree(layout.root)
+    checks.append(FactCheck("root_degree", wdeg == n, None if wdeg == n else f"deg(w)={wdeg}, n={n}"))
+
+    bad = None
+    for s in range(t):
+        for i in range(n):
+            d = h.degree(layout.vertex_id(i, s))
+            if d != 2 * g.degree(i):
+                bad = f"deg(u_{i}^{s})={d}, expected {2 * g.degree(i)}"
+                break
+        if bad:
+            break
+    checks.append(FactCheck("inner_level_degrees", bad is None, bad))
+
+    bad = None
+    for i in range(n):
+        d = h.degree(layout.vertex_id(i, t))
+        if d != g.degree(i) + 1:
+            bad = f"deg(u_{i}^{t})={d}, expected {g.degree(i) + 1}"
+            break
+    checks.append(FactCheck("top_level_degrees", bad is None, bad))
+
+    bad = None
+    for s in range(1, t + 1):
+        ids = {layout.vertex_id(i, s) for i in range(n)}
+        for v in ids:
+            hit = h.neighbors(v) & ids
+            if hit:
+                bad = f"level {s} has edge {v}-{min(hit)}"
+                break
+        if bad:
+            break
+    checks.append(FactCheck("levels_independent", bad is None, bad))
+
+    return FactReport(tuple(checks))
 
 
 def naive_twin_classes(g):

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from mycdist import (Graph, build_mycielskian, complete_graph, cycle_graph,
                      disjoint_union, empty_graph, enumerate_automorphisms,
-                     find_isomorphism, is_automorphism,
-                     neighborhood_degree_multiset, orbit_of, path_graph,
+                     find_isomorphism, is_automorphism, orbit_of, path_graph,
                      search_color_preserving, star_graph, twin_classes)
 from mycdist import verify
-from mycdist.automorphism import Budget, Permutation, first_preserving
+from mycdist.automorphism import Budget, first_preserving
 from mycdist.errors import SearchBudgetExceeded, SizeMismatch
 
 from .oracles import enumerate_automorphisms_naive
@@ -56,17 +55,6 @@ KNOWN_ORDERS = [
 ]
 
 
-def test_permutation_algebra():
-    p = Permutation((1, 2, 0))
-    q = Permutation((0, 2, 1))
-    assert p(0) == 1
-    assert p.compose(q).image == (1, 0, 2)
-    assert p.compose(p.inverse()).is_identity()
-    assert Permutation.identity(3).is_identity()
-    with pytest.raises(ValueError):
-        Permutation((0, 0, 1))
-
-
 def test_is_automorphism():
     c4 = cycle_graph(4)
     assert is_automorphism(c4, (1, 2, 3, 0))
@@ -101,8 +89,8 @@ def test_automorphisms_preserve_local_structure():
         for img in chain_elements(enumerate_automorphisms(g)):
             for v in range(g.n):
                 assert g.degree(img[v]) == g.degree(v)
-                assert (neighborhood_degree_multiset(g, img[v])
-                        == neighborhood_degree_multiset(g, v))
+                assert (sorted(g.degree(u) for u in g.neighbors(img[v]))
+                        == sorted(g.degree(u) for u in g.neighbors(v)))
 
 
 @settings(max_examples=120, deadline=None)
@@ -136,9 +124,9 @@ def test_color_preserving_search():
 
     weak = [1, 2, 1, 1, 1, 1, 1]
     p = search_color_preserving(mu, weak)
-    assert p is not None and not p.is_identity()
+    assert p is not None and p != tuple(range(mu.n))
     assert is_automorphism(mu, p)
-    assert all(weak[p(v)] == weak[v] for v in range(mu.n))
+    assert all(weak[p[v]] == weak[v] for v in range(mu.n))
 
     monochrome = [1] * mu.n
     p = search_color_preserving(mu, monochrome)
@@ -159,7 +147,7 @@ def test_find_isomorphism():
     p = find_isomorphism(g, h)
     assert p is not None
     for u, v in g.edges():
-        assert h.has_edge(p(u), p(v))
+        assert h.has_edge(p[u], p[v])
     # same degree sequence, not isomorphic
     assert find_isomorphism(cycle_graph(6),
                             disjoint_union(cycle_graph(3), cycle_graph(3))) is None
@@ -275,7 +263,7 @@ def test_chain_keeps_the_twin_classes(g):
 
 def test_known_takes_permutations_and_rejects_non_bijections():
     g = path_graph(4)
-    assert enumerate_automorphisms(g, known=[Permutation((3, 2, 1, 0))]).order == 2
+    assert enumerate_automorphisms(g, known=[(3, 2, 1, 0)]).order == 2
     for bad in [(1, 0, 2, 3), (0, 1, 2), (0, 0, 2, 3), (0, 1, 2, 3, 4)]:
         with pytest.raises(ValueError):
             enumerate_automorphisms(g, known=[bad])
@@ -305,14 +293,14 @@ def test_preserving_moves_last_examples():
     # path 0-1-2-3: the reversal is the one nontrivial element, and it
     # moves 3, so only d = 4 can say yes
     path = enumerate_automorphisms(path_graph(4))
-    assert [path.preserving_moves_last((1, 2, 2, 1), d) for d in (1, 2, 3, 4)] == [
-        False, False, False, True]
-    assert not path.preserving_moves_last((1, 2, 1, 2), 4)
+    assert [path.preserving_moves_last((1, 2, 2, 1), d, Budget(10**6))
+            for d in (1, 2, 3, 4)] == [False, False, False, True]
+    assert not path.preserving_moves_last((1, 2, 1, 2), 4, Budget(10**6))
     # S_5 on the edgeless graph: a transposition (u d-1) preserves any
     # coloring where u < d-1 shares the color of d-1
     sym = enumerate_automorphisms(empty_graph(5))
-    assert [sym.preserving_moves_last((1, 2, 3, 1, 4), d) for d in range(1, 6)] == [
-        False, False, False, True, False]
+    assert [sym.preserving_moves_last((1, 2, 3, 1, 4), d, Budget(10**6))
+            for d in range(1, 6)] == [False, False, False, True, False]
     # one step per transversal element multiplied into the product
     budget = Budget(10**6)
     assert sym.preserving_moves_last((1, 1, 1, 1, 1), 5, budget)

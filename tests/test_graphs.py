@@ -1,26 +1,15 @@
 """Structural predicates against naive oracles."""
 
-import random
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mycdist import (Graph, Star, build_mycielskian, classify_star,
-                     complete_graph, connected_components, cut_vertices,
-                     cycle_graph, disjoint_union, empty_graph,
-                     isolated_vertices, neighborhood_degree_multiset,
-                     path_graph, star_graph, twin_classes)
+                     complete_graph, cycle_graph, disjoint_union,
+                     empty_graph, isolated_vertices, path_graph, star_graph,
+                     twin_classes)
 from mycdist.errors import VertexOutOfRange
 
-from .support import graphs, naive_cut_vertices, naive_twin_classes
-
-
-def random_graph(n, p, seed):
-    rng = random.Random(seed)
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
-                     if rng.random() < p])
+from .support import graphs, naive_twin_classes
 
 
 def test_basic_accessors():
@@ -40,9 +29,7 @@ def test_basic_accessors():
 def test_order_zero_graph_is_accepted():
     g = Graph(0)
     assert g.n == 0 and g.edges() == []
-    assert connected_components(g) == []
     assert twin_classes(g) == []
-    assert cut_vertices(g) == set()
 
 
 @settings(max_examples=150, deadline=None)
@@ -69,35 +56,6 @@ def test_twin_classes_on_star_mycielskian():
     classes = twin_classes(mu)
     assert [0, 1, 2] in classes  # the three leaves
     assert [4, 5, 6] in classes  # their level-1 copies
-
-
-def test_neighborhood_degree_multiset():
-    mu, layout = build_mycielskian(star_graph(3), 1)
-    assert neighborhood_degree_multiset(mu, layout.root) == Counter({2: 3, 4: 1})
-    assert neighborhood_degree_multiset(path_graph(3), 1) == Counter({1: 2})
-    assert neighborhood_degree_multiset(empty_graph(2), 0) == Counter()
-
-
-def test_cut_vertices_against_naive_oracle_random(corpus_n6):
-    for seed in range(40):
-        g = random_graph(seed % 11 + 2, 0.3, seed)
-        assert cut_vertices(g) == naive_cut_vertices(g), g.edges()
-    for _, g in corpus_n6:
-        assert cut_vertices(g) == naive_cut_vertices(g)
-
-
-def test_cut_vertices_examples():
-    assert cut_vertices(path_graph(5)) == {1, 2, 3}
-    assert cut_vertices(cycle_graph(5)) == set()
-    assert cut_vertices(star_graph(4)) == {4}
-    mu, layout = build_mycielskian(empty_graph(2), 2)
-    assert cut_vertices(mu) == {layout.root}
-
-
-def test_connected_components():
-    g = disjoint_union(path_graph(3), complete_graph(2))
-    assert connected_components(g) == [[0, 1, 2], [3, 4]]
-    assert connected_components(empty_graph(3)) == [[0], [1], [2]]
 
 
 def test_isolated_vertices():

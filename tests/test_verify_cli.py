@@ -234,6 +234,23 @@ def test_process_record_finds_twin_classes_once_per_graph(monkeypatch):
     assert calls == [6, 13, 19]
 
 
+def test_certified_path_finds_twin_classes_once_per_graph(monkeypatch):
+    # mu_2's search runs out of steps and the record is certified: the
+    # twin lower bound is read off mu_2's chain, not found a second time
+    calls = []
+    find = automorphism.twin_classes
+
+    def counted(g):
+        calls.append(g.n)
+        return find(g)
+
+    monkeypatch.setattr(automorphism, "twin_classes", counted)
+    monkeypatch.setattr(distinguishing, "twin_classes", counted)
+    rows = process_record("B?", [2], 8)
+    assert [r.method for r in rows] == ["certified"]
+    assert calls == [3, 10]
+
+
 def test_import_leaves_the_process_pool_out():
     # concurrent.futures pulls in multiprocessing; only verify --jobs > 1
     # uses it, and imports it there
@@ -243,6 +260,17 @@ def test_import_leaves_the_process_pool_out():
         capture_output=True, text=True, env=source_tree_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package, its CLI and the sweep run on a bare Python
+    code = ("import sys, mycdist, mycdist.cli, mycdist.verify; "
+            "print(sorted({'numpy', 'networkx', 'hypothesis', 'pytest'}"
+            " & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=source_tree_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_root_orbit_read_off_the_chain_matches_orbit_of(corpus_n6):
