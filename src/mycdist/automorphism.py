@@ -65,15 +65,13 @@ steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
 
 from .errors import SearchBudgetExceeded, SizeMismatch
 from .graphs import Graph, twin_classes
 
 
-@dataclass(frozen=True)
 class AutListing:
     """Aut(g) as a stabilizer chain with base n-1, n-2, ..., 0.
 
@@ -88,9 +86,11 @@ class AutListing:
     swaps seeded the chain and which the distinguishing search reads too.
     """
 
-    n: int
-    levels: tuple[tuple[int, tuple, tuple], ...]
-    twins: tuple[tuple[int, ...], ...]
+    def __init__(self, n: int, levels: tuple[tuple[int, tuple, tuple], ...],
+                 twins: tuple[tuple[int, ...], ...]):
+        self.n = n
+        self.levels = levels
+        self.twins = twins
 
     @property
     def order(self) -> int:

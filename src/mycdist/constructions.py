@@ -16,7 +16,7 @@ no graph needs to be built here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .distinguishing import Coloring
 from .errors import (InvalidM, InvalidN, InvalidT, MalformedColoring,
@@ -35,13 +35,11 @@ EXACT = "exact"
 UPPER_BOUND = "upper_bound"
 
 
-@dataclass(frozen=True)
-class DistPrediction:
-    """Predicted dist(mu_t(G)): exact value or an upper bound."""
+class DistPrediction(namedtuple("DistPrediction", "case_tag kind value")):
+    """Predicted dist(mu_t(G)): kind is EXACT or UPPER_BOUND, value the
+    exact value or the bound."""
 
-    case_tag: str
-    kind: str  # EXACT or UPPER_BOUND
-    value: int
+    __slots__ = ()
 
 
 def predict_dist(g: Graph, t: int, dist_g: int) -> DistPrediction:

@@ -59,7 +59,7 @@ where each generator's renumbering starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .automorphism import (AutListing, Budget, enumerate_automorphisms,
                           first_preserving)
@@ -69,22 +69,21 @@ from .graphs import Graph, twin_classes
 DEFAULT_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(namedtuple("Coloring", "k assign")):
     """Vertex coloring with palette 1..k; assign[v] is the color of v."""
 
-    k: int
-    assign: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.assign:
-            if self.k < 1:
-                raise MalformedColoring(f"k={self.k} but {len(self.assign)} vertices")
-            bad = [c for c in self.assign if not (1 <= c <= self.k)]
+    def __new__(cls, k: int, assign: tuple[int, ...]):
+        if assign:
+            if k < 1:
+                raise MalformedColoring(f"k={k} but {len(assign)} vertices")
+            bad = [c for c in assign if not (1 <= c <= k)]
             if bad:
-                raise MalformedColoring(f"colors {bad} outside 1..{self.k}")
-        elif self.k < 0:
+                raise MalformedColoring(f"colors {bad} outside 1..{k}")
+        elif k < 0:
             raise MalformedColoring("negative k")
+        return super().__new__(cls, k, assign)
 
     @property
     def n(self) -> int:
@@ -101,18 +100,18 @@ class Coloring:
         return Coloring(len(seen), tuple(out))
 
 
-@dataclass(frozen=True)
-class DistResult:
-    value: int
-    certificate: Coloring
-    lower_bound_witness: int | None = None  # twin class size, when it forced the value
+class DistResult(namedtuple("DistResult", "value certificate lower_bound_witness",
+                            defaults=(None,))):
+    """value, a Coloring certificate, and lower_bound_witness: the twin
+    class size when it forced the value, else None."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExceedsCap:
+class ExceedsCap(namedtuple("ExceedsCap", "k_cap")):
     """Returned when the distinguishing number is proven to exceed k_cap."""
 
-    k_cap: int
+    __slots__ = ()
 
 
 def twin_lower_bound(g: Graph) -> int:

@@ -7,10 +7,21 @@ order: (0,1), (0,2), (1,2), (0,3), ...
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import MalformedGraph6, Unsupported
 from .graphs import Graph
 
 _MAX_N = 62
+
+# body byte -> its 6 bits, most significant first
+_SEXTETS = {chr(63 + v): format(v, "06b") for v in range(64)}
+
+
+@cache
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pairs of order n in graph6 bit order."""
+    return tuple((i, j) for j in range(1, n) for i in range(j))
 
 
 def parse_graph6(text: str | bytes) -> Graph:
@@ -37,24 +48,15 @@ def parse_graph6(text: str | bytes) -> Graph:
     body = s[1:]
     if len(body) != need:
         raise MalformedGraph6(f"expected {need} body bytes for n={n}, got {len(body)}")
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        if not (0 <= val < 64):
-            raise MalformedGraph6(f"byte {ch!r} out of range")
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
+    try:
+        bits = "".join([_SEXTETS[ch] for ch in body])
+    except KeyError as e:
+        raise MalformedGraph6(f"byte {e.args[0]!r} out of range") from None
     # padding bits past the triangle must be zero
-    tri = n * (n - 1) // 2
-    if any(bits[tri:]):
+    pairs = _pairs(n)
+    if "1" in bits[len(pairs):]:
         raise MalformedGraph6("nonzero padding bits")
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph(n, edges)
+    return Graph(n, [p for p, b in zip(pairs, bits) if b == "1"])
 
 
 def write_graph6(g: Graph) -> str:
@@ -62,19 +64,11 @@ def write_graph6(g: Graph) -> str:
     n = g.n
     if n > _MAX_N:
         raise Unsupported(f"n={n} exceeds single-byte graph6 range")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(63 + n)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        out.append(chr(63 + val))
-    return "".join(out)
+    adj = g.adjacency
+    bits = "".join(["1" if j in adj[i] else "0" for i, j in _pairs(n)])
+    bits += "0" * (-len(bits) % 6)
+    return chr(63 + n) + "".join([chr(63 + int(bits[k:k + 6], 2))
+                                  for k in range(0, len(bits), 6)])
 
 
 def parse_edge_list(text: str) -> Graph:

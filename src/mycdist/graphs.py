@@ -7,7 +7,8 @@ ordered results so downstream reports are reproducible.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .errors import InvalidGraph, VertexOutOfRange
 
@@ -89,11 +90,10 @@ def twin_classes(g: Graph) -> list[list[int]]:
     return classes
 
 
-class Star(NamedTuple):
+class Star(namedtuple("Star", "m center")):
     """K_{1,m} classification: m leaves around vertex `center`."""
 
-    m: int
-    center: int
+    __slots__ = ()
 
 
 def classify_star(g: Graph) -> Star | None:

@@ -9,27 +9,24 @@ adjacent to exactly the level-t vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import EmptySource, InvalidT, LayoutMismatch
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class VertexRole:
-    """What a mu_t(G) vertex id stands for."""
+class VertexRole(namedtuple("VertexRole", "kind index level")):
+    """What a mu_t(G) vertex id stands for: kind is "original", "shadow"
+    or "root"; index the source vertex id, None for the root; level 0 for
+    originals, 1..t for shadows, None for the root."""
 
-    kind: str  # "original" | "shadow" | "root"
-    index: int | None  # source vertex id, None for the root
-    level: int | None  # 0 for originals, 1..t for shadows, None for the root
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MycLayout:
+class MycLayout(namedtuple("MycLayout", "n t")):
     """Id scheme of one mu_t construction over a source of order n."""
 
-    n: int
-    t: int
+    __slots__ = ()
 
     @property
     def order(self) -> int:

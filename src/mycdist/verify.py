@@ -21,7 +21,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from . import distinguishing
 # bench/run.py --trace 1 wraps verify.orbit_of by name; records read the
@@ -53,25 +53,18 @@ METHOD_MALFORMED = "malformed"
 NON_VIOLATION_METHODS = (METHOD_BUDGET_EXCEEDED, METHOD_MALFORMED)
 
 
-@dataclass(frozen=True)
-class VerifyRecord:
-    graph6: str
-    n: int | None
-    ell: int | None
-    dist_g: int | None
-    t: int
-    case: str | None
-    predicted_kind: str | None
-    predicted_value: int | None
-    measured: int | None
-    method: str
-    root_orbit: str | None
-    passed: bool
+class VerifyRecord(namedtuple("VerifyRecord", [
+        "graph6", "n", "ell", "dist_g", "t", "case", "predicted_kind",
+        "predicted_value", "measured", "method", "root_orbit", "passed"])):
+    """One (graph, t) row; the fields are CSV_FIELDS, with passed for pass."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    records: tuple[VerifyRecord, ...]
+class VerifyReport(namedtuple("VerifyReport", "records")):
+    """The rows of a sweep, in input order."""
+
+    __slots__ = ()
 
     @property
     def summary(self) -> dict:
@@ -256,9 +249,9 @@ def run_verify(lines: list[str], ts: list[int], *, budget_steps: int = DEFAULT_B
 
 
 def _row_dict(r: VerifyRecord) -> dict:
-    d = asdict(r)
-    d["pass"] = d.pop("passed")
-    return {k: d[k] for k in CSV_FIELDS}
+    d = r._asdict()
+    d["pass"] = d.pop("passed")  # the last field, so the order is CSV_FIELDS
+    return d
 
 
 def report_to_json(report: VerifyReport) -> str:
@@ -267,20 +260,18 @@ def report_to_json(report: VerifyReport) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _csv_cell(val) -> str:
+    if val is None:
+        return ""
+    if isinstance(val, bool):
+        return "true" if val else "false"
+    return str(val)
+
+
 def report_to_csv(report: VerifyReport) -> str:
+    """One row per record, its fields in order: they are CSV_FIELDS."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
-    for r in report.records:
-        d = _row_dict(r)
-        row = []
-        for key in CSV_FIELDS:
-            val = d[key]
-            if val is None:
-                row.append("")
-            elif isinstance(val, bool):
-                row.append("true" if val else "false")
-            else:
-                row.append(str(val))
-        writer.writerow(row)
+    writer.writerows([_csv_cell(val) for val in r] for r in report.records)
     return buf.getvalue()

@@ -19,7 +19,7 @@ from collections import Counter, deque
 from hypothesis import strategies as st
 
 import mycdist
-from mycdist.automorphism import (_search_pair, _unit_pair,
+from mycdist.automorphism import (AutListing, _search_pair, _unit_pair,
                                   enumerate_automorphisms)
 from mycdist.errors import LayoutMismatch
 from mycdist.graphs import Graph
@@ -273,8 +273,8 @@ def chain_without_generators(g: Graph):
     search reads its lex-leader prune off them, so given this chain as
     group= it runs unpruned, with the same value and certificate."""
     group = enumerate_automorphisms(g)
-    return dataclasses.replace(group, levels=tuple(
-        (b, images, ()) for b, images, _ in group.levels))
+    levels = tuple((b, images, ()) for b, images, _ in group.levels)
+    return AutListing(group.n, levels, group.twins)
 
 
 # The listing as it was before the stabilizer chain: every group element

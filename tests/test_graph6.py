@@ -68,6 +68,44 @@ def test_malformed_records_rejected(bad):
         parse_graph6(bad)
 
 
+# exception class and message of each malformed record, as the
+# bit-at-a-time decoder raised them: the first failing check wins
+MALFORMED = [
+    ("", MalformedGraph6, "empty record"),
+    ("   \n", MalformedGraph6, "empty record"),
+    (">>graph6<<", MalformedGraph6, "header without a record"),
+    (b"\xff", MalformedGraph6,
+     "'ascii' codec can't decode byte 0xff in position 0: ordinal not in range(128)"),
+    (b"B\x80", MalformedGraph6,
+     "'ascii' codec can't decode byte 0x80 in position 1: ordinal not in range(128)"),
+    ("!", MalformedGraph6, "bad order byte '!'"),
+    ("\x7f", MalformedGraph6, "bad order byte '\\x7f'"),
+    ("~", Unsupported, "multi-byte graph6 orders (n > 62) not supported"),
+    ("~??", Unsupported, "multi-byte graph6 orders (n > 62) not supported"),
+    ("B", MalformedGraph6, "expected 1 body bytes for n=3, got 0"),
+    ("B??", MalformedGraph6, "expected 1 body bytes for n=3, got 2"),
+    ("@?", MalformedGraph6, "expected 0 body bytes for n=1, got 1"),
+    ("B ?", MalformedGraph6, "expected 1 body bytes for n=3, got 2"),
+    ("B!", MalformedGraph6, "byte '!' out of range"),
+    ("C\x7f", MalformedGraph6, "byte '\\x7f' out of range"),
+    ("B\xe9", MalformedGraph6, "byte '\xe9' out of range"),
+    ("Bx", MalformedGraph6, "nonzero padding bits"),
+    ("A`", MalformedGraph6, "nonzero padding bits"),
+    ("D?@", MalformedGraph6, "nonzero padding bits"),
+    ("D\x7f!", MalformedGraph6, "byte '\\x7f' out of range"),
+    ("D@!", MalformedGraph6, "byte '!' out of range"),
+    (">>graph6<<B!", MalformedGraph6, "byte '!' out of range"),
+]
+
+
+@pytest.mark.parametrize("bad,cls,message", MALFORMED)
+def test_malformed_record_error_class_and_message(bad, cls, message):
+    with pytest.raises(MycdistError) as info:
+        parse_graph6(bad)
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
 def test_optional_header_accepted():
     assert parse_graph6(">>graph6<<Bw").edge_count == 3
 

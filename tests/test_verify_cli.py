@@ -7,6 +7,7 @@ import io
 import json
 import math
 import pathlib
+import pickle
 import subprocess
 import sys
 import time
@@ -16,13 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mycdist import (build_mycielskian, complete_graph, cycle_graph,
-                     empty_graph, enumerate_automorphisms, is_automorphism,
+from mycdist import (AutListing, Coloring, ExceedsCap, MycLayout, VerifyRecord,
+                     build_mycielskian, complete_graph, cycle_graph,
+                     distinguishing_number, empty_graph,
+                     enumerate_automorphisms, is_automorphism,
                      kn_base_coloring, orbit_of, parse_graph6, path_graph,
                      star_graph, write_graph6)
 from mycdist import automorphism, distinguishing, verify
 from mycdist.cli import main
-from mycdist.errors import MycdistError
+from mycdist.errors import MalformedColoring, MycdistError
 from mycdist.verify import (CSV_FIELDS, classify_root_orbit, process_record,
                             report_to_csv, report_to_json, root_orbit_conforms,
                             run_verify)
@@ -271,6 +274,41 @@ def test_runtime_imports_only_the_standard_library():
                           text=True, env=source_tree_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # every command pays the import; -S keeps site's .pth files from
+    # loading typing before the package does
+    code = ("import sys, mycdist, mycdist.cli, mycdist.verify; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'}"
+            " & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=source_tree_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_record_fields_are_the_csv_columns():
+    assert list(VerifyRecord._fields) == [
+        "passed" if f == "pass" else f for f in CSV_FIELDS]
+
+
+def test_records_round_trip_through_pickle():
+    # --jobs pickles tasks to the workers and their records back
+    g = parse_graph6("Bw")
+    group = enumerate_automorphisms(g)
+    res = distinguishing_number(g, group=group)
+    records = process_record("Bw", [1, 2], 10**6)
+    for obj in [*records, res, res.certificate, ExceedsCap(2),
+                MycLayout(3, 2)]:
+        back = pickle.loads(pickle.dumps(obj))
+        assert type(back) is type(obj) and back == obj
+    back = pickle.loads(pickle.dumps(group))
+    assert type(back) is AutListing
+    assert (back.n, back.order, back.levels, back.twins) == (
+        3, 6, group.levels, group.twins)
+    with pytest.raises(MalformedColoring, match=r"colors \[3\] outside 1..2"):
+        Coloring(2, (1, 3))
 
 
 def test_root_orbit_read_off_the_chain_matches_orbit_of(corpus_n6):
