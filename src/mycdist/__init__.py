@@ -1,8 +1,7 @@
 """Generalized Mycielskian graphs, automorphisms, distinguishing numbers."""
 
 from .automorphism import (AutListing, Budget, enumerate_automorphisms,
-                           find_isomorphism, is_automorphism, orbit_of,
-                           search_color_preserving)
+                           find_isomorphism, orbit_of, search_color_preserving)
 from .constructions import (DistPrediction, isolate_case_coloring,
                             kn_base_coloring, lift_coloring, predict_dist,
                             star_case_coloring)
@@ -12,8 +11,7 @@ from .distinguishing import (Coloring, DistResult, ExceedsCap,
 from .graph6 import (parse_edge_list, parse_graph6, write_edge_list,
                      write_graph6)
 from .graphs import (Graph, Star, classify_star, complete_graph, cycle_graph,
-                     disjoint_union, empty_graph, isolated_vertices,
-                     path_graph, star_graph, twin_classes)
+                     isolated_vertices, path_graph, star_graph, twin_classes)
 from .mycielskian import MycLayout, VertexRole, build_mycielskian
 from .verify import (VerifyRecord, VerifyReport, process_record,
                      report_to_csv, report_to_json, run_verify)

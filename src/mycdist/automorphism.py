@@ -25,8 +25,9 @@ element of H_d that moves d-1 preserves a partial coloring, a walk down
 the levels below d that multiplies transversal elements only while their
 product keeps the colors (preserving_moves_last), and cuts lex-leader
 prefixes with the generators kept at each level. orbit_of runs the same
-orbit step on its vertex's cell. first_preserving, the one color-preserving
-search over a whole graph, seeds the same search with color classes.
+orbit step on its vertex's cell. search_color_preserving, the one
+color-preserving search over a whole graph, seeds the same search with
+color classes.
 
 The chain is seeded with automorphisms known before any search: the swap
 of each pair of consecutive members of an open-twin class (the chain keeps
@@ -167,15 +168,6 @@ class Budget:
         self.used += k
         if self.used > self.limit:
             raise SearchBudgetExceeded(self.used)
-
-
-def is_automorphism(g: Graph, img: Sequence[int]) -> bool:
-    """Is the image vector img an automorphism of g?"""
-    if len(img) != g.n:
-        raise SizeMismatch(f"permutation length {len(img)} != graph order {g.n}")
-    if sorted(img) != list(range(g.n)):
-        return False
-    return _maps_edges(g.adjacency, g.adjacency, img)
 
 
 def _refine_pair(adj_s, adj_t, P, Q, split: int = -1):
@@ -414,33 +406,26 @@ def _seeds(g: Graph, twins, known) -> dict[int, dict[tuple[int, ...], None]]:
     return by
 
 
-def first_preserving(adj, colors) -> tuple[int, ...] | None:
+def search_color_preserving(g: Graph, coloring) -> tuple[int, ...] | None:
     """First nontrivial automorphism in DFS order that preserves every
     vertex's color, as an image vector; None if there is none.
 
-    The color classes, in color order, seed the search's initial
-    partition; no listing is built.
-    """
-    by: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by.setdefault(c, []).append(v)
-    cells = [by[c] for c in sorted(by)]
-    for img in _search_pair(adj, adj, cells, cells):
-        if any(i != x for i, x in enumerate(img)):
-            return img
-    return None
-
-
-def search_color_preserving(g: Graph, coloring) -> tuple[int, ...] | None:
-    """First nontrivial color-preserving automorphism in DFS order, as an
-    image vector, or None.
-
-    Accepts a Coloring or a plain sequence of 1-based colors.
+    Accepts a Coloring or a plain sequence of 1-based colors. The color
+    classes, in color order, seed the search's initial partition; no
+    listing is built.
     """
     colors = getattr(coloring, "assign", coloring)
     if len(colors) != g.n:
         raise SizeMismatch(f"coloring length {len(colors)} != graph order {g.n}")
-    return first_preserving(g.adjacency, colors)
+    by: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        by.setdefault(c, []).append(v)
+    cells = [by[c] for c in sorted(by)]
+    adj = g.adjacency
+    for img in _search_pair(adj, adj, cells, cells):
+        if any(i != x for i, x in enumerate(img)):
+            return img
+    return None
 
 
 def _orbit(adj, P, ci: int, v: int,

@@ -10,8 +10,9 @@ The value of dist(mu_t(G)) in terms of dist(G) splits into cases:
 * otherwise dist(mu_t(G)) <= dist(G).
 
 Each constructive coloring below realizes the upper bound of its case.
-Colorings are emitted against the arithmetic id scheme of MycLayout, so
-no graph needs to be built here.
+Each is built as one row of colors per level, row s giving the level-s
+copy of every source vertex, plus a root color, and MycLayout.lift lays
+them out in mu_t(G)'s vertex ids, so no graph needs to be built here.
 """
 
 from __future__ import annotations
@@ -72,15 +73,8 @@ def star_case_coloring(m: int, t: int) -> Coloring:
         raise InvalidM(f"star case needs m >= 2, got {m}")
     if t < 1:
         raise InvalidT(f"t must be >= 1, got {t}")
-    n = m + 1
-    layout = MycLayout(n, t)
-    assign = [0] * layout.order
-    for s in range(t + 1):
-        for i in range(m):
-            assign[s * n + i] = i + 1
-        assign[s * n + m] = 2
-    assign[layout.root] = 1
-    return Coloring(m, tuple(assign))
+    row = list(range(1, m + 1)) + [2]
+    return Coloring(m, MycLayout(m + 1, t).lift([row] * (t + 1), 1))
 
 
 def kn_base_coloring(n: int, t: int) -> tuple[int, Coloring]:
@@ -98,13 +92,8 @@ def kn_base_coloring(n: int, t: int) -> tuple[int, Coloring]:
     k = 2
     while k ** (t + 1) < n:
         k += 1
-    layout = MycLayout(n, t)
-    assign = [0] * layout.order
-    for i in range(n):
-        for s in range(t + 1):
-            assign[s * n + i] = (i // k**s) % k + 1
-    assign[layout.root] = 1
-    return k, Coloring(k, tuple(assign))
+    rows = [[(i // k**s) % k + 1 for i in range(n)] for s in range(t + 1)]
+    return k, Coloring(k, MycLayout(n, t).lift(rows, 1))
 
 
 def _check_source_coloring(g: Graph, c: Coloring):
@@ -132,20 +121,12 @@ def isolate_case_coloring(g: Graph, t: int, dist_coloring_g: Coloring) -> Colori
         # supplied coloring stands in for dist(g)
         raise PreconditionViolated(
             f"needs t*l > source colors, got t*l = {t * ell}, k = {dist_coloring_g.k}")
-    n = g.n
-    layout = MycLayout(n, t)
-    assign = [0] * layout.order
-    for s in range(t):
+    rows = [list(dist_coloring_g.assign) for _ in range(t + 1)]
+    for s, row in enumerate(rows):
         for j, v in enumerate(iso):
-            assign[s * n + v] = s * ell + j + 1
-    for j, v in enumerate(iso):
-        assign[t * n + v] = j + 1
-    for v in range(n):
-        if g.degree(v) > 0:
-            for s in range(t + 1):
-                assign[s * n + v] = dist_coloring_g.assign[v]
-    assign[layout.root] = 2  # any color except that of the first isolate chain
-    return Coloring(t * ell, tuple(assign))
+            row[v] = (s % t) * ell + j + 1  # level t repeats level 0
+    # the root takes any color except that of the first isolate chain
+    return Coloring(t * ell, MycLayout(g.n, t).lift(rows, 2))
 
 
 def lift_coloring(g: Graph, t: int, dist_coloring_g: Coloring, w_color: int = 1) -> Coloring:
@@ -169,12 +150,7 @@ def lift_coloring(g: Graph, t: int, dist_coloring_g: Coloring, w_color: int = 1)
         raise PreconditionViolated(f"t*l = {t * ell} exceeds palette k = {k}")
     if not (1 <= w_color <= k):
         raise PreconditionViolated(f"w_color {w_color} outside 1..{k}")
-    n = g.n
-    layout = MycLayout(n, t)
-    assign = [0] * layout.order
-    for v in range(n):
-        for s in range(t + 1):
-            assign[s * n + v] = dist_coloring_g.assign[v]
+    rows = [list(dist_coloring_g.assign) for _ in range(t + 1)]
     # levels 1..t-1 of the isolates are isolated in mu_t(g): all of T
     # (that, plus the isolates themselves) must be rainbow
     taken = {dist_coloring_g.assign[v] for v in iso}
@@ -184,6 +160,5 @@ def lift_coloring(g: Graph, t: int, dist_coloring_g: Coloring, w_color: int = 1)
             c = next(fresh, None)
             if c is None:
                 raise PaletteExhausted(f"no unused color left in 1..{k}")
-            assign[s * n + v] = c
-    assign[layout.root] = w_color
-    return Coloring(k, tuple(assign))
+            rows[s][v] = c
+    return Coloring(k, MycLayout(g.n, t).lift(rows, w_color))

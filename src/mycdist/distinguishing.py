@@ -62,7 +62,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .automorphism import (AutListing, Budget, enumerate_automorphisms,
-                          first_preserving)
+                          search_color_preserving)
 from .errors import MalformedColoring, SizeMismatch
 from .graphs import Graph, twin_classes
 
@@ -89,16 +89,6 @@ class Coloring(namedtuple("Coloring", "k assign")):
     def n(self) -> int:
         return len(self.assign)
 
-    def canonical(self) -> "Coloring":
-        """Renumber colors by first occurrence; k becomes the used count."""
-        seen: dict[int, int] = {}
-        out = []
-        for c in self.assign:
-            if c not in seen:
-                seen[c] = len(seen) + 1
-            out.append(seen[c])
-        return Coloring(len(seen), tuple(out))
-
 
 class DistResult(namedtuple("DistResult", "value certificate lower_bound_witness",
                             defaults=(None,))):
@@ -124,7 +114,7 @@ def twin_lower_bound(g: Graph) -> int:
 def is_distinguishing(g: Graph, c: Coloring) -> bool:
     if c.n != g.n:
         raise MalformedColoring(f"coloring length {c.n} != graph order {g.n}")
-    return first_preserving(g.adjacency, c.assign) is None
+    return search_color_preserving(g, c.assign) is None
 
 
 def _generators(group) -> list[tuple[int, tuple[int, ...]]]:

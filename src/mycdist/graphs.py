@@ -120,10 +120,6 @@ def classify_star(g: Graph) -> Star | None:
 # -- small constructors used throughout tests and the CLI ------------------
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
 def complete_graph(n: int) -> Graph:
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
@@ -141,8 +137,3 @@ def path_graph(n: int) -> Graph:
 def star_graph(m: int) -> Graph:
     """K_{1,m} with leaves 0..m-1 and center m."""
     return Graph(m + 1, [(i, m) for i in range(m)])
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    edges = list(g.edges()) + [(u + g.n, v + g.n) for u, v in h.edges()]
-    return Graph(g.n + h.n, edges)

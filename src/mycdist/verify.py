@@ -17,7 +17,6 @@ search.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
@@ -35,9 +34,6 @@ from .errors import MycdistError, SearchBudgetExceeded
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, classify_star, isolated_vertices
 from .mycielskian import MycLayout, build_mycielskian
-
-CSV_FIELDS = ["graph6", "n", "ell", "dist_g", "t", "case", "predicted_kind",
-              "predicted_value", "measured", "method", "root_orbit", "pass"]
 
 ORBIT_FIXED = "fixed"
 ORBIT_CENTER_SHADOW = "center_shadow"
@@ -59,6 +55,9 @@ class VerifyRecord(namedtuple("VerifyRecord", [
     """One (graph, t) row; the fields are CSV_FIELDS, with passed for pass."""
 
     __slots__ = ()
+
+
+CSV_FIELDS = ["pass" if f == "passed" else f for f in VerifyRecord._fields]
 
 
 class VerifyReport(namedtuple("VerifyReport", "records")):
@@ -117,12 +116,10 @@ def root_orbit_conforms(orbit_class: str, g: Graph, t: int) -> bool:
 
 
 def _lifts(group: AutListing, t: int) -> list[tuple[int, ...]]:
-    """The generators of G's chain lifted to mu_t(G): s*n + i goes to
-    s*n + sigma(i) on each layer s, and the root is fixed."""
-    n = group.n
-    root = MycLayout(n, t).root
-    return [tuple(s * n + x for s in range(t + 1) for x in h) + (root,)
-            for _, _, gens in group.levels for h in gens]
+    """The generators of G's chain lifted to mu_t(G): each acts as it
+    does on G on every layer and fixes the root."""
+    layout = MycLayout(group.n, t)
+    return [layout.lift_automorphism(h) for _, _, gens in group.levels for h in gens]
 
 
 def _root_orbit(chain: AutListing, root: int) -> frozenset[int]:
@@ -249,9 +246,7 @@ def run_verify(lines: list[str], ts: list[int], *, budget_steps: int = DEFAULT_B
 
 
 def _row_dict(r: VerifyRecord) -> dict:
-    d = r._asdict()
-    d["pass"] = d.pop("passed")  # the last field, so the order is CSV_FIELDS
-    return d
+    return dict(zip(CSV_FIELDS, r))
 
 
 def report_to_json(report: VerifyReport) -> str:
@@ -270,6 +265,8 @@ def _csv_cell(val) -> str:
 
 def report_to_csv(report: VerifyReport) -> str:
     """One row per record, its fields in order: they are CSV_FIELDS."""
+    # imported here: no other subcommand writes CSV
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_FIELDS)

@@ -8,7 +8,8 @@ that search, chain_elements expands the chain it builds, and
 chain_without_generators empties the generators it stores; the naive n!
 listing in oracles.py checks the first two. validate_facts reads the
 MycLayout it is given, since what it checks is that a built graph fits
-that layout.
+that layout. It also holds the small helpers that only the tests use:
+disjoint_union, canonical and is_automorphism.
 """
 
 import dataclasses
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 import mycdist
 from mycdist.automorphism import (AutListing, _search_pair, _unit_pair,
                                   enumerate_automorphisms)
-from mycdist.errors import LayoutMismatch
+from mycdist.distinguishing import Coloring
+from mycdist.errors import LayoutMismatch, SizeMismatch
 from mycdist.graphs import Graph
 from mycdist.mycielskian import MycLayout
 
@@ -64,6 +66,34 @@ def source_tree_env():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+def disjoint_union(g, h):
+    """g and h side by side, h's vertices shifted past g's."""
+    edges = list(g.edges()) + [(u + g.n, v + g.n) for u, v in h.edges()]
+    return Graph(g.n + h.n, edges)
+
+
+def canonical(c: Coloring) -> Coloring:
+    """c renumbered by first occurrence; k becomes the used count."""
+    seen = {}
+    out = []
+    for x in c.assign:
+        if x not in seen:
+            seen[x] = len(seen) + 1
+        out.append(seen[x])
+    return Coloring(len(seen), tuple(out))
+
+
+def is_automorphism(g, img):
+    """Is the image vector img an automorphism of g? A permutation that
+    maps every edge to an edge maps the edge set onto itself."""
+    if len(img) != g.n:
+        raise SizeMismatch(f"permutation length {len(img)} != graph order {g.n}")
+    if sorted(img) != list(range(g.n)):
+        return False
+    edges = set(g.edges())
+    return all((min(img[u], img[v]), max(img[u], img[v])) in edges for u, v in edges)
 
 
 def naive_component_count(n, edge_set, removed=frozenset()):

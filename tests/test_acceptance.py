@@ -10,19 +10,18 @@ import sys
 import time
 
 from mycdist import (Graph, build_mycielskian, classify_star, complete_graph,
-                     cycle_graph, disjoint_union, distinguishing_number,
-                     empty_graph, enumerate_automorphisms, is_distinguishing,
+                     cycle_graph, distinguishing_number,
+                     enumerate_automorphisms, is_distinguishing,
                      isolate_case_coloring, isolated_vertices,
                      kn_base_coloring, lift_coloring, orbit_of, parse_graph6,
-                     path_graph, star_case_coloring, star_graph,
-                     write_graph6)
+                     path_graph, star_case_coloring, star_graph, write_graph6)
 from mycdist.verify import run_verify
 
 from .conftest import DATA
 from .oracles import (distinguishing_number_bruteforce,
                       enumerate_automorphisms_naive)
-from .support import (chain_elements, naive_component_count, source_tree_env,
-                      validate_facts)
+from .support import (chain_elements, disjoint_union, naive_component_count,
+                      source_tree_env, validate_facts)
 
 
 def test_criterion_1_cycle_baselines():
@@ -181,9 +180,9 @@ def test_criterion_5_root_orbits(corpus_n6):
 
 
 AUT_FIXTURES = [
-    empty_graph(1),
+    Graph(1),
     complete_graph(2),
-    empty_graph(4),
+    Graph(4),
     path_graph(4),
     complete_graph(4),
     cycle_graph(5),

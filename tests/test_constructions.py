@@ -4,11 +4,10 @@ import pytest
 
 from mycdist import (Coloring, DistPrediction, Graph, build_mycielskian,
                      classify_star, complete_graph, cycle_graph,
-                     disjoint_union, distinguishing_number, empty_graph,
-                     is_distinguishing, isolate_case_coloring,
-                     isolated_vertices, kn_base_coloring, lift_coloring,
-                     predict_dist, search_color_preserving,
-                     star_case_coloring, star_graph)
+                     distinguishing_number, is_distinguishing,
+                     isolate_case_coloring, isolated_vertices,
+                     kn_base_coloring, lift_coloring, predict_dist,
+                     search_color_preserving, star_case_coloring, star_graph)
 from mycdist.constructions import (CASE_GENERIC, CASE_ISOLATE_DOMINATED,
                                    CASE_K1_T1, CASE_K1_TGT1, CASE_K2_T1,
                                    CASE_K2_TGT1, EXACT, UPPER_BOUND)
@@ -16,21 +15,22 @@ from mycdist.errors import (InvalidM, InvalidN, InvalidT, MalformedColoring,
                             PreconditionViolated)
 
 from .oracles import _canonical_colorings_exactly
+from .support import disjoint_union
 
 
 def test_predict_dist_cases():
-    k1 = empty_graph(1)
+    k1 = Graph(1)
     k2 = complete_graph(2)
     assert predict_dist(k1, 1, 1) == DistPrediction(CASE_K1_T1, EXACT, 2)
     assert predict_dist(k1, 3, 1) == DistPrediction(CASE_K1_TGT1, EXACT, 3)
     assert predict_dist(k2, 1, 2) == DistPrediction(CASE_K2_T1, EXACT, 3)
     assert predict_dist(k2, 2, 2) == DistPrediction(CASE_K2_TGT1, EXACT, 2)
-    assert predict_dist(empty_graph(3), 2, 3) == DistPrediction(
+    assert predict_dist(Graph(3), 2, 3) == DistPrediction(
         CASE_ISOLATE_DOMINATED, EXACT, 6)
     assert predict_dist(complete_graph(3), 1, 3) == DistPrediction(
         CASE_GENERIC, UPPER_BOUND, 3)
     # empty_2 is not the K_2 case: no edge
-    assert predict_dist(empty_graph(2), 2, 2) == DistPrediction(
+    assert predict_dist(Graph(2), 2, 2) == DistPrediction(
         CASE_ISOLATE_DOMINATED, EXACT, 4)
     with pytest.raises(InvalidT):
         predict_dist(k2, 0, 2)
@@ -39,7 +39,7 @@ def test_predict_dist_cases():
 
 
 def test_predict_isolates_need_strict_dominance():
-    g = disjoint_union(empty_graph(1), complete_graph(2))
+    g = disjoint_union(Graph(1), complete_graph(2))
     # t*l = 2 equals dist, so the generic bound applies
     assert predict_dist(g, 2, 2) == DistPrediction(CASE_GENERIC, UPPER_BOUND, 2)
     assert predict_dist(g, 3, 2) == DistPrediction(CASE_ISOLATE_DOMINATED, EXACT, 3)
@@ -105,26 +105,26 @@ def test_kn_base_coloring_is_optimal():
 
 
 def test_isolate_case_coloring_examples():
-    c = isolate_case_coloring(empty_graph(2), 2, Coloring(2, (1, 2)))
-    mu, _ = build_mycielskian(empty_graph(2), 2)
+    c = isolate_case_coloring(Graph(2), 2, Coloring(2, (1, 2)))
+    mu, _ = build_mycielskian(Graph(2), 2)
     assert c.k == 4
     assert is_distinguishing(mu, c)
 
-    c = isolate_case_coloring(empty_graph(1), 3, Coloring(1, (1,)))
-    mu, _ = build_mycielskian(empty_graph(1), 3)
+    c = isolate_case_coloring(Graph(1), 3, Coloring(1, (1,)))
+    mu, _ = build_mycielskian(Graph(1), 3)
     assert c.k == 3
     assert is_distinguishing(mu, c)
 
-    k1_plus_k2 = disjoint_union(empty_graph(1), complete_graph(2))
+    k1_plus_k2 = disjoint_union(Graph(1), complete_graph(2))
     with pytest.raises(PreconditionViolated):
         isolate_case_coloring(k1_plus_k2, 2, Coloring(2, (1, 1, 2)))
 
 
 def test_isolate_case_coloring_guards():
     with pytest.raises(InvalidT):
-        isolate_case_coloring(empty_graph(2), 0, Coloring(2, (1, 2)))
+        isolate_case_coloring(Graph(2), 0, Coloring(2, (1, 2)))
     with pytest.raises(MalformedColoring):
-        isolate_case_coloring(empty_graph(2), 2, Coloring(1, (1,)))
+        isolate_case_coloring(Graph(2), 2, Coloring(1, (1,)))
     with pytest.raises(PreconditionViolated):
         isolate_case_coloring(complete_graph(3), 2, Coloring(3, (1, 2, 3)))
 
@@ -167,7 +167,7 @@ def test_lift_coloring_examples():
     with pytest.raises(PreconditionViolated):
         lift_coloring(complete_graph(2), 1, Coloring(2, (1, 2)))
     with pytest.raises(PreconditionViolated):
-        lift_coloring(empty_graph(1), 1, Coloring(1, (1,)))
+        lift_coloring(Graph(1), 1, Coloring(1, (1,)))
 
 
 def test_lift_coloring_guards():
@@ -179,7 +179,7 @@ def test_lift_coloring_guards():
         lift_coloring(complete_graph(3), 1, Coloring(3, (1, 2, 3)), w_color=0)
     # t*l exceeds the palette: the isolate construction applies instead
     with pytest.raises(PreconditionViolated):
-        lift_coloring(empty_graph(3), 2, Coloring(3, (1, 2, 3)))
+        lift_coloring(Graph(3), 2, Coloring(3, (1, 2, 3)))
 
 
 def test_lift_coloring_handles_isolates():

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from mycdist import (Coloring, DistResult, ExceedsCap, Graph,
                      build_mycielskian, complete_graph, cycle_graph,
-                     disjoint_union, distinguishing_number, empty_graph,
-                     is_distinguishing, parse_graph6, path_graph,
-                     star_graph, twin_lower_bound)
+                     distinguishing_number, is_distinguishing, parse_graph6,
+                     path_graph, star_graph, twin_lower_bound)
 from mycdist import automorphism, distinguishing
 from mycdist.automorphism import Budget, enumerate_automorphisms
 from mycdist.distinguishing import _smaller_image
@@ -20,7 +19,8 @@ from mycdist.graphs import twin_classes
 from .oracles import (_canonical_colorings_exactly,
                       distinguishing_number_bruteforce,
                       enumerate_automorphisms_naive)
-from .support import chain_without_generators, graphs, twin_rich_graphs
+from .support import (canonical, chain_without_generators, disjoint_union,
+                      graphs, twin_rich_graphs)
 
 # value pairs frozen from distinguishing_number_bruteforce runs
 KNOWN = [
@@ -34,11 +34,11 @@ KNOWN = [
     (cycle_graph(6), 2),
     (complete_graph(4), 4),
     (complete_graph(6), 6),
-    (empty_graph(5), 5),
+    (Graph(5), 5),
     (star_graph(4), 4),
     (disjoint_union(complete_graph(3), complete_graph(3)), 4),
     (build_mycielskian(complete_graph(2), 1)[0], 3),  # C_5 again
-    (build_mycielskian(empty_graph(2), 2)[0], 4),
+    (build_mycielskian(Graph(2), 2)[0], 4),
 ]
 
 
@@ -56,8 +56,8 @@ def test_coloring_validation():
 
 def test_coloring_canonical():
     c = Coloring(5, (3, 3, 5, 1, 3))
-    assert c.canonical() == Coloring(3, (1, 1, 2, 3, 1))
-    assert c.canonical().canonical() == c.canonical()
+    assert canonical(c) == Coloring(3, (1, 1, 2, 3, 1))
+    assert canonical(canonical(c)) == canonical(c)
 
 
 def test_known_values():
@@ -66,7 +66,7 @@ def test_known_values():
         assert res.value == want, g.edges()
         assert is_distinguishing(g, res.certificate)
         assert len(set(res.certificate.assign)) == want
-        assert res.certificate == res.certificate.canonical()
+        assert res.certificate == canonical(res.certificate)
 
 
 def test_known_values_match_oracle():
@@ -99,16 +99,16 @@ def test_value_one_means_rigid(corpus_n6):
 
 
 def test_twin_lower_bound():
-    assert twin_lower_bound(empty_graph(4)) == 4
+    assert twin_lower_bound(Graph(4)) == 4
     assert twin_lower_bound(star_graph(3)) == 3
     assert twin_lower_bound(cycle_graph(5)) == 1
     assert twin_lower_bound(Graph(0)) == 0
-    mu, _ = build_mycielskian(empty_graph(2), 2)
+    mu, _ = build_mycielskian(Graph(2), 2)
     assert twin_lower_bound(mu) == 4
 
 
 def test_twin_bound_reported_as_witness():
-    res = distinguishing_number(empty_graph(5))
+    res = distinguishing_number(Graph(5))
     assert res.value == 5 and res.lower_bound_witness == 5
     res = distinguishing_number(cycle_graph(5))
     assert res.lower_bound_witness is None
@@ -212,15 +212,15 @@ def test_search_takes_a_chain_built_beforehand():
 
 def test_search_makes_no_refinement_search_for_preserving_automorphisms(monkeypatch):
     # the DFS answers its color-preserving check from the chain it holds;
-    # first_preserving stays for is_distinguishing and check-coloring
+    # search_color_preserving stays for is_distinguishing and check-coloring
     mu, _ = build_mycielskian(parse_graph6("ElUg"), 1)
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return automorphism.first_preserving(*args)
+        return automorphism.search_color_preserving(*args)
 
-    monkeypatch.setattr(distinguishing, "first_preserving", counted)
+    monkeypatch.setattr(distinguishing, "search_color_preserving", counted)
     res = distinguishing_number(mu)
     assert calls == []
     assert is_distinguishing(mu, res.certificate)

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 
 from mycdist import (Graph, Star, build_mycielskian, classify_star,
-                     complete_graph, cycle_graph, disjoint_union,
-                     empty_graph, isolated_vertices, path_graph, star_graph,
-                     twin_classes)
+                     complete_graph, cycle_graph, isolated_vertices,
+                     path_graph, star_graph, twin_classes)
 from mycdist.errors import VertexOutOfRange
 
-from .support import graphs, naive_twin_classes
+from .support import disjoint_union, graphs, naive_twin_classes
 
 
 def test_basic_accessors():
@@ -59,18 +58,18 @@ def test_twin_classes_on_star_mycielskian():
 
 
 def test_isolated_vertices():
-    g = disjoint_union(empty_graph(2), path_graph(3))
+    g = disjoint_union(Graph(2), path_graph(3))
     assert isolated_vertices(g) == [0, 1]
     assert isolated_vertices(complete_graph(3)) == []
 
 
 def test_classify_star():
-    assert classify_star(empty_graph(1)) == Star(0, 0)
+    assert classify_star(Graph(1)) == Star(0, 0)
     assert classify_star(complete_graph(2)) == Star(1, 0)
     assert classify_star(star_graph(4)) == Star(4, 4)
     assert classify_star(path_graph(3)) == Star(2, 1)
-    for g in [path_graph(4), cycle_graph(3), empty_graph(2),
-              disjoint_union(star_graph(2), empty_graph(1))]:
+    for g in [path_graph(4), cycle_graph(3), Graph(2),
+              disjoint_union(star_graph(2), Graph(1))]:
         assert classify_star(g) is None
 
 

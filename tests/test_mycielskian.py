@@ -2,13 +2,14 @@
 
 import pytest
 
-from mycdist import (Graph, build_mycielskian, complete_graph, cycle_graph,
-                     disjoint_union, empty_graph, find_isomorphism,
+from mycdist import (Graph, MycLayout, build_mycielskian, complete_graph,
+                     cycle_graph, enumerate_automorphisms, find_isomorphism,
                      parse_graph6, star_graph)
 from mycdist.errors import EmptySource, InvalidT, LayoutMismatch
 
 from .conftest import corpus_lines
-from .support import naive_component_count, naive_cut_vertices, validate_facts
+from .support import (disjoint_union, is_automorphism, naive_component_count,
+                      naive_cut_vertices, validate_facts)
 
 # mu(K_{1,3}) drawn edge by edge: leaves 0,1,2, center 3, level-1 copies
 # 4,5,6,7, root 8
@@ -27,7 +28,7 @@ def test_star3_matches_hand_drawn_figure():
 
 
 def test_k1_gives_k1_plus_k2():
-    mu, layout = build_mycielskian(empty_graph(1), 1)
+    mu, layout = build_mycielskian(Graph(1), 1)
     assert mu.n == 3
     assert mu.edges() == [(1, 2)]
     assert layout.root == 2
@@ -74,11 +75,43 @@ def test_layout_roles():
         layout.vertex_id(0, 3)
 
 
+@pytest.mark.parametrize("n, t", [(1, 1), (1, 3), (2, 2), (4, 1), (5, 3)])
+def test_lift_lays_rows_out_by_vertex_id(n, t):
+    layout = MycLayout(n, t)
+    lifted = layout.lift([[(i, s) for i in range(n)] for s in range(t + 1)], "w")
+    assert len(lifted) == layout.order
+    for s in range(t + 1):
+        for i in range(n):
+            assert lifted[layout.vertex_id(i, s)] == (i, s)
+    assert lifted[layout.root] == "w"
+
+
+def test_lift_rejects_rows_of_the_wrong_shape():
+    layout = MycLayout(3, 2)
+    row = [1, 1, 1]
+    for rows in ([row] * 2, [row] * 4, [row, row, [1, 1]], [row, row, row + [1]]):
+        with pytest.raises(LayoutMismatch):
+            layout.lift(rows, 1)
+
+
+def test_lift_automorphism_is_the_lift_of_per_level_images(corpus_n6):
+    for _, g in corpus_n6:
+        group = enumerate_automorphisms(g)
+        for t in (1, 2, 3):
+            mu, layout = build_mycielskian(g, t)
+            for _, images, gens in group.levels:
+                for h in images + gens:
+                    rows = [[layout.vertex_id(x, s) for x in h] for s in range(t + 1)]
+                    lifted = layout.lift_automorphism(h)
+                    assert lifted == layout.lift(rows, layout.root)
+                    assert is_automorphism(mu, lifted)
+
+
 def test_builder_rejects_bad_inputs():
     with pytest.raises(EmptySource):
         build_mycielskian(Graph(0), 1)
     with pytest.raises(InvalidT):
-        build_mycielskian(empty_graph(1), 0)
+        build_mycielskian(Graph(1), 0)
 
 
 def test_root_shadow_neighbors_mirror_source():

@@ -17,12 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mycdist import (AutListing, Coloring, ExceedsCap, MycLayout, VerifyRecord,
-                     build_mycielskian, complete_graph, cycle_graph,
-                     distinguishing_number, empty_graph,
-                     enumerate_automorphisms, is_automorphism,
-                     kn_base_coloring, orbit_of, parse_graph6, path_graph,
-                     star_graph, write_graph6)
+from mycdist import (AutListing, Coloring, ExceedsCap, Graph, MycLayout,
+                     VerifyRecord, build_mycielskian, complete_graph,
+                     cycle_graph, distinguishing_number,
+                     enumerate_automorphisms, kn_base_coloring, orbit_of,
+                     parse_graph6, path_graph, star_graph, write_graph6)
 from mycdist import automorphism, distinguishing, verify
 from mycdist.cli import main
 from mycdist.errors import MalformedColoring, MycdistError
@@ -31,8 +30,8 @@ from mycdist.verify import (CSV_FIELDS, classify_root_orbit, process_record,
                             run_verify)
 
 from .oracles import enumerate_automorphisms_naive
-from .support import (chain_elements, graphs, reference_aut_generators,
-                      source_tree_env)
+from .support import (chain_elements, graphs, is_automorphism,
+                      reference_aut_generators, source_tree_env)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 N3_LINES = ["B?", "BG", "BW", "Bw"]  # all four graphs on 3 vertices
@@ -278,9 +277,9 @@ def test_runtime_imports_only_the_standard_library():
 
 def test_import_loads_no_dataclasses_inspect_or_typing():
     # every command pays the import; -S keeps site's .pth files from
-    # loading typing before the package does
+    # loading typing before the package does; csv loads only to write CSV
     code = ("import sys, mycdist, mycdist.cli, mycdist.verify; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'}"
+            "print(sorted({'csv', 'dataclasses', 'inspect', 'typing'}"
             " & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=source_tree_env())
@@ -289,6 +288,9 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
 
 
 def test_record_fields_are_the_csv_columns():
+    assert CSV_FIELDS == ["graph6", "n", "ell", "dist_g", "t", "case",
+                          "predicted_kind", "predicted_value", "measured",
+                          "method", "root_orbit", "pass"]
     assert list(VerifyRecord._fields) == [
         "passed" if f == "pass" else f for f in CSV_FIELDS]
 
@@ -328,7 +330,7 @@ def test_root_orbit_classification():
         (star_graph(3), 1, "center_shadow"),
         (path_graph(3), 1, "center_shadow"),  # P_3 = K_{1,2}
         (complete_graph(3), 1, "fixed"),
-        (empty_graph(2), 2, "fixed"),
+        (Graph(2), 2, "fixed"),
     ]:
         mu, layout = build_mycielskian(g, t)
         from mycdist import orbit_of
@@ -339,7 +341,7 @@ def test_root_orbit_classification():
     assert not root_orbit_conforms("all", complete_graph(3), 1)
     assert not root_orbit_conforms("fixed", star_graph(2), 1)
     assert not root_orbit_conforms("fixed", star_graph(3), 2)
-    assert not root_orbit_conforms("other", empty_graph(4), 2)
+    assert not root_orbit_conforms("other", Graph(4), 2)
 
 
 @pytest.mark.parametrize("m", range(2, 8))
@@ -440,7 +442,7 @@ def test_cli_aut_generators_match_group_closure(corpus_n7, monkeypatch, capsys):
     graphs = [g for _, g in corpus_n7 if g.n == 7]
     assert len(graphs) == 1044
     graphs += [build_mycielskian(g, 1)[0] for _, g in corpus_n7 if g.n <= 6]
-    graphs += [empty_graph(8), complete_graph(7)]
+    graphs += [Graph(8), complete_graph(7)]
     for g in graphs:
         code, out, _ = run_cli(["aut"], write_graph6(g) + "\n", monkeypatch, capsys)
         assert code == 0
@@ -474,8 +476,8 @@ def test_cli_aut_prints_groups_of_any_order():
     """Groups over 10^6 elements print like any other: the order, the
     generators and the orbits are read off the chain, and no element
     listing is built."""
-    cases = [(empty_graph(10), math.factorial(10)),
-             (empty_graph(25), math.factorial(25)),
+    cases = [(Graph(10), math.factorial(10)),
+             (Graph(25), math.factorial(25)),
              (build_mycielskian(parse_graph6("D??"), 2)[0], 435456000)]
     start = time.perf_counter()
     docs = [_aut(g) for g, _ in cases]
@@ -518,6 +520,21 @@ def test_cli_dist_matches_golden(monkeypatch, capsys):
                                monkeypatch, capsys)
         assert code == 0
         assert json.loads(out) == want
+
+
+def test_cli_coloring_matches_golden(monkeypatch, capsys):
+    # isolate, lift and lift --w-color 2 on every graph with n <= 5, star
+    # and kn, each at --t 1,2,3, as tools/make_dist_golden.py wrote them:
+    # the printed bytes, the exit code and the precondition errors
+    golden = ROOT / "tests" / "golden" / "coloring.jsonl"
+    records = [json.loads(ln) for ln in golden.read_text().splitlines()]
+    assert len(records) == 172
+    assert sum(r["exit"] == 0 for r in records) == 86
+    for want in records:
+        code, out, err = run_cli(want["argv"], want["stdin"], monkeypatch, capsys)
+        assert (code, err) == (want["exit"], want["stderr"]), want["argv"]
+        assert out == "".join(json.dumps(doc, indent=2) + "\n"
+                              for doc in want["stdout"]), (want["stdin"], want["argv"])
 
 
 def test_n6_t1_sweep_matches_bench_golden(corpus_n6):

@@ -1,11 +1,19 @@
-"""Write tests/golden/dist.jsonl: what `mycdist dist` prints for every
-graph with n <= 7 and for mu_1 and mu_2 of every graph with n <= 5.
+"""Write the CLI goldens under tests/golden:
+
+* dist.jsonl: what `mycdist dist` prints for every graph with n <= 7 and
+  for mu_1 and mu_2 of every graph with n <= 5;
+* coloring.jsonl: what `mycdist coloring` does for `isolate`, `lift` and
+  `lift --w-color 2` on every graph with n <= 5, `star --m 0..6` and
+  `kn --n 1..9`, each at `--t 1,2,3`.
 
     PYTHONPATH=src python3 tools/make_dist_golden.py
 
-Each line is the graph's graph6 string merged into the command's JSON
-output. Run it only at a commit whose dist output is known good: the
-test that reads the file treats it as correct.
+Each dist.jsonl line is the graph's graph6 string merged into the
+command's JSON output. Each coloring.jsonl line is one command: its
+stdin, argv, exit code, the JSON documents it printed and its stderr,
+so the precondition errors are pinned along with the colorings. Run it
+only at a commit whose output is known good: the tests that read the
+files treat them as correct.
 """
 
 import contextlib
@@ -20,34 +28,86 @@ sys.path.insert(0, str(ROOT / "src"))
 from mycdist import build_mycielskian, parse_graph6, write_graph6  # noqa: E402
 from mycdist.cli import main as cli_main  # noqa: E402
 
+T_LIST = ["--t", "1,2,3"]
 
-def golden_graphs() -> list[str]:
+
+def corpus(max_n: int) -> list[str]:
     lines = []
     for name in ("graphs_n1_6.g6", "graphs_n7.g6"):
         lines += (ROOT / "data" / name).read_text().split()
-    small = [g for g in map(parse_graph6, lines) if g.n <= 5]
+    return [ln for ln in lines if parse_graph6(ln).n <= max_n]
+
+
+def golden_graphs() -> list[str]:
+    lines = corpus(7)
+    small = [parse_graph6(ln) for ln in corpus(5)]
     for t in (1, 2):
         lines += [write_graph6(build_mycielskian(g, t)[0]) for g in small]
     return lines
 
 
-def dist_output(g6: str) -> dict:
-    out = io.StringIO()
-    stdin, sys.stdin = sys.stdin, io.StringIO(g6 + "\n")
+def run_cli(argv: list[str], stdin_text: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(stdin_text)
     try:
-        with contextlib.redirect_stdout(out):
-            assert cli_main(["dist"]) == 0, g6
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
     finally:
         sys.stdin = stdin
-    return json.loads(out.getvalue())
+    return code, out.getvalue(), err.getvalue()
+
+
+def json_docs(text: str) -> list:
+    """The JSON documents printed one after another in text."""
+    dec = json.JSONDecoder()
+    docs, idx = [], 0
+    while idx < len(text):
+        if text[idx].isspace():
+            idx += 1
+            continue
+        doc, idx = dec.raw_decode(text, idx)
+        docs.append(doc)
+    return docs
+
+
+def dist_output(g6: str) -> dict:
+    code, out, _ = run_cli(["dist"], g6 + "\n")
+    assert code == 0, g6
+    return json.loads(out)
+
+
+def coloring_commands() -> list[tuple[str, list[str]]]:
+    """(stdin, argv) of each pinned `coloring` command."""
+    cmds = []
+    for g6 in corpus(5):
+        for extra in (["isolate"], ["lift"], ["lift", "--w-color", "2"]):
+            cmds.append((g6 + "\n", ["coloring", "--construction", *extra, *T_LIST]))
+    cmds += [("", ["coloring", "--construction", "star", "--m", str(m), *T_LIST])
+             for m in range(7)]
+    cmds += [("", ["coloring", "--construction", "kn", "--n", str(n), *T_LIST])
+             for n in range(1, 10)]
+    return cmds
+
+
+def coloring_record(stdin_text: str, argv: list[str]) -> dict:
+    code, out, err = run_cli(argv, stdin_text)
+    return {"stdin": stdin_text, "argv": argv, "exit": code,
+            "stdout": json_docs(out), "stderr": err}
+
+
+def write_jsonl(path: pathlib.Path, records: list[dict], **dumps_kw):
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("".join(json.dumps(r, **dumps_kw) + "\n" for r in records))
+    print(f"wrote {len(records)} records to {path}")
 
 
 def main() -> int:
-    path = ROOT / "tests" / "golden" / "dist.jsonl"
-    path.parent.mkdir(exist_ok=True)
-    records = [{"graph6": g6, **dist_output(g6)} for g6 in golden_graphs()]
-    path.write_text("".join(json.dumps(r) + "\n" for r in records))
-    print(f"wrote {len(records)} records to {path}")
+    golden = ROOT / "tests" / "golden"
+    write_jsonl(golden / "dist.jsonl",
+                [{"graph6": g6, **dist_output(g6)} for g6 in golden_graphs()])
+    write_jsonl(golden / "coloring.jsonl",
+                [coloring_record(*cmd) for cmd in coloring_commands()],
+                separators=(",", ":"))
     return 0
 
 
