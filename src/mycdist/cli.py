@@ -31,7 +31,9 @@ EXIT_BUDGET = 3
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path) as fh:
+    # bytes that are not UTF-8 reach the parsers as lone surrogates, and
+    # the parsers reject them
+    with open(path, errors="surrogateescape") as fh:
         return fh.read()
 
 
@@ -68,7 +70,7 @@ def _parse_coloring(raw: str, n: int) -> Coloring:
         raw = _read_text(raw[1:])
     try:
         values = json.loads(raw)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested
         raise MycdistError(f"bad coloring JSON: {e}") from None
     # type(), not isinstance(): JSON true and false load as bool, an int
     if not isinstance(values, list) or not all(type(c) is int for c in values):
@@ -78,8 +80,30 @@ def _parse_coloring(raw: str, n: int) -> Coloring:
     return Coloring(max(values, default=0), tuple(values))
 
 
+_JSON_CONSTANTS = {None: "null", False: "false", True: "true"}
+
+
+def _dumps(doc, indent: str = "\n") -> str:
+    """json.dumps(doc, indent=2) for documents with str keys, without
+    json's pure-Python indent encoder. type(), not isinstance(): a bool
+    is an int, and json prints it differently."""
+    kind = type(doc)
+    if kind is int:
+        return str(doc)
+    if kind is bool or doc is None:
+        return _JSON_CONSTANTS[doc]
+    inner = indent + "  "
+    if kind is dict:
+        items = [json.dumps(k) + ": " + _dumps(v, inner) for k, v in doc.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if kind is list or kind is tuple:
+        items = [_dumps(x, inner) for x in doc]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    return json.dumps(doc)  # str, float
+
+
 def _emit(doc):
-    print(json.dumps(doc, indent=2))
+    print(_dumps(doc))
 
 
 def _check_graph6_order(n: int, ts: list[int]):
@@ -288,8 +312,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's own parser, by name."""
+    (sub,) = [a for a in _parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # one level of parsing, by the subcommand's own parser; the whole
+    # parser only when no known command is named or arguments are left
+    # over, so that its usage and error messages are printed
+    sub = _commands().get(argv[0]) if argv else None
+    args, rest = sub.parse_known_args(argv[1:]) if sub else (None, None)
+    if sub is None or rest:
+        args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except SearchBudgetExceeded as e:
@@ -298,6 +338,6 @@ def main(argv=None) -> int:
     except MycdistError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as e:
+    except (OSError, UnicodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -23,7 +23,8 @@ from mycdist import (AutListing, Coloring, ExceedsCap, Graph, MycLayout,
                      enumerate_automorphisms, kn_base_coloring, orbit_of,
                      parse_graph6, path_graph, star_graph, write_graph6)
 from mycdist import automorphism, distinguishing, verify
-from mycdist.cli import main
+from mycdist import cli
+from mycdist.cli import _dumps, main
 from mycdist.errors import MalformedColoring, MycdistError
 from mycdist.verify import (CSV_FIELDS, classify_root_orbit, process_record,
                             report_to_csv, report_to_json, root_orbit_conforms,
@@ -511,30 +512,46 @@ def test_cli_dist(monkeypatch, capsys):
 def test_cli_dist_matches_golden(monkeypatch, capsys):
     # every graph with n <= 7 and mu_1, mu_2 of every graph with n <= 5,
     # as tools/make_dist_golden.py wrote them: value, certificate and
-    # twin witness, so a prune that changes any certificate fails here
+    # twin witness, so a prune that changes any certificate fails here;
+    # the printed bytes, which the golden's key order fixes
     golden = ROOT / "tests" / "golden" / "dist.jsonl"
     records = [json.loads(ln) for ln in golden.read_text().splitlines()]
     assert len(records) == 1356
     for want in records:
-        code, out, _ = run_cli(["dist"], want.pop("graph6") + "\n",
-                               monkeypatch, capsys)
+        g6 = want.pop("graph6")
+        code, out, _ = run_cli(["dist"], g6 + "\n", monkeypatch, capsys)
         assert code == 0
-        assert json.loads(out) == want
+        assert out == json.dumps(want, indent=2) + "\n", g6
 
 
-def test_cli_coloring_matches_golden(monkeypatch, capsys):
-    # isolate, lift and lift --w-color 2 on every graph with n <= 5, star
-    # and kn, each at --t 1,2,3, as tools/make_dist_golden.py wrote them:
-    # the printed bytes, the exit code and the precondition errors
-    golden = ROOT / "tests" / "golden" / "coloring.jsonl"
+def replay_golden(name, monkeypatch, capsys):
+    """Run each command of tests/golden/<name> as tools/make_dist_golden.py
+    recorded it and compare the printed bytes, the exit code and the
+    stderr; return the records."""
+    golden = ROOT / "tests" / "golden" / name
     records = [json.loads(ln) for ln in golden.read_text().splitlines()]
-    assert len(records) == 172
-    assert sum(r["exit"] == 0 for r in records) == 86
     for want in records:
         code, out, err = run_cli(want["argv"], want["stdin"], monkeypatch, capsys)
         assert (code, err) == (want["exit"], want["stderr"]), want["argv"]
         assert out == "".join(json.dumps(doc, indent=2) + "\n"
                               for doc in want["stdout"]), (want["stdin"], want["argv"])
+    return records
+
+
+def test_cli_coloring_matches_golden(monkeypatch, capsys):
+    # isolate, lift and lift --w-color 2 on every graph with n <= 5, star
+    # and kn, each at --t 1,2,3: the colorings and the precondition errors
+    records = replay_golden("coloring.jsonl", monkeypatch, capsys)
+    assert len(records) == 172
+    assert sum(r["exit"] == 0 for r in records) == 86
+
+
+def test_cli_myc_matches_golden(monkeypatch, capsys):
+    # myc --t 1,2 on every graph with n <= 5, as graph6 and as an edge
+    # list: the layouts hold nulls, and the edge lists newlines to escape
+    records = replay_golden("myc.jsonl", monkeypatch, capsys)
+    assert len(records) == 104
+    assert all(r["exit"] == 0 and len(r["stdout"]) == 2 for r in records)
 
 
 def test_n6_t1_sweep_matches_bench_golden(corpus_n6):
@@ -590,6 +607,43 @@ def test_cli_check_coloring_from_file(tmp_path, monkeypatch, capsys):
     code, out, _ = run_cli(["check-coloring", "--coloring", f"@{path}"],
                            k3 + "\n", monkeypatch, capsys)
     assert code == 0 and json_docs(out)[0]["distinguishing"] is True
+
+
+# A file that is not UTF-8 is read with its bad bytes kept as lone
+# surrogates: the parsers reject them, and a corpus line becomes a
+# malformed row instead of ending the sweep.
+def test_cli_undecodable_file_is_malformed_input(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\n")
+    code, out, err = run_cli(["aut", str(bad)], "", monkeypatch, capsys)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    code, out, err = run_cli(["check-coloring", "--coloring", f"@{bad}"],
+                             "Bw\n", monkeypatch, capsys)
+    assert (code, out) == (2, "") and err.startswith("error: bad coloring JSON")
+
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_bytes(b"Bw\n\xff\xfe\nA_\n")
+    code, out, _ = run_cli(["verify", str(corpus), "--t", "1"], "",
+                           monkeypatch, capsys)
+    assert code == 0
+    assert [r["method"] for r in json.loads(out)["records"]] == [
+        "search", "malformed", "search"]
+
+
+def test_cli_undecodable_stdin_exits_2(monkeypatch, capsys):
+    # under a strict UTF-8 locale, reading stdin raises UnicodeDecodeError
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code = main(["aut"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "") and out.err.startswith("error: ")
+
+
+def test_cli_deeply_nested_coloring_exits_2(monkeypatch, capsys):
+    # json.loads raises RecursionError, not JSONDecodeError, this deep
+    code, out, err = run_cli(["check-coloring", "--coloring", "[" * 50000],
+                             "Bw\n", monkeypatch, capsys)
+    assert (code, out) == (2, "") and err.startswith("error: bad coloring JSON")
 
 
 def test_cli_coloring_star_and_kn(monkeypatch, capsys):
@@ -725,7 +779,7 @@ def test_cli_check_coloring_rejects_booleans(coloring, g6, monkeypatch, capsys):
 # Flags a subcommand never reads are not accepted: `verify --format edges`
 # used to parse an edge list as graph6 lines, report every row malformed
 # and exit 0.
-@pytest.mark.parametrize("argv", [
+UNREAD_FLAGS = [
     ["myc", "--budget", "5"],
     ["aut", "--t", "2"],
     ["aut", "--budget", "5"],
@@ -733,7 +787,10 @@ def test_cli_check_coloring_rejects_booleans(coloring, g6, monkeypatch, capsys):
     ["check-coloring", "--coloring", "[1,2,3]", "--t", "2"],
     ["check-coloring", "--coloring", "[1,2,3]", "--budget", "5"],
     ["verify", "--format", "edges"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS)
 def test_cli_rejects_flags_a_subcommand_does_not_read(argv, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(argv, "3 2\n0 1\n1 2\n", monkeypatch, capsys)
@@ -817,6 +874,58 @@ def test_cli_exit_codes_on_any_input(argv, stdin_text):
             assert code in (0, 2), argv
             return
     assert code in (0, 2, 3), argv
+
+
+# Every JSON value the CLI prints, and the traps of a hand-written
+# encoder: bools are ints, empty containers print inline, ints past 64
+# bits, escapes and non-ASCII text, tuples (json prints them as lists).
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                          st.integers(min_value=2 ** 63),
+                          st.integers(max_value=-2 ** 63), st.text())
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCS)
+def test_dumps_matches_json_indent_2(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2)
+
+
+def run_main(argv, stdin_text):
+    """(exit code or SystemExit code, stdout, stderr) of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin_text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_dispatch_matches_whole_parser(argv, stdin_text):
+    got = run_main(argv, stdin_text)
+    with mock.patch.object(cli, "_commands", dict):  # no command known
+        want = run_main(argv, stdin_text)
+    assert got == want, argv
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["aut", "-h"], ["x"], *UNREAD_FLAGS])
+def test_cli_dispatch_matches_whole_parser_cases(argv):
+    assert_dispatch_matches_whole_parser(argv, "3 2\n0 1\n1 2\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv(), _STDIN)
+def test_cli_dispatch_matches_whole_parser(argv, stdin_text):
+    # main parses with the subcommand's own parser; the whole parser, which
+    # a table of no commands forces, must print and exit the same
+    assert_dispatch_matches_whole_parser(argv, stdin_text)
 
 
 def test_console_script_installed():

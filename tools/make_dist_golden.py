@@ -4,16 +4,18 @@
   for mu_1 and mu_2 of every graph with n <= 5;
 * coloring.jsonl: what `mycdist coloring` does for `isolate`, `lift` and
   `lift --w-color 2` on every graph with n <= 5, `star --m 0..6` and
-  `kn --n 1..9`, each at `--t 1,2,3`.
+  `kn --n 1..9`, each at `--t 1,2,3`;
+* myc.jsonl: what `mycdist myc --t 1,2` does on every graph with n <= 5,
+  read and written as graph6 and as an edge list.
 
     PYTHONPATH=src python3 tools/make_dist_golden.py
 
 Each dist.jsonl line is the graph's graph6 string merged into the
-command's JSON output. Each coloring.jsonl line is one command: its
-stdin, argv, exit code, the JSON documents it printed and its stderr,
-so the precondition errors are pinned along with the colorings. Run it
-only at a commit whose output is known good: the tests that read the
-files treat them as correct.
+command's JSON output. Each coloring.jsonl and myc.jsonl line is one
+command: its stdin, argv, exit code, the JSON documents it printed and
+its stderr, so the precondition errors are pinned along with the
+colorings. Run it only at a commit whose output is known good: the tests
+that read the files treat them as correct.
 """
 
 import contextlib
@@ -25,7 +27,8 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from mycdist import build_mycielskian, parse_graph6, write_graph6  # noqa: E402
+from mycdist import (build_mycielskian, parse_graph6, write_edge_list,  # noqa: E402
+                     write_graph6)
 from mycdist.cli import main as cli_main  # noqa: E402
 
 T_LIST = ["--t", "1,2,3"]
@@ -89,7 +92,17 @@ def coloring_commands() -> list[tuple[str, list[str]]]:
     return cmds
 
 
-def coloring_record(stdin_text: str, argv: list[str]) -> dict:
+def myc_commands() -> list[tuple[str, list[str]]]:
+    """(stdin, argv) of each pinned `myc` command."""
+    cmds = []
+    for g6 in corpus(5):
+        cmds.append((g6 + "\n", ["myc", "--t", "1,2"]))
+        cmds.append((write_edge_list(parse_graph6(g6)),
+                     ["myc", "--format", "edges", "--t", "1,2"]))
+    return cmds
+
+
+def command_record(stdin_text: str, argv: list[str]) -> dict:
     code, out, err = run_cli(argv, stdin_text)
     return {"stdin": stdin_text, "argv": argv, "exit": code,
             "stdout": json_docs(out), "stderr": err}
@@ -106,7 +119,10 @@ def main() -> int:
     write_jsonl(golden / "dist.jsonl",
                 [{"graph6": g6, **dist_output(g6)} for g6 in golden_graphs()])
     write_jsonl(golden / "coloring.jsonl",
-                [coloring_record(*cmd) for cmd in coloring_commands()],
+                [command_record(*cmd) for cmd in coloring_commands()],
+                separators=(",", ":"))
+    write_jsonl(golden / "myc.jsonl",
+                [command_record(*cmd) for cmd in myc_commands()],
                 separators=(",", ":"))
     return 0
 
