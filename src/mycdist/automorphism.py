@@ -24,16 +24,19 @@ of the orbit sizes; and the distinguishing search asks whether some
 element of H_d that moves d-1 preserves a partial coloring, a walk down
 the levels below d that multiplies transversal elements only while their
 product keeps the colors (preserving_moves_last), and cuts lex-leader
-prefixes with the generators kept at each level. orbit_of runs the same
-orbit step on its vertex's cell. search_color_preserving, the one
+prefixes with the generators kept at each level. The same walk, run from
+every level with a nontrivial orbit, checks a whole coloring
+(is_distinguishing). orbit_of runs the same orbit step on its vertex's
+cell. search_color_preserving, the one
 color-preserving search over a whole graph, seeds the same search with
 color classes.
 
 The chain is seeded with automorphisms known before any search: the swap
 of each pair of consecutive members of an open-twin class (the chain keeps
-the classes as twins, for the distinguishing search), and whatever
-the caller passes as known (verify passes the lifts of Aut(G) to
-mu_t(G)), each checked edge by edge as a leaf is. Starting Schreier-Sims
+the classes as twins, for the distinguishing search) or of a closed-twin
+class (N[u] = N[v]), and whatever the caller passes as known (verify
+passes the lifts of Aut(G) to mu_t(G)), each checked edge by edge as a
+leaf is. Starting Schreier-Sims
 from known generators is standard practice (Seress, 2003), and nauty
 reuses the automorphisms it has found the same way (McKay & Piperno,
 2014). A seed whose largest moved point is m fixes m+1..n-1, so it lies
@@ -53,7 +56,8 @@ only re-splits dirty cells, as in the refinement of McKay & Piperno
 (Practical Graph Isomorphism II, 2014) and Paige & Tarjan (1987): after
 round 1, a cell is dirty when it has a neighbour in a fragment, other than
 the largest, of a cell that split in the round before; every other cell
-keeps its neighbour counts and can neither split nor mismatch. At a child
+keeps its neighbour counts and can neither split nor mismatch. Round 1 on
+the single cell of a unit pair splits it by degree, ascending. At a child
 node of the search, round 1 starts from the cells next to the vertex
 individualized in P, since the parent's pair was stable and matched.
 When P and Q are the same partition of the same graph, one side is
@@ -154,6 +158,17 @@ class AutListing:
                     return True
         return False
 
+    def is_distinguishing(self, colors: Sequence[int], budget: Budget) -> bool:
+        """True if no nontrivial automorphism preserves colors.
+
+        Such an automorphism, with m the largest point it moves, fixes
+        m+1..n-1 and moves m, so H_(m+1) moves m and it is what
+        preserving_moves_last(colors, m + 1) looks for; that runs on each
+        level whose orbit is nontrivial, with the same budget steps.
+        """
+        return not any(self.preserving_moves_last(colors, b + 1, budget)
+                       for b, images, _ in self.levels if len(images) > 1)
+
 
 class Budget:
     """Shared step counter; spend() raises once the limit is crossed."""
@@ -182,6 +197,14 @@ def _refine_pair(adj_s, adj_t, P, Q, split: int = -1):
     """
     n = len(adj_s)
     same = adj_s is adj_t and P == Q
+    unit = same and split < 0 and len(P) == 1
+    if unit:
+        # round 1 on a single cell: every key is (0,) * degree, so the
+        # fragments are the degree classes in ascending order
+        by_deg: dict[int, list[int]] = {}
+        for v in P[0]:
+            by_deg.setdefault(len(adj_s[v]), []).append(v)
+        P = [by_deg[d] for d in sorted(by_deg)]
     cell_s, at_s = _cell_names(P, n)
     cell_t, at_t = (cell_s, at_s) if same else _cell_names(Q, n)
     name_s, name_t = cell_s.__getitem__, cell_t.__getitem__
@@ -192,6 +215,10 @@ def _refine_pair(adj_s, adj_t, P, Q, split: int = -1):
     # same round.
     if split >= 0:
         dirty = set(map(name_s, adj_s[P[split][0]]))
+    elif unit:
+        big = max(P, key=len)
+        dirty = {cell_s[u] for frag in P if frag is not big
+                 for v in frag for u in adj_s[v]}
     else:
         dirty = {s for s, cell in enumerate(at_s)
                  if cell is not None and (len(cell) > 1 or not same)}
@@ -346,8 +373,8 @@ def enumerate_automorphisms(g: Graph,
 
     known takes automorphisms of g already found elsewhere, as image
     vectors; each is checked edge by edge and one that is not an
-    automorphism raises ValueError. They and the swap of
-    each pair of consecutive members of an open-twin class seed the
+    automorphism raises ValueError. They and the swap of each pair of
+    consecutive members of an open-twin or closed-twin class seed the
     chain's generators, which spares the orbit step a targeted search
     for every point they reach. The chain's order and orbits do not
     depend on the seeds. The twin classes are kept on the chain as twins.
@@ -381,8 +408,9 @@ def enumerate_automorphisms(g: Graph,
 
 def _seeds(g: Graph, twins, known) -> dict[int, dict[tuple[int, ...], None]]:
     """The swaps of consecutive members of each class of twins, the
-    open-twin classes of g, and the elements of known, each under the
-    largest point m it moves, in insertion order and without repeats.
+    open-twin classes of g, then of each closed-twin class (N[u] = N[v]),
+    and the elements of known, each under the largest point m it moves, in
+    insertion order and without repeats.
 
     A seed fixes m+1..n-1, so it lies in H_(m+1), moves m, and belongs
     with the generators of level m, which exists because H_(m+1) moves m.
@@ -391,7 +419,10 @@ def _seeds(g: Graph, twins, known) -> dict[int, dict[tuple[int, ...], None]]:
     n = g.n
     adj = g.adjacency
     by: dict[int, dict[tuple[int, ...], None]] = {}
-    for cls in twins:
+    closed: dict[frozenset[int], list[int]] = {}
+    for v in range(n):
+        closed.setdefault(adj[v] | {v}, []).append(v)
+    for cls in (*twins, *closed.values()):
         for u, v in zip(cls, cls[1:]):
             img = list(range(n))
             img[u], img[v] = v, u

@@ -44,9 +44,16 @@ sound:
   certificate is the one the unpruned search returns, and h need not map
   {0..d-1} onto itself. A generating set is weaker than the whole group,
   but it is stored with the chain, so the prune runs on a group of any
-  order. The comparisons are not charged to the budget, so a budget step
-  stays one DFS node or one transversal element composed, and the pruned
-  tree never costs more than the unpruned one.
+  order. A generator found larger at a compared position stays so in
+  the whole subtree, whose nodes only color positions from d on, so each
+  node walks only the generators its parent left undecided. The
+  comparisons are not charged to the budget, so a budget step stays one
+  DFS node or one transversal element composed, and the pruned tree never
+  costs more than the unpruned one.
+
+The k loop starts at lower_bound, read off the chain: the largest twin
+class, and 2 when the group is nontrivial. A level below it has no
+distinguishing coloring, so skipping it changes no value or certificate.
 
 distinguishing_number builds g's chain itself unless it is passed one as
 group=, as verify does with the chain it has already read the root orbit
@@ -111,6 +118,13 @@ def twin_lower_bound(g: Graph) -> int:
     return max(len(c) for c in twin_classes(g))
 
 
+def lower_bound(group: AutListing) -> int:
+    """A lower bound on dist(g) read off g's chain: the largest twin class,
+    as twins take distinct colors, and 2 when Aut(g) is nontrivial."""
+    tb = max(map(len, group.twins), default=0)
+    return max(tb, 2) if group.order > 1 else tb
+
+
 def is_distinguishing(g: Graph, c: Coloring) -> bool:
     if c.n != g.n:
         raise MalformedColoring(f"coloring length {c.n} != graph order {g.n}")
@@ -126,20 +140,27 @@ def _generators(group) -> list[tuple[int, tuple[int, ...]]]:
     return sorted((next(v for v, w in enumerate(h) if v != w), h) for h in gens)
 
 
-def _smaller_image(gens, colors, d: int, prefix_max) -> bool:
-    """True if some (m, h) of gens maps the canonical prefix colors[:d] to
+def _smaller_image(gens, colors, d: int, prefix_max):
+    """None if some (m, h) of gens maps the canonical prefix colors[:d] to
     one that, renumbered by first occurrence, is lexicographically smaller
-    before the first position p with h(p) >= d. h fixes 0..m-1, so the
-    renumbering starts as the identity on colors 1..prefix_max[m], where
-    prefix_max[m] = max(colors[:m])."""
-    for m, h in gens:
+    before the first position p with h(p) >= d; otherwise the generators
+    still undecided, in order. h fixes 0..m-1, so the renumbering starts as
+    the identity on colors 1..prefix_max[m], where
+    prefix_max[m] = max(colors[:m]). A generator whose image is larger at
+    a compared position is left out: every position it compared keeps its
+    color in the subtree below, so it can cut nothing there."""
+    live = []
+    for i, gen in enumerate(gens):
+        m, h = gen
         if m >= d - 1:
-            break  # h fixes 0..d-2 and maps d-1 above it
+            live += gens[i:]  # h fixes 0..d-2 and maps d-1 above it
+            break
         base = nxt = prefix_max[m]
         renamed: dict[int, int] = {}
         for p in range(m, d):
             w = h[p]
             if w >= d:
+                live.append(gen)
                 break
             x = colors[w]
             if x > base:
@@ -151,9 +172,11 @@ def _smaller_image(gens, colors, d: int, prefix_max) -> bool:
             c = colors[p]
             if x != c:
                 if x < c:
-                    return True
+                    return None
                 break
-    return False
+        else:
+            live.append(gen)
+    return live
 
 
 def _search_k(n: int, k: int, prev, gens, moves_last, budget: Budget):
@@ -161,12 +184,14 @@ def _search_k(n: int, k: int, prev, gens, moves_last, budget: Budget):
     colors = [0] * n
     prefix_max = [0] * (n + 1)  # prefix_max[d] = max(colors[:d]) on this path
 
-    def dfs(d: int, max_used: int):
+    def dfs(d: int, max_used: int, gens):
         budget.spend(1)
         prefix_max[d] = max_used
         if d >= 2:
-            if d < n and _smaller_image(gens, colors, d, prefix_max):
-                return None
+            if d < n:
+                gens = _smaller_image(gens, colors, d, prefix_max)
+                if gens is None:
+                    return None
             if moves_last(colors, d, budget):
                 return None
         if d == n:
@@ -176,13 +201,13 @@ def _search_k(n: int, k: int, prev, gens, moves_last, budget: Budget):
             if max(max_used, c) + (n - d - 1) < k:
                 continue  # can no longer introduce k distinct colors
             colors[d] = c
-            res = dfs(d + 1, max(max_used, c))
+            res = dfs(d + 1, max(max_used, c), gens)
             colors[d] = 0
             if res is not None:
                 return res
         return None
 
-    return dfs(0, 0)
+    return dfs(0, 0, gens)
 
 
 def distinguishing_number(g: Graph, k_cap: int | None = None, *,
@@ -190,7 +215,7 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
                           group: AutListing | None = None) -> DistResult | ExceedsCap:
     """Exact distinguishing number with a certificate coloring.
 
-    The search starts at the twin lower bound and increments k after
+    The search starts at lower_bound(group) and increments k after
     exhausting each level, so the returned value is minimal. Raises
     SearchBudgetExceeded when the step budget runs out; returns
     ExceedsCap once the value is proven to exceed k_cap. One stabilizer
@@ -218,7 +243,7 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
     tb = max(len(cl) for cl in group.twins)
     gens = _generators(group)
 
-    for k in range(max(tb, 1), n + 1):
+    for k in range(lower_bound(group), n + 1):
         if k_cap is not None and k > k_cap:
             return ExceedsCap(k_cap)
         cert = _search_k(n, k, prev, gens, group.preserving_moves_last, bud)

@@ -13,6 +13,15 @@ automorphisms they do not reach. The root is the last vertex, the
 chain's first base point, so its orbit is read off the chain's top level
 with no search of its own, and the same chain serves the distinguishing
 search.
+
+On a GENERIC row the case's coloring of mu_t(G), kn_base_coloring when G
+is complete and G's certificate lifted otherwise, bounds the value from
+above. When it has as many colors as the chain's lower bound
+(distinguishing.lower_bound) and the chain finds no nontrivial
+automorphism that preserves it, the two bounds meet and that is the
+value, found with no DFS. The row's method is still search: the value is
+exact and was found within the budget, which the chain's walk spends
+from.
 """
 
 from __future__ import annotations
@@ -26,10 +35,11 @@ from . import distinguishing
 # bench/run.py --trace 1 wraps verify.orbit_of by name; records read the
 # root orbit off the chain instead
 from .automorphism import AutListing, Budget, orbit_of  # noqa: F401
-from .constructions import (CASE_ISOLATE_DOMINATED, CASE_K1_TGT1, EXACT,
-                            isolate_case_coloring, predict_dist)
+from .constructions import (CASE_GENERIC, CASE_ISOLATE_DOMINATED,
+                            CASE_K1_TGT1, EXACT, isolate_case_coloring,
+                            kn_base_coloring, lift_coloring, predict_dist)
 from .distinguishing import (DEFAULT_BUDGET, distinguishing_number,
-                             is_distinguishing)
+                             is_distinguishing, lower_bound)
 from .errors import MycdistError, SearchBudgetExceeded
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, classify_star, isolated_vertices
@@ -145,6 +155,22 @@ def _certify_exact(g: Graph, t: int, mu, mu_group: AutListing, prediction,
     return coloring.k == prediction.value and is_distinguishing(mu, coloring)
 
 
+def _settled_by_bounds(g: Graph, t: int, mu_group: AutListing, prediction,
+                       dist_g_result, budget: Budget) -> int | None:
+    """dist(mu_t(g)) when the case's coloring of a GENERIC row has as many
+    colors as the chain's lower bound and the chain finds it
+    distinguishing, else None. Its walk spends from budget."""
+    if prediction.case_tag != CASE_GENERIC:
+        return None
+    if g.edge_count == g.n * (g.n - 1) // 2:
+        _, coloring = kn_base_coloring(g.n, t)
+    else:
+        coloring = lift_coloring(g, t, dist_g_result.certificate)
+    if coloring.k != lower_bound(mu_group):
+        return None
+    return coloring.k if mu_group.is_distinguishing(coloring.assign, budget) else None
+
+
 def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRecord]:
     """All (line, t) rows for one corpus record."""
     g = parse_graph6(line)
@@ -173,9 +199,13 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
         prediction = predict_dist(g, t, dist_g_result.value)
         method = METHOD_SEARCH
         measured: int | None
+        budget = Budget(budget_steps)
         try:
-            measured = distinguishing_number(mu, budget=Budget(budget_steps),
-                                             group=mu_group).value
+            measured = _settled_by_bounds(g, t, mu_group, prediction,
+                                          dist_g_result, budget)
+            if measured is None:
+                measured = distinguishing_number(mu, budget=budget,
+                                                 group=mu_group).value
         except SearchBudgetExceeded:
             if _certify_exact(g, t, mu, mu_group, prediction, dist_g_result):
                 measured, method = prediction.value, METHOD_CERTIFIED
@@ -201,8 +231,12 @@ def _worker(args) -> list[VerifyRecord]:
 
 
 def _malformed_rows(line: str, ts: list[int]) -> list[VerifyRecord]:
+    """The rows of an unreadable line, its bytes outside printable ASCII
+    written as \\xNN, so that the report encodes under any codec."""
+    raw = line.strip().encode("utf-8", "surrogateescape")
+    text = "".join(chr(b) if 32 <= b < 127 else f"\\x{b:02x}" for b in raw)
     return [VerifyRecord(
-        graph6=line.strip(), n=None, ell=None, dist_g=None, t=t, case=None,
+        graph6=text, n=None, ell=None, dist_g=None, t=t, case=None,
         predicted_kind=None, predicted_value=None, measured=None,
         method=METHOD_MALFORMED, root_orbit=None, passed=False) for t in ts]
 

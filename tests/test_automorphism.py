@@ -1,5 +1,6 @@
 """Automorphism engine against the brute-force listing and known groups."""
 
+import contextlib
 import itertools
 import math
 
@@ -13,7 +14,10 @@ from mycdist import (Graph, build_mycielskian, complete_graph, cycle_graph,
                      twin_classes)
 from mycdist import verify
 from mycdist.automorphism import Budget
-from mycdist.errors import SearchBudgetExceeded, SizeMismatch
+from mycdist.constructions import kn_base_coloring, lift_coloring
+from mycdist.distinguishing import distinguishing_number
+from mycdist.errors import (PaletteExhausted, PreconditionViolated,
+                            SearchBudgetExceeded, SizeMismatch)
 
 from .oracles import enumerate_automorphisms_naive
 from .support import (assert_group_axioms, chain_elements, disjoint_union,
@@ -262,6 +266,57 @@ def test_chain_keeps_the_twin_classes(g):
     assert [list(cls) for cls in enumerate_automorphisms(g).twins] == twin_classes(g)
 
 
+def _complement(g):
+    return Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                       if v not in g.adjacency[u]])
+
+
+def _chain_matches_naive(g):
+    """The chain's order, its basic orbits and its twin classes are those
+    of the naive listing and of graphs.twin_classes."""
+    naive = enumerate_automorphisms_naive(g)
+    group = enumerate_automorphisms(g)
+    assert group.order == len(naive)
+    assert _basic_orbits(group) == [
+        (b, sorted({h[b] for h in _stabilizer(naive, b + 1)}))
+        for b, _, _ in group.levels]
+    assert [list(cls) for cls in group.twins] == twin_classes(g)
+    return group
+
+
+def _matching(n):
+    return Graph(n, [(i, i + 1) for i in range(0, n, 2)])
+
+
+@pytest.mark.parametrize("g", [complete_graph(n) for n in range(2, 8)]
+                         + [_complement(_matching(n)) for n in (4, 6)]
+                         + [_matching(n) for n in (4, 6)],
+                         ids=["K2", "K3", "K4", "K5", "K6", "K7", "K4-M", "K6-M",
+                              "2K2", "3K2"])
+def test_closed_twin_swaps_seed_the_chain(g):
+    # K_n is one closed-twin class and a perfect matching n/2 of them (K_n
+    # minus one has open twins instead); the swaps of consecutive members
+    # are stored as generators, and the chain still has the group's order
+    # and orbits
+    group = _chain_matches_naive(g)
+    stored = {h for _, _, gens in group.levels for h in gens}
+    closed: dict = {}
+    for v in range(g.n):
+        closed.setdefault(g.adjacency[v] | {v}, []).append(v)
+    for cls in closed.values():
+        for u, v in zip(cls, cls[1:]):
+            swap = list(range(g.n))
+            swap[u], swap[v] = v, u
+            assert tuple(swap) in stored
+
+
+@settings(max_examples=80, deadline=None)
+@given(twin_rich_graphs(7))
+def test_closed_twin_seeded_chain_matches_naive(g):
+    # open twins of g are closed twins of its complement
+    _chain_matches_naive(_complement(g))
+
+
 def test_known_takes_permutations_and_rejects_non_bijections():
     g = path_graph(4)
     assert enumerate_automorphisms(g, known=[(3, 2, 1, 0)]).order == 2
@@ -308,6 +363,47 @@ def test_preserving_moves_last_examples():
     assert budget.used == 4
     with pytest.raises(SearchBudgetExceeded):
         sym.preserving_moves_last((1, 1, 1, 1, 1), 5, Budget(3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(graphs(7), twin_rich_graphs(7)), st.data())
+def test_chain_is_distinguishing_matches_search(g, data):
+    colors = data.draw(st.lists(st.integers(1, 3), min_size=g.n, max_size=g.n))
+    group = enumerate_automorphisms(g)
+    assert (group.is_distinguishing(colors, Budget(10**6))
+            == (search_color_preserving(g, colors) is None))
+
+
+def test_chain_is_distinguishing_matches_search_on_case_colorings(corpus_n6):
+    # mu_1 and mu_2 of every graph with n <= 6, colored as verify colors
+    # them: G's certificate lifted, and the K_n base coloring
+    for _, g in corpus_n6:
+        cert = distinguishing_number(g).certificate
+        for t in (1, 2):
+            mu, _ = build_mycielskian(g, t)
+            group = enumerate_automorphisms(mu, known=verify._lifts(
+                enumerate_automorphisms(g), t))
+            colorings = []
+            with contextlib.suppress(PreconditionViolated, PaletteExhausted):
+                colorings.append(lift_coloring(g, t, cert))
+            if g.n >= 3:
+                colorings.append(kn_base_coloring(g.n, t)[1])
+            for c in colorings:
+                assert (group.is_distinguishing(c.assign, Budget(10**6))
+                        == (search_color_preserving(mu, c) is None))
+
+
+def test_chain_is_distinguishing_spends_the_budget():
+    # S_5 on the edgeless graph: the rainbow coloring passes, and one
+    # color is preserved by a transposition found in one step per
+    # transversal element composed
+    sym = enumerate_automorphisms(Graph(5))
+    assert sym.is_distinguishing((1, 2, 3, 4, 5), Budget(10**6))
+    budget = Budget(10**6)
+    assert not sym.is_distinguishing((1, 1, 1, 1, 1), budget)
+    assert budget.used == 1
+    with pytest.raises(SearchBudgetExceeded):
+        sym.is_distinguishing((1, 1, 1, 1, 1), Budget(0))
 
 
 @settings(max_examples=150, deadline=None)

@@ -155,9 +155,12 @@ def test_zero_budget_is_zero():
 # more prefixes of K_{3,3}'s Mycielskians: 206 -> 95 and 3326 -> 221.
 # Each twin class now takes ascending colors instead of distinct ones,
 # which leaves fewer children per node: 95 -> 75 and 221 -> 165.
+# The k loop now starts at the chain's lower bound, 2 for a nontrivial
+# group, so mu_2(K_5) and mu_1(K_6) no longer search the one-color level:
+# 416 -> 402 and 493 -> 483.
 @pytest.mark.parametrize("g6, t, steps", [("ElUg", 1, 75),
-                                          ("D~{", 2, 416),
-                                          ("E~~w", 1, 493),
+                                          ("D~{", 2, 402),
+                                          ("E~~w", 1, 483),
                                           ("ElUg", 3, 165)])
 def test_budget_steps_pinned(g6, t, steps):
     mu, _ = build_mycielskian(parse_graph6(g6), t)
@@ -295,10 +298,15 @@ def test_oracle_certificates_ascend_on_twin_rich_graphs(g):
     _assert_twin_classes_ascend(g)
 
 
-def _smaller(gens, colors, d):
+def _smaller_or_undecided(gens, colors, d):
     """_smaller_image with the prefix maxima that the DFS keeps."""
     prefix_max = [max(colors[:p], default=0) for p in range(len(colors) + 1)]
     return _smaller_image(gens, colors, d, prefix_max)
+
+
+def _smaller(gens, colors, d):
+    """Does _smaller_image cut the prefix?"""
+    return _smaller_or_undecided(gens, colors, d) is None
 
 
 def test_smaller_image_renumbers_colors():
@@ -341,6 +349,16 @@ def test_smaller_image_cuts_with_an_inverse_where_the_generator_does_not():
     assert not _smaller([(0, h)], [1, 2, 1, 1], 4)
     assert _smaller([(0, inv)], [1, 2, 1, 1], 4)
     assert _smaller([(0, h), (0, inv)], [1, 2, 1, 1], 4)
+
+
+def test_smaller_image_passes_on_only_undecided_generators():
+    # on the prefix (1, 2, 1) of d = 3: (0 1)(2 3) reads (1, 2) renumbered,
+    # equal, and stops at 3, not colored yet; (0 1) reads (1, 2, 2)
+    # renumbered, larger at position 2, which keeps its color in the whole
+    # subtree; (2 3) moves nothing below 2 and is not walked yet
+    both, swap, late = (1, 0, 3, 2), (1, 0, 2, 3), (0, 1, 3, 2)
+    gens = [(0, both), (0, swap), (2, late)]
+    assert _smaller_or_undecided(gens, [1, 2, 1, 0], 3) == [(0, both), (2, late)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -25,6 +25,7 @@ from mycdist import (AutListing, Coloring, ExceedsCap, Graph, MycLayout,
 from mycdist import automorphism, distinguishing, verify
 from mycdist import cli
 from mycdist.cli import _dumps, main
+from mycdist.distinguishing import DEFAULT_BUDGET
 from mycdist.errors import MalformedColoring, MycdistError
 from mycdist.verify import (CSV_FIELDS, classify_root_orbit, process_record,
                             report_to_csv, report_to_json, root_orbit_conforms,
@@ -32,7 +33,8 @@ from mycdist.verify import (CSV_FIELDS, classify_root_orbit, process_record,
 
 from .oracles import enumerate_automorphisms_naive
 from .support import (chain_elements, graphs, is_automorphism,
-                      reference_aut_generators, source_tree_env)
+                      reference_aut_generators, source_tree_env,
+                      twin_rich_graphs)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 N3_LINES = ["B?", "BG", "BW", "Bw"]  # all four graphs on 3 vertices
@@ -92,6 +94,39 @@ def test_run_verify_bare_header_is_a_malformed_row():
     assert report.records[0].graph6 == ">>graph6<<"
 
 
+def test_rows_measure_the_unbounded_search(corpus_n6):
+    # rows settled by the chain's lower bound and the case's coloring
+    # read the value the search finds with no budget
+    for line, g in corpus_n6:
+        for r in process_record(line, [1, 2, 3], DEFAULT_BUDGET):
+            mu, _ = build_mycielskian(g, r.t)
+            assert r.measured == distinguishing_number(mu).value, (line, r.t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(twin_rich_graphs(6))
+def test_twin_rich_rows_measure_the_unbounded_search(g):
+    for r in process_record(write_graph6(g), [1, 2], DEFAULT_BUDGET):
+        mu, _ = build_mycielskian(g, r.t)
+        assert r.measured == distinguishing_number(mu).value
+
+
+def test_bounds_settle_mu_2_of_k5_without_a_dfs(monkeypatch):
+    # the chain's lower bound on mu_2(K_5) is 2, and kn_base_coloring's
+    # 2-coloring distinguishes it, so only K_5's own search runs
+    orders = []
+    search_k = distinguishing._search_k
+
+    def counted(n, *args):
+        orders.append(n)
+        return search_k(n, *args)
+
+    monkeypatch.setattr(distinguishing, "_search_k", counted)
+    (r,) = process_record("D~{", [2], DEFAULT_BUDGET)
+    assert (r.measured, r.method, r.passed) == (2, "search", True)
+    assert orders and set(orders) == {5}
+
+
 def test_run_verify_oversized_record_is_fatal():
     with pytest.raises(MycdistError, match="record 2"):
         run_verify(["Bw", "G?????"], [1])
@@ -110,8 +145,8 @@ def test_certified_fallback_under_tiny_budget():
 
 
 def test_budget_exceeded_recorded_not_fatal():
-    # dist(C_5) fits in 70 steps (it takes 59), dist(mu_1(C_5)) does not
-    # (it takes 82)
+    # dist(C_5) fits in 70 steps (it takes 53), dist(mu_1(C_5)) does not
+    # (it takes 71)
     c5 = write_graph6(cycle_graph(5))
     report = run_verify([c5], [1], budget_steps=70)
     (r,) = report.records
@@ -628,6 +663,26 @@ def test_cli_undecodable_file_is_malformed_input(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert [r["method"] for r in json.loads(out)["records"]] == [
         "search", "malformed", "search"]
+
+
+def test_cli_verify_escapes_undecodable_bytes_under_strict_stdout(tmp_path,
+                                                                  monkeypatch):
+    # the malformed row's graph6 cell holds the line's bytes outside
+    # printable ASCII as \xNN, so a strict stdout can encode the report
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_bytes(b"Bw\n\xff\xfe\n")
+    for fmt in ("csv", "json"):
+        raw = io.BytesIO()
+        out = io.TextIOWrapper(raw, encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdout", out)
+        code = main(["verify", str(corpus), "--t", "1", "--out", fmt])
+        out.flush()
+        text = raw.getvalue().decode("ascii")
+        rows = (list(csv.DictReader(io.StringIO(text))) if fmt == "csv"
+                else json.loads(text)["records"])
+        assert code == 0
+        assert [r["method"] for r in rows] == ["search", "malformed"]
+        assert rows[1]["graph6"] == "\\xff\\xfe"
 
 
 def test_cli_undecodable_stdin_exits_2(monkeypatch, capsys):

@@ -1,0 +1,62 @@
+"""Digest the standard verify sweeps: rows, report hash, search steps, wall time.
+
+    PYTHONPATH=src python3 tools/verify_digest.py
+
+Each sweep runs in process with one worker and the default budget: n <= 6
+at t = 1, 2 and 3, n <= 5 at t = 2, and n = 7 at t = 1 and 2. For each it
+prints the number of rows, the sha256 of the CSV report, the summed
+Budget.used of every search the sweep ran (G's and mu_t(G)'s, counted by
+wrapping verify.Budget) and the wall seconds. Two commits whose sweeps
+print the same hashes wrote byte-identical reports; the step sums compare
+the work their searches did.
+"""
+
+import hashlib
+import pathlib
+import sys
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from mycdist import parse_graph6, verify  # noqa: E402
+
+SWEEPS = [("n<=6", 6, 1), ("n<=6", 6, 2), ("n<=6", 6, 3), ("n<=5", 5, 2),
+          ("n=7", 7, 1), ("n=7", 7, 2)]
+
+
+def corpus(name: str, max_n: int) -> list[str]:
+    lines = (ROOT / "data" / name).read_text().split()
+    return [ln for ln in lines if parse_graph6(ln).n <= max_n]
+
+
+def main():
+    budgets = []
+    plain = verify.Budget
+
+    def counted(limit):
+        budget = plain(limit)
+        budgets.append(budget)
+        return budget
+
+    verify.Budget = counted
+    try:
+        print(f"{'sweep':<6} {'t':>1} {'rows':>5} {'csv_sha256':<64} "
+              f"{'budget_used':>11} {'wall_s':>7}")
+        for label, max_n, t in SWEEPS:
+            lines = corpus("graphs_n7.g6" if max_n == 7 else "graphs_n1_6.g6", max_n)
+            budgets.clear()
+            t0 = time.perf_counter()
+            report = verify.run_verify(lines, [t], max_n=max_n)
+            csv_text = verify.report_to_csv(report)
+            wall = time.perf_counter() - t0
+            digest = hashlib.sha256(csv_text.encode()).hexdigest()
+            used = sum(b.used for b in budgets)
+            print(f"{label:<6} {t:>1} {len(report.records):>5} {digest} "
+                  f"{used:>11} {wall:>7.3f}")
+    finally:
+        verify.Budget = plain
+
+
+if __name__ == "__main__":
+    main()
