@@ -1,7 +1,7 @@
 """Corpus sweep: measure dist(mu_t(G)) against the case predictions.
 
-Each (graph, t) record measures or certifies dist(mu_t(G)), compares it
-with predict_dist, and classifies the orbit of the root. Records are
+Each (graph, t) record measures dist(mu_t(G)), compares it with
+predict_dist, and classifies the orbit of the root. Records are
 independent, so sweeps may run across processes; results are emitted in
 input order either way, making reports byte-identical for any --jobs.
 
@@ -14,14 +14,18 @@ chain's first base point, so its orbit is read off the chain's top level
 with no search of its own, and the same chain serves the distinguishing
 search.
 
-On a GENERIC row the case's coloring of mu_t(G), kn_base_coloring when G
-is complete and G's certificate lifted otherwise, bounds the value from
+Every case with a paper coloring of mu_t(G) settles the row the same
+way: kn_base_coloring when G is complete and G's certificate lifted
+otherwise on a GENERIC row, isolate_case_coloring on an
+ISOLATE_DOMINATED or K1_tgt1 row. The coloring bounds the value from
 above. When it has as many colors as the chain's lower bound
 (distinguishing.lower_bound) and the chain finds no nontrivial
 automorphism that preserves it, the two bounds meet and that is the
-value, found with no DFS. The row's method is still search: the value is
-exact and was found within the budget, which the chain's walk spends
-from.
+value, found with no DFS. The row's method is search either way: the
+value is exact and was found within the budget, which the chain's walk
+spends from. Apart from the chain builds, every search a record runs
+spends from its budget; a row whose walk or DFS runs out of it reads
+budget_exceeded.
 """
 
 from __future__ import annotations
@@ -38,8 +42,7 @@ from .automorphism import AutListing, Budget, orbit_of  # noqa: F401
 from .constructions import (CASE_GENERIC, CASE_ISOLATE_DOMINATED,
                             CASE_K1_TGT1, EXACT, isolate_case_coloring,
                             kn_base_coloring, lift_coloring, predict_dist)
-from .distinguishing import (DEFAULT_BUDGET, distinguishing_number,
-                             is_distinguishing, lower_bound)
+from .distinguishing import DEFAULT_BUDGET, distinguishing_number, lower_bound
 from .errors import MycdistError, SearchBudgetExceeded
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, classify_star, isolated_vertices
@@ -51,7 +54,6 @@ ORBIT_ALL = "all"
 ORBIT_OTHER = "other"
 
 METHOD_SEARCH = "search"
-METHOD_CERTIFIED = "certified"
 METHOD_BUDGET_EXCEEDED = "budget_exceeded"
 METHOD_MALFORMED = "malformed"
 
@@ -141,31 +143,21 @@ def _root_orbit(chain: AutListing, root: int) -> frozenset[int]:
     return frozenset((root,))
 
 
-def _certify_exact(g: Graph, t: int, mu, mu_group: AutListing, prediction,
-                   dist_g_result) -> bool:
-    """Twin lower bound == constructive upper bound, both checked; the
-    bound is the largest twin class kept on mu's chain."""
-    if prediction.kind != EXACT:
-        return False
-    if prediction.case_tag not in (CASE_ISOLATE_DOMINATED, CASE_K1_TGT1):
-        return False
-    if max(len(cl) for cl in mu_group.twins) != prediction.value:
-        return False
-    coloring = isolate_case_coloring(g, t, dist_g_result.certificate)
-    return coloring.k == prediction.value and is_distinguishing(mu, coloring)
-
-
 def _settled_by_bounds(g: Graph, t: int, mu_group: AutListing, prediction,
                        dist_g_result, budget: Budget) -> int | None:
-    """dist(mu_t(g)) when the case's coloring of a GENERIC row has as many
-    colors as the chain's lower bound and the chain finds it
-    distinguishing, else None. Its walk spends from budget."""
-    if prediction.case_tag != CASE_GENERIC:
-        return None
-    if g.edge_count == g.n * (g.n - 1) // 2:
-        _, coloring = kn_base_coloring(g.n, t)
+    """dist(mu_t(g)) when the case's coloring of mu_t(g) has as many colors
+    as the chain's lower bound and the chain finds it distinguishing; None
+    otherwise, and on the K1_t1, K2_t1 and K2_tgt1 rows, which have no
+    such coloring here. Its walk spends from budget."""
+    if prediction.case_tag == CASE_GENERIC:
+        if g.edge_count == g.n * (g.n - 1) // 2:
+            _, coloring = kn_base_coloring(g.n, t)
+        else:
+            coloring = lift_coloring(g, t, dist_g_result.certificate)
+    elif prediction.case_tag in (CASE_ISOLATE_DOMINATED, CASE_K1_TGT1):
+        coloring = isolate_case_coloring(g, t, dist_g_result.certificate)
     else:
-        coloring = lift_coloring(g, t, dist_g_result.certificate)
+        return None
     if coloring.k != lower_bound(mu_group):
         return None
     return coloring.k if mu_group.is_distinguishing(coloring.assign, budget) else None
@@ -207,10 +199,7 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
                 measured = distinguishing_number(mu, budget=budget,
                                                  group=mu_group).value
         except SearchBudgetExceeded:
-            if _certify_exact(g, t, mu, mu_group, prediction, dist_g_result):
-                measured, method = prediction.value, METHOD_CERTIFIED
-            else:
-                measured, method = None, METHOD_BUDGET_EXCEEDED
+            measured, method = None, METHOD_BUDGET_EXCEEDED
         if measured is None:
             ok = False
         elif prediction.kind == EXACT:

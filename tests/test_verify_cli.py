@@ -111,20 +111,29 @@ def test_twin_rich_rows_measure_the_unbounded_search(g):
         assert r.measured == distinguishing_number(mu).value
 
 
-def test_bounds_settle_mu_2_of_k5_without_a_dfs(monkeypatch):
+@pytest.mark.parametrize("line, t, n, value", [
     # the chain's lower bound on mu_2(K_5) is 2, and kn_base_coloring's
-    # 2-coloring distinguishes it, so only K_5's own search runs
+    # 2-coloring distinguishes it
+    ("D~{", 2, 5, 2),
+    # mu_2 of the empty graph on 3 vertices: 6 isolated twins, and
+    # isolate_case_coloring's 6-coloring distinguishes it
+    ("B?", 2, 3, 6),
+    # mu_3(K_1): 3 isolated twins, and the same coloring with 3 colors
+    ("@", 3, 1, 3),
+])
+def test_bounds_settle_without_a_dfs(line, t, n, value, monkeypatch):
+    # only G's own search runs, never mu_t(G)'s
     orders = []
     search_k = distinguishing._search_k
 
-    def counted(n, *args):
-        orders.append(n)
-        return search_k(n, *args)
+    def counted(order, *args):
+        orders.append(order)
+        return search_k(order, *args)
 
     monkeypatch.setattr(distinguishing, "_search_k", counted)
-    (r,) = process_record("D~{", [2], DEFAULT_BUDGET)
-    assert (r.measured, r.method, r.passed) == (2, "search", True)
-    assert orders and set(orders) == {5}
+    (r,) = process_record(line, [t], DEFAULT_BUDGET)
+    assert (r.measured, r.method, r.passed) == (value, "search", True)
+    assert orders and set(orders) == {n}
 
 
 def test_run_verify_oversized_record_is_fatal():
@@ -132,16 +141,33 @@ def test_run_verify_oversized_record_is_fatal():
         run_verify(["Bw", "G?????"], [1])
 
 
-def test_certified_fallback_under_tiny_budget():
-    # dist(empty_3) fits in 8 steps (it takes 4), the 10-vertex search
-    # does not (it takes 11)
+def test_isolate_case_settles_under_tiny_budget():
+    # dist(empty_3) fits in 8 steps (it takes 4), the 10-vertex DFS would
+    # not (it takes 11); the paper's 6-coloring is checked on mu_2's chain
+    # within the budget, so no DFS runs and the row is measured
     report = run_verify(["B?"], [2], budget_steps=8)
     (r,) = report.records
-    assert r.method == "certified"
+    assert r.method == "search"
     assert r.case == "ISOLATE_DOMINATED"
     assert r.measured == r.predicted_value == 6
     assert r.passed
     assert report.summary["violations"] == 0
+
+
+@pytest.mark.parametrize("budget_steps", [8, 64])
+def test_paper_coloring_rows_settle_under_tiny_budgets(budget_steps, corpus_n6):
+    # every row with an isolate-case coloring is measured by the budgeted
+    # chain check, whatever the budget left to a DFS; no row is certified
+    lines = [line for line, _ in corpus_n6]
+    report = run_verify(lines, [1, 2, 3], budget_steps=budget_steps)
+    methods = {r.method for r in report.records}
+    assert methods <= {"search", "budget_exceeded"}
+    settled = [r for r in report.records if r.dist_g is not None
+               and r.case in ("ISOLATE_DOMINATED", "K1_tgt1")]
+    assert settled
+    for r in settled:
+        assert r.method == "search", r
+        assert r.measured == r.predicted_value and r.passed, r
 
 
 def test_budget_exceeded_recorded_not_fatal():
@@ -272,9 +298,10 @@ def test_process_record_finds_twin_classes_once_per_graph(monkeypatch):
     assert calls == [6, 13, 19]
 
 
-def test_certified_path_finds_twin_classes_once_per_graph(monkeypatch):
-    # mu_2's search runs out of steps and the record is certified: the
-    # twin lower bound is read off mu_2's chain, not found a second time
+def test_isolate_case_finds_twin_classes_once_per_graph(monkeypatch):
+    # under a budget too small for mu_2's DFS the record is settled by its
+    # bounds: the twin lower bound is read off mu_2's chain, not found a
+    # second time
     calls = []
     find = automorphism.twin_classes
 
@@ -285,7 +312,7 @@ def test_certified_path_finds_twin_classes_once_per_graph(monkeypatch):
     monkeypatch.setattr(automorphism, "twin_classes", counted)
     monkeypatch.setattr(distinguishing, "twin_classes", counted)
     rows = process_record("B?", [2], 8)
-    assert [r.method for r in rows] == ["certified"]
+    assert [(r.method, r.measured, r.passed) for r in rows] == [("search", 6, True)]
     assert calls == [3, 10]
 
 

@@ -3,18 +3,20 @@
     PYTHONPATH=src python3 tools/verify_digest.py
 
 Each sweep runs in process with one worker and the default budget: n <= 6
-at t = 1, 2 and 3, n <= 5 at t = 2, and n = 7 at t = 1 and 2. For each it
-prints the number of rows, the sha256 of the CSV report, the summed
+at t = 1, 2 and 3, n <= 5 at t = 2, and n = 7 at t = 1, 2 and 3. For each
+it prints the number of rows, the sha256 of the CSV report, the summed
 Budget.used of every search the sweep ran (G's and mu_t(G)'s, counted by
-wrapping verify.Budget) and the wall seconds. Two commits whose sweeps
-print the same hashes wrote byte-identical reports; the step sums compare
-the work their searches did.
+wrapping verify.Budget), the wall seconds and the number of rows per
+method, so that a change of label shows even where the values do not.
+Two commits whose sweeps print the same hashes wrote byte-identical
+reports; the step sums compare the work their searches did.
 """
 
 import hashlib
 import pathlib
 import sys
 import time
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -22,7 +24,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from mycdist import parse_graph6, verify  # noqa: E402
 
 SWEEPS = [("n<=6", 6, 1), ("n<=6", 6, 2), ("n<=6", 6, 3), ("n<=5", 5, 2),
-          ("n=7", 7, 1), ("n=7", 7, 2)]
+          ("n=7", 7, 1), ("n=7", 7, 2), ("n=7", 7, 3)]
 
 
 def corpus(name: str, max_n: int) -> list[str]:
@@ -42,7 +44,7 @@ def main():
     verify.Budget = counted
     try:
         print(f"{'sweep':<6} {'t':>1} {'rows':>5} {'csv_sha256':<64} "
-              f"{'budget_used':>11} {'wall_s':>7}")
+              f"{'budget_used':>11} {'wall_s':>7} methods")
         for label, max_n, t in SWEEPS:
             lines = corpus("graphs_n7.g6" if max_n == 7 else "graphs_n1_6.g6", max_n)
             budgets.clear()
@@ -52,8 +54,10 @@ def main():
             wall = time.perf_counter() - t0
             digest = hashlib.sha256(csv_text.encode()).hexdigest()
             used = sum(b.used for b in budgets)
+            methods = Counter(r.method for r in report.records)
             print(f"{label:<6} {t:>1} {len(report.records):>5} {digest} "
-                  f"{used:>11} {wall:>7.3f}")
+                  f"{used:>11} {wall:>7.3f} "
+                  + ",".join(f"{m}={c}" for m, c in sorted(methods.items())))
     finally:
         verify.Budget = plain
 
