@@ -179,8 +179,8 @@ class Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, k: int = 1):
-        self.used += k
+    def spend(self):
+        self.used += 1
         if self.used > self.limit:
             raise SearchBudgetExceeded(self.used)
 

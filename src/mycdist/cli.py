@@ -16,7 +16,7 @@ from .constructions import (isolate_case_coloring, kn_base_coloring,
                             lift_coloring, star_case_coloring)
 from .distinguishing import (DEFAULT_BUDGET, Coloring, DistResult, ExceedsCap,
                              distinguishing_number, is_distinguishing)
-from .errors import MycdistError, SearchBudgetExceeded, Unsupported
+from .errors import InvalidT, MycdistError, SearchBudgetExceeded, Unsupported
 from .graph6 import (_MAX_N, parse_edge_list, parse_graph6, write_edge_list,
                      write_graph6)
 from .graphs import Graph, complete_graph, star_graph
@@ -48,18 +48,24 @@ def _read_graph(path: str, fmt: str) -> Graph:
 
 
 def _parse_t_list(raw: str) -> list[int]:
+    """The t values of a --t list, all checked before any is used, so a
+    bad value prints nothing for the good ones before it."""
     try:
         ts = [int(x) for x in raw.split(",") if x.strip()]
     except ValueError:
         raise MycdistError(f"bad --t list {raw!r}") from None
     if not ts:
         raise MycdistError("empty --t list")
+    for t in ts:
+        if t < 1:
+            raise InvalidT(f"t must be >= 1, got {t}")
     return ts
 
 
 def _layout_json(layout: MycLayout) -> dict:
     out = {}
-    for v, role in enumerate(layout.roles()):
+    for v in range(layout.order):
+        role = layout.role(v)
         out[str(v)] = {"role": role.kind, "i": role.index, "level": role.level}
     return out
 
@@ -335,9 +341,6 @@ def main(argv=None) -> int:
     except SearchBudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except MycdistError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, UnicodeError) as e:
+    except (MycdistError, OSError, UnicodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

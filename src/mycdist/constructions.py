@@ -13,6 +13,10 @@ Each constructive coloring below realizes the upper bound of its case.
 Each is built as one row of colors per level, row s giving the level-s
 copy of every source vertex, plus a root color, and MycLayout.lift lays
 them out in mu_t(G)'s vertex ids, so no graph needs to be built here.
+The star and isolate colorings are lifts of a coloring of G: every
+shadow repeats its original's color and the isolated shadows take fresh
+colors, so _lift_rows is the one place that builds such rows.
+kn_base_coloring instead spreads base-k digits over the levels.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from collections import namedtuple
 
 from .distinguishing import Coloring
 from .errors import (InvalidM, InvalidN, InvalidT, MalformedColoring,
-                     PaletteExhausted, PreconditionViolated)
-from .graphs import Graph, isolated_vertices
+                     PreconditionViolated)
+from .graphs import Graph, isolated_vertices, star_graph
 from .mycielskian import MycLayout
 
 CASE_K1_T1 = "K1_t1"
@@ -66,15 +70,13 @@ def predict_dist(g: Graph, t: int, dist_g: int) -> DistPrediction:
 def star_case_coloring(m: int, t: int) -> Coloring:
     """m-coloring of mu_t(K_{1,m}) for m >= 2 (leaves 0..m-1, center m).
 
-    Copy i of leaf i carries color i+1 at every level; all copies of the
-    center carry color 2; the root carries color 1.
+    The lift of the coloring giving leaf i color i+1 and the center
+    color 2: every copy of leaf i carries i+1, every copy of the center
+    2, and the root 1.
     """
     if m < 2:
         raise InvalidM(f"star case needs m >= 2, got {m}")
-    if t < 1:
-        raise InvalidT(f"t must be >= 1, got {t}")
-    row = list(range(1, m + 1)) + [2]
-    return Coloring(m, MycLayout(m + 1, t).lift([row] * (t + 1), 1))
+    return lift_coloring(star_graph(m), t, Coloring(m, tuple(range(1, m + 1)) + (2,)))
 
 
 def kn_base_coloring(n: int, t: int) -> tuple[int, Coloring]:
@@ -104,10 +106,12 @@ def _check_source_coloring(g: Graph, c: Coloring):
 def isolate_case_coloring(g: Graph, t: int, dist_coloring_g: Coloring) -> Coloring:
     """t*l coloring of mu_t(g) when the isolated-vertex twins dominate.
 
-    The t*l isolated vertices of mu_t(g) (levels 0..t-1 of the l isolates
-    of g) get the distinct colors 1..t*l in (level, index) order; the
-    level-t copy of each isolate repeats its level-0 color; non-isolates
-    copy their given color to every level; the root avoids color 1.
+    The lift, with palette t*l, of the given coloring with g's isolates
+    renumbered 1..l in index order: the t*l isolated vertices of mu_t(g)
+    (levels 0..t-1 of the l isolates of g) get the distinct colors 1..t*l
+    in (level, index) order, and the level-t copy of each isolate repeats
+    its level-0 color; non-isolates copy their given color to every
+    level; the root avoids color 1.
     """
     if t < 1:
         raise InvalidT(f"t must be >= 1, got {t}")
@@ -121,12 +125,11 @@ def isolate_case_coloring(g: Graph, t: int, dist_coloring_g: Coloring) -> Colori
         # supplied coloring stands in for dist(g)
         raise PreconditionViolated(
             f"needs t*l > source colors, got t*l = {t * ell}, k = {dist_coloring_g.k}")
-    rows = [list(dist_coloring_g.assign) for _ in range(t + 1)]
-    for s, row in enumerate(rows):
-        for j, v in enumerate(iso):
-            row[v] = (s % t) * ell + j + 1  # level t repeats level 0
+    colors = list(dist_coloring_g.assign)
+    for j, v in enumerate(iso):
+        colors[v] = j + 1
     # the root takes any color except that of the first isolate chain
-    return Coloring(t * ell, MycLayout(g.n, t).lift(rows, 2))
+    return _lift_rows(colors, t, t * ell, iso, 2)
 
 
 def lift_coloring(g: Graph, t: int, dist_coloring_g: Coloring, w_color: int = 1) -> Coloring:
@@ -136,7 +139,8 @@ def lift_coloring(g: Graph, t: int, dist_coloring_g: Coloring, w_color: int = 1)
     holds for any g other than K_1, K_2, and K_{1,m}: shadows repeat the
     color of their original, the isolated shadows (levels 1..t-1 of g's
     isolates) take distinct colors unused on the isolates themselves, and
-    the root color is free.
+    the root color is free. On K_{1,m} the lift distinguishes for the
+    one coloring star_case_coloring gives it, which the star case proves.
     """
     if t < 1:
         raise InvalidT(f"t must be >= 1, got {t}")
@@ -150,15 +154,20 @@ def lift_coloring(g: Graph, t: int, dist_coloring_g: Coloring, w_color: int = 1)
         raise PreconditionViolated(f"t*l = {t * ell} exceeds palette k = {k}")
     if not (1 <= w_color <= k):
         raise PreconditionViolated(f"w_color {w_color} outside 1..{k}")
-    rows = [list(dist_coloring_g.assign) for _ in range(t + 1)]
-    # levels 1..t-1 of the isolates are isolated in mu_t(g): all of T
-    # (that, plus the isolates themselves) must be rainbow
-    taken = {dist_coloring_g.assign[v] for v in iso}
+    return _lift_rows(dist_coloring_g.assign, t, k, iso, w_color)
+
+
+def _lift_rows(colors, t: int, k: int, iso: list[int], root: int) -> Coloring:
+    """The k-coloring of mu_t(g), for the source colors of g's vertices,
+    whose every level repeats colors, except on levels 1..t-1 of g's
+    isolates iso: those are isolated in mu_t(g) too, so they take the
+    colors of 1..k unused on iso, in (level, vertex) order. Callers
+    ensure t*len(iso) <= k, so at least k - len(iso) >= (t-1)*len(iso)
+    colors are fresh."""
+    rows = [list(colors) for _ in range(t + 1)]
+    taken = {colors[v] for v in iso}
     fresh = (c for c in range(1, k + 1) if c not in taken)
     for s in range(1, t):
         for v in iso:
-            c = next(fresh, None)
-            if c is None:
-                raise PaletteExhausted(f"no unused color left in 1..{k}")
-            rows[s][v] = c
-    return Coloring(k, MycLayout(g.n, t).lift(rows, w_color))
+            rows[s][v] = next(fresh)
+    return Coloring(k, MycLayout(len(colors), t).lift(rows, root))

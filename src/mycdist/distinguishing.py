@@ -185,7 +185,7 @@ def _search_k(n: int, k: int, prev, gens, moves_last, budget: Budget):
     prefix_max = [0] * (n + 1)  # prefix_max[d] = max(colors[:d]) on this path
 
     def dfs(d: int, max_used: int, gens):
-        budget.spend(1)
+        budget.spend()
         prefix_max[d] = max_used
         if d >= 2:
             if d < n:

@@ -56,10 +56,6 @@ class PreconditionViolated(MycdistError):
     """Construction called outside its case preconditions."""
 
 
-class PaletteExhausted(MycdistError):
-    """Construction needs more colors than the palette allows."""
-
-
 class InvalidM(MycdistError):
     """Star parameter m outside the supported range."""
 

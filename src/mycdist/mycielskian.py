@@ -53,9 +53,6 @@ class MycLayout(namedtuple("MycLayout", "n t")):
         s, i = divmod(v, self.n)
         return VertexRole("original" if s == 0 else "shadow", i, s)
 
-    def roles(self) -> list[VertexRole]:
-        return [self.role(v) for v in range(self.order)]
-
     def lift(self, rows: list[list], root) -> tuple:
         """One value per vertex in id order: rows[s][i] for the level-s
         copy of source vertex i, for s = 0..t, then root for the root."""

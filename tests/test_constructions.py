@@ -1,6 +1,8 @@
 """Case predictor and the four constructive colorings."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mycdist import (Coloring, DistPrediction, Graph, build_mycielskian,
                      classify_star, complete_graph, cycle_graph,
@@ -15,7 +17,7 @@ from mycdist.errors import (InvalidM, InvalidN, InvalidT, MalformedColoring,
                             PreconditionViolated)
 
 from .oracles import _canonical_colorings_exactly
-from .support import disjoint_union
+from .support import disjoint_union, graphs
 
 
 def test_predict_dist_cases():
@@ -63,6 +65,15 @@ def test_star_case_coloring_distinguishes():
             c = star_case_coloring(m, t)
             assert c.n == mu.n
             assert is_distinguishing(mu, c), (m, t)
+
+
+def test_star_case_coloring_is_the_row_form():
+    # the closed form the star case had before it became a lift: every
+    # level repeats leaf i -> i+1 and center -> 2, and the root takes 1
+    for m in range(2, 9):
+        for t in range(1, 5):
+            row = tuple(range(1, m + 1)) + (2,)
+            assert star_case_coloring(m, t) == Coloring(m, row * (t + 1) + (1,)), (m, t)
 
 
 def test_kn_base_coloring_values():
@@ -149,6 +160,55 @@ def test_isolate_case_coloring_corpus(corpus_n6):
     # only t = 2 can dominate on this corpus: isolates are twins, so
     # dist(g) >= l and t*l > dist(g) needs t >= 2
     assert hit >= 15
+
+
+def isolate_closed_form(g, t, c):
+    """The isolate coloring's closed form before it became a lift: the
+    j-th isolate's level-s copy takes (s mod t)*l + j + 1, every other
+    vertex its given color on every level, and the root 2."""
+    iso = isolated_vertices(g)
+    rows = [list(c.assign) for _ in range(t + 1)]
+    for s, row in enumerate(rows):
+        for j, v in enumerate(iso):
+            row[v] = (s % t) * len(iso) + j + 1
+    return Coloring(t * len(iso), tuple(x for row in rows for x in row) + (2,))
+
+
+def test_isolate_case_coloring_is_the_closed_form(corpus_n6):
+    # the corpus starts with K_1 ("@"), whose one vertex is isolated
+    assert corpus_n6[0][0] == "@"
+    hit = 0
+    for line, g in corpus_n6:
+        ell = len(isolated_vertices(g))
+        if ell == 0:
+            continue
+        cert = distinguishing_number(g).certificate
+        for t in range(1, 5):
+            if t * ell <= cert.k:
+                with pytest.raises(PreconditionViolated):
+                    isolate_case_coloring(g, t, cert)
+                continue
+            hit += 1
+            assert isolate_case_coloring(g, t, cert) == isolate_closed_form(g, t, cert), (line, t)
+    assert hit == 107
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(7), st.integers(1, 3), st.integers(1, 4), st.data())
+def test_lift_coloring_is_rainbow_on_isolated_vertices(base, extra, t, data):
+    # g is base plus 1..3 isolates; any coloring of g whose isolates take
+    # distinct colors, from a palette of at least t*l colors
+    g = Graph(base.n + extra, list(base.edges()))
+    iso = isolated_vertices(g)
+    k = data.draw(st.integers(t * len(iso), t * len(iso) + 3))
+    assign = data.draw(st.lists(st.integers(1, k), min_size=g.n, max_size=g.n))
+    for v, color in zip(iso, data.draw(st.permutations(range(1, k + 1)))):
+        assign[v] = color
+    c = lift_coloring(g, t, Coloring(k, tuple(assign)))
+    mu, _ = build_mycielskian(g, t)
+    colors = [c.assign[v] for v in isolated_vertices(mu)]
+    assert len(colors) == t * len(iso)
+    assert len(set(colors)) == len(colors)
 
 
 def test_lift_coloring_examples():

@@ -470,6 +470,20 @@ def test_cli_myc_edge_format(monkeypatch, capsys):
     assert code == 0 and json_docs(out)[0]["edges"].startswith("63 ")
 
 
+@pytest.mark.parametrize("argv, stdin_text", [
+    (["myc", "--t", "1,-1"], "Bw\n"),
+    (["myc", "--format", "edges", "--t", "1,0"], "3 2\n0 1\n1 2\n"),
+    (["coloring", "--construction", "kn", "--n", "5", "--t", "1,0"], ""),
+    (["verify", "--t", "1,0"], "Bw\n"),
+    # the t error comes before the star's own m error
+    (["coloring", "--construction", "star", "--m", "1", "--t", "0"], ""),
+])
+def test_cli_t_below_1_exits_2_before_any_output(argv, stdin_text, monkeypatch, capsys):
+    code, out, err = run_cli(argv, stdin_text, monkeypatch, capsys)
+    bad = argv[-1].split(",")[-1]
+    assert (code, out, err) == (2, "", f"error: t must be >= 1, got {bad}\n")
+
+
 def test_cli_myc_empty_input(monkeypatch, capsys):
     code, _, err = run_cli(["myc"], "", monkeypatch, capsys)
     assert code == 2 and "error" in err
@@ -614,6 +628,19 @@ def test_cli_myc_matches_golden(monkeypatch, capsys):
     records = replay_golden("myc.jsonl", monkeypatch, capsys)
     assert len(records) == 104
     assert all(r["exit"] == 0 and len(r["stdout"]) == 2 for r in records)
+
+
+def test_cli_verify_matches_golden(monkeypatch, capsys):
+    # verify data/graphs_n1_6.g6 --t 1,2,3 --out csv as
+    # tools/make_dist_golden.py wrote it: every row's case, prediction,
+    # measured value, method and root orbit, byte for byte
+    golden = ROOT / "tests" / "golden" / "verify.csv"
+    argv = ["verify", str(ROOT / "data" / "graphs_n1_6.g6"), "--t", "1,2,3",
+            "--out", "csv"]
+    code, out, err = run_cli(argv, "", monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 625
+    assert out == golden.read_text()
 
 
 def test_n6_t1_sweep_matches_bench_golden(corpus_n6):

@@ -6,7 +6,9 @@
   `lift --w-color 2` on every graph with n <= 5, `star --m 0..6` and
   `kn --n 1..9`, each at `--t 1,2,3`;
 * myc.jsonl: what `mycdist myc --t 1,2` does on every graph with n <= 5,
-  read and written as graph6 and as an edge list.
+  read and written as graph6 and as an edge list;
+* verify.csv: what `mycdist verify data/graphs_n1_6.g6 --t 1,2,3 --out csv`
+  prints, byte for byte.
 
     PYTHONPATH=src python3 tools/make_dist_golden.py
 
@@ -32,6 +34,7 @@ from mycdist import (build_mycielskian, parse_graph6, write_edge_list,  # noqa: 
 from mycdist.cli import main as cli_main  # noqa: E402
 
 T_LIST = ["--t", "1,2,3"]
+VERIFY_ARGV = ["verify", str(ROOT / "data" / "graphs_n1_6.g6"), *T_LIST, "--out", "csv"]
 
 
 def corpus(max_n: int) -> list[str]:
@@ -124,6 +127,11 @@ def main() -> int:
     write_jsonl(golden / "myc.jsonl",
                 [command_record(*cmd) for cmd in myc_commands()],
                 separators=(",", ":"))
+    code, out, _ = run_cli(VERIFY_ARGV, "")
+    assert code == 0
+    path = golden / "verify.csv"
+    path.write_text(out)
+    print(f"wrote {len(out.splitlines())} lines to {path}")
     return 0
 
 
