@@ -26,10 +26,10 @@ the levels below d that multiplies transversal elements only while their
 product keeps the colors (preserving_moves_last), and cuts lex-leader
 prefixes with the generators kept at each level. The same walk, run from
 every level with a nontrivial orbit, checks a whole coloring
-(is_distinguishing). orbit_of runs the same orbit step on its vertex's
-cell. search_color_preserving, the one
-color-preserving search over a whole graph, seeds the same search with
-color classes.
+(AutListing.is_distinguishing, for a caller that holds the chain).
+orbit_of runs the same orbit step on its vertex's cell.
+search_color_preserving, the check of a whole coloring for a caller with
+no chain, seeds the same search with the color classes instead.
 
 The chain is seeded with automorphisms known before any search: the swap
 of each pair of consecutive members of an open-twin class (the chain keeps
@@ -437,15 +437,13 @@ def _seeds(g: Graph, twins, known) -> dict[int, dict[tuple[int, ...], None]]:
     return by
 
 
-def search_color_preserving(g: Graph, coloring) -> tuple[int, ...] | None:
+def search_color_preserving(g: Graph, colors: Sequence[int]) -> tuple[int, ...] | None:
     """First nontrivial automorphism in DFS order that preserves every
     vertex's color, as an image vector; None if there is none.
 
-    Accepts a Coloring or a plain sequence of 1-based colors. The color
-    classes, in color order, seed the search's initial partition; no
-    listing is built.
+    colors[v] is the color of v. The color classes, in color order, seed
+    the search's initial partition; no listing is built.
     """
-    colors = getattr(coloring, "assign", coloring)
     if len(colors) != g.n:
         raise SizeMismatch(f"coloring length {len(colors)} != graph order {g.n}")
     by: dict[int, list[int]] = {}

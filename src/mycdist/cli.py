@@ -15,7 +15,7 @@ from .automorphism import Budget, enumerate_automorphisms, search_color_preservi
 from .constructions import (isolate_case_coloring, kn_base_coloring,
                             lift_coloring, star_case_coloring)
 from .distinguishing import (DEFAULT_BUDGET, Coloring, DistResult, ExceedsCap,
-                             distinguishing_number, is_distinguishing)
+                             distinguishing_number)
 from .errors import InvalidT, MycdistError, SearchBudgetExceeded, Unsupported
 from .graph6 import (_MAX_N, parse_edge_list, parse_graph6, write_edge_list,
                      write_graph6)
@@ -200,7 +200,7 @@ def cmd_dist(args) -> int:
 def cmd_check_coloring(args) -> int:
     g = _read_graph(args.input, args.format)
     coloring = _parse_coloring(args.coloring, g.n)
-    witness = search_color_preserving(g, coloring)
+    witness = search_color_preserving(g, coloring.assign)
     _emit({"distinguishing": witness is None,
            "witness": None if witness is None else list(witness)})
     return EXIT_OK
@@ -237,7 +237,7 @@ def cmd_coloring(args) -> int:
         _emit({"construction": args.construction, "t": t, "k": coloring.k,
                "graph6": write_graph6(mu),
                "colors": list(coloring.assign),
-               "distinguishing": is_distinguishing(mu, coloring)})
+               "distinguishing": search_color_preserving(mu, coloring.assign) is None})
     return EXIT_OK
 
 

@@ -61,15 +61,18 @@ off, seeded with the automorphisms it knew. Seeds change which generators
 the chain stores, so the lex-leader prune may cut other prefixes and the
 budget count may move, but never the value or the certificate. The DFS
 keeps the running maximum of the colors on its path per depth, which is
-where each generator's renumbering starts.
+where each generator's renumbering starts. Its steps come out of the
+Budget the caller passes, or out of a fresh one of DEFAULT_BUDGET steps.
+
+This module checks no given coloring: search_color_preserving does, with
+no chain, and AutListing.is_distinguishing does on a chain.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .automorphism import (AutListing, Budget, enumerate_automorphisms,
-                          search_color_preserving)
+from .automorphism import AutListing, Budget, enumerate_automorphisms
 from .errors import MalformedColoring, SizeMismatch
 from .graphs import Graph, twin_classes
 
@@ -123,12 +126,6 @@ def lower_bound(group: AutListing) -> int:
     as twins take distinct colors, and 2 when Aut(g) is nontrivial."""
     tb = max(map(len, group.twins), default=0)
     return max(tb, 2) if group.order > 1 else tb
-
-
-def is_distinguishing(g: Graph, c: Coloring) -> bool:
-    if c.n != g.n:
-        raise MalformedColoring(f"coloring length {c.n} != graph order {g.n}")
-    return search_color_preserving(g, c.assign) is None
 
 
 def _generators(group) -> list[tuple[int, tuple[int, ...]]]:
@@ -211,7 +208,7 @@ def _search_k(n: int, k: int, prev, gens, moves_last, budget: Budget):
 
 
 def distinguishing_number(g: Graph, k_cap: int | None = None, *,
-                          budget: int | Budget | None = None,
+                          budget: Budget | None = None,
                           group: AutListing | None = None) -> DistResult | ExceedsCap:
     """Exact distinguishing number with a certificate coloring.
 
@@ -228,10 +225,7 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
     n = g.n
     if n == 0:
         return DistResult(0, Coloring(0, ()))
-    if isinstance(budget, Budget):
-        bud = budget
-    else:
-        bud = Budget(DEFAULT_BUDGET if budget is None else budget)
+    bud = Budget(DEFAULT_BUDGET) if budget is None else budget
     if group is None:
         group = enumerate_automorphisms(g)
     elif group.n != n:

@@ -63,8 +63,11 @@ NON_VIOLATION_METHODS = (METHOD_BUDGET_EXCEEDED, METHOD_MALFORMED)
 
 class VerifyRecord(namedtuple("VerifyRecord", [
         "graph6", "n", "ell", "dist_g", "t", "case", "predicted_kind",
-        "predicted_value", "measured", "method", "root_orbit", "passed"])):
-    """One (graph, t) row; the fields are CSV_FIELDS, with passed for pass."""
+        "predicted_value", "measured", "method", "root_orbit", "passed"],
+        defaults=(None,) * 10 + (False,))):
+    """One (graph, t) row; the fields are CSV_FIELDS, with passed for pass.
+    A row that measures nothing leaves the fields it has no value for to
+    the defaults: None, and passed False."""
 
     __slots__ = ()
 
@@ -183,10 +186,8 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
         orbit_class = classify_root_orbit(_root_orbit(mu_group, layout.root), g, t)
         if dist_g_result is None:
             # no prediction possible without dist(g); still worth a row
-            rows.append(VerifyRecord(
-                graph6=g6, n=g.n, ell=ell, dist_g=None, t=t, case=None,
-                predicted_kind=None, predicted_value=None, measured=None,
-                method=METHOD_BUDGET_EXCEEDED, root_orbit=orbit_class, passed=False))
+            rows.append(VerifyRecord(g6, g.n, ell, t=t, method=METHOD_BUDGET_EXCEEDED,
+                                     root_orbit=orbit_class))
             continue
         prediction = predict_dist(g, t, dist_g_result.value)
         method = METHOD_SEARCH
@@ -224,10 +225,7 @@ def _malformed_rows(line: str, ts: list[int]) -> list[VerifyRecord]:
     written as \\xNN, so that the report encodes under any codec."""
     raw = line.strip().encode("utf-8", "surrogateescape")
     text = "".join(chr(b) if 32 <= b < 127 else f"\\x{b:02x}" for b in raw)
-    return [VerifyRecord(
-        graph6=text, n=None, ell=None, dist_g=None, t=t, case=None,
-        predicted_kind=None, predicted_value=None, measured=None,
-        method=METHOD_MALFORMED, root_orbit=None, passed=False) for t in ts]
+    return [VerifyRecord(text, t=t, method=METHOD_MALFORMED) for t in ts]
 
 
 def run_verify(lines: list[str], ts: list[int], *, budget_steps: int = DEFAULT_BUDGET,

@@ -9,7 +9,7 @@ chain_without_generators empties the generators it stores; the naive n!
 listing in oracles.py checks the first two. validate_facts reads the
 MycLayout it is given, since what it checks is that a built graph fits
 that layout. It also holds the small helpers that only the tests use:
-disjoint_union, canonical and is_automorphism.
+disjoint_union, canonical, is_automorphism and distinguishes.
 """
 
 import dataclasses
@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 import mycdist
 from mycdist.automorphism import (AutListing, _search_pair, _unit_pair,
-                                  enumerate_automorphisms)
+                                  enumerate_automorphisms,
+                                  search_color_preserving)
 from mycdist.distinguishing import Coloring
 from mycdist.errors import LayoutMismatch, SizeMismatch
 from mycdist.graphs import Graph
@@ -94,6 +95,12 @@ def is_automorphism(g, img):
         return False
     edges = set(g.edges())
     return all((min(img[u], img[v]), max(img[u], img[v])) in edges for u, v in edges)
+
+
+def distinguishes(g: Graph, c: Coloring) -> bool:
+    """Does no nontrivial automorphism of g preserve c? Asked of the
+    package's chain-free check; a length mismatch raises SizeMismatch."""
+    return search_color_preserving(g, c.assign) is None
 
 
 def naive_component_count(n, edge_set, removed=frozenset()):

@@ -11,17 +11,17 @@ import time
 
 from mycdist import (Graph, build_mycielskian, classify_star, complete_graph,
                      cycle_graph, distinguishing_number,
-                     enumerate_automorphisms, is_distinguishing,
-                     isolate_case_coloring, isolated_vertices,
-                     kn_base_coloring, lift_coloring, orbit_of, parse_graph6,
-                     path_graph, star_case_coloring, star_graph, write_graph6)
+                     enumerate_automorphisms, isolate_case_coloring,
+                     isolated_vertices, kn_base_coloring, lift_coloring,
+                     orbit_of, parse_graph6, path_graph, star_case_coloring,
+                     star_graph, write_graph6)
 from mycdist.verify import run_verify
 
 from .conftest import DATA
 from .oracles import (distinguishing_number_bruteforce,
                       enumerate_automorphisms_naive)
-from .support import (chain_elements, disjoint_union, naive_component_count,
-                      source_tree_env, validate_facts)
+from .support import (chain_elements, disjoint_union, distinguishes,
+                      naive_component_count, source_tree_env, validate_facts)
 
 
 def test_criterion_1_cycle_baselines():
@@ -58,14 +58,14 @@ def test_criterion_3_constructive_certificates(corpus_n6):
     star_grid = [(m, t) for m in range(2, 6) for t in (1, 2)] + [(2, 3), (3, 3)]
     for m, t in star_grid:
         mu, _ = build_mycielskian(star_graph(m), t)
-        assert is_distinguishing(mu, star_case_coloring(m, t)), (m, t)
+        assert distinguishes(mu, star_case_coloring(m, t)), (m, t)
         checked += 1
 
     kn_grid = [(n, t) for n in range(3, 7) for t in (1, 2)] + [(3, 3), (4, 3)]
     for n, t in kn_grid:
         mu, _ = build_mycielskian(complete_graph(n), t)
         k, coloring = kn_base_coloring(n, t)
-        assert len(set(coloring.assign)) == k and is_distinguishing(mu, coloring), (n, t)
+        assert len(set(coloring.assign)) == k and distinguishes(mu, coloring), (n, t)
         checked += 1
 
     for line, g in corpus_n6:
@@ -76,13 +76,13 @@ def test_criterion_3_constructive_certificates(corpus_n6):
             if ell >= 1 and t * ell > base.value:
                 mu, _ = build_mycielskian(g, t)
                 c = isolate_case_coloring(g, t, base.certificate)
-                assert is_distinguishing(mu, c), (line, t)
+                assert distinguishes(mu, c), (line, t)
                 checked += 1
             if g.n >= 3 and star is None and t * ell <= base.value:
                 mu, _ = build_mycielskian(g, t)
                 for w_color in {1, min(2, base.value)}:
                     c = lift_coloring(g, t, base.certificate, w_color=w_color)
-                    assert is_distinguishing(mu, c), (line, t, w_color)
+                    assert distinguishes(mu, c), (line, t, w_color)
                     checked += 1
 
     elapsed = time.perf_counter() - start

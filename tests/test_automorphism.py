@@ -391,7 +391,7 @@ def test_chain_is_distinguishing_matches_search_on_case_colorings(corpus_n6):
                 colorings.append(kn_base_coloring(g.n, t)[1])
             for c in colorings:
                 assert (group.is_distinguishing(c.assign, Budget(10**6))
-                        == (search_color_preserving(mu, c) is None))
+                        == (search_color_preserving(mu, c.assign) is None))
 
 
 def test_chain_is_distinguishing_spends_the_budget():

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from mycdist import (Coloring, DistPrediction, Graph, build_mycielskian,
                      classify_star, complete_graph, cycle_graph,
-                     distinguishing_number, is_distinguishing,
-                     isolate_case_coloring, isolated_vertices,
-                     kn_base_coloring, lift_coloring, predict_dist,
-                     search_color_preserving, star_case_coloring, star_graph)
+                     distinguishing_number, isolate_case_coloring,
+                     isolated_vertices, kn_base_coloring, lift_coloring,
+                     predict_dist, search_color_preserving,
+                     star_case_coloring, star_graph)
 from mycdist.constructions import (CASE_GENERIC, CASE_ISOLATE_DOMINATED,
                                    CASE_K1_T1, CASE_K1_TGT1, CASE_K2_T1,
                                    CASE_K2_TGT1, EXACT, UPPER_BOUND)
@@ -17,7 +17,7 @@ from mycdist.errors import (InvalidM, InvalidN, InvalidT, MalformedColoring,
                             PreconditionViolated)
 
 from .oracles import _canonical_colorings_exactly
-from .support import disjoint_union, graphs
+from .support import disjoint_union, distinguishes, graphs
 
 
 def test_predict_dist_cases():
@@ -64,7 +64,7 @@ def test_star_case_coloring_distinguishes():
             mu, _ = build_mycielskian(star_graph(m), t)
             c = star_case_coloring(m, t)
             assert c.n == mu.n
-            assert is_distinguishing(mu, c), (m, t)
+            assert distinguishes(mu, c), (m, t)
 
 
 def test_star_case_coloring_is_the_row_form():
@@ -100,7 +100,7 @@ def test_kn_base_coloring_distinguishes():
         mu, _ = build_mycielskian(complete_graph(n), t)
         k, c = kn_base_coloring(n, t)
         assert c.k == k and len(set(c.assign)) == k
-        assert is_distinguishing(mu, c), (n, t)
+        assert distinguishes(mu, c), (n, t)
 
 
 def test_kn_base_coloring_is_optimal():
@@ -111,7 +111,7 @@ def test_kn_base_coloring_is_optimal():
             k, _ = kn_base_coloring(n, t)
             for j in range(1, k):
                 for assign in _canonical_colorings_exactly(mu.n, j):
-                    assert not is_distinguishing(mu, Coloring(j, assign)), (n, t, assign)
+                    assert not distinguishes(mu, Coloring(j, assign)), (n, t, assign)
             assert distinguishing_number(mu).value == k
 
 
@@ -119,12 +119,12 @@ def test_isolate_case_coloring_examples():
     c = isolate_case_coloring(Graph(2), 2, Coloring(2, (1, 2)))
     mu, _ = build_mycielskian(Graph(2), 2)
     assert c.k == 4
-    assert is_distinguishing(mu, c)
+    assert distinguishes(mu, c)
 
     c = isolate_case_coloring(Graph(1), 3, Coloring(1, (1,)))
     mu, _ = build_mycielskian(Graph(1), 3)
     assert c.k == 3
-    assert is_distinguishing(mu, c)
+    assert distinguishes(mu, c)
 
     k1_plus_k2 = disjoint_union(Graph(1), complete_graph(2))
     with pytest.raises(PreconditionViolated):
@@ -154,7 +154,7 @@ def test_isolate_case_coloring_corpus(corpus_n6):
             mu, _ = build_mycielskian(g, t)
             c = isolate_case_coloring(g, t, base.certificate)
             assert c.k == t * ell
-            assert is_distinguishing(mu, c), (line, t)
+            assert distinguishes(mu, c), (line, t)
             # exactness: the isolates of mu are t*l mutual twins
             assert distinguishing_number(mu).value == t * ell, (line, t)
     # only t = 2 can dominate on this corpus: isolates are twins, so
@@ -216,13 +216,13 @@ def test_lift_coloring_examples():
     mu, _ = build_mycielskian(complete_graph(3), 1)
     assert c.k == 3
     assert c.assign == (1, 2, 3, 1, 2, 3, 1)
-    assert search_color_preserving(mu, c) is None
+    assert search_color_preserving(mu, c.assign) is None
 
     base = distinguishing_number(cycle_graph(6))
     c = lift_coloring(cycle_graph(6), 2, base.certificate, w_color=2)
     mu, _ = build_mycielskian(cycle_graph(6), 2)
     assert c.k == 2
-    assert search_color_preserving(mu, c) is None
+    assert search_color_preserving(mu, c.assign) is None
 
     with pytest.raises(PreconditionViolated):
         lift_coloring(complete_graph(2), 1, Coloring(2, (1, 2)))
@@ -252,7 +252,7 @@ def test_lift_coloring_handles_isolates():
     assert c.k == 2
     # isolate copies at levels 0 and 1 carry distinct colors
     assert {c.assign[0], c.assign[4]} == {1, 2}
-    assert is_distinguishing(mu, c)
+    assert distinguishes(mu, c)
 
 
 def test_lift_coloring_corpus(corpus_n6):
@@ -270,5 +270,5 @@ def test_lift_coloring_corpus(corpus_n6):
             for w_color in (1, min(2, base.value)):
                 c = lift_coloring(g, t, base.certificate, w_color=w_color)
                 assert c.k == base.value
-                assert is_distinguishing(mu, c), (line, t, w_color)
+                assert distinguishes(mu, c), (line, t, w_color)
     assert hit > 300

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from mycdist import (Coloring, DistResult, ExceedsCap, Graph,
                      build_mycielskian, complete_graph, cycle_graph,
-                     distinguishing_number, is_distinguishing, parse_graph6,
-                     path_graph, star_graph, twin_lower_bound)
+                     distinguishing_number, parse_graph6, path_graph,
+                     star_graph, twin_lower_bound)
 from mycdist import automorphism, distinguishing
 from mycdist.automorphism import Budget, enumerate_automorphisms
 from mycdist.distinguishing import _smaller_image
@@ -20,7 +20,7 @@ from .oracles import (_canonical_colorings_exactly,
                       distinguishing_number_bruteforce,
                       enumerate_automorphisms_naive)
 from .support import (canonical, chain_without_generators, disjoint_union,
-                      graphs, twin_rich_graphs)
+                      distinguishes, graphs, twin_rich_graphs)
 
 # value pairs frozen from distinguishing_number_bruteforce runs
 KNOWN = [
@@ -64,7 +64,7 @@ def test_known_values():
     for g, want in KNOWN:
         res = distinguishing_number(g)
         assert res.value == want, g.edges()
-        assert is_distinguishing(g, res.certificate)
+        assert distinguishes(g, res.certificate)
         assert len(set(res.certificate.assign)) == want
         assert res.certificate == canonical(res.certificate)
 
@@ -82,8 +82,8 @@ def test_oracle_agreement_small_corpus(corpus_n6):
         res = distinguishing_number(g)
         brute = distinguishing_number_bruteforce(g)
         assert res.value == brute.value, line
-        assert is_distinguishing(g, res.certificate), line
-        assert is_distinguishing(g, brute.certificate), line
+        assert distinguishes(g, res.certificate), line
+        assert distinguishes(g, brute.certificate), line
 
 
 def test_value_one_means_rigid(corpus_n6):
@@ -116,10 +116,10 @@ def test_twin_bound_reported_as_witness():
 
 def test_is_distinguishing_examples():
     c5 = cycle_graph(5)
-    assert is_distinguishing(c5, Coloring(3, (1, 1, 2, 2, 3)))
-    assert not is_distinguishing(c5, Coloring(2, (1, 1, 2, 2, 2)))
-    with pytest.raises(MalformedColoring):
-        is_distinguishing(c5, Coloring(1, (1, 1)))
+    assert distinguishes(c5, Coloring(3, (1, 1, 2, 2, 3)))
+    assert not distinguishes(c5, Coloring(2, (1, 1, 2, 2, 2)))
+    with pytest.raises(SizeMismatch):
+        distinguishes(c5, Coloring(1, (1, 1)))
 
 
 def test_exceeds_cap():
@@ -131,7 +131,7 @@ def test_exceeds_cap():
 
 def test_budget_exhaustion():
     with pytest.raises(SearchBudgetExceeded):
-        distinguishing_number(cycle_graph(6), budget=3)
+        distinguishing_number(cycle_graph(6), budget=Budget(3))
     shared = Budget(10**6)
     distinguishing_number(cycle_graph(6), budget=shared)
     assert 0 < shared.used < 10**6
@@ -139,7 +139,7 @@ def test_budget_exhaustion():
 
 def test_zero_budget_is_zero():
     with pytest.raises(SearchBudgetExceeded):
-        distinguishing_number(path_graph(3), budget=0)
+        distinguishing_number(path_graph(3), budget=Budget(0))
 
 
 # Budget.used of four searches on mu_t(G): one step per DFS node and one
@@ -215,18 +215,20 @@ def test_search_takes_a_chain_built_beforehand():
 
 def test_search_makes_no_refinement_search_for_preserving_automorphisms(monkeypatch):
     # the DFS answers its color-preserving check from the chain it holds;
-    # search_color_preserving stays for is_distinguishing and check-coloring
+    # search_color_preserving stays for check-coloring and coloring
     mu, _ = build_mycielskian(parse_graph6("ElUg"), 1)
     calls = []
+    search = automorphism.search_color_preserving
 
     def counted(*args):
         calls.append(args)
-        return automorphism.search_color_preserving(*args)
+        return search(*args)
 
-    monkeypatch.setattr(distinguishing, "search_color_preserving", counted)
+    monkeypatch.setattr(automorphism, "search_color_preserving", counted)
     res = distinguishing_number(mu)
     assert calls == []
-    assert is_distinguishing(mu, res.certificate)
+    assert not hasattr(distinguishing, "search_color_preserving")
+    assert automorphism.search_color_preserving(mu, res.certificate.assign) is None
     assert len(calls) == 1
 
 
@@ -237,7 +239,7 @@ def test_chain_walk_is_bounded_by_the_budget():
     # step short of that
     mu, _ = build_mycielskian(parse_graph6("ElUg"), 2)
     with pytest.raises(SearchBudgetExceeded):
-        distinguishing_number(mu, budget=50)
+        distinguishing_number(mu, budget=Budget(50))
     group = enumerate_automorphisms(mu)
     colors = (1,) * mu.n
     top = group.levels[-1][0]  # the highest base point H_(b+1) moves
@@ -252,7 +254,7 @@ def test_orbit_pruning_is_transparent():
     for g, want in KNOWN:
         res = distinguishing_number(g, group=chain_without_generators(g))
         assert res.value == want
-        assert is_distinguishing(g, res.certificate)
+        assert distinguishes(g, res.certificate)
 
 
 @settings(max_examples=200, deadline=None)
@@ -375,8 +377,8 @@ def test_renaming_invariance(g, rng):
     relabel = list(range(1, k + 1))
     rng.shuffle(relabel)
     permuted = tuple(relabel[c - 1] for c in assign)
-    assert (is_distinguishing(g, Coloring(k, assign))
-            == is_distinguishing(g, Coloring(k, permuted)))
+    assert (distinguishes(g, Coloring(k, assign))
+            == distinguishes(g, Coloring(k, permuted)))
 
 
 def test_canonical_colorings_exactly():

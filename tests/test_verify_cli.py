@@ -3,6 +3,7 @@
 import concurrent.futures
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -647,6 +648,17 @@ def test_n6_t1_sweep_matches_bench_golden(corpus_n6):
     golden = ROOT / "bench" / "golden" / "sweep_n6_t1.csv"
     report = run_verify([line for line, _ in corpus_n6], [1])
     assert report_to_csv(report) == golden.read_text()
+
+
+def test_n7_t1_sweep_matches_its_digest():
+    # the 1044 rows of n = 7 at t = 1, pinned by the sha256 that
+    # tools/verify_digest.py prints for them
+    lines = (ROOT / "data" / "graphs_n7.g6").read_text().split()
+    report = run_verify(lines, [1], max_n=7)
+    assert len(report.records) == 1044
+    digest = hashlib.sha256(report_to_csv(report).encode()).hexdigest()
+    assert digest == ("50373ac21fe07690d065fc99284dd693"
+                      "93d7302bc85ed7bdb4adfe0399e6ccc8")
 
 
 def test_cli_dist_k_cap_and_budget(monkeypatch, capsys):
