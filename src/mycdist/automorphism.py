@@ -6,8 +6,9 @@ a stable equitable pair using (cell, neighbor-count-per-cell) signatures,
 prunes on any signature mismatch, then individualizes: the lowest vertex
 id in the smallest non-singleton cell of P is mapped, in turn, onto each
 member of the aligned cell of Q in ascending order. Discrete leaves are
-verified edge-by-edge before being reported. The DFS order is therefore
-deterministic.
+verified edge-by-edge before being reported, except the identity leaf,
+where P and Q are one partition of one graph: the identity is an
+automorphism by definition. The DFS order is therefore deterministic.
 
 Each group is one stabilizer chain (Seress, Permutation Group
 Algorithms, 2003) with base n-1, n-2, ..., 0: level b is the stable pair
@@ -61,10 +62,17 @@ the single cell of a unit pair splits it by degree, ascending. At a child
 node of the search, round 1 starts from the cells next to the vertex
 individualized in P, since the parent's pair was stable and matched.
 When P and Q are the same partition of the same graph, one side is
-refined and copied. The invariant: the kernel returns the same ordered
-pair, or None, as refining every cell on every round, so search trees and
-witnesses do not depend on the shortcut. Refinement spends no budget
-steps.
+refined and returned as both. The invariant: the kernel returns the same
+ordered pair, or None, as refining every cell on every round, so search
+trees and witnesses do not depend on the shortcut. Refinement spends no
+budget steps.
+
+The chain's base-point walk does not refine a cut of a cell C whose
+members are all open twins of one another, or all closed twins, of a
+stable P: each vertex outside C is adjacent to all of C or to none of it,
+and the members of C are pairwise non-adjacent (open twins) or pairwise
+adjacent (closed twins), so splitting C into [b] and C minus b is already
+equitable, and the kernel would return the cut unchanged.
 """
 
 from __future__ import annotations
@@ -188,12 +196,13 @@ class Budget:
 def _refine_pair(adj_s, adj_t, P, Q, split: int = -1):
     """Refine an aligned pair to a stable equitable pair; None on mismatch.
 
-    Cells must be ascending. A cell is named by the position of its first
-    vertex in the concatenation of the partition: names keep the order of
-    the cells, and a split renames only the vertices that move. `split`
-    names a cell the caller has just cut into a singleton and the rest of
-    an otherwise stable matched pair; round 1 then re-splits only the cells
-    next to that singleton of P.
+    A same pair, one partition of one graph, comes back as one list
+    twice, (P, P). Cells must be ascending. A cell is named by the
+    position of its first vertex in the concatenation of the partition:
+    names keep the order of the cells, and a split renames only the
+    vertices that move. `split` names a cell the caller has just cut into
+    a singleton and the rest of an otherwise stable matched pair; round 1
+    then re-splits only the cells next to that singleton of P.
     """
     n = len(adj_s)
     same = adj_s is adj_t and P == Q
@@ -242,7 +251,7 @@ def _refine_pair(adj_s, adj_t, P, Q, split: int = -1):
             cuts.append((s, _fragments(cell, keys), _fragments(at_t[s], keys_t)))
         if not cuts:
             P = [cell for cell in at_s if cell is not None]
-            return (P, list(P)) if same else (P, [cell for cell in at_t if cell is not None])
+            return (P, P) if same else (P, [cell for cell in at_t if cell is not None])
         # the next round's dirty cells go by the names after every cut
         for s, frags_s, frags_t in cuts:
             _place(frags_s, s, cell_s, at_s)
@@ -344,15 +353,20 @@ def _search_pair(adj_s, adj_t, P, Q,
     P, Q = ref
     best = _target_cell(P)
     if best == -1:
+        if P is Q:  # the identity, an automorphism with nothing to check
+            yield tuple(range(len(adj_s)))
+            return
         img = _leaf_image(adj_s, adj_t, P, Q)
         if img is not None:
             yield img
         return
     v = P[best][0]
-    rest_p = [x for x in P[best] if x != v]
+    newP = P[:best] + [[v], P[best][1:]] + P[best + 1:]
     for u in Q[best]:
-        newP = P[:best] + [[v], rest_p] + P[best + 1:]
-        newQ = Q[:best] + [[u], [x for x in Q[best] if x != u]] + Q[best + 1:]
+        if P is Q and u == v:
+            newQ = newP
+        else:
+            newQ = Q[:best] + [[u], [x for x in Q[best] if x != u]] + Q[best + 1:]
         yield from _search_pair(adj_s, adj_t, newP, newQ, best)
 
 
@@ -382,9 +396,15 @@ def enumerate_automorphisms(g: Graph,
     n = g.n
     adj = g.adjacency
     twins = tuple(map(tuple, twin_classes(g)))
-    seeds = _seeds(g, twins, known)
+    closed: dict[frozenset[int], list[int]] = {}
+    for v in range(n):
+        closed.setdefault(adj[v] | {v}, []).append(v)
+    seeds = _seeds(n, adj, (*twins, *closed.values()), known)
     if n == 0:
         return AutListing(0, (), twins)
+    # the open-twin and the closed-twin class of each vertex
+    open_of = {v: cls for cls in twins for v in cls}
+    closed_of = {v: cls for cls in closed.values() for v in cls}
     P, Q = _unit_pair(n)
     P, _ = _refine_pair(adj, adj, P, Q)
     cuts = []
@@ -392,10 +412,15 @@ def enumerate_automorphisms(g: Graph,
         if len(P) == n:
             break
         ci = next(i for i, cell in enumerate(P) if b in cell)
-        if len(P[ci]) > 1:
+        cell = P[ci]
+        if len(cell) > 1:
             cuts.append((b, P, ci))
-            cut = P[:ci] + [[b], [x for x in P[ci] if x != b]] + P[ci + 1:]
-            P, _ = _refine_pair(adj, adj, cut, cut, ci)
+            cut = P[:ci] + [[b], [x for x in cell if x != b]] + P[ci + 1:]
+            ob, cb = open_of[b], closed_of[b]
+            if all(open_of[x] is ob for x in cell) or all(closed_of[x] is cb for x in cell):
+                P = cut  # a cell of twins: the cut is already stable
+            else:
+                P, _ = _refine_pair(adj, adj, cut, cut, ci)
     gens: list[tuple[int, ...]] = []
     levels = []
     for b, P, ci in reversed(cuts):
@@ -406,23 +431,20 @@ def enumerate_automorphisms(g: Graph,
     return AutListing(n, tuple(levels), twins)
 
 
-def _seeds(g: Graph, twins, known) -> dict[int, dict[tuple[int, ...], None]]:
-    """The swaps of consecutive members of each class of twins, the
-    open-twin classes of g, then of each closed-twin class (N[u] = N[v]),
-    and the elements of known, each under the largest point m it moves, in
-    insertion order and without repeats.
+def _seeds(n: int, adj, classes, known) -> dict[int, dict[tuple[int, ...], None]]:
+    """The swaps of consecutive members of each class in classes (the
+    open-twin classes of the graph, then its closed-twin classes, N[u] =
+    N[v]) and the elements of known, each under the largest point m it
+    moves, in insertion order and without repeats.
 
     A seed fixes m+1..n-1, so it lies in H_(m+1), moves m, and belongs
     with the generators of level m, which exists because H_(m+1) moves m.
     The identity moves nothing and is dropped.
     """
-    n = g.n
-    adj = g.adjacency
     by: dict[int, dict[tuple[int, ...], None]] = {}
-    closed: dict[frozenset[int], list[int]] = {}
-    for v in range(n):
-        closed.setdefault(adj[v] | {v}, []).append(v)
-    for cls in (*twins, *closed.values()):
+    for cls in classes:
+        if len(cls) == 1:  # most classes are; they have no swap
+            continue
         for u, v in zip(cls, cls[1:]):
             img = list(range(n))
             img[u], img[v] = v, u
@@ -451,10 +473,11 @@ def search_color_preserving(g: Graph, colors: Sequence[int]) -> tuple[int, ...] 
         by.setdefault(c, []).append(v)
     cells = [by[c] for c in sorted(by)]
     adj = g.adjacency
-    for img in _search_pair(adj, adj, cells, cells):
-        if any(i != x for i, x in enumerate(img)):
-            return img
-    return None
+    found = _search_pair(adj, adj, cells, cells)
+    # a same pair never mismatches and its first child is a same pair, so
+    # the first leaf in DFS order is the identity
+    next(found)
+    return next(found, None)
 
 
 def _orbit(adj, P, ci: int, v: int,
@@ -471,10 +494,12 @@ def _orbit(adj, P, ci: int, v: int,
     """
     trans = {v: tuple(range(len(adj)))}
     _close(trans, gens)
-    cut_p = P[:ci] + [[v], [x for x in P[ci] if x != v]] + P[ci + 1:]
+    cut_p = None
     for u in P[ci]:
         if u in trans:
             continue
+        if cut_p is None:
+            cut_p = P[:ci] + [[v], [x for x in P[ci] if x != v]] + P[ci + 1:]
         cut_q = P[:ci] + [[u], [x for x in P[ci] if x != u]] + P[ci + 1:]
         img = next(_search_pair(adj, adj, cut_p, cut_q, ci), None)
         if img is not None:
@@ -492,7 +517,7 @@ def _close(trans: dict[int, tuple[int, ...]], gens: list[tuple[int, ...]]):
         for img in gens:
             y = img[x]
             if y not in trans:
-                trans[y] = tuple(img[z] for z in trans[x])
+                trans[y] = tuple(map(img.__getitem__, trans[x]))
                 frontier.append(y)
 
 

@@ -89,6 +89,12 @@ def _parse_coloring(raw: str, n: int) -> Coloring:
 _JSON_CONSTANTS = {None: "null", False: "false", True: "true"}
 
 
+@functools.cache
+def _key(k: str) -> str:
+    """A dict key as printed; the documents use a small fixed set."""
+    return json.dumps(k) + ": "
+
+
 def _dumps(doc, indent: str = "\n") -> str:
     """json.dumps(doc, indent=2) for documents with str keys, without
     json's pure-Python indent encoder. type(), not isinstance(): a bool
@@ -100,11 +106,17 @@ def _dumps(doc, indent: str = "\n") -> str:
         return _JSON_CONSTANTS[doc]
     inner = indent + "  "
     if kind is dict:
-        items = [json.dumps(k) + ": " + _dumps(v, inner) for k, v in doc.items()]
+        items = [_key(k) + _dumps(v, inner) for k, v in doc.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if kind is list or kind is tuple:
-        items = [_dumps(x, inner) for x in doc]
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+        if not doc:
+            return "[]"
+        items = map(str, doc)  # plain ints print as str() does
+        for x in doc:
+            if type(x) is not int:
+                items = [_dumps(x, inner) for x in doc]
+                break
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
     return json.dumps(doc)  # str, float
 
 
@@ -155,32 +167,39 @@ def cmd_aut(args) -> int:
     are the classes of the generators.
     """
     g = _read_graph(args.input, args.format)
-    last = g.n - 1
-    chain = enumerate_automorphisms(
-        Graph(g.n, [(last - u, last - v) for u, v in g.edges()]))
-    trans: dict[int, dict[int, tuple[int, ...]]] = {}  # level i: {t(i): t}
-    for b, images, _ in chain.levels:  # deepest level first
-        flipped = (tuple(last - img[last - v] for v in range(g.n)) for img in images)
-        trans[last - b] = {t[last - b]: t for t in flipped}
-    orbit = list(range(g.n))  # orbit[v]: a name for the orbit of v under gens
-    gens: list[tuple[int, ...]] = []
-    for i, level in trans.items():
-        for j in sorted(level):
-            if orbit[j] == orbit[i]:
+    n = g.n
+    last = n - 1
+    # the chain's vertex x is g's vertex last - x: relabelling is an
+    # isomorphism of the groups, so the work below is done in the chain's
+    # labels, and only the generators printed are relabelled
+    chain = enumerate_automorphisms(Graph(n, [
+        (last - u, last - v) for u, nbhd in enumerate(g.adjacency) for v in nbhd if u < v]))
+    # chain level b, g's level last - b: {t(b): t}, deepest level first
+    levels = {b: {t[b]: t for t in images} for b, images, _ in chain.levels}
+    orbit = list(range(n))  # orbit[x]: a name for the orbit of x under gens
+    gens: list[list[int]] = []
+    for b, level in levels.items():
+        for k in sorted(level, reverse=True):  # g's j = last - k ascending
+            if orbit[k] == orbit[b]:
                 continue
-            t = level[j]
-            # at each level p below i, the element taking p where t maps lowest
-            for p in range(i + 1, g.n):
-                if p in trans:
-                    t = tuple(t[x] for x in trans[p][min(trans[p], key=t.__getitem__)])
-            gens.append(t)
-            for v, w in enumerate(t):
-                orbit = [orbit[v] if x == orbit[w] else x for x in orbit]
+            t = level[k]
+            # at each level q below b, the element taking q where t maps
+            # highest (lowest, in g's labels)
+            for q in range(b - 1, -1, -1):
+                if q in levels:
+                    lq = levels[q]
+                    t = tuple(map(t.__getitem__, lq[max(lq, key=t.__getitem__)]))
+            gens.append([last - t[x] for x in range(last, -1, -1)])
+            for x, y in enumerate(t):
+                keep, gone = orbit[x], orbit[y]
+                if keep != gone:  # the orbits of x and y merge
+                    orbit = [keep if z == gone else z for z in orbit]
+    orbit.reverse()  # orbit[v] for g's vertex v
     # names in order of first use: the orbits come ordered by least member
     orbits = [[v for v, x in enumerate(orbit) if x == name]
               for name in dict.fromkeys(orbit)]
     _emit({"order": chain.order,
-           "generators": [list(img) for img in gens],
+           "generators": gens,
            "orbits": orbits})
     return EXIT_OK
 

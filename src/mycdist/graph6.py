@@ -8,14 +8,16 @@ order: (0,1), (0,2), (1,2), (0,3), ...
 from __future__ import annotations
 
 from functools import cache
+from itertools import compress
 
 from .errors import MalformedGraph6, Unsupported
 from .graphs import Graph
 
 _MAX_N = 62
 
-# body byte -> its 6 bits, most significant first
-_SEXTETS = {chr(63 + v): format(v, "06b") for v in range(64)}
+# body byte -> its 6 bits as 0/1 bytes, most significant first
+_SEXTETS = {chr(63 + v): bytes((v >> k) & 1 for k in range(5, -1, -1))
+            for v in range(64)}
 
 
 @cache
@@ -49,14 +51,14 @@ def parse_graph6(text: str | bytes) -> Graph:
     if len(body) != need:
         raise MalformedGraph6(f"expected {need} body bytes for n={n}, got {len(body)}")
     try:
-        bits = "".join([_SEXTETS[ch] for ch in body])
+        bits = b"".join([_SEXTETS[ch] for ch in body])
     except KeyError as e:
         raise MalformedGraph6(f"byte {e.args[0]!r} out of range") from None
     # padding bits past the triangle must be zero
     pairs = _pairs(n)
-    if "1" in bits[len(pairs):]:
+    if any(bits[len(pairs):]):
         raise MalformedGraph6("nonzero padding bits")
-    return Graph(n, [p for p, b in zip(pairs, bits) if b == "1"])
+    return Graph(n, list(compress(pairs, bits)))
 
 
 def write_graph6(g: Graph) -> str:

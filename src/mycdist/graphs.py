@@ -30,8 +30,10 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._m = sum(len(s) for s in adj) // 2
+        # frozenset of a set, not of a list: a list of five or more
+        # vertices gives a frozenset half as large again
+        self._adj = tuple(map(frozenset, adj))
+        self._m = sum(map(len, adj)) // 2
 
     def neighbors(self, v: int) -> frozenset[int]:
         self._check(v)
@@ -83,11 +85,11 @@ def twin_classes(g: Graph) -> list[list[int]]:
     Mutually isolated vertices are twins (both neighborhoods empty).
     """
     by_nbhd: dict[frozenset[int], list[int]] = {}
-    for v in range(g.n):
-        by_nbhd.setdefault(g.neighbors(v), []).append(v)
-    classes = [sorted(c) for c in by_nbhd.values()]
-    classes.sort(key=lambda c: c[0])
-    return classes
+    for v, nbhd in enumerate(g.adjacency):
+        by_nbhd.setdefault(nbhd, []).append(v)
+    # vertices join in ascending order, so each class is ascending and the
+    # classes come in order of their least members
+    return list(by_nbhd.values())
 
 
 class Star(namedtuple("Star", "m center")):

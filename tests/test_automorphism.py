@@ -1,8 +1,10 @@
 """Automorphism engine against the brute-force listing and known groups."""
 
 import contextlib
+import hashlib
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,8 @@ from mycdist import (Graph, build_mycielskian, complete_graph, cycle_graph,
                      enumerate_automorphisms, find_isomorphism, orbit_of,
                      path_graph, search_color_preserving, star_graph,
                      twin_classes)
-from mycdist import verify
-from mycdist.automorphism import Budget
+from mycdist import automorphism, verify
+from mycdist.automorphism import Budget, _refine_pair
 from mycdist.constructions import kn_base_coloring, lift_coloring
 from mycdist.distinguishing import distinguishing_number
 from mycdist.errors import (PreconditionViolated, SearchBudgetExceeded,
@@ -427,3 +429,58 @@ def test_first_preserving_needs_a_shared_color_and_orbit(g, data):
         assert img in naive
         assert all(orb[img[v]] == orb[v] and colors[img[v]] == colors[v]
                    for v in range(g.n))
+
+
+# sha256 of repr(chain.levels) over the chains of every graph with n <= 7,
+# then of mu_1 and mu_2 of every graph with n <= 5, in corpus order; and over
+# those mu_t chains seeded with the lifts of G's generators, as verify builds
+# them. Written by the engine before the chain build skipped refining cuts
+# of twin cells and the search stopped checking the identity leaf, they show
+# that neither shortcut changes a chain.
+CHAIN_SHA256 = "5fda0d49b5c63d0f10996d5253f0904c5878199ec136d46f26167e180c415c4d"
+LIFTED_CHAIN_SHA256 = "a6e0cc3cc0474f0dc3986bc6dd7e19c913f344a33c04bc226657cb4b96114266"
+
+
+def test_chains_are_pinned(corpus_n7):
+    plain, lifted = hashlib.sha256(), hashlib.sha256()
+    for _, g in corpus_n7:
+        plain.update(repr(enumerate_automorphisms(g).levels).encode())
+    for _, g in corpus_n7:
+        if g.n > 5:
+            continue
+        group = enumerate_automorphisms(g)
+        for t in (1, 2):
+            mu, _ = build_mycielskian(g, t)
+            plain.update(repr(enumerate_automorphisms(mu).levels).encode())
+            seeded = enumerate_automorphisms(mu, known=verify._lifts(group, t))
+            lifted.update(repr(seeded.levels).encode())
+    assert plain.hexdigest() == CHAIN_SHA256
+    assert lifted.hexdigest() == LIFTED_CHAIN_SHA256
+
+
+def test_discrete_coloring_needs_no_edge_check(corpus_n7, monkeypatch):
+    """A coloring whose refinement is discrete admits only the identity,
+    which the search yields without an edge-by-edge check; a pair leaf is
+    still checked."""
+    calls = []
+    check = automorphism._maps_edges
+
+    def counted(*args):
+        calls.append(1)
+        return check(*args)
+
+    monkeypatch.setattr(automorphism, "_maps_edges", counted)
+    rng = random.Random(0)
+    discrete = 0
+    for _, g in corpus_n7:
+        colors = [rng.randint(1, 3) for _ in range(g.n)]
+        cells = [[v for v in range(g.n) if colors[v] == c] for c in sorted(set(colors))]
+        adj = g.adjacency
+        if len(_refine_pair(adj, adj, cells, cells)[0]) < g.n:
+            continue
+        discrete += 1
+        assert search_color_preserving(g, colors) is None
+        assert calls == []
+    assert discrete > 100
+    assert search_color_preserving(path_graph(5), [1] * 5) == (4, 3, 2, 1, 0)
+    assert calls

@@ -1,7 +1,10 @@
 """The incremental refinement kernel against the reference kernel.
 
 Both must return the same ordered pair (or None) on every aligned input,
-so that every search tree built on the kernel is unchanged.
+so that every search tree built on the kernel is unchanged. The chain
+build skips the kernel where a cut is already stable (a cell of twins);
+the last tests check on the corpus that the kernel returns such a cut
+unchanged.
 """
 
 import copy
@@ -9,10 +12,10 @@ import copy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mycdist import Graph
+from mycdist import Graph, build_mycielskian
 from mycdist.automorphism import _refine_pair
 
-from .support import reference_refine_pair
+from .support import graphs, reference_refine_pair, twin_rich_graphs
 
 
 def _cells(order, sizes):
@@ -82,3 +85,58 @@ def test_refine_hint_matches_reference(case, data):
     newP = P[:ci] + [[v], [x for x in P[ci] if x != v]] + P[ci + 1:]
     newQ = Q[:ci] + [[u], [x for x in Q[ci] if x != u]] + Q[ci + 1:]
     assert _both(adj_s, adj_t, newP, newQ) == _both(adj_s, adj_t, newP, newQ, ci)
+
+
+def _twin_cells(adj, P):
+    """Indices of the cells of P with two or more members that are all
+    open twins of one another or all closed twins of one another."""
+    return [ci for ci, cell in enumerate(P) if len(cell) > 1 and (
+        len({adj[v] for v in cell}) == 1 or len({adj[v] | {v} for v in cell}) == 1)]
+
+
+def _cut(P, ci, v):
+    return P[:ci] + [[v], [x for x in P[ci] if x != v]] + P[ci + 1:]
+
+
+def _assert_twin_cuts_are_stable(g) -> int:
+    """Cutting a twin cell of a stable partition into one member and the
+    rest leaves nothing to refine: every member of every twin cell of the
+    stable unit partition, and the base point of every twin cell the
+    chain's base-point walk (n-1 down to 0, each cut refined) meets.
+    Returns the number of twin cells the walk met."""
+    adj = g.adjacency
+    P, _ = _refine_pair(adj, adj, [list(range(g.n))], [list(range(g.n))])
+    for ci in _twin_cells(adj, P):
+        for v in P[ci]:
+            cut = _cut(P, ci, v)
+            got = _refine_pair(adj, adj, cut, cut, ci)
+            assert got[0] == cut and got[1] is got[0]
+    met = 0
+    for b in range(g.n - 1, -1, -1):
+        ci = next(i for i, cell in enumerate(P) if b in cell)
+        if len(P[ci]) == 1:
+            continue
+        twin = ci in _twin_cells(adj, P)
+        cut = _cut(P, ci, b)
+        P, _ = _refine_pair(adj, adj, cut, cut, ci)
+        if twin:
+            assert P == cut
+            met += 1
+    return met
+
+
+def test_twin_cell_cuts_are_stable_on_the_corpus(corpus_n7):
+    """Every graph with n <= 7, and mu_1 and mu_2 of every graph with n <= 5."""
+    met = 0
+    for _, g in corpus_n7:
+        met += _assert_twin_cuts_are_stable(g)
+        if g.n <= 5:
+            for t in (1, 2):
+                met += _assert_twin_cuts_are_stable(build_mycielskian(g, t)[0])
+    assert met == 1899  # the walks meet this many twin cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(twin_rich_graphs(8), graphs(7)))
+def test_twin_cell_cuts_are_stable(g):
+    _assert_twin_cuts_are_stable(g)
