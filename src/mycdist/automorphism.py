@@ -363,10 +363,7 @@ def _search_pair(adj_s, adj_t, P, Q,
     v = P[best][0]
     newP = P[:best] + [[v], P[best][1:]] + P[best + 1:]
     for u in Q[best]:
-        if P is Q and u == v:
-            newQ = newP
-        else:
-            newQ = Q[:best] + [[u], [x for x in Q[best] if x != u]] + Q[best + 1:]
+        newQ = Q[:best] + [[u], [x for x in Q[best] if x != u]] + Q[best + 1:]
         yield from _search_pair(adj_s, adj_t, newP, newQ, best)
 
 

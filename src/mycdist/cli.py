@@ -96,9 +96,9 @@ def _key(k: str) -> str:
 
 
 def _dumps(doc, indent: str = "\n") -> str:
-    """json.dumps(doc, indent=2) for documents with str keys, without
-    json's pure-Python indent encoder. type(), not isinstance(): a bool
-    is an int, and json prints it differently."""
+    """json.dumps(doc, indent=2) for documents with str keys: json encodes
+    with indent in pure Python, and this is faster. type(), not
+    isinstance(): a bool is an int, and json prints it differently."""
     kind = type(doc)
     if kind is int:
         return str(doc)
@@ -109,14 +109,8 @@ def _dumps(doc, indent: str = "\n") -> str:
         items = [_key(k) + _dumps(v, inner) for k, v in doc.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if kind is list or kind is tuple:
-        if not doc:
-            return "[]"
-        items = map(str, doc)  # plain ints print as str() does
-        for x in doc:
-            if type(x) is not int:
-                items = [_dumps(x, inner) for x in doc]
-                break
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+        items = [_dumps(x, inner) for x in doc]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
     return json.dumps(doc)  # str, float
 
 

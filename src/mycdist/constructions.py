@@ -24,8 +24,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .distinguishing import Coloring
-from .errors import (InvalidM, InvalidN, InvalidT, MalformedColoring,
-                     PreconditionViolated)
+from .errors import (EmptySource, InvalidM, InvalidN, InvalidT,
+                     MalformedColoring, PreconditionViolated)
 from .graphs import Graph, isolated_vertices, star_graph
 from .mycielskian import MycLayout
 
@@ -99,6 +99,8 @@ def kn_base_coloring(n: int, t: int) -> tuple[int, Coloring]:
 
 
 def _check_source_coloring(g: Graph, c: Coloring):
+    if g.n == 0:
+        raise EmptySource("source graph must have at least one vertex")
     if c.n != g.n:
         raise MalformedColoring(f"coloring length {c.n} != source order {g.n}")
 

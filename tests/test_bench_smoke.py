@@ -6,7 +6,9 @@ or removed attribute, or a result that no longer answers len(), fails it
 with an AttributeError or TypeError. The sweep wraps the distinguishing
 search's listing; the CLI workload wraps `cli.enumerate_automorphisms`
 and `cli.search_color_preserving`. The bench's own tests do not start a
-traced run.
+traced run. `tools/ab_inprocess.py` reads `bench/workloads.py` and
+`bench/run.py`'s `percentile`, so it is run here too, on one tree against
+itself.
 """
 
 import json
@@ -34,3 +36,13 @@ def test_traced_bench_run_passes_its_gate(workload, listings):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] and result["failed"] == 0
     assert result["metrics"]["automorphism.listing_calls"]["value"] == listings
+
+
+def test_ab_inprocess_compares_a_tree_with_itself():
+    proc = subprocess.run(
+        [sys.executable, "tools/ab_inprocess.py", "src", "src",
+         "--workload", "sweep_n5_t2", "--pairs", "2"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    printed = [line.split()[0] for line in proc.stdout.splitlines()[1:]]
+    assert printed == ["throughput_per_s", "latency_p50_ms", "latency_p80_ms"]

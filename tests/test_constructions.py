@@ -13,8 +13,8 @@ from mycdist import (Coloring, DistPrediction, Graph, build_mycielskian,
 from mycdist.constructions import (CASE_GENERIC, CASE_ISOLATE_DOMINATED,
                                    CASE_K1_T1, CASE_K1_TGT1, CASE_K2_T1,
                                    CASE_K2_TGT1, EXACT, UPPER_BOUND)
-from mycdist.errors import (InvalidM, InvalidN, InvalidT, MalformedColoring,
-                            PreconditionViolated)
+from mycdist.errors import (EmptySource, InvalidM, InvalidN, InvalidT,
+                            MalformedColoring, PreconditionViolated)
 
 from .oracles import _canonical_colorings_exactly
 from .support import disjoint_union, distinguishes, graphs
@@ -138,6 +138,9 @@ def test_isolate_case_coloring_guards():
         isolate_case_coloring(Graph(2), 2, Coloring(1, (1,)))
     with pytest.raises(PreconditionViolated):
         isolate_case_coloring(complete_graph(3), 2, Coloring(3, (1, 2, 3)))
+    # the order-0 graph, as build_mycielskian rejects it
+    with pytest.raises(EmptySource):
+        isolate_case_coloring(Graph(0), 1, Coloring(0, ()))
 
 
 def test_isolate_case_coloring_corpus(corpus_n6):
@@ -240,6 +243,9 @@ def test_lift_coloring_guards():
     # t*l exceeds the palette: the isolate construction applies instead
     with pytest.raises(PreconditionViolated):
         lift_coloring(Graph(3), 2, Coloring(3, (1, 2, 3)))
+    # the order-0 graph, before its empty palette fails the w_color check
+    with pytest.raises(EmptySource):
+        lift_coloring(Graph(0), 1, Coloring(0, ()))
 
 
 def test_lift_coloring_handles_isolates():

@@ -490,6 +490,16 @@ def test_cli_myc_empty_input(monkeypatch, capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [["myc"],
+                                  ["coloring", "--construction", "lift"],
+                                  ["coloring", "--construction", "isolate"]],
+                         ids=["myc", "lift", "isolate"])
+def test_cli_order_0_graph_exits_2_as_empty_source(argv, monkeypatch, capsys):
+    code, out, err = run_cli(argv, "?\n", monkeypatch, capsys)
+    assert (code, out, err) == (
+        2, "", "error: source graph must have at least one vertex\n")
+
+
 def test_cli_aut(monkeypatch, capsys):
     c5 = write_graph6(cycle_graph(5))
     code, out, _ = run_cli(["aut"], c5 + "\n", monkeypatch, capsys)

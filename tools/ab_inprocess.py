@@ -9,9 +9,10 @@ one pass (bench/workloads.py, read and not edited: seed S, default 1, pass
 first on even i and B first on odd i, so drift of the machine falls on both
 sides alike. Every pass must print the same outputs on both sides (the CLI's
 exit codes and bytes, or a sweep's CSV report); the tool stops on the first
-difference. It prints, for throughput (items per second of program time)
-and for the median item latency, each side's median and interquartile
-range, B's median gain over A and the pairs B won.
+difference. It prints, for throughput (items per second of program time),
+for the median item latency and for the item latency's 80th percentile
+(bench/run.py's estimate, over the items of one pass), each side's median
+and interquartile range, B's median gain over A and the pairs B won.
 
 Running both sides in one process shares the interpreter, the allocator
 and the machine's state between them, which the alternating bench runs
@@ -80,6 +81,7 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads as wl
+    from run import percentile
 
     w = wl.WORKLOADS.get(args.workload)
     if w is None:
@@ -98,19 +100,22 @@ def main(argv=None) -> int:
         run(side)
     thr: dict[str, list[float]] = {"A": [], "B": []}
     p50: dict[str, list[float]] = {"A": [], "B": []}
+    p80: dict[str, list[float]] = {"A": [], "B": []}
     for i in range(args.pairs):
         out = {}
         for side in ("AB" if i % 2 == 0 else "BA"):
             res, out[side] = run(side)
             thr[side].append(len(items) / res.wall_s)
             p50[side].append(statistics.median(res.latencies) * 1e3)
+            p80[side].append(percentile(sorted(res.latencies), 0.80) * 1e3)
         if out["A"] != out["B"]:
             print(f"error: the trees print different outputs on pair {i}", file=sys.stderr)
             return 1
 
     print(f"workload {w.name} seed {args.seed} items/pass {len(items)} pairs {args.pairs}")
     for name, vals, higher in (("throughput_per_s", thr, True),
-                               ("latency_p50_ms", p50, False)):
+                               ("latency_p50_ms", p50, False),
+                               ("latency_p80_ms", p80, False)):
         a1, a2, a3 = statistics.quantiles(vals["A"], n=4, method="inclusive")
         b1, b2, b3 = statistics.quantiles(vals["B"], n=4, method="inclusive")
         won = sum((b > a) == higher and b != a for a, b in zip(vals["A"], vals["B"]))
