@@ -367,11 +367,6 @@ def _search_pair(adj_s, adj_t, P, Q,
         yield from _search_pair(adj_s, adj_t, newP, newQ, best)
 
 
-def _unit_pair(n: int):
-    cell = list(range(n))
-    return [list(cell)], [list(cell)]
-
-
 def enumerate_automorphisms(g: Graph,
                             known: Iterable[Sequence[int]] = ()) -> AutListing:
     """Aut(g) as one stabilizer chain with base n-1, n-2, ..., 0.
@@ -399,11 +394,13 @@ def enumerate_automorphisms(g: Graph,
     seeds = _seeds(n, adj, (*twins, *closed.values()), known)
     if n == 0:
         return AutListing(0, (), twins)
-    # the open-twin and the closed-twin class of each vertex
-    open_of = {v: cls for cls in twins for v in cls}
-    closed_of = {v: cls for cls in closed.values() for v in cls}
-    P, Q = _unit_pair(n)
-    P, _ = _refine_pair(adj, adj, P, Q)
+    # the open-twin or closed-twin class of size >= 2 of each vertex in
+    # one; no vertex is in both, since open twins are non-adjacent and
+    # closed twins adjacent
+    twin_of = {v: cls for cls in (*twins, *closed.values()) if len(cls) > 1
+               for v in cls}
+    P = [list(range(n))]
+    P, _ = _refine_pair(adj, adj, P, P)
     cuts = []
     for b in range(n - 1, -1, -1):
         if len(P) == n:
@@ -413,8 +410,8 @@ def enumerate_automorphisms(g: Graph,
         if len(cell) > 1:
             cuts.append((b, P, ci))
             cut = P[:ci] + [[b], [x for x in cell if x != b]] + P[ci + 1:]
-            ob, cb = open_of[b], closed_of[b]
-            if all(open_of[x] is ob for x in cell) or all(closed_of[x] is cb for x in cell):
+            cls = twin_of.get(b)
+            if cls is not None and all(twin_of.get(x) is cls for x in cell):
                 P = cut  # a cell of twins: the cut is already stable
             else:
                 P, _ = _refine_pair(adj, adj, cut, cut, ci)
@@ -528,8 +525,8 @@ def orbit_of(g: Graph, v: int) -> frozenset[int]:
     """
     g._check(v)
     adj = g.adjacency
-    P, Q = _unit_pair(g.n)
-    P, _ = _refine_pair(adj, adj, P, Q)
+    P = [list(range(g.n))]
+    P, _ = _refine_pair(adj, adj, P, P)
     ci = next(i for i, cell in enumerate(P) if v in cell)
     return frozenset(_orbit(adj, P, ci, v, []))
 

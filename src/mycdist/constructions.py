@@ -9,6 +9,10 @@ The value of dist(mu_t(G)) in terms of dist(G) splits into cases:
   of mu_t(G) are mutual twins, forcing dist(mu_t(G)) = t*l exactly.
 * otherwise dist(mu_t(G)) <= dist(G).
 
+predict_dist names the case and DistPrediction.holds says whether a
+measured value meets it; paper_coloring names the coloring below that
+proves it.
+
 Each constructive coloring below realizes the upper bound of its case.
 Each is built as one row of colors per level, row s giving the level-s
 copy of every source vertex, plus a root color, and MycLayout.lift lays
@@ -46,6 +50,12 @@ class DistPrediction(namedtuple("DistPrediction", "case_tag kind value")):
 
     __slots__ = ()
 
+    def holds(self, measured: int) -> bool:
+        """Does the measured dist(mu_t(G)) meet the prediction?"""
+        if self.kind == EXACT:
+            return measured == self.value
+        return measured <= self.value
+
 
 def predict_dist(g: Graph, t: int, dist_g: int) -> DistPrediction:
     """Case analysis; dist_g must be the distinguishing number of g."""
@@ -65,6 +75,27 @@ def predict_dist(g: Graph, t: int, dist_g: int) -> DistPrediction:
     if t * ell > dist_g:
         return DistPrediction(CASE_ISOLATE_DOMINATED, EXACT, t * ell)
     return DistPrediction(CASE_GENERIC, UPPER_BOUND, dist_g)
+
+
+def paper_coloring(g: Graph, t: int, case_tag: str,
+                   certificate: Coloring) -> Coloring | None:
+    """The coloring of mu_t(g) by which the paper proves the case of
+    predict_dist, from certificate, a distinguishing coloring of g with
+    dist(g) colors; None on the K1_t1, K2_t1 and K2_tgt1 cases, which
+    have none here.
+
+    On a GENERIC row it is kn_base_coloring when g is complete and the
+    lift of the certificate otherwise; on an ISOLATE_DOMINATED or K1_tgt1
+    row, isolate_case_coloring. Each bounds dist(mu_t(g)) from above by
+    its k once it is checked distinguishing.
+    """
+    if case_tag == CASE_GENERIC:
+        if g.edge_count == g.n * (g.n - 1) // 2:
+            return kn_base_coloring(g.n, t)[1]
+        return lift_coloring(g, t, certificate)
+    if case_tag in (CASE_ISOLATE_DOMINATED, CASE_K1_TGT1):
+        return isolate_case_coloring(g, t, certificate)
+    return None
 
 
 def star_case_coloring(m: int, t: int) -> Coloring:

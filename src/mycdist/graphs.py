@@ -101,22 +101,17 @@ class Star(namedtuple("Star", "m center")):
 def classify_star(g: Graph) -> Star | None:
     """Return Star(m, center) iff g is exactly K_{1,m}, else None.
 
-    K_1 is Star(0, 0); K_2 is Star(1, c) with c the lower id.
+    K_1 is Star(0, 0); K_2 is Star(1, c) with c the lower id. For n >= 3,
+    a vertex c of degree n-1 meets all n-1 edges, so every other vertex
+    is a leaf and c is the only such vertex.
     """
     n = g.n
     if n == 0 or g.edge_count != n - 1:
         return None
-    if n == 1:
-        return Star(0, 0)
-    if n == 2:
-        return Star(1, 0)
-    centers = [v for v in range(n) if g.degree(v) == n - 1]
-    if len(centers) != 1:
-        return None
-    c = centers[0]
-    if all(g.degree(v) == 1 for v in range(n) if v != c):
-        return Star(n - 1, c)
-    return None
+    if n <= 2:
+        return Star(n - 1, 0)
+    c = next((v for v in range(n) if g.degree(v) == n - 1), None)
+    return None if c is None else Star(n - 1, c)
 
 
 # -- small constructors used throughout tests and the CLI ------------------

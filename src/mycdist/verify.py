@@ -14,11 +14,9 @@ chain's first base point, so its orbit is read off the chain's top level
 with no search of its own, and the same chain serves the distinguishing
 search.
 
-Every case with a paper coloring of mu_t(G) settles the row the same
-way: kn_base_coloring when G is complete and G's certificate lifted
-otherwise on a GENERIC row, isolate_case_coloring on an
-ISOLATE_DOMINATED or K1_tgt1 row. The coloring bounds the value from
-above. When it has as many colors as the chain's lower bound
+Every case with a paper coloring of mu_t(G) (constructions.paper_coloring
+names it) settles the row the same way. The coloring bounds the value
+from above. When it has as many colors as the chain's lower bound
 (distinguishing.lower_bound) and the chain finds no nontrivial
 automorphism that preserves it, the two bounds meet and that is the
 value, found with no DFS. The row's method is search either way: the
@@ -39,9 +37,7 @@ from . import distinguishing
 # bench/run.py --trace 1 wraps verify.orbit_of by name; records read the
 # root orbit off the chain instead
 from .automorphism import AutListing, Budget, orbit_of  # noqa: F401
-from .constructions import (CASE_GENERIC, CASE_ISOLATE_DOMINATED,
-                            CASE_K1_TGT1, EXACT, isolate_case_coloring,
-                            kn_base_coloring, lift_coloring, predict_dist)
+from .constructions import paper_coloring, predict_dist
 from .distinguishing import DEFAULT_BUDGET, distinguishing_number, lower_bound
 from .errors import MycdistError, SearchBudgetExceeded
 from .graph6 import parse_graph6, write_graph6
@@ -146,26 +142,6 @@ def _root_orbit(chain: AutListing, root: int) -> frozenset[int]:
     return frozenset((root,))
 
 
-def _settled_by_bounds(g: Graph, t: int, mu_group: AutListing, prediction,
-                       dist_g_result, budget: Budget) -> int | None:
-    """dist(mu_t(g)) when the case's coloring of mu_t(g) has as many colors
-    as the chain's lower bound and the chain finds it distinguishing; None
-    otherwise, and on the K1_t1, K2_t1 and K2_tgt1 rows, which have no
-    such coloring here. Its walk spends from budget."""
-    if prediction.case_tag == CASE_GENERIC:
-        if g.edge_count == g.n * (g.n - 1) // 2:
-            _, coloring = kn_base_coloring(g.n, t)
-        else:
-            coloring = lift_coloring(g, t, dist_g_result.certificate)
-    elif prediction.case_tag in (CASE_ISOLATE_DOMINATED, CASE_K1_TGT1):
-        coloring = isolate_case_coloring(g, t, dist_g_result.certificate)
-    else:
-        return None
-    if coloring.k != lower_bound(mu_group):
-        return None
-    return coloring.k if mu_group.is_distinguishing(coloring.assign, budget) else None
-
-
 def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRecord]:
     """All (line, t) rows for one corpus record."""
     g = parse_graph6(line)
@@ -192,22 +168,19 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
         prediction = predict_dist(g, t, dist_g_result.value)
         method = METHOD_SEARCH
         measured: int | None
+        coloring = paper_coloring(g, t, prediction.case_tag, dist_g_result.certificate)
         budget = Budget(budget_steps)
         try:
-            measured = _settled_by_bounds(g, t, mu_group, prediction,
-                                          dist_g_result, budget)
-            if measured is None:
+            if (coloring is not None and coloring.k == lower_bound(mu_group)
+                    and mu_group.is_distinguishing(coloring.assign, budget)):
+                measured = coloring.k
+            else:
                 measured = distinguishing_number(mu, budget=budget,
                                                  group=mu_group).value
         except SearchBudgetExceeded:
             measured, method = None, METHOD_BUDGET_EXCEEDED
-        if measured is None:
-            ok = False
-        elif prediction.kind == EXACT:
-            ok = measured == prediction.value
-        else:
-            ok = measured <= prediction.value
-        ok = ok and root_orbit_conforms(orbit_class, g, t)
+        ok = (measured is not None and prediction.holds(measured)
+              and root_orbit_conforms(orbit_class, g, t))
         rows.append(VerifyRecord(
             graph6=g6, n=g.n, ell=ell, dist_g=dist_g_result.value, t=t,
             case=prediction.case_tag, predicted_kind=prediction.kind,

@@ -20,7 +20,7 @@ from collections import Counter, deque
 from hypothesis import strategies as st
 
 import mycdist
-from mycdist.automorphism import (AutListing, _search_pair, _unit_pair,
+from mycdist.automorphism import (AutListing, _search_pair,
                                   enumerate_automorphisms,
                                   search_color_preserving)
 from mycdist.distinguishing import Coloring
@@ -323,8 +323,8 @@ def reference_listing(g: Graph):
     if g.n == 0:
         yield ()
         return
-    P, Q = _unit_pair(g.n)
-    yield from _search_pair(g.adjacency, g.adjacency, P, Q)
+    P = [list(range(g.n))]
+    yield from _search_pair(g.adjacency, g.adjacency, P, P)
 
 
 # The generators and orbits of `aut` as they were before they were read

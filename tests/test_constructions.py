@@ -8,7 +8,7 @@ from mycdist import (Coloring, DistPrediction, Graph, build_mycielskian,
                      classify_star, complete_graph, cycle_graph,
                      distinguishing_number, isolate_case_coloring,
                      isolated_vertices, kn_base_coloring, lift_coloring,
-                     predict_dist, search_color_preserving,
+                     paper_coloring, predict_dist, search_color_preserving,
                      star_case_coloring, star_graph)
 from mycdist.constructions import (CASE_GENERIC, CASE_ISOLATE_DOMINATED,
                                    CASE_K1_T1, CASE_K1_TGT1, CASE_K2_T1,
@@ -38,6 +38,37 @@ def test_predict_dist_cases():
         predict_dist(k2, 0, 2)
     with pytest.raises(PreconditionViolated):
         predict_dist(Graph(0), 1, 0)
+    exact = DistPrediction(CASE_K2_T1, EXACT, 3)
+    assert exact.holds(3) and not exact.holds(2)
+    bound = DistPrediction(CASE_GENERIC, UPPER_BOUND, 3)
+    assert bound.holds(2) and not bound.holds(4)
+
+
+def test_paper_coloring_realizes_each_case(corpus_n6):
+    # every graph with n <= 6 at t = 1, 2, 3: 624 rows
+    none_cases, not_distinguishing, rows = [], set(), 0
+    for _, g in corpus_n6:
+        dist_g = distinguishing_number(g)
+        for t in (1, 2, 3):
+            rows += 1
+            prediction = predict_dist(g, t, dist_g.value)
+            c = paper_coloring(g, t, prediction.case_tag, dist_g.certificate)
+            if c is None:
+                none_cases.append(prediction.case_tag)
+                continue
+            mu, _ = build_mycielskian(g, t)
+            assert c.n == mu.n
+            assert prediction.holds(c.k), (g.edges(), t, prediction, c.k)
+            if search_color_preserving(mu, c.assign) is not None:
+                star = classify_star(g)
+                assert prediction.case_tag == CASE_GENERIC and star is not None
+                not_distinguishing.add((star.m, t))
+    assert rows == 624
+    assert sorted(none_cases) == sorted(
+        [CASE_K1_T1, CASE_K2_T1, CASE_K2_TGT1, CASE_K2_TGT1])
+    # the lift of a star's certificate need not distinguish: the star
+    # case proves its bound with star_case_coloring instead
+    assert not_distinguishing == {(m, t) for m in range(2, 6) for t in (1, 2, 3)}
 
 
 def test_predict_isolates_need_strict_dominance():

@@ -73,9 +73,10 @@ def test_classify_star():
         assert classify_star(g) is None
 
 
-def test_classify_star_characterization(corpus_n6):
-    # Star(m, c) iff exactly m+1 vertices, m edges, all incident to c
-    for _, g in corpus_n6:
+def test_classify_star_characterization(corpus_n7):
+    # Star(m, c) iff exactly m+1 vertices, m edges, all incident to c; the
+    # corpus holds every graph with n <= 7
+    for _, g in corpus_n7:
         star = classify_star(g)
         expected = None
         if g.n >= 1 and g.edge_count == g.n - 1:

@@ -9,10 +9,10 @@ one pass (bench/workloads.py, read and not edited: seed S, default 1, pass
 first on even i and B first on odd i, so drift of the machine falls on both
 sides alike. Every pass must print the same outputs on both sides (the CLI's
 exit codes and bytes, or a sweep's CSV report); the tool stops on the first
-difference. It prints, for throughput (items per second of program time),
-for the median item latency and for the item latency's 80th percentile
-(bench/run.py's estimate, over the items of one pass), each side's median
-and interquartile range, B's median gain over A and the pairs B won.
+difference. It prints, for throughput (items per second of program time)
+and for the item latency's 50th and 80th percentiles (bench/run.py's
+estimate, over the items of one pass), each side's median and
+interquartile range, B's median gain over A and the pairs B won.
 
 Running both sides in one process shares the interpreter, the allocator
 and the machine's state between them, which the alternating bench runs
@@ -106,8 +106,9 @@ def main(argv=None) -> int:
         for side in ("AB" if i % 2 == 0 else "BA"):
             res, out[side] = run(side)
             thr[side].append(len(items) / res.wall_s)
-            p50[side].append(statistics.median(res.latencies) * 1e3)
-            p80[side].append(percentile(sorted(res.latencies), 0.80) * 1e3)
+            lat = sorted(res.latencies)
+            p50[side].append(percentile(lat, 0.50) * 1e3)
+            p80[side].append(percentile(lat, 0.80) * 1e3)
         if out["A"] != out["B"]:
             print(f"error: the trees print different outputs on pair {i}", file=sys.stderr)
             return 1
