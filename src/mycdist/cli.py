@@ -21,7 +21,7 @@ from .graph6 import (_MAX_N, parse_edge_list, parse_graph6, write_edge_list,
                      write_graph6)
 from .graphs import Graph, complete_graph, star_graph
 from .mycielskian import MycLayout, build_mycielskian
-from .verify import report_to_csv, report_to_json, run_verify
+from .verify import _dumps, report_to_csv, report_to_json, run_verify
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -84,34 +84,6 @@ def _parse_coloring(raw: str, n: int) -> Coloring:
     if len(values) != n:
         raise MycdistError(f"coloring has {len(values)} entries, graph has {n}")
     return Coloring(max(values, default=0), tuple(values))
-
-
-_JSON_CONSTANTS = {None: "null", False: "false", True: "true"}
-
-
-@functools.cache
-def _key(k: str) -> str:
-    """A dict key as printed; the documents use a small fixed set."""
-    return json.dumps(k) + ": "
-
-
-def _dumps(doc, indent: str = "\n") -> str:
-    """json.dumps(doc, indent=2) for documents with str keys: json encodes
-    with indent in pure Python, and this is faster. type(), not
-    isinstance(): a bool is an int, and json prints it differently."""
-    kind = type(doc)
-    if kind is int:
-        return str(doc)
-    if kind is bool or doc is None:
-        return _JSON_CONSTANTS[doc]
-    inner = indent + "  "
-    if kind is dict:
-        items = [_key(k) + _dumps(v, inner) for k, v in doc.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
-    if kind is list or kind is tuple:
-        items = [_dumps(x, inner) for x in doc]
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
-    return json.dumps(doc)  # str, float
 
 
 def _emit(doc):
@@ -240,7 +212,7 @@ def cmd_coloring(args) -> int:
             coloring = star_case_coloring(args.m, t)
             src = star_graph(args.m)
         elif args.construction == "kn":
-            _, coloring = kn_base_coloring(args.n, t)
+            coloring = kn_base_coloring(args.n, t)
             src = complete_graph(args.n)
         elif args.construction == "isolate":
             coloring = isolate_case_coloring(src, t, base.certificate)

@@ -30,7 +30,7 @@ from collections import namedtuple
 from .distinguishing import Coloring
 from .errors import (EmptySource, InvalidM, InvalidN, InvalidT,
                      MalformedColoring, PreconditionViolated)
-from .graphs import Graph, isolated_vertices, star_graph
+from .graphs import Graph, classify_star, isolated_vertices, star_graph
 from .mycielskian import MycLayout
 
 CASE_K1_T1 = "K1_t1"
@@ -85,14 +85,19 @@ def paper_coloring(g: Graph, t: int, case_tag: str,
     have none here.
 
     On a GENERIC row it is kn_base_coloring when g is complete and the
-    lift of the certificate otherwise; on an ISOLATE_DOMINATED or K1_tgt1
-    row, isolate_case_coloring. Each bounds dist(mu_t(g)) from above by
-    its k once it is checked distinguishing.
+    lift of the certificate otherwise, with root color 2 when g is a star
+    whose center the certificate colors 1, and 1 on every other g; on an
+    ISOLATE_DOMINATED or K1_tgt1 row, isolate_case_coloring. Each bounds
+    dist(mu_t(g)) from above by its k once it is checked distinguishing.
     """
     if case_tag == CASE_GENERIC:
         if g.edge_count == g.n * (g.n - 1) // 2:
-            return kn_base_coloring(g.n, t)[1]
-        return lift_coloring(g, t, certificate)
+            return kn_base_coloring(g.n, t)
+        # a star's root shares its orbit with the center's top copy, so
+        # the lift distinguishes once the root avoids the center's color
+        star = classify_star(g)
+        w_color = 2 if star is not None and certificate.assign[star.center] == 1 else 1
+        return lift_coloring(g, t, certificate, w_color)
     if case_tag in (CASE_ISOLATE_DOMINATED, CASE_K1_TGT1):
         return isolate_case_coloring(g, t, certificate)
     return None
@@ -110,7 +115,7 @@ def star_case_coloring(m: int, t: int) -> Coloring:
     return lift_coloring(star_graph(m), t, Coloring(m, tuple(range(1, m + 1)) + (2,)))
 
 
-def kn_base_coloring(n: int, t: int) -> tuple[int, Coloring]:
+def kn_base_coloring(n: int, t: int) -> Coloring:
     """Optimal coloring of mu_t(K_n) for n >= 3: k least with k^(t+1) >= n.
 
     Vertex i (1-based) gets the base-k digits of i-1 spread over its
@@ -126,7 +131,7 @@ def kn_base_coloring(n: int, t: int) -> tuple[int, Coloring]:
     while k ** (t + 1) < n:
         k += 1
     rows = [[(i // k**s) % k + 1 for i in range(n)] for s in range(t + 1)]
-    return k, Coloring(k, MycLayout(n, t).lift(rows, 1))
+    return Coloring(k, MycLayout(n, t).lift(rows, 1))
 
 
 def _check_source_coloring(g: Graph, c: Coloring):
@@ -172,8 +177,10 @@ def lift_coloring(g: Graph, t: int, dist_coloring_g: Coloring, w_color: int = 1)
     holds for any g other than K_1, K_2, and K_{1,m}: shadows repeat the
     color of their original, the isolated shadows (levels 1..t-1 of g's
     isolates) take distinct colors unused on the isolates themselves, and
-    the root color is free. On K_{1,m} the lift distinguishes for the
-    one coloring star_case_coloring gives it, which the star case proves.
+    the root color is free. On K_{1,m}, m >= 2, the root's orbit is
+    {w, c^t}, w the root and c^t the top copy of the center c, and the
+    lift distinguishes exactly when w_color differs from c's color;
+    star_case_coloring is one such lift.
     """
     if t < 1:
         raise InvalidT(f"t must be >= 1, got {t}")

@@ -28,6 +28,7 @@ budget_exceeded.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import os
@@ -41,7 +42,7 @@ from .constructions import paper_coloring, predict_dist
 from .distinguishing import DEFAULT_BUDGET, distinguishing_number, lower_bound
 from .errors import MycdistError, SearchBudgetExceeded
 from .graph6 import parse_graph6, write_graph6
-from .graphs import Graph, classify_star, isolated_vertices
+from .graphs import Star, classify_star, isolated_vertices
 from .mycielskian import MycLayout, build_mycielskian
 
 ORBIT_FIXED = "fixed"
@@ -89,21 +90,23 @@ class VerifyReport(namedtuple("VerifyReport", "records")):
         }
 
 
-def classify_root_orbit(orbit: frozenset[int], g: Graph, t: int) -> str:
-    layout = MycLayout(g.n, t)
+def classify_root_orbit(orbit: frozenset[int], layout: MycLayout,
+                        star: Star | None) -> str:
+    """The class of the root's orbit on mu_t(G), laid out by layout, for
+    star = classify_star(G)."""
     root = layout.root
     if orbit == {root}:
         return ORBIT_FIXED
-    star = classify_star(g)
-    if star is not None and orbit == {root, layout.vertex_id(star.center, t)}:
+    if star is not None and orbit == {root, layout.vertex_id(star.center, layout.t)}:
         return ORBIT_CENTER_SHADOW
     if orbit == frozenset(range(layout.order)):
         return ORBIT_ALL
     return ORBIT_OTHER
 
 
-def root_orbit_conforms(orbit_class: str, g: Graph, t: int) -> bool:
-    """Does the observed root orbit match the classification for this source?
+def expected_root_orbit(star: Star | None) -> str:
+    """The class of the root's orbit that the structure allows on every
+    mu_t(G), for star = classify_star(G).
 
     K_2 lifts to an odd cycle (orbit is everything); every other graph
     pins the root, except a star K_{1,m} with m != 1, whose root orbit is
@@ -118,12 +121,9 @@ def root_orbit_conforms(orbit_class: str, g: Graph, t: int) -> bool:
       and each L_i^(t-2j) with L_i^(t-1-2j), for every j >= 0 where both
       levels exist, is an automorphism taking w to c^t.
     """
-    star = classify_star(g)
-    if star is not None and star.m == 1:
-        return orbit_class == ORBIT_ALL
-    if star is not None:
-        return orbit_class == ORBIT_CENTER_SHADOW
-    return orbit_class == ORBIT_FIXED
+    if star is None:
+        return ORBIT_FIXED
+    return ORBIT_ALL if star.m == 1 else ORBIT_CENTER_SHADOW
 
 
 def _lifts(group: AutListing, t: int) -> list[tuple[int, ...]]:
@@ -147,6 +147,7 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
     g = parse_graph6(line)
     g6 = write_graph6(g)
     ell = len(isolated_vertices(g))
+    star = classify_star(g)
     # chains are built through the distinguishing module's attribute, the
     # one that bench/run.py --trace 1 wraps as the listing layer
     group = distinguishing.enumerate_automorphisms(g)
@@ -159,7 +160,7 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
     for t in ts:
         mu, layout = build_mycielskian(g, t)
         mu_group = distinguishing.enumerate_automorphisms(mu, known=_lifts(group, t))
-        orbit_class = classify_root_orbit(_root_orbit(mu_group, layout.root), g, t)
+        orbit_class = classify_root_orbit(_root_orbit(mu_group, layout.root), layout, star)
         if dist_g_result is None:
             # no prediction possible without dist(g); still worth a row
             rows.append(VerifyRecord(g6, g.n, ell, t=t, method=METHOD_BUDGET_EXCEEDED,
@@ -180,7 +181,7 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
         except SearchBudgetExceeded:
             measured, method = None, METHOD_BUDGET_EXCEEDED
         ok = (measured is not None and prediction.holds(measured)
-              and root_orbit_conforms(orbit_class, g, t))
+              and orbit_class == expected_root_orbit(star))
         rows.append(VerifyRecord(
             graph6=g6, n=g.n, ell=ell, dist_g=dist_g_result.value, t=t,
             case=prediction.case_tag, predicted_kind=prediction.kind,
@@ -243,10 +244,38 @@ def _row_dict(r: VerifyRecord) -> dict:
     return dict(zip(CSV_FIELDS, r))
 
 
+_JSON_CONSTANTS = {None: "null", False: "false", True: "true"}
+
+
+@functools.cache
+def _key(k: str) -> str:
+    """A dict key as printed; the documents use a small fixed set."""
+    return json.dumps(k) + ": "
+
+
+def _dumps(doc, indent: str = "\n") -> str:
+    """json.dumps(doc, indent=2) for documents with str keys: json encodes
+    with indent in pure Python, and this is faster. type(), not
+    isinstance(): a bool is an int, and json prints it differently."""
+    kind = type(doc)
+    if kind is int:
+        return str(doc)
+    if kind is bool or doc is None:
+        return _JSON_CONSTANTS[doc]
+    inner = indent + "  "
+    if kind is dict:
+        items = [_key(k) + _dumps(v, inner) for k, v in doc.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if kind is list or kind is tuple:
+        items = [_dumps(x, inner) for x in doc]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    return json.dumps(doc)  # str, float
+
+
 def report_to_json(report: VerifyReport) -> str:
     doc = {"records": [_row_dict(r) for r in report.records],
            "summary": report.summary}
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc) + "\n"
 
 
 def _csv_cell(val) -> str:

@@ -64,8 +64,9 @@ def test_criterion_3_constructive_certificates(corpus_n6):
     kn_grid = [(n, t) for n in range(3, 7) for t in (1, 2)] + [(3, 3), (4, 3)]
     for n, t in kn_grid:
         mu, _ = build_mycielskian(complete_graph(n), t)
-        k, coloring = kn_base_coloring(n, t)
-        assert len(set(coloring.assign)) == k and distinguishes(mu, coloring), (n, t)
+        coloring = kn_base_coloring(n, t)
+        assert len(set(coloring.assign)) == coloring.k, (n, t)
+        assert distinguishes(mu, coloring), (n, t)
         checked += 1
 
     for line, g in corpus_n6:

@@ -390,7 +390,7 @@ def test_chain_is_distinguishing_matches_search_on_case_colorings(corpus_n6):
             with contextlib.suppress(PreconditionViolated):
                 colorings.append(lift_coloring(g, t, cert))
             if g.n >= 3:
-                colorings.append(kn_base_coloring(g.n, t)[1])
+                colorings.append(kn_base_coloring(g.n, t))
             for c in colorings:
                 assert (group.is_distinguishing(c.assign, Budget(10**6))
                         == (search_color_preserving(mu, c.assign) is None))

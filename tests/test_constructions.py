@@ -46,7 +46,7 @@ def test_predict_dist_cases():
 
 def test_paper_coloring_realizes_each_case(corpus_n6):
     # every graph with n <= 6 at t = 1, 2, 3: 624 rows
-    none_cases, not_distinguishing, rows = [], set(), 0
+    none_cases, rows, checked = [], 0, 0
     for _, g in corpus_n6:
         dist_g = distinguishing_number(g)
         for t in (1, 2, 3):
@@ -59,16 +59,11 @@ def test_paper_coloring_realizes_each_case(corpus_n6):
             mu, _ = build_mycielskian(g, t)
             assert c.n == mu.n
             assert prediction.holds(c.k), (g.edges(), t, prediction, c.k)
-            if search_color_preserving(mu, c.assign) is not None:
-                star = classify_star(g)
-                assert prediction.case_tag == CASE_GENERIC and star is not None
-                not_distinguishing.add((star.m, t))
-    assert rows == 624
+            assert search_color_preserving(mu, c.assign) is None, (g.edges(), t)
+            checked += 1
+    assert rows == 624 and checked == 620
     assert sorted(none_cases) == sorted(
         [CASE_K1_T1, CASE_K2_T1, CASE_K2_TGT1, CASE_K2_TGT1])
-    # the lift of a star's certificate need not distinguish: the star
-    # case proves its bound with star_case_coloring instead
-    assert not_distinguishing == {(m, t) for m in range(2, 6) for t in (1, 2, 3)}
 
 
 def test_predict_isolates_need_strict_dominance():
@@ -98,6 +93,25 @@ def test_star_case_coloring_distinguishes():
             assert distinguishes(mu, c), (m, t)
 
 
+def test_star_lift_distinguishes_iff_root_avoids_center_color():
+    # every distinguishing coloring of K_{1,m} with m or m+1 colors, up to
+    # renaming, lifted with every root color: the root and the center's
+    # top copy share an orbit, and nothing else stands in the way
+    for m in range(2, 6):
+        g = star_graph(m)
+        center = m
+        for k in (m, m + 1):
+            for assign in _canonical_colorings_exactly(g.n, k):
+                if not distinguishes(g, Coloring(k, assign)):
+                    continue
+                for t in (1, 2, 3):
+                    mu, _ = build_mycielskian(g, t)
+                    for w_color in range(1, k + 1):
+                        c = lift_coloring(g, t, Coloring(k, assign), w_color)
+                        assert distinguishes(mu, c) == (w_color != assign[center]), (
+                            m, assign, t, w_color)
+
+
 def test_star_case_coloring_is_the_row_form():
     # the closed form the star case had before it became a lift: every
     # level repeats leaf i -> i+1 and center -> 2, and the root takes 1
@@ -108,16 +122,13 @@ def test_star_case_coloring_is_the_row_form():
 
 
 def test_kn_base_coloring_values():
-    k, c = kn_base_coloring(3, 1)
-    assert k == 2
+    c = kn_base_coloring(3, 1)
+    assert c.k == 2
     # digit vectors 00, 01, 10 for the three vertices, LSB at level 0
     assert c.assign == (1, 2, 1, 1, 1, 2, 1)
-    k, _ = kn_base_coloring(5, 1)
-    assert k == 3
-    k, _ = kn_base_coloring(3, 2)
-    assert k == 2
-    k, _ = kn_base_coloring(9, 1)
-    assert k == 3
+    assert kn_base_coloring(5, 1).k == 3
+    assert kn_base_coloring(3, 2).k == 2
+    assert kn_base_coloring(9, 1).k == 3
     with pytest.raises(InvalidN):
         kn_base_coloring(2, 1)
     with pytest.raises(InvalidT):
@@ -129,8 +140,8 @@ def test_kn_base_coloring_distinguishes():
     combos += [(3, 3), (4, 3)]
     for n, t in combos:
         mu, _ = build_mycielskian(complete_graph(n), t)
-        k, c = kn_base_coloring(n, t)
-        assert c.k == k and len(set(c.assign)) == k
+        c = kn_base_coloring(n, t)
+        assert len(set(c.assign)) == c.k
         assert distinguishes(mu, c), (n, t)
 
 
@@ -139,7 +150,7 @@ def test_kn_base_coloring_is_optimal():
     for n in range(3, 6):
         for t in (1, 2):
             mu, _ = build_mycielskian(complete_graph(n), t)
-            k, _ = kn_base_coloring(n, t)
+            k = kn_base_coloring(n, t).k
             for j in range(1, k):
                 for assign in _canonical_colorings_exactly(mu.n, j):
                     assert not distinguishes(mu, Coloring(j, assign)), (n, t, assign)

@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mycdist import (AutListing, Coloring, ExceedsCap, Graph, MycLayout,
-                     VerifyRecord, build_mycielskian, complete_graph,
+                     VerifyRecord, build_mycielskian, classify_star,
+                     complete_graph,
                      cycle_graph, distinguishing_number,
                      enumerate_automorphisms, kn_base_coloring, orbit_of,
                      parse_graph6, path_graph, star_graph, write_graph6)
@@ -28,9 +29,9 @@ from mycdist import cli
 from mycdist.cli import _dumps, main
 from mycdist.distinguishing import DEFAULT_BUDGET
 from mycdist.errors import MalformedColoring, MycdistError
-from mycdist.verify import (CSV_FIELDS, classify_root_orbit, process_record,
-                            report_to_csv, report_to_json, root_orbit_conforms,
-                            run_verify)
+from mycdist.verify import (CSV_FIELDS, classify_root_orbit,
+                            expected_root_orbit, process_record,
+                            report_to_csv, report_to_json, run_verify)
 
 from .oracles import enumerate_automorphisms_naive
 from .support import (chain_elements, graphs, is_automorphism,
@@ -137,9 +138,36 @@ def test_bounds_settle_without_a_dfs(line, t, n, value, monkeypatch):
     assert orders and set(orders) == {n}
 
 
-def test_run_verify_oversized_record_is_fatal():
+def test_run_verify_oversized_record_is_fatal(tmp_path, monkeypatch, capsys):
     with pytest.raises(MycdistError, match="record 2"):
         run_verify(["Bw", "G?????"], [1])
+    # FqhXw has 7 vertices, one past the cap
+    with pytest.raises(MycdistError, match=r"record 2 .*n=7 exceeds max-n 6"):
+        run_verify(["Bw", "FqhXw"], [1], max_n=6)
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("Bw\nFqhXw\n")
+    code, out, err = run_cli(["verify", str(corpus), "--max-n", "6"], "",
+                             monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: record 2 ('FqhXw'): n=7 exceeds max-n 6\n"
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_star_rows_settle_without_a_dfs(m, monkeypatch):
+    # the paper coloring of mu_t(K_{1,m}) lifts G's certificate with the
+    # root off the center's color, so the chain walk settles every row and
+    # the distinguishing search runs once, on G
+    orders = []
+    search = verify.distinguishing_number
+
+    def counted(g, *args, **kwargs):
+        orders.append(g.n)
+        return search(g, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "distinguishing_number", counted)
+    rows = process_record(write_graph6(star_graph(m)), [1, 2, 3], DEFAULT_BUDGET)
+    assert orders == [m + 1]
+    assert [(r.case, r.method, r.passed) for r in rows] == [("GENERIC", "search", True)] * 3
 
 
 def test_isolate_case_settles_under_tiny_budget():
@@ -207,6 +235,19 @@ def test_csv_json_parity():
                 assert row[key] == ("true" if val else "false")
             else:
                 assert row[key] == str(val)
+
+
+def test_report_to_json_matches_json_indent_2():
+    # a malformed row's \xNN escapes and a budget_exceeded row's nulls,
+    # the shapes a swept report adds to those of the other subcommands
+    # the byte 0xff of an undecodable file, as _read_text passes it on
+    report = run_verify(["Bw", "B\udcff\x01", "C~"], [1, 2], budget_steps=0)
+    methods = {r.method for r in report.records}
+    assert methods == {"malformed", "budget_exceeded"}
+    assert report.records[2].graph6 == "B\\xff\\x01"
+    doc = {"records": [dict(zip(CSV_FIELDS, r)) for r in report.records],
+           "summary": report.summary}
+    assert report_to_json(report) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_jobs_do_not_change_report(corpus_n6):
@@ -397,21 +438,23 @@ def test_root_orbit_classification():
         (Graph(2), 2, "fixed"),
     ]:
         mu, layout = build_mycielskian(g, t)
-        from mycdist import orbit_of
-        orbit = orbit_of(mu, layout.root)
-        got = classify_root_orbit(orbit, g, t)
+        star = classify_star(g)
+        got = classify_root_orbit(orbit_of(mu, layout.root), layout, star)
         assert got == expect, (g.edges(), t)
-        assert root_orbit_conforms(got, g, t)
-    assert not root_orbit_conforms("all", complete_graph(3), 1)
-    assert not root_orbit_conforms("fixed", star_graph(2), 1)
-    assert not root_orbit_conforms("fixed", star_graph(3), 2)
-    assert not root_orbit_conforms("other", Graph(4), 2)
+        assert got == expected_root_orbit(star)
+    assert expected_root_orbit(classify_star(complete_graph(3))) == "fixed"
+    assert expected_root_orbit(classify_star(star_graph(2))) == "center_shadow"
+    assert expected_root_orbit(classify_star(Graph(1))) == "center_shadow"
+    assert expected_root_orbit(classify_star(Graph(4))) == "fixed"
+    # an orbit of none of the named shapes
+    layout = MycLayout(4, 2)
+    assert classify_root_orbit(frozenset({0, layout.root}), layout, None) == "other"
 
 
 @pytest.mark.parametrize("m", range(2, 8))
 @pytest.mark.parametrize("t", range(1, 5))
 def test_star_root_orbit_is_center_shadow(m, t):
-    """The argument in root_orbit_conforms, checked on K_{1,m}: the root
+    """The argument in expected_root_orbit, checked on K_{1,m}: the root
     w and the top copy of the center form the root's orbit, and the
     level reflection that swaps them is an automorphism."""
     g = star_graph(m)
@@ -420,7 +463,9 @@ def test_star_root_orbit_is_center_shadow(m, t):
     top = layout.vertex_id(center, t)
     orbit = orbit_of(mu, layout.root)
     assert orbit == frozenset({layout.root, top})
-    assert root_orbit_conforms(classify_root_orbit(orbit, g, t), g, t)
+    star = classify_star(g)
+    assert classify_root_orbit(orbit, layout, star) == expected_root_orbit(
+        star) == "center_shadow"
 
     def vid(i, s):  # level t + 1 of the center is the root
         return layout.root if s == t + 1 else layout.vertex_id(i, s)
@@ -700,7 +745,7 @@ def test_cli_check_coloring(monkeypatch, capsys):
 
     # base-2 coloring of the 10-vertex double mycielskian of K_3
     mu = write_graph6(build_mycielskian(complete_graph(3), 2)[0])
-    _, coloring = kn_base_coloring(3, 2)
+    coloring = kn_base_coloring(3, 2)
     code, out, _ = run_cli(
         ["check-coloring", "--coloring", json.dumps(list(coloring.assign))],
         mu + "\n", monkeypatch, capsys)

@@ -6,10 +6,12 @@ Each sweep runs in process with one worker and the default budget: n <= 6
 at t = 1, 2 and 3, n <= 5 at t = 2, and n = 7 at t = 1, 2 and 3. For each
 it prints the number of rows, the sha256 of the CSV report, the summed
 Budget.used of every search the sweep ran (G's and mu_t(G)'s, counted by
-wrapping verify.Budget), the wall seconds and the number of rows per
-method, so that a change of label shows even where the values do not.
-Two commits whose sweeps print the same hashes wrote byte-identical
-reports; the step sums compare the work their searches did.
+wrapping verify.Budget), the number of mu_t(G) rows that ran the
+distinguishing DFS (the calls of verify.distinguishing_number, less the
+one each record makes for G), the wall seconds and the number of rows
+per method, so that a change of label shows even where the values do
+not. Two commits whose sweeps print the same hashes wrote byte-identical
+reports; the step sums and DFS rows compare the work their searches did.
 """
 
 import hashlib
@@ -33,21 +35,26 @@ def corpus(name: str, max_n: int) -> list[str]:
 
 
 def main():
-    budgets = []
-    plain = verify.Budget
+    budgets, searches = [], []
+    plain, search = verify.Budget, verify.distinguishing_number
 
     def counted(limit):
         budget = plain(limit)
         budgets.append(budget)
         return budget
 
-    verify.Budget = counted
+    def counted_search(*args, **kwargs):
+        searches.append(1)
+        return search(*args, **kwargs)
+
+    verify.Budget, verify.distinguishing_number = counted, counted_search
     try:
         print(f"{'sweep':<6} {'t':>1} {'rows':>5} {'csv_sha256':<64} "
-              f"{'budget_used':>11} {'wall_s':>7} methods")
+              f"{'budget_used':>11} {'dfs_rows':>8} {'wall_s':>7} methods")
         for label, max_n, t in SWEEPS:
             lines = corpus("graphs_n7.g6" if max_n == 7 else "graphs_n1_6.g6", max_n)
             budgets.clear()
+            searches.clear()
             t0 = time.perf_counter()
             report = verify.run_verify(lines, [t], max_n=max_n)
             csv_text = verify.report_to_csv(report)
@@ -56,10 +63,10 @@ def main():
             used = sum(b.used for b in budgets)
             methods = Counter(r.method for r in report.records)
             print(f"{label:<6} {t:>1} {len(report.records):>5} {digest} "
-                  f"{used:>11} {wall:>7.3f} "
+                  f"{used:>11} {len(searches) - len(lines):>8} {wall:>7.3f} "
                   + ",".join(f"{m}={c}" for m, c in sorted(methods.items())))
     finally:
-        verify.Budget = plain
+        verify.Budget, verify.distinguishing_number = plain, search
 
 
 if __name__ == "__main__":
