@@ -14,7 +14,7 @@ import sys
 from .automorphism import Budget, enumerate_automorphisms, search_color_preserving
 from .constructions import (isolate_case_coloring, kn_base_coloring,
                             lift_coloring, star_case_coloring)
-from .distinguishing import (DEFAULT_BUDGET, Coloring, DistResult, ExceedsCap,
+from .distinguishing import (DEFAULT_BUDGET, Coloring, ExceedsCap,
                              distinguishing_number)
 from .errors import InvalidT, MycdistError, SearchBudgetExceeded, Unsupported
 from .graph6 import (_MAX_N, parse_edge_list, parse_graph6, write_edge_list,
@@ -192,33 +192,32 @@ def cmd_check_coloring(args) -> int:
 
 
 def cmd_coloring(args) -> int:
+    """Each t's coloring and source, printed before the next t is built.
+    construct builds both, the coloring first, so that its own checks
+    come before the source's."""
     ts = _parse_t_list(args.t)
     if args.construction == "star":
         if args.m is None:
             raise MycdistError("--construction star needs --m")
         _check_graph6_order(args.m + 1, ts)
+        construct = lambda t: (star_case_coloring(args.m, t), star_graph(args.m))
     elif args.construction == "kn":
         if args.n is None:
             raise MycdistError("--construction kn needs --n")
         _check_graph6_order(args.n, ts)
+        construct = lambda t: (kn_base_coloring(args.n, t), complete_graph(args.n))
     else:
         # read once: stdin is empty after the first read
         src = _read_graph(args.input, args.format)
         _check_graph6_order(src.n, ts)
-        base = distinguishing_number(src, budget=Budget(args.budget))
-        assert isinstance(base, DistResult)
-    for t in ts:
-        if args.construction == "star":
-            coloring = star_case_coloring(args.m, t)
-            src = star_graph(args.m)
-        elif args.construction == "kn":
-            coloring = kn_base_coloring(args.n, t)
-            src = complete_graph(args.n)
-        elif args.construction == "isolate":
-            coloring = isolate_case_coloring(src, t, base.certificate)
+        cert = distinguishing_number(src, budget=Budget(args.budget)).certificate
+        if args.construction == "isolate":
+            construct = lambda t: (isolate_case_coloring(src, t, cert), src)
         else:
-            coloring = lift_coloring(src, t, base.certificate, args.w_color)
-        mu, _ = build_mycielskian(src, t)
+            construct = lambda t: (lift_coloring(src, t, cert, args.w_color), src)
+    for t in ts:
+        coloring, g = construct(t)
+        mu, _ = build_mycielskian(g, t)
         _emit({"construction": args.construction, "t": t, "k": coloring.k,
                "graph6": write_graph6(mu),
                "colors": list(coloring.assign),

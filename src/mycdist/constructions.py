@@ -30,7 +30,7 @@ from collections import namedtuple
 from .distinguishing import Coloring
 from .errors import (EmptySource, InvalidM, InvalidN, InvalidT,
                      MalformedColoring, PreconditionViolated)
-from .graphs import Graph, classify_star, isolated_vertices, star_graph
+from .graphs import Graph, Star, isolated_vertices, star_graph
 from .mycielskian import MycLayout
 
 CASE_K1_T1 = "K1_t1"
@@ -77,12 +77,12 @@ def predict_dist(g: Graph, t: int, dist_g: int) -> DistPrediction:
     return DistPrediction(CASE_GENERIC, UPPER_BOUND, dist_g)
 
 
-def paper_coloring(g: Graph, t: int, case_tag: str,
-                   certificate: Coloring) -> Coloring | None:
+def paper_coloring(g: Graph, t: int, case_tag: str, certificate: Coloring,
+                   star: Star | None) -> Coloring | None:
     """The coloring of mu_t(g) by which the paper proves the case of
     predict_dist, from certificate, a distinguishing coloring of g with
-    dist(g) colors; None on the K1_t1, K2_t1 and K2_tgt1 cases, which
-    have none here.
+    dist(g) colors, and star = classify_star(g); None on the K1_t1, K2_t1
+    and K2_tgt1 cases, which have none here.
 
     On a GENERIC row it is kn_base_coloring when g is complete and the
     lift of the certificate otherwise, with root color 2 when g is a star
@@ -95,7 +95,6 @@ def paper_coloring(g: Graph, t: int, case_tag: str,
             return kn_base_coloring(g.n, t)
         # a star's root shares its orbit with the center's top copy, so
         # the lift distinguishes once the root avoids the center's color
-        star = classify_star(g)
         w_color = 2 if star is not None and certificate.assign[star.center] == 1 else 1
         return lift_coloring(g, t, certificate, w_color)
     if case_tag in (CASE_ISOLATE_DOMINATED, CASE_K1_TGT1):
@@ -125,13 +124,13 @@ def kn_base_coloring(n: int, t: int) -> Coloring:
     """
     if n < 3:
         raise InvalidN(f"base coloring needs n >= 3, got {n}")
-    if t < 1:
-        raise InvalidT(f"t must be >= 1, got {t}")
+    # before the loop, which never ends for t <= -1
+    layout = MycLayout(n, t)
     k = 2
     while k ** (t + 1) < n:
         k += 1
     rows = [[(i // k**s) % k + 1 for i in range(n)] for s in range(t + 1)]
-    return Coloring(k, MycLayout(n, t).lift(rows, 1))
+    return Coloring(k, layout.lift(rows, 1))
 
 
 def _check_source_coloring(g: Graph, c: Coloring):
@@ -151,8 +150,7 @@ def isolate_case_coloring(g: Graph, t: int, dist_coloring_g: Coloring) -> Colori
     its level-0 color; non-isolates copy their given color to every
     level; the root avoids color 1.
     """
-    if t < 1:
-        raise InvalidT(f"t must be >= 1, got {t}")
+    layout = MycLayout(g.n, t)
     _check_source_coloring(g, dist_coloring_g)
     iso = isolated_vertices(g)
     ell = len(iso)
@@ -167,7 +165,7 @@ def isolate_case_coloring(g: Graph, t: int, dist_coloring_g: Coloring) -> Colori
     for j, v in enumerate(iso):
         colors[v] = j + 1
     # the root takes any color except that of the first isolate chain
-    return _lift_rows(colors, t, t * ell, iso, 2)
+    return _lift_rows(colors, layout, t * ell, iso, 2)
 
 
 def lift_coloring(g: Graph, t: int, dist_coloring_g: Coloring, w_color: int = 1) -> Coloring:
@@ -182,8 +180,7 @@ def lift_coloring(g: Graph, t: int, dist_coloring_g: Coloring, w_color: int = 1)
     lift distinguishes exactly when w_color differs from c's color;
     star_case_coloring is one such lift.
     """
-    if t < 1:
-        raise InvalidT(f"t must be >= 1, got {t}")
+    layout = MycLayout(g.n, t)
     if g.n == 1 or (g.n == 2 and g.edge_count == 1):
         raise PreconditionViolated("lift does not apply to K_1 or K_2")
     _check_source_coloring(g, dist_coloring_g)
@@ -194,20 +191,22 @@ def lift_coloring(g: Graph, t: int, dist_coloring_g: Coloring, w_color: int = 1)
         raise PreconditionViolated(f"t*l = {t * ell} exceeds palette k = {k}")
     if not (1 <= w_color <= k):
         raise PreconditionViolated(f"w_color {w_color} outside 1..{k}")
-    return _lift_rows(dist_coloring_g.assign, t, k, iso, w_color)
+    return _lift_rows(dist_coloring_g.assign, layout, k, iso, w_color)
 
 
-def _lift_rows(colors, t: int, k: int, iso: list[int], root: int) -> Coloring:
-    """The k-coloring of mu_t(g), for the source colors of g's vertices,
-    whose every level repeats colors, except on levels 1..t-1 of g's
-    isolates iso: those are isolated in mu_t(g) too, so they take the
-    colors of 1..k unused on iso, in (level, vertex) order. Callers
-    ensure t*len(iso) <= k, so at least k - len(iso) >= (t-1)*len(iso)
-    colors are fresh."""
+def _lift_rows(colors, layout: MycLayout, k: int, iso: list[int],
+               root: int) -> Coloring:
+    """The k-coloring of mu_t(g), laid out by layout, for the source
+    colors of g's vertices, whose every level repeats colors, except on
+    levels 1..t-1 of g's isolates iso: those are isolated in mu_t(g) too,
+    so they take the colors of 1..k unused on iso, in (level, vertex)
+    order. Callers ensure t*len(iso) <= k, so at least
+    k - len(iso) >= (t-1)*len(iso) colors are fresh."""
+    t = layout.t
     rows = [list(colors) for _ in range(t + 1)]
     taken = {colors[v] for v in iso}
     fresh = (c for c in range(1, k + 1) if c not in taken)
     for s in range(1, t):
         for v in iso:
             rows[s][v] = next(fresh)
-    return Coloring(k, MycLayout(len(colors), t).lift(rows, root))
+    return Coloring(k, layout.lift(rows, root))

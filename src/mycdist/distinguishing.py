@@ -116,9 +116,7 @@ class ExceedsCap(namedtuple("ExceedsCap", "k_cap")):
 
 def twin_lower_bound(g: Graph) -> int:
     """Largest twin class size: twins must all receive distinct colors."""
-    if g.n == 0:
-        return 0
-    return max(len(c) for c in twin_classes(g))
+    return max(map(len, twin_classes(g)), default=0)
 
 
 def lower_bound(group: AutListing) -> int:

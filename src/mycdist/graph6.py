@@ -102,7 +102,11 @@ def parse_edge_list(text: str) -> Graph:
             edges.append((int(uv[0]), int(uv[1])))
         except ValueError:
             raise MalformedGraph6(f"bad edge line {line!r}") from None
-    return Graph(n, edges)
+    g = Graph(n, edges)
+    if g.edge_count != m:
+        # an edge given twice, in either order, is one edge of g
+        raise MalformedGraph6(f"header claims {m} edges, found {g.edge_count} distinct")
+    return g
 
 
 def write_edge_list(g: Graph) -> str:

@@ -28,9 +28,15 @@ class VertexRole(namedtuple("VertexRole", "kind index level")):
 
 
 class MycLayout(namedtuple("MycLayout", "n t")):
-    """Id scheme of one mu_t construction over a source of order n."""
+    """Id scheme of one mu_t construction over a source of order n; mu_t
+    is defined for t >= 1 only, so no layout exists for a smaller t."""
 
     __slots__ = ()
+
+    def __new__(cls, n: int, t: int):
+        if t < 1:
+            raise InvalidT(f"t must be >= 1, got {t}")
+        return super().__new__(cls, n, t)
 
     @property
     def order(self) -> int:
@@ -71,10 +77,8 @@ def build_mycielskian(g: Graph, t: int) -> tuple[Graph, MycLayout]:
     """Construct (mu_t(g), layout). Requires g.n >= 1 and t >= 1."""
     if g.n == 0:
         raise EmptySource("source graph must have at least one vertex")
-    if t < 1:
-        raise InvalidT(f"t must be >= 1, got {t}")
+    layout = MycLayout(g.n, t)
     n = g.n
-    layout = MycLayout(n=n, t=t)
     edges: list[tuple[int, int]] = []
     for i, j in g.edges():
         edges.append((i, j))

@@ -142,9 +142,24 @@ def _root_orbit(chain: AutListing, root: int) -> frozenset[int]:
     return frozenset((root,))
 
 
+def _malformed_rows(line: str, ts: list[int]) -> list[VerifyRecord]:
+    """The rows of an unreadable line, its bytes outside printable ASCII
+    written as \\xNN, so that the report encodes under any codec."""
+    raw = line.strip().encode("utf-8", "surrogateescape")
+    text = "".join(chr(b) if 32 <= b < 127 else f"\\x{b:02x}" for b in raw)
+    return [VerifyRecord(text, t=t, method=METHOD_MALFORMED) for t in ts]
+
+
 def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRecord]:
-    """All (line, t) rows for one corpus record."""
-    g = parse_graph6(line)
+    """All (line, t) rows for one corpus record; a line that is no graph6
+    record, or that holds the order-0 graph, which has no mu_t, gets one
+    malformed row per t."""
+    try:
+        g = parse_graph6(line)
+    except MycdistError:
+        g = None
+    if g is None or g.n == 0:
+        return _malformed_rows(line, ts)
     g6 = write_graph6(g)
     ell = len(isolated_vertices(g))
     star = classify_star(g)
@@ -169,7 +184,8 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
         prediction = predict_dist(g, t, dist_g_result.value)
         method = METHOD_SEARCH
         measured: int | None
-        coloring = paper_coloring(g, t, prediction.case_tag, dist_g_result.certificate)
+        coloring = paper_coloring(g, t, prediction.case_tag,
+                                  dist_g_result.certificate, star)
         budget = Budget(budget_steps)
         try:
             if (coloring is not None and coloring.k == lower_bound(mu_group)
@@ -194,38 +210,24 @@ def _worker(args) -> list[VerifyRecord]:
     return process_record(*args)
 
 
-def _malformed_rows(line: str, ts: list[int]) -> list[VerifyRecord]:
-    """The rows of an unreadable line, its bytes outside printable ASCII
-    written as \\xNN, so that the report encodes under any codec."""
-    raw = line.strip().encode("utf-8", "surrogateescape")
-    text = "".join(chr(b) if 32 <= b < 127 else f"\\x{b:02x}" for b in raw)
-    return [VerifyRecord(text, t=t, method=METHOD_MALFORMED) for t in ts]
-
-
 def run_verify(lines: list[str], ts: list[int], *, budget_steps: int = DEFAULT_BUDGET,
                max_n: int = 6, jobs: int = 1) -> VerifyReport:
     """Sweep a corpus of graph6 records.
 
-    Unparseable and order-0 records are noted as malformed rows and the
-    sweep continues; a record larger than max_n is a caller error and
-    raises, since it changes the cost class of the whole run.
+    A record larger than max_n is a caller error and raises before any
+    record runs, since it changes the cost class of the whole run;
+    process_record notes unparseable and order-0 records as malformed
+    rows and the sweep continues.
     """
-    parts: list[list[VerifyRecord] | None] = [None] * len(lines)
-    good: list[tuple[int, str]] = []
     for idx, line in enumerate(lines):
         try:
-            g = parse_graph6(line)
+            n = parse_graph6(line).n
         except MycdistError:
-            parts[idx] = _malformed_rows(line, ts)
             continue
-        if g.n > max_n:
+        if n > max_n:
             raise MycdistError(
-                f"record {idx + 1} ({line.strip()!r}): n={g.n} exceeds max-n {max_n}")
-        if g.n == 0:
-            parts[idx] = _malformed_rows(line, ts)
-            continue
-        good.append((idx, line))
-    tasks = [(line, ts, budget_steps) for _, line in good]
+                f"record {idx + 1} ({line.strip()!r}): n={n} exceeds max-n {max_n}")
+    tasks = [(line, ts, budget_steps) for line in lines]
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         # imported here: the pool pulls in multiprocessing, which a
@@ -235,9 +237,7 @@ def run_verify(lines: list[str], ts: list[int], *, budget_steps: int = DEFAULT_B
             results = list(pool.map(_worker, tasks, chunksize=8))
     else:
         results = [_worker(task) for task in tasks]
-    for (idx, _), rows in zip(good, results):
-        parts[idx] = rows
-    return VerifyReport(tuple(r for part in parts for r in part))
+    return VerifyReport(tuple(r for rows in results for r in rows))
 
 
 def _row_dict(r: VerifyRecord) -> dict:

@@ -8,7 +8,8 @@ search's listing; the CLI workload wraps `cli.enumerate_automorphisms`
 and `cli.search_color_preserving`. The bench's own tests do not start a
 traced run. `tools/ab_inprocess.py` reads `bench/workloads.py` and
 `bench/run.py`'s `percentile`, so it is run here too, on one tree against
-itself.
+itself. `tools/code_lines.py` is checked on a module whose code lines are
+known, and on the package.
 """
 
 import json
@@ -46,3 +47,44 @@ def test_ab_inprocess_compares_a_tree_with_itself():
     assert proc.returncode == 0, proc.stderr
     printed = [line.split()[0] for line in proc.stdout.splitlines()[1:]]
     assert printed == ["throughput_per_s", "latency_p50_ms", "latency_p80_ms"]
+
+
+def _code_lines(*args):
+    proc = subprocess.run([sys.executable, "tools/code_lines.py", *map(str, args)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(line.split()) for line in proc.stdout.splitlines()]
+
+
+def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""Module docstring\n\nover three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # a trailing comment leaves a code line\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """One line."""\n'
+        "    # an indented comment\n"
+        '    s = """a string, not a docstring,\n'
+        '    over two lines"""\n'
+        "    return s\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        "    '''Class\n"
+        "    docstring.'''\n"
+        "    y = 1\n")
+    (tmp_path / "empty.py").write_text("")
+    assert _code_lines(tmp_path) == [("empty.py", "0"), ("mod.py", "7"),
+                                     ("total", "7")]
+
+
+def test_code_lines_total_is_the_sum_of_the_modules():
+    rows = _code_lines()
+    *modules, (label, total) = rows
+    assert label == "total"
+    assert [name for name, _ in modules] == sorted(
+        p.name for p in (ROOT / "src" / "mycdist").glob("*.py"))
+    assert int(total) == sum(int(count) for _, count in modules) > 0

@@ -52,7 +52,8 @@ def test_paper_coloring_realizes_each_case(corpus_n6):
         for t in (1, 2, 3):
             rows += 1
             prediction = predict_dist(g, t, dist_g.value)
-            c = paper_coloring(g, t, prediction.case_tag, dist_g.certificate)
+            c = paper_coloring(g, t, prediction.case_tag, dist_g.certificate,
+                               classify_star(g))
             if c is None:
                 none_cases.append(prediction.case_tag)
                 continue
@@ -133,6 +134,9 @@ def test_kn_base_coloring_values():
         kn_base_coloring(2, 1)
     with pytest.raises(InvalidT):
         kn_base_coloring(3, 0)
+    # checked before the search for k, which never ends for t <= -1
+    with pytest.raises(InvalidT):
+        kn_base_coloring(5, -1)
 
 
 def test_kn_base_coloring_distinguishes():

@@ -112,6 +112,9 @@ def test_builder_rejects_bad_inputs():
         build_mycielskian(Graph(0), 1)
     with pytest.raises(InvalidT):
         build_mycielskian(Graph(1), 0)
+    # the layout is where t >= 1 is checked: no layout of an undefined mu_t
+    with pytest.raises(InvalidT, match="got 0"):
+        MycLayout(3, 0)
 
 
 def test_root_shadow_neighbors_mirror_source():

@@ -24,7 +24,7 @@ from mycdist import (AutListing, Coloring, ExceedsCap, Graph, MycLayout,
                      cycle_graph, distinguishing_number,
                      enumerate_automorphisms, kn_base_coloring, orbit_of,
                      parse_graph6, path_graph, star_graph, write_graph6)
-from mycdist import automorphism, distinguishing, verify
+from mycdist import automorphism, constructions, distinguishing, verify
 from mycdist import cli
 from mycdist.cli import _dumps, main
 from mycdist.distinguishing import DEFAULT_BUDGET
@@ -251,8 +251,12 @@ def test_report_to_json_matches_json_indent_2():
 
 
 def test_jobs_do_not_change_report(corpus_n6):
-    lines = [line for line, _ in corpus_n6[:24]]
+    # unreadable and order-0 lines among the good ones: their malformed
+    # rows are built by the workers too
+    good = [line for line, _ in corpus_n6[:24]]
+    lines = ["Bww", *good[:12], "?", ">>graph6<<", *good[12:], "B\udcff\x01"]
     serial = run_verify(lines, [1], jobs=1)
+    assert serial.summary["malformed"] == 4
     parallel = run_verify(lines, [1], jobs=4)
     assert report_to_csv(serial) == report_to_csv(parallel)
     assert report_to_json(serial) == report_to_json(parallel)
@@ -290,6 +294,35 @@ def test_run_verify_clamps_workers(jobs, cpus, want, monkeypatch):
     report = run_verify(N3_LINES, [1], jobs=jobs)
     assert seen == ([] if want is None else [want])
     assert report_to_csv(report) == report_to_csv(run_verify(N3_LINES, [1]))
+
+
+@pytest.mark.parametrize("line", ["Bww", ">>graph6<<", "?"])
+def test_process_record_answers_unreadable_lines(line):
+    # an unparseable record, a bare header and the order-0 graph: one
+    # malformed row per t, the rows the sweep writes for the line
+    rows = process_record(line, [1, 2], DEFAULT_BUDGET)
+    assert [(r.graph6, r.t, r.method) for r in rows] == [
+        (line, 1, "malformed"), (line, 2, "malformed")]
+    assert rows == list(run_verify([line], [1, 2]).records)
+
+
+def test_process_record_classifies_the_star_once_per_record(monkeypatch, corpus_n6):
+    # the record's Star serves the root orbit and the GENERIC row's lift
+    # at every t: once for each of the 208 records, not once more per row
+    calls = []
+    classify = verify.classify_star
+
+    def counted(g):
+        calls.append(g.n)
+        return classify(g)
+
+    for module in (verify, constructions):
+        monkeypatch.setattr(module, "classify_star", counted, raising=False)
+    rows = 0
+    for line, _ in corpus_n6:
+        rows += len(process_record(line, [1, 2, 3], DEFAULT_BUDGET))
+    assert rows == 624
+    assert len(calls) == 208
 
 
 def test_process_record_row_shape():
