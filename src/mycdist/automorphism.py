@@ -408,8 +408,8 @@ def enumerate_automorphisms(g: Graph,
         ci = next(i for i, cell in enumerate(P) if b in cell)
         cell = P[ci]
         if len(cell) > 1:
-            cuts.append((b, P, ci))
             cut = P[:ci] + [[b], [x for x in cell if x != b]] + P[ci + 1:]
+            cuts.append((b, P, ci, cut))
             cls = twin_of.get(b)
             if cls is not None and all(twin_of.get(x) is cls for x in cell):
                 P = cut  # a cell of twins: the cut is already stable
@@ -417,10 +417,10 @@ def enumerate_automorphisms(g: Graph,
                 P, _ = _refine_pair(adj, adj, cut, cut, ci)
     gens: list[tuple[int, ...]] = []
     levels = []
-    for b, P, ci in reversed(cuts):
+    for b, P, ci, cut in reversed(cuts):
         start = len(gens)
         gens.extend(seeds.get(b, ()))
-        trans = _orbit(adj, P, ci, b, gens)
+        trans = _orbit(adj, P, ci, cut, gens)
         levels.append((b, tuple(trans.values()), tuple(gens[start:])))
     return AutListing(n, tuple(levels), twins)
 
@@ -474,11 +474,12 @@ def search_color_preserving(g: Graph, colors: Sequence[int]) -> tuple[int, ...] 
     return next(found, None)
 
 
-def _orbit(adj, P, ci: int, v: int,
+def _orbit(adj, P, ci: int, cut_p,
            gens: list[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
     """Orbit of v in P[ci] under the automorphisms that fix every cell of
     the stable pair (P, P), each orbit point mapped to one such
-    automorphism taking v to it.
+    automorphism taking v to it, where cut_p is P with v cut out of P[ci]
+    as the singleton cell ci: P[:ci] + [[v], P[ci] minus v] + P[ci + 1:].
 
     gens holds automorphisms of that group, found or known before. The
     orbit is first closed under them; then one targeted search runs per
@@ -486,14 +487,11 @@ def _orbit(adj, P, ci: int, v: int,
     each one it finds is appended to gens. Every member is reached or
     searched, so the orbit is exact whatever gens held.
     """
-    trans = {v: tuple(range(len(adj)))}
+    trans = {cut_p[ci][0]: tuple(range(len(adj)))}
     _close(trans, gens)
-    cut_p = None
     for u in P[ci]:
         if u in trans:
             continue
-        if cut_p is None:
-            cut_p = P[:ci] + [[v], [x for x in P[ci] if x != v]] + P[ci + 1:]
         cut_q = P[:ci] + [[u], [x for x in P[ci] if x != u]] + P[ci + 1:]
         img = next(_search_pair(adj, adj, cut_p, cut_q, ci), None)
         if img is not None:
@@ -528,7 +526,8 @@ def orbit_of(g: Graph, v: int) -> frozenset[int]:
     P = [list(range(g.n))]
     P, _ = _refine_pair(adj, adj, P, P)
     ci = next(i for i, cell in enumerate(P) if v in cell)
-    return frozenset(_orbit(adj, P, ci, v, []))
+    cut = P[:ci] + [[v], [x for x in P[ci] if x != v]] + P[ci + 1:]
+    return frozenset(_orbit(adj, P, ci, cut, []))
 
 
 def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:

@@ -95,6 +95,9 @@ class Coloring(namedtuple("Coloring", "k assign")):
             raise MalformedColoring("negative k")
         return super().__new__(cls, k, assign)
 
+    # namedtuple's _make (and _replace, which calls it) skips __new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     @property
     def n(self) -> int:
         return len(self.assign)
@@ -145,11 +148,8 @@ def _smaller_image(gens, colors, d: int, prefix_max):
     a compared position is left out: every position it compared keeps its
     color in the subtree below, so it can cut nothing there."""
     live = []
-    for i, gen in enumerate(gens):
+    for gen in gens:
         m, h = gen
-        if m >= d - 1:
-            live += gens[i:]  # h fixes 0..d-2 and maps d-1 above it
-            break
         base = nxt = prefix_max[m]
         renamed: dict[int, int] = {}
         for p in range(m, d):

@@ -76,7 +76,7 @@ class Graph:
 
 def isolated_vertices(g: Graph) -> list[int]:
     """Degree-0 vertices, ascending."""
-    return [v for v in range(g.n) if g.degree(v) == 0]
+    return [v for v, nbhd in enumerate(g.adjacency) if not nbhd]
 
 
 def twin_classes(g: Graph) -> list[list[int]]:
@@ -110,7 +110,7 @@ def classify_star(g: Graph) -> Star | None:
         return None
     if n <= 2:
         return Star(n - 1, 0)
-    c = next((v for v in range(n) if g.degree(v) == n - 1), None)
+    c = next((v for v, nbhd in enumerate(g.adjacency) if len(nbhd) == n - 1), None)
     return None if c is None else Star(n - 1, c)
 
 

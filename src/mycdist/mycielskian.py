@@ -38,6 +38,9 @@ class MycLayout(namedtuple("MycLayout", "n t")):
             raise InvalidT(f"t must be >= 1, got {t}")
         return super().__new__(cls, n, t)
 
+    # namedtuple's _make (and _replace, which calls it) skips __new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     @property
     def order(self) -> int:
         return (self.t + 1) * self.n + 1

@@ -219,21 +219,6 @@ def naive_twin_classes(g):
     return [sorted(members) for _, members in classes]
 
 
-def bfs_distances(g):
-    """All-pairs distances; -1 where unreachable."""
-    dist = [[-1] * g.n for _ in range(g.n)]
-    for s in range(g.n):
-        dist[s][s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbors(v):
-                if dist[s][u] == -1:
-                    dist[s][u] = dist[s][v] + 1
-                    queue.append(u)
-    return dist
-
-
 def assert_group_axioms(listing):
     """Closure, identity, inverses over a full listing of image vectors."""
     elems = set(listing)

@@ -159,6 +159,7 @@ def test_find_isomorphism():
     assert find_isomorphism(cycle_graph(6),
                             disjoint_union(cycle_graph(3), cycle_graph(3))) is None
     assert find_isomorphism(cycle_graph(5), cycle_graph(6)) is None
+    assert find_isomorphism(Graph(0), Graph(0)) == ()
 
 
 def test_caps():

@@ -52,6 +52,12 @@ def test_coloring_validation():
     with pytest.raises(MalformedColoring):
         Coloring(-1, ())
     assert Coloring(0, ()).n == 0
+    # namedtuple's own constructors run the same checks
+    with pytest.raises(MalformedColoring):
+        Coloring(2, (1, 2))._replace(k=0)
+    with pytest.raises(MalformedColoring):
+        Coloring._make((1, (5,)))
+    assert Coloring(2, (1, 2))._replace(assign=(2, 1)) == Coloring(2, (2, 1))
 
 
 def test_coloring_canonical():

@@ -125,7 +125,9 @@ def test_edge_list_roundtrip():
 
 @pytest.mark.parametrize("bad", ["", "3", "3 2\n0 1", "3 1\n0 x",
                                  # an edge given twice, in either order
-                                 "3 2\n0 1\n1 0\n", "3 2\n0 1\n0 1\n"])
+                                 "3 2\n0 1\n1 0\n", "3 2\n0 1\n0 1\n",
+                                 # an edge line of three ids
+                                 "3 1\n0 1 2\n"])
 def test_malformed_edge_lists_rejected(bad):
     with pytest.raises(MalformedGraph6):
         parse_edge_list(bad)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from mycdist import (Graph, Star, build_mycielskian, classify_star,
                      complete_graph, cycle_graph, isolated_vertices,
                      path_graph, star_graph, twin_classes)
-from mycdist.errors import VertexOutOfRange
+from mycdist.errors import InvalidGraph, VertexOutOfRange
 
 from .support import disjoint_union, graphs, naive_twin_classes
 
@@ -23,6 +23,8 @@ def test_basic_accessors():
         Graph(3, [(0, 5)])
     with pytest.raises(ValueError):
         Graph(3, [(1, 1)])
+    with pytest.raises(InvalidGraph):
+        cycle_graph(2)
 
 
 def test_order_zero_graph_is_accepted():

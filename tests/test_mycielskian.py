@@ -115,6 +115,11 @@ def test_builder_rejects_bad_inputs():
     # the layout is where t >= 1 is checked: no layout of an undefined mu_t
     with pytest.raises(InvalidT, match="got 0"):
         MycLayout(3, 0)
+    # namedtuple's own constructors run the same check
+    with pytest.raises(InvalidT, match="got 0"):
+        MycLayout(3, 2)._replace(t=0)
+    with pytest.raises(InvalidT, match="got -1"):
+        MycLayout._make((3, -1))
 
 
 def test_root_shadow_neighbors_mirror_source():

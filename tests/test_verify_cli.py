@@ -566,6 +566,8 @@ def test_cli_t_below_1_exits_2_before_any_output(argv, stdin_text, monkeypatch, 
 def test_cli_myc_empty_input(monkeypatch, capsys):
     code, _, err = run_cli(["myc"], "", monkeypatch, capsys)
     assert code == 2 and "error" in err
+    code, out, err = run_cli(["myc", "--t", ","], "Bw\n", monkeypatch, capsys)
+    assert (code, out, err) == (2, "", "error: empty --t list\n")
 
 
 @pytest.mark.parametrize("argv", [["myc"],
@@ -749,6 +751,18 @@ def test_n7_t1_sweep_matches_its_digest():
                       "93d7302bc85ed7bdb4adfe0399e6ccc8")
 
 
+@pytest.mark.parametrize("t, want", [
+    (2, "4a3785db0837e7cbf626057cbadf4ee1648f526333b3645f21e217a69b21e3a1"),
+    (3, "376178d4526c6a9cd90e99875e60954d16fc9fa49af6c76189f470c7ece0b623"),
+], ids=["t2", "t3"])
+def test_n7_t2_t3_sweeps_match_their_digests(t, want):
+    # the 1044 rows of n = 7 at t = 2 and t = 3, pinned like t = 1 above
+    lines = (ROOT / "data" / "graphs_n7.g6").read_text().split()
+    report = run_verify(lines, [t], max_n=7)
+    assert len(report.records) == 1044
+    assert hashlib.sha256(report_to_csv(report).encode()).hexdigest() == want
+
+
 def test_cli_dist_k_cap_and_budget(monkeypatch, capsys):
     k4 = write_graph6(complete_graph(4))
     code, out, _ = run_cli(["dist", "--k-cap", "2"], k4 + "\n",
@@ -874,6 +888,9 @@ def test_cli_coloring_star_and_kn(monkeypatch, capsys):
     code, _, err = run_cli(["coloring", "--construction", "star", "--m", "1"],
                            "", monkeypatch, capsys)
     assert code == 2
+    code, out, err = run_cli(["coloring", "--construction", "kn", "--t", "1"],
+                             "", monkeypatch, capsys)
+    assert (code, out, err) == (2, "", "error: --construction kn needs --n\n")
 
 
 def test_cli_coloring_isolate_and_lift(monkeypatch, capsys):
