@@ -5,10 +5,15 @@ The engine is a backtracking search over aligned ordered-partition pairs
 a stable equitable pair using (cell, neighbor-count-per-cell) signatures,
 prunes on any signature mismatch, then individualizes: the lowest vertex
 id in the smallest non-singleton cell of P is mapped, in turn, onto each
-member of the aligned cell of Q in ascending order. Discrete leaves are
-verified edge-by-edge before being reported, except the identity leaf,
-where P and Q are one partition of one graph: the identity is an
-automorphism by definition. The DFS order is therefore deterministic.
+member of the aligned cell of Q in ascending order. The DFS order is
+therefore deterministic. A discrete leaf is reported as it stands, with
+no edge check: its pair is stable and matched, so each vertex v of P has
+the same sorted tuple of neighbour-cell names as the vertex w in the
+aligned cell of Q, and a cell's name is its position, so v's neighbours
+sit in exactly the cells of w's. The map taking each singleton cell of P
+to its aligned cell of Q therefore maps N(v) onto N(w) for every v: it
+is an isomorphism, and the identity where P and Q are one partition of
+one graph.
 
 Each group is one stabilizer chain (Seress, Permutation Group
 Algorithms, 2003) with base n-1, n-2, ..., 0: level b is the stable pair
@@ -36,8 +41,8 @@ The chain is seeded with automorphisms known before any search: the swap
 of each pair of consecutive members of an open-twin class (the chain keeps
 the classes as twins, for the distinguishing search) or of a closed-twin
 class (N[u] = N[v]), and whatever the caller passes as known (verify
-passes the lifts of Aut(G) to mu_t(G)), each checked edge by edge as a
-leaf is. Starting Schreier-Sims
+passes the lifts of Aut(G) to mu_t(G)), which come from outside the
+search and so are each checked edge by edge. Starting Schreier-Sims
 from known generators is standard practice (Seress, 2003), and nauty
 reuses the automorphisms it has found the same way (McKay & Piperno,
 2014). A seed whose largest moved point is m fixes m+1..n-1, so it lies
@@ -324,25 +329,19 @@ def _target_cell(P) -> int:
     return best
 
 
-def _leaf_image(adj_s, adj_t, P, Q):
-    img = [0] * len(adj_s)
-    for ci in range(len(P)):
-        img[P[ci][0]] = Q[ci][0]
-    return tuple(img) if _maps_edges(adj_s, adj_t, img) else None
-
-
-def _maps_edges(adj_s, adj_t, img) -> bool:
-    """Does the bijection img map every neighbourhood of adj_s onto the
-    neighbourhood of the image vertex in adj_t?"""
-    for v in range(len(adj_s)):
-        if {img[u] for u in adj_s[v]} != adj_t[img[v]]:
+def _maps_edges(adj, img) -> bool:
+    """Does the bijection img map every neighbourhood of adj onto the
+    neighbourhood of the image vertex?"""
+    for v in range(len(adj)):
+        if {img[u] for u in adj[v]} != adj[img[v]]:
             return False
     return True
 
 
 def _search_pair(adj_s, adj_t, P, Q,
                  split: int = -1) -> Iterator[tuple[int, ...]]:
-    """Yield every bijection consistent with the aligned pair (P, Q).
+    """Yield every isomorphism consistent with the aligned pair (P, Q),
+    one per discrete leaf of the search.
 
     `split` is the refinement hint of _refine_pair: the cell the caller
     cut in a pair it had refined, or -1.
@@ -353,12 +352,11 @@ def _search_pair(adj_s, adj_t, P, Q,
     P, Q = ref
     best = _target_cell(P)
     if best == -1:
-        if P is Q:  # the identity, an automorphism with nothing to check
-            yield tuple(range(len(adj_s)))
-            return
-        img = _leaf_image(adj_s, adj_t, P, Q)
-        if img is not None:
-            yield img
+        # a discrete matched pair: v's neighbours sit in the cells of w's
+        img = [0] * len(adj_s)
+        for cell_p, cell_q in zip(P, Q):
+            img[cell_p[0]] = cell_q[0]
+        yield tuple(img)
         return
     v = P[best][0]
     newP = P[:best] + [[v], P[best][1:]] + P[best + 1:]
@@ -445,7 +443,7 @@ def _seeds(n: int, adj, classes, known) -> dict[int, dict[tuple[int, ...], None]
             by.setdefault(v, {})[tuple(img)] = None
     for p in known:
         img = tuple(p)
-        if sorted(img) != list(range(n)) or not _maps_edges(adj, adj, img):
+        if sorted(img) != list(range(n)) or not _maps_edges(adj, img):
             raise ValueError(f"not an automorphism of the graph: {img}")
         moved = [v for v, w in enumerate(img) if v != w]
         if moved:
@@ -469,7 +467,7 @@ def search_color_preserving(g: Graph, colors: Sequence[int]) -> tuple[int, ...] 
     adj = g.adjacency
     found = _search_pair(adj, adj, cells, cells)
     # a same pair never mismatches and its first child is a same pair, so
-    # the first leaf in DFS order is the identity
+    # the first leaf in DFS order is the discrete same pair: the identity
     next(found)
     return next(found, None)
 
@@ -531,8 +529,8 @@ def orbit_of(g: Graph, v: int) -> frozenset[int]:
 
 
 def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
-    """Color-free isomorphism g -> h via the same refinement search, as
-    the image vector of g's vertices in h."""
+    """Color-free isomorphism g -> h, the first discrete leaf of the same
+    refinement search, as the image vector of g's vertices in h."""
     if g.n != h.n or g.edge_count != h.edge_count:
         return None
     if g.n == 0:

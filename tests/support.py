@@ -9,10 +9,12 @@ chain_without_generators empties the generators it stores; the naive n!
 listing in oracles.py checks the first two. validate_facts reads the
 MycLayout it is given, since what it checks is that a built graph fits
 that layout. It also holds the small helpers that only the tests use:
-disjoint_union, canonical, is_automorphism and distinguishes.
+disjoint_union, canonical, is_automorphism, is_isomorphism, distinguishes
+and mycielskian_group_order.
 """
 
 import dataclasses
+import math
 import os
 import pathlib
 from collections import Counter, deque
@@ -87,14 +89,43 @@ def canonical(c: Coloring) -> Coloring:
 
 
 def is_automorphism(g, img):
-    """Is the image vector img an automorphism of g? A permutation that
-    maps every edge to an edge maps the edge set onto itself."""
+    """Is the image vector img an automorphism of g?"""
     if len(img) != g.n:
         raise SizeMismatch(f"permutation length {len(img)} != graph order {g.n}")
-    if sorted(img) != list(range(g.n)):
+    return is_isomorphism(g, g, img)
+
+
+def is_isomorphism(g, h, img):
+    """Is the image vector img an isomorphism from g onto h? A bijection
+    that maps every edge of g to an edge of h, with as many edges on both
+    sides, maps the edge set of g onto that of h."""
+    if len(img) != g.n or sorted(img) != list(range(h.n)):
         return False
-    edges = set(g.edges())
-    return all((min(img[u], img[v]), max(img[u], img[v])) in edges for u, v in edges)
+    edges = set(h.edges())
+    return len(g.edges()) == len(edges) and all(
+        (min(img[u], img[v]), max(img[u], img[v])) in edges for u, v in g.edges())
+
+
+def mycielskian_group_order(g, t, aut_order):
+    """|Aut(mu_t(G))| in closed form, for aut_order = |Aut(G)|: with ell
+    the isolated vertices of G and C its open-twin classes other than the
+    isolates, |Aut(G)| (t ell)! prod_C (|C|!)^t; twice that for a star
+    K_{1,m} with m != 1 (K_1 is the star with m = 0), and 2(2t+3) for
+    K_2, whose mu_t is the cycle C_(2t+3). A measured observation, not a
+    theorem (README)."""
+    nbhd = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        nbhd[u].add(v)
+        nbhd[v].add(u)
+    classes = Counter(frozenset(s) for s in nbhd if s)
+    ell = sum(1 for s in nbhd if not s)
+    m = len(g.edges())
+    if g.n == 2 and m == 1:
+        return 2 * (2 * t + 3)
+    order = aut_order * math.factorial(t * ell) * math.prod(
+        math.factorial(size) ** t for size in classes.values())
+    star = g.n == 1 or (m == g.n - 1 and any(len(s) == g.n - 1 for s in nbhd))
+    return 2 * order if star else order
 
 
 def distinguishes(g: Graph, c: Coloring) -> bool:

@@ -23,7 +23,8 @@ from mycdist.errors import (PreconditionViolated, SearchBudgetExceeded,
 
 from .oracles import enumerate_automorphisms_naive
 from .support import (assert_group_axioms, chain_elements, disjoint_union,
-                      graphs, is_automorphism, reference_listing,
+                      graphs, is_automorphism, is_isomorphism,
+                      mycielskian_group_order, reference_listing,
                       twin_rich_graphs)
 
 
@@ -162,6 +163,79 @@ def test_find_isomorphism():
     assert find_isomorphism(Graph(0), Graph(0)) == ()
 
 
+LEAF_CAP = 1000  # leaves walked per search; a large group has far more
+
+
+def _leaves(g, h, P, Q):
+    return list(itertools.islice(
+        automorphism._search_pair(g.adjacency, h.adjacency, P, Q), LEAF_CAP))
+
+
+def _same_size_graph(g, rng):
+    """A random graph with the order and edge count of g."""
+    pairs = list(itertools.combinations(range(g.n), 2))
+    return Graph(g.n, rng.sample(pairs, g.edge_count))
+
+
+def _assert_leaves_are_isomorphisms(g, h, isomorphic):
+    leaves = _leaves(g, h, [list(range(g.n))], [list(range(h.n))])
+    assert all(is_isomorphism(g, h, img) for img in leaves)
+    assert len(set(leaves)) == len(leaves)
+    if isomorphic:
+        assert leaves
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(graphs(9), twin_rich_graphs(10)), st.randoms(use_true_random=False),
+       st.data())
+def test_every_leaf_is_an_isomorphism(g, rng, data):
+    """Every leaf of the search is yielded with no edge check, so each one
+    must already be an isomorphism: against a relabelling of g, against a
+    random graph of the same size, and of g onto itself under a coloring,
+    where it must also keep the colors."""
+    order = list(range(g.n))
+    rng.shuffle(order)
+    relabelled = Graph(g.n, [(order[u], order[v]) for u, v in g.edges()])
+    _assert_leaves_are_isomorphisms(g, relabelled, True)
+    _assert_leaves_are_isomorphisms(g, _same_size_graph(g, rng), False)
+    colors = data.draw(st.lists(st.integers(1, 3), min_size=g.n, max_size=g.n))
+    cells = [[v for v in range(g.n) if colors[v] == c] for c in sorted(set(colors))]
+    leaves = _leaves(g, g, cells, cells)
+    assert leaves[0] == tuple(range(g.n))
+    for img in leaves:
+        assert is_isomorphism(g, g, img)
+        assert all(colors[img[v]] == colors[v] for v in range(g.n))
+
+
+def _random_regular(n, d, rng):
+    """A random simple d-regular graph on n vertices, by the pairing
+    model with rejection."""
+    while True:
+        points = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(points)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(points[::2], points[1::2])}
+        if len(edges) == n * d // 2 and all(u != v for u, v in edges):
+            return Graph(n, edges)
+
+
+def test_every_leaf_is_an_isomorphism_on_regular_pairs():
+    """Regular graphs, where round 1 of refinement splits nothing: each
+    against a relabelling of itself and against another regular graph of
+    the same order and degree."""
+    rng = random.Random(3)
+    for d in (3, 4):
+        for n in range(8, 17):
+            if n * d % 2:
+                continue
+            for _ in range(8):
+                g = _random_regular(n, d, rng)
+                order = list(range(n))
+                rng.shuffle(order)
+                relabelled = Graph(n, [(order[u], order[v]) for u, v in g.edges()])
+                _assert_leaves_are_isomorphisms(g, relabelled, True)
+                _assert_leaves_are_isomorphisms(g, _random_regular(n, d, rng), False)
+
+
 def test_caps():
     # no vertex or element cap: the order of any group is read off its
     # chain, and the step budget bounds the searches
@@ -250,6 +324,20 @@ def test_lifted_generators_leave_the_mycielskian_chain_unchanged(g, t):
     plain = enumerate_automorphisms(mu)
     assert seeded.order == plain.order
     assert _basic_orbits(seeded) == _basic_orbits(plain)
+
+
+def test_mycielskian_group_order_in_closed_form(corpus_n6):
+    """The order of mu_t(G)'s chain, seeded as verify seeds it, against
+    the closed form in support, for every G with n <= 6 at t = 1, 2, 3:
+    the lifts of Aut(G) and the open-twin swaps generate Aut(mu_t(G)),
+    up to the root swap of a star and the cycle of K_2."""
+    for line, g in corpus_n6:
+        group = enumerate_automorphisms(g)
+        aut_order = len(enumerate_automorphisms_naive(g))
+        for t in (1, 2, 3):
+            mu, _ = build_mycielskian(g, t)
+            order = enumerate_automorphisms(mu, known=verify._lifts(group, t)).order
+            assert order == mycielskian_group_order(g, t, aut_order), (line, t)
 
 
 @settings(max_examples=80, deadline=None)
@@ -460,9 +548,10 @@ def test_chains_are_pinned(corpus_n7):
 
 
 def test_discrete_coloring_needs_no_edge_check(corpus_n7, monkeypatch):
-    """A coloring whose refinement is discrete admits only the identity,
-    which the search yields without an edge-by-edge check; a pair leaf is
-    still checked."""
+    """No search checks a leaf edge by edge: a coloring whose refinement is
+    discrete admits only the identity, and a pair leaf, the identity or
+    not, is yielded as it stands. Only the automorphisms passed as known,
+    which come from outside the search, are checked."""
     calls = []
     check = automorphism._maps_edges
 
@@ -481,7 +570,12 @@ def test_discrete_coloring_needs_no_edge_check(corpus_n7, monkeypatch):
             continue
         discrete += 1
         assert search_color_preserving(g, colors) is None
-        assert calls == []
     assert discrete > 100
-    assert search_color_preserving(path_graph(5), [1] * 5) == (4, 3, 2, 1, 0)
-    assert calls
+    p5 = path_graph(5)
+    assert search_color_preserving(p5, [1] * 5) == (4, 3, 2, 1, 0)
+    assert find_isomorphism(p5, Graph(5, [(4, 3), (3, 2), (2, 1), (1, 0)])) is not None
+    assert orbit_of(p5, 0) == {0, 4}
+    assert enumerate_automorphisms(petersen()).order == 120
+    assert calls == []
+    assert enumerate_automorphisms(p5, known=[(4, 3, 2, 1, 0)]).order == 2
+    assert calls == [1]

@@ -88,3 +88,37 @@ def test_code_lines_total_is_the_sum_of_the_modules():
     assert [name for name, _ in modules] == sorted(
         p.name for p in (ROOT / "src" / "mycdist").glob("*.py"))
     assert int(total) == sum(int(count) for _, count in modules) > 0
+
+
+# every column of tools/verify_digest.py but wall_s: the sweep, t, rows,
+# the CSV report's sha256, the summed budget steps, the DFS rows and the
+# rows per method
+DIGEST = [
+    ("n<=6", "1", "208", "583d417eee79c9b40b466588c1b186ebd750246e1721a69b16ab7b2e12d20726",
+     "7947", "49", "search=208"),
+    ("n<=6", "2", "208", "98fb1152a97586da25c10876d0e40cdce1970f33ea644291f4e05ae32573a4f8",
+     "9107", "42", "search=208"),
+    ("n<=6", "3", "208", "dd6aade57bccd8babcf073ee1dcd30c26f09352dc752e7e040e9eb2bde5ec8b4",
+     "15580", "33", "search=208"),
+    ("n<=5", "2", "52", "39bc725f3a7d493685d321a5e1e68a54b40041d08b9bf8f4494615c5dc35b307",
+     "1608", "13", "search=52"),
+    ("n=7", "1", "1044", "50373ac21fe07690d065fc99284dd69393d7302bc85ed7bdb4adfe0399e6ccc8",
+     "38238", "122", "search=1044"),
+    ("n=7", "2", "1044", "4a3785db0837e7cbf626057cbadf4ee1648f526333b3645f21e217a69b21e3a1",
+     "55056", "114", "search=1044"),
+    ("n=7", "3", "1044", "376178d4526c6a9cd90e99875e60954d16fc9fa49af6c76189f470c7ece0b623",
+     "173280", "96", "search=1044"),
+]
+
+
+def test_verify_digest_is_pinned():
+    """tools/verify_digest.py counts steps and DFS rows by wrapping
+    verify.Budget and verify.distinguishing_number; if the sweep stopped
+    looking either up, its counts would drop with no error."""
+    proc = subprocess.run([sys.executable, "tools/verify_digest.py"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["sweep", "t", "rows", "csv_sha256", "budget_used",
+                              "dfs_rows", "wall_s", "methods"]
+    assert [tuple(row.split()[:6] + row.split()[7:]) for row in rows] == DIGEST

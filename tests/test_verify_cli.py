@@ -152,6 +152,23 @@ def test_run_verify_oversized_record_is_fatal(tmp_path, monkeypatch, capsys):
     assert err == "error: record 2 ('FqhXw'): n=7 exceeds max-n 6\n"
 
 
+def test_run_verify_parses_each_line_once(corpus_n6, monkeypatch):
+    # the max-n pass and the rows share one parse of each line, and an
+    # oversized record still raises before any record runs
+    calls, chains = [], []
+    parse, build = verify.parse_graph6, distinguishing.enumerate_automorphisms
+    monkeypatch.setattr(verify, "parse_graph6",
+                        lambda line: calls.append(line) or parse(line))
+    monkeypatch.setattr(distinguishing, "enumerate_automorphisms",
+                        lambda *a, **k: chains.append(1) or build(*a, **k))
+    with pytest.raises(MycdistError, match="n=7 exceeds max-n 6"):
+        run_verify(["Bw", "FqhXw"], [1], max_n=6)
+    assert chains == []
+    calls.clear()
+    report = run_verify([line for line, _ in corpus_n6], [1])
+    assert len(report.records) == len(calls) == 208
+
+
 @pytest.mark.parametrize("m", range(2, 6))
 def test_star_rows_settle_without_a_dfs(m, monkeypatch):
     # the paper coloring of mu_t(K_{1,m}) lifts G's certificate with the
@@ -439,7 +456,7 @@ def test_records_round_trip_through_pickle():
     group = enumerate_automorphisms(g)
     res = distinguishing_number(g, group=group)
     records = process_record("Bw", [1, 2], 10**6)
-    for obj in [*records, res, res.certificate, ExceedsCap(2),
+    for obj in [g, *records, res, res.certificate, ExceedsCap(2),
                 MycLayout(3, 2)]:
         back = pickle.loads(pickle.dumps(obj))
         assert type(back) is type(obj) and back == obj
