@@ -229,7 +229,7 @@ def cmd_verify(args) -> int:
     text = _read_text(args.input)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     report = run_verify(lines, _parse_t_list(args.t), budget_steps=args.budget,
-                        max_n=args.max_n, jobs=args.jobs)
+                        jobs=args.jobs)
     if args.out == "csv":
         sys.stdout.write(report_to_csv(report))
     else:
@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "t", "budget")
     p.set_defaults(t="1,2")
     p.add_argument("--out", choices=("json", "csv"), default="json")
-    p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_verify)
 

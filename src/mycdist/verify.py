@@ -42,7 +42,7 @@ from .constructions import paper_coloring, predict_dist
 from .distinguishing import DEFAULT_BUDGET, distinguishing_number, lower_bound
 from .errors import MycdistError, SearchBudgetExceeded
 from .graph6 import parse_graph6, write_graph6
-from .graphs import Graph, Star, classify_star, isolated_vertices
+from .graphs import Star, classify_star, isolated_vertices
 from .mycielskian import MycLayout, build_mycielskian
 
 ORBIT_FIXED = "fixed"
@@ -150,24 +150,14 @@ def _malformed_rows(line: str, ts: list[int]) -> list[VerifyRecord]:
     return [VerifyRecord(text, t=t, method=METHOD_MALFORMED) for t in ts]
 
 
-def _parse(line: str) -> Graph | None:
-    """The graph of a corpus line; None if it is no graph6 record."""
-    try:
-        return parse_graph6(line)
-    except MycdistError:
-        return None
-
-
 def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRecord]:
     """All (line, t) rows for one corpus record; a line that is no graph6
     record, or that holds the order-0 graph, which has no mu_t, gets one
     malformed row per t."""
-    return _rows(line, _parse(line), ts, budget_steps)
-
-
-def _rows(line: str, g: Graph | None, ts: list[int],
-          budget_steps: int) -> list[VerifyRecord]:
-    """process_record for a line already parsed to g, None if unreadable."""
+    try:
+        g = parse_graph6(line)
+    except MycdistError:
+        g = None
     if g is None or g.n == 0:
         return _malformed_rows(line, ts)
     g6 = write_graph6(g)
@@ -216,33 +206,21 @@ def _rows(line: str, g: Graph | None, ts: list[int],
     return rows
 
 
-def _worker(args) -> list[VerifyRecord]:
-    return _rows(*args)
-
-
 def run_verify(lines: list[str], ts: list[int], *, budget_steps: int = DEFAULT_BUDGET,
-               max_n: int = 6, jobs: int = 1) -> VerifyReport:
-    """Sweep a corpus of graph6 records.
-
-    A record larger than max_n is a caller error and raises before any
-    record runs, since it changes the cost class of the whole run;
-    process_record notes unparseable and order-0 records as malformed
-    rows and the sweep continues. Each line is parsed once.
-    """
-    tasks = [(line, _parse(line), ts, budget_steps) for line in lines]
-    for idx, (line, g, _, _) in enumerate(tasks):
-        if g is not None and g.n > max_n:
-            raise MycdistError(
-                f"record {idx + 1} ({line.strip()!r}): n={g.n} exceeds max-n {max_n}")
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+               jobs: int = 1) -> VerifyReport:
+    """Sweep a corpus of graph6 records: process_record over each line,
+    its rows in input order. budget_steps bounds every search a record
+    runs; no record is refused for its order."""
+    record = functools.partial(process_record, ts=ts, budget_steps=budget_steps)
+    workers = min(jobs, os.cpu_count() or 1, len(lines))
     if workers > 1:
         # imported here: the pool pulls in multiprocessing, which a
         # one-process sweep and every other subcommand never use
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_worker, tasks, chunksize=8))
+            results = list(pool.map(record, lines, chunksize=8))
     else:
-        results = [_worker(task) for task in tasks]
+        results = map(record, lines)
     return VerifyReport(tuple(r for rows in results for r in rows))
 
 

@@ -9,8 +9,8 @@ chain_without_generators empties the generators it stores; the naive n!
 listing in oracles.py checks the first two. validate_facts reads the
 MycLayout it is given, since what it checks is that a built graph fits
 that layout. It also holds the small helpers that only the tests use:
-disjoint_union, canonical, is_automorphism, is_isomorphism, distinguishes
-and mycielskian_group_order.
+disjoint_union, canonical, is_automorphism, is_isomorphism, distinguishes,
+mycielskian_group_order and mycielskian_twin_sets.
 """
 
 import dataclasses
@@ -126,6 +126,22 @@ def mycielskian_group_order(g, t, aut_order):
         math.factorial(size) ** t for size in classes.values())
     star = g.n == 1 or (m == g.n - 1 and any(len(s) == g.n - 1 for s in nbhd))
     return 2 * order if star else order
+
+
+def mycielskian_twin_sets(g, t):
+    """The sets of T in README's lemma, as vertex ids of mu_t(G) in
+    MycLayout's scheme (copy s of vertex i is s n + i): C^s for each
+    open-twin class C of G other than the isolates I and each s = 0..t,
+    then I^0 u ... u I^(t-1) and I^t when G has isolates. The members of
+    each set are pairwise open twins of mu_t(G)."""
+    n = g.n
+    isolates = [v for v in range(n) if not g.neighbors(v)]
+    sets = [[s * n + v for v in cls] for cls in naive_twin_classes(g)
+            if g.neighbors(cls[0]) for s in range(t + 1)]
+    if isolates:
+        sets += [[s * n + v for s in range(t) for v in isolates],
+                 [t * n + v for v in isolates]]
+    return sets
 
 
 def distinguishes(g: Graph, c: Coloring) -> bool:

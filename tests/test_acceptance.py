@@ -125,7 +125,7 @@ def test_criterion_4b_case_analysis_n7_sweep(corpus_n7):
     # all 1044 graphs on 7 vertices at t = 1,2, at the default budget
     start = time.perf_counter()
     lines = [line for line, g in corpus_n7 if g.n == 7]
-    report = run_verify(lines, [1, 2], max_n=7)
+    report = run_verify(lines, [1, 2])
     assert report.summary == {"records": 2088, "violations": 0,
                               "budget_exceeded": 0, "malformed": 0}
     _assert_searched_rows_pass(report)

@@ -24,8 +24,8 @@ from mycdist.errors import (PreconditionViolated, SearchBudgetExceeded,
 from .oracles import enumerate_automorphisms_naive
 from .support import (assert_group_axioms, chain_elements, disjoint_union,
                       graphs, is_automorphism, is_isomorphism,
-                      mycielskian_group_order, reference_listing,
-                      twin_rich_graphs)
+                      mycielskian_group_order, mycielskian_twin_sets,
+                      reference_listing, twin_rich_graphs)
 
 
 def petersen() -> Graph:
@@ -338,6 +338,32 @@ def test_mycielskian_group_order_in_closed_form(corpus_n6):
             mu, _ = build_mycielskian(g, t)
             order = enumerate_automorphisms(mu, known=verify._lifts(group, t)).order
             assert order == mycielskian_group_order(g, t, aut_order), (line, t)
+
+
+def test_lifts_normalize_the_open_twin_swaps(corpus_n6):
+    """The "⊇" half of README's lemma, on every G with n <= 6 at t = 1, 2,
+    3: each swap of consecutive members of a set of T is an automorphism
+    of mu_t(G), so T <= Aut(mu_t(G)); and the lift of each generator of
+    G's chain maps every set of T onto a set of T, so the lifts
+    normalize T."""
+    swaps = 0
+    for line, g in corpus_n6:
+        gens = [h for _, _, found in enumerate_automorphisms(g).levels for h in found]
+        for t in (1, 2, 3):
+            mu, layout = build_mycielskian(g, t)
+            sets = mycielskian_twin_sets(g, t)
+            for members in sets:
+                for a, b in zip(members, members[1:]):
+                    swap = list(range(mu.n))
+                    swap[a], swap[b] = b, a
+                    assert is_automorphism(mu, swap), (line, t, a, b)
+                    swaps += 1
+            blocks = {frozenset(x) for x in sets}
+            for h in gens:
+                lift = layout.lift_automorphism(h)
+                images = {frozenset(lift[v] for v in x) for x in sets}
+                assert images == blocks, (line, t, h)
+    assert swaps == 1743
 
 
 @settings(max_examples=80, deadline=None)

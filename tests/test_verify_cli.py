@@ -28,7 +28,7 @@ from mycdist import automorphism, constructions, distinguishing, verify
 from mycdist import cli
 from mycdist.cli import _dumps, main
 from mycdist.distinguishing import DEFAULT_BUDGET
-from mycdist.errors import MalformedColoring, MycdistError
+from mycdist.errors import MalformedColoring
 from mycdist.verify import (CSV_FIELDS, classify_root_orbit,
                             expected_root_orbit, process_record,
                             report_to_csv, report_to_json, run_verify)
@@ -138,33 +138,23 @@ def test_bounds_settle_without_a_dfs(line, t, n, value, monkeypatch):
     assert orders and set(orders) == {n}
 
 
-def test_run_verify_oversized_record_is_fatal(tmp_path, monkeypatch, capsys):
-    with pytest.raises(MycdistError, match="record 2"):
-        run_verify(["Bw", "G?????"], [1])
-    # FqhXw has 7 vertices, one past the cap
-    with pytest.raises(MycdistError, match=r"record 2 .*n=7 exceeds max-n 6"):
-        run_verify(["Bw", "FqhXw"], [1], max_n=6)
-    corpus = tmp_path / "corpus.g6"
-    corpus.write_text("Bw\nFqhXw\n")
-    code, out, err = run_cli(["verify", str(corpus), "--max-n", "6"], "",
-                             monkeypatch, capsys)
-    assert (code, out) == (2, "")
-    assert err == "error: record 2 ('FqhXw'): n=7 exceeds max-n 6\n"
+def test_run_verify_takes_records_of_any_size(monkeypatch, capsys):
+    # no vertex cap: n = 7, the edgeless graph on 8 vertices and K_8 are
+    # swept like any other record, under the budget alone
+    report = run_verify(["Bw", "FqhXw", "G?????", "G~~~~{"], [1, 2, 3])
+    assert [r.n for r in report.records] == [3] * 3 + [7] * 3 + [8] * 6
+    assert all(r.method == "search" and r.passed for r in report.records)
+    code, out, _ = run_cli(["verify"], "G?????\n", monkeypatch, capsys)
+    assert code == 0
+    assert [r["pass"] for r in json_docs(out)[0]["records"]] == [True, True]
 
 
 def test_run_verify_parses_each_line_once(corpus_n6, monkeypatch):
-    # the max-n pass and the rows share one parse of each line, and an
-    # oversized record still raises before any record runs
-    calls, chains = [], []
-    parse, build = verify.parse_graph6, distinguishing.enumerate_automorphisms
+    # each line is parsed once, by its own process_record call
+    calls = []
+    parse = verify.parse_graph6
     monkeypatch.setattr(verify, "parse_graph6",
                         lambda line: calls.append(line) or parse(line))
-    monkeypatch.setattr(distinguishing, "enumerate_automorphisms",
-                        lambda *a, **k: chains.append(1) or build(*a, **k))
-    with pytest.raises(MycdistError, match="n=7 exceeds max-n 6"):
-        run_verify(["Bw", "FqhXw"], [1], max_n=6)
-    assert chains == []
-    calls.clear()
     report = run_verify([line for line, _ in corpus_n6], [1])
     assert len(report.records) == len(calls) == 208
 
@@ -313,9 +303,10 @@ def test_run_verify_clamps_workers(jobs, cpus, want, monkeypatch):
     assert report_to_csv(report) == report_to_csv(run_verify(N3_LINES, [1]))
 
 
-@pytest.mark.parametrize("line", ["Bww", ">>graph6<<", "?"])
+@pytest.mark.parametrize("line", ["Bww", ">>graph6<<", "?", "~??"])
 def test_process_record_answers_unreadable_lines(line):
-    # an unparseable record, a bare header and the order-0 graph: one
+    # an unparseable record, a bare header, the order-0 graph and a
+    # multi-byte header (n > 62, the one size limit verify keeps): one
     # malformed row per t, the rows the sweep writes for the line
     rows = process_record(line, [1, 2], DEFAULT_BUDGET)
     assert [(r.graph6, r.t, r.method) for r in rows] == [
@@ -761,7 +752,7 @@ def test_n7_t1_sweep_matches_its_digest():
     # the 1044 rows of n = 7 at t = 1, pinned by the sha256 that
     # tools/verify_digest.py prints for them
     lines = (ROOT / "data" / "graphs_n7.g6").read_text().split()
-    report = run_verify(lines, [1], max_n=7)
+    report = run_verify(lines, [1])
     assert len(report.records) == 1044
     digest = hashlib.sha256(report_to_csv(report).encode()).hexdigest()
     assert digest == ("50373ac21fe07690d065fc99284dd693"
@@ -775,7 +766,7 @@ def test_n7_t1_sweep_matches_its_digest():
 def test_n7_t2_t3_sweeps_match_their_digests(t, want):
     # the 1044 rows of n = 7 at t = 2 and t = 3, pinned like t = 1 above
     lines = (ROOT / "data" / "graphs_n7.g6").read_text().split()
-    report = run_verify(lines, [t], max_n=7)
+    report = run_verify(lines, [t])
     assert len(report.records) == 1044
     assert hashlib.sha256(report_to_csv(report).encode()).hexdigest() == want
 
@@ -979,9 +970,11 @@ def test_cli_verify_bad_inputs(monkeypatch, capsys):
     (doc,) = json_docs(out)
     assert doc["summary"]["malformed"] == 1
 
-    code, _, err = run_cli(["verify", "--t", "1"], "G?????\n",
+    code, out, _ = run_cli(["verify", "--t", "1"], "G?????\n",
                            monkeypatch, capsys)
-    assert code == 2 and "record 1" in err
+    assert code == 0  # no vertex cap: the edgeless graph on 8 vertices
+    (doc,) = json_docs(out)
+    assert [(r["n"], r["pass"]) for r in doc["records"]] == [(8, True)]
 
     code, _, err = run_cli(["verify", "--t", "abc"], "Bw\n",
                            monkeypatch, capsys)
@@ -1030,6 +1023,7 @@ UNREAD_FLAGS = [
     ["check-coloring", "--coloring", "[1,2,3]", "--t", "2"],
     ["check-coloring", "--coloring", "[1,2,3]", "--budget", "5"],
     ["verify", "--format", "edges"],
+    ["verify", "--max-n", "6"],  # the vertex cap verify once had
 ]
 
 

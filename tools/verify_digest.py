@@ -56,7 +56,7 @@ def main():
             budgets.clear()
             searches.clear()
             t0 = time.perf_counter()
-            report = verify.run_verify(lines, [t], max_n=max_n)
+            report = verify.run_verify(lines, [t])
             csv_text = verify.report_to_csv(report)
             wall = time.perf_counter() - t0
             digest = hashlib.sha256(csv_text.encode()).hexdigest()
