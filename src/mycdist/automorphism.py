@@ -86,7 +86,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 
-from .errors import SearchBudgetExceeded, SizeMismatch
+from .errors import PreconditionViolated, SearchBudgetExceeded, SizeMismatch
 from .graphs import Graph, twin_classes
 
 
@@ -376,12 +376,13 @@ def enumerate_automorphisms(g: Graph,
     color-preserving walk multiplies transversal elements as it goes.
 
     known takes automorphisms of g already found elsewhere, as image
-    vectors; each is checked edge by edge and one that is not an
-    automorphism raises ValueError. They and the swap of each pair of
-    consecutive members of an open-twin or closed-twin class seed the
-    chain's generators, which spares the orbit step a targeted search
-    for every point they reach. The chain's order and orbits do not
-    depend on the seeds. The twin classes are kept on the chain as twins.
+    vectors; each is checked edge by edge and one that is not a
+    permutation or not an automorphism raises PreconditionViolated. They
+    and the swap of each pair of consecutive members of an open-twin or
+    closed-twin class seed the chain's generators, which spares the orbit
+    step a targeted search for every point they reach. The chain's order
+    and orbits do not depend on the seeds. The twin classes are kept on
+    the chain as twins.
     """
     n = g.n
     adj = g.adjacency
@@ -389,14 +390,15 @@ def enumerate_automorphisms(g: Graph,
     closed: dict[frozenset[int], list[int]] = {}
     for v in range(n):
         closed.setdefault(adj[v] | {v}, []).append(v)
-    seeds = _seeds(n, adj, (*twins, *closed.values()), known)
+    # most classes are singletons, which have no swap
+    swaps = [cls for cls in (*twins, *closed.values()) if len(cls) > 1]
+    seeds = _seeds(n, adj, swaps, known)
     if n == 0:
         return AutListing(0, (), twins)
-    # the open-twin or closed-twin class of size >= 2 of each vertex in
-    # one; no vertex is in both, since open twins are non-adjacent and
-    # closed twins adjacent
-    twin_of = {v: cls for cls in (*twins, *closed.values()) if len(cls) > 1
-               for v in cls}
+    # the class in swaps of each vertex in one; no vertex is in both an
+    # open-twin and a closed-twin class, since open twins are non-adjacent
+    # and closed twins adjacent
+    twin_of = {v: cls for cls in swaps for v in cls}
     P = [list(range(n))]
     P, _ = _refine_pair(adj, adj, P, P)
     cuts = []
@@ -425,9 +427,10 @@ def enumerate_automorphisms(g: Graph,
 
 def _seeds(n: int, adj, classes, known) -> dict[int, dict[tuple[int, ...], None]]:
     """The swaps of consecutive members of each class in classes (the
-    open-twin classes of the graph, then its closed-twin classes, N[u] =
-    N[v]) and the elements of known, each under the largest point m it
-    moves, in insertion order and without repeats.
+    open-twin classes of the graph of size >= 2, then its closed-twin
+    classes, N[u] = N[v], of size >= 2) and the elements of known, each
+    under the largest point m it moves, in insertion order and without
+    repeats.
 
     A seed fixes m+1..n-1, so it lies in H_(m+1), moves m, and belongs
     with the generators of level m, which exists because H_(m+1) moves m.
@@ -435,8 +438,6 @@ def _seeds(n: int, adj, classes, known) -> dict[int, dict[tuple[int, ...], None]
     """
     by: dict[int, dict[tuple[int, ...], None]] = {}
     for cls in classes:
-        if len(cls) == 1:  # most classes are; they have no swap
-            continue
         for u, v in zip(cls, cls[1:]):
             img = list(range(n))
             img[u], img[v] = v, u
@@ -444,7 +445,7 @@ def _seeds(n: int, adj, classes, known) -> dict[int, dict[tuple[int, ...], None]
     for p in known:
         img = tuple(p)
         if sorted(img) != list(range(n)) or not _maps_edges(adj, img):
-            raise ValueError(f"not an automorphism of the graph: {img}")
+            raise PreconditionViolated(f"not an automorphism of the graph: {img}")
         moved = [v for v, w in enumerate(img) if v != w]
         if moved:
             by.setdefault(moved[-1], {})[img] = None

@@ -70,7 +70,7 @@ def _layout_json(layout: MycLayout) -> dict:
     return out
 
 
-def _parse_coloring(raw: str, n: int) -> Coloring:
+def _parse_coloring(raw: str) -> Coloring:
     """Coloring as a JSON array of 1-based colors, inline or @file."""
     if raw.startswith("@"):
         raw = _read_text(raw[1:])
@@ -81,8 +81,6 @@ def _parse_coloring(raw: str, n: int) -> Coloring:
     # type(), not isinstance(): JSON true and false load as bool, an int
     if not isinstance(values, list) or not all(type(c) is int for c in values):
         raise MycdistError("coloring must be a JSON array of integers")
-    if len(values) != n:
-        raise MycdistError(f"coloring has {len(values)} entries, graph has {n}")
     return Coloring(max(values, default=0), tuple(values))
 
 
@@ -184,7 +182,7 @@ def cmd_dist(args) -> int:
 
 def cmd_check_coloring(args) -> int:
     g = _read_graph(args.input, args.format)
-    coloring = _parse_coloring(args.coloring, g.n)
+    coloring = _parse_coloring(args.coloring)
     witness = search_color_preserving(g, coloring.assign)
     _emit({"distinguishing": witness is None,
            "witness": None if witness is None else list(witness)})

@@ -28,8 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .distinguishing import Coloring
-from .errors import (EmptySource, InvalidM, InvalidN, InvalidT,
-                     MalformedColoring, PreconditionViolated)
+from .errors import InvalidT, PreconditionViolated, SizeMismatch
 from .graphs import Graph, Star, isolated_vertices, star_graph
 from .mycielskian import MycLayout
 
@@ -110,7 +109,7 @@ def star_case_coloring(m: int, t: int) -> Coloring:
     2, and the root 1.
     """
     if m < 2:
-        raise InvalidM(f"star case needs m >= 2, got {m}")
+        raise PreconditionViolated(f"star case needs m >= 2, got {m}")
     return lift_coloring(star_graph(m), t, Coloring(m, tuple(range(1, m + 1)) + (2,)))
 
 
@@ -123,7 +122,7 @@ def kn_base_coloring(n: int, t: int) -> Coloring:
     vectors are distinct exactly when k^(t+1) >= n.
     """
     if n < 3:
-        raise InvalidN(f"base coloring needs n >= 3, got {n}")
+        raise PreconditionViolated(f"base coloring needs n >= 3, got {n}")
     # before the loop, which never ends for t <= -1
     layout = MycLayout(n, t)
     k = 2
@@ -135,9 +134,9 @@ def kn_base_coloring(n: int, t: int) -> Coloring:
 
 def _check_source_coloring(g: Graph, c: Coloring):
     if g.n == 0:
-        raise EmptySource("source graph must have at least one vertex")
+        raise PreconditionViolated("source graph must have at least one vertex")
     if c.n != g.n:
-        raise MalformedColoring(f"coloring length {c.n} != source order {g.n}")
+        raise SizeMismatch(f"coloring length {c.n} != source order {g.n}")
 
 
 def isolate_case_coloring(g: Graph, t: int, dist_coloring_g: Coloring) -> Coloring:

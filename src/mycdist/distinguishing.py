@@ -197,7 +197,6 @@ def _search_k(n: int, k: int, prev, gens, moves_last, budget: Budget):
                 continue  # can no longer introduce k distinct colors
             colors[d] = c
             res = dfs(d + 1, max(max_used, c), gens)
-            colors[d] = 0
             if res is not None:
                 return res
         return None

@@ -6,7 +6,7 @@ class MycdistError(Exception):
 
 
 class MalformedGraph6(MycdistError):
-    """Input is not a valid graph6 byte string."""
+    """Input is not a valid graph6 byte string or edge list."""
 
 
 class Unsupported(MycdistError):
@@ -15,7 +15,7 @@ class Unsupported(MycdistError):
 
 
 class VertexOutOfRange(MycdistError):
-    """Vertex id not in 0..n-1."""
+    """Vertex id not in 0..n-1, of a graph or of a Mycielskian layout."""
 
 
 class InvalidGraph(MycdistError, ValueError):
@@ -23,21 +23,13 @@ class InvalidGraph(MycdistError, ValueError):
     a cycle on fewer than 3 vertices."""
 
 
-class EmptySource(MycdistError):
-    """Mycielskian of the order-0 graph is not defined here."""
-
-
 class InvalidT(MycdistError):
     """Mycielskian level parameter t must be >= 1."""
 
 
-class LayoutMismatch(MycdistError):
-    """Layout does not describe the given graph."""
-
-
 class SizeMismatch(MycdistError):
-    """A permutation, coloring or chain whose length differs from the
-    graph order."""
+    """A permutation, coloring, chain or layout's rows whose length
+    differs from the graph order."""
 
 
 class SearchBudgetExceeded(MycdistError):
@@ -49,16 +41,8 @@ class SearchBudgetExceeded(MycdistError):
 
 
 class MalformedColoring(MycdistError):
-    """Coloring length or color values are inconsistent."""
+    """Colors outside the palette 1..k, or a negative k."""
 
 
 class PreconditionViolated(MycdistError):
-    """Construction called outside its case preconditions."""
-
-
-class InvalidM(MycdistError):
-    """Star parameter m outside the supported range."""
-
-
-class InvalidN(MycdistError):
-    """Complete-graph parameter n outside the supported range."""
+    """A call outside its documented preconditions."""

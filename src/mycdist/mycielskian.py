@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import EmptySource, InvalidT, LayoutMismatch
+from .errors import InvalidT, PreconditionViolated, SizeMismatch, VertexOutOfRange
 from .graphs import Graph
 
 
@@ -51,14 +51,14 @@ class MycLayout(namedtuple("MycLayout", "n t")):
 
     def vertex_id(self, i: int, s: int) -> int:
         if not (0 <= i < self.n and 0 <= s <= self.t):
-            raise LayoutMismatch(f"no vertex (i={i}, s={s}) in this layout")
+            raise VertexOutOfRange(f"no vertex (i={i}, s={s}) in this layout")
         return s * self.n + i
 
     def role(self, v: int) -> VertexRole:
         if v == self.root:
             return VertexRole("root", None, None)
         if not (0 <= v < self.order):
-            raise LayoutMismatch(f"vertex {v} outside layout of order {self.order}")
+            raise VertexOutOfRange(f"vertex {v} outside layout of order {self.order}")
         s, i = divmod(v, self.n)
         return VertexRole("original" if s == 0 else "shadow", i, s)
 
@@ -66,7 +66,7 @@ class MycLayout(namedtuple("MycLayout", "n t")):
         """One value per vertex in id order: rows[s][i] for the level-s
         copy of source vertex i, for s = 0..t, then root for the root."""
         if len(rows) != self.t + 1 or any(len(row) != self.n for row in rows):
-            raise LayoutMismatch(f"need {self.t + 1} rows of {self.n} values")
+            raise SizeMismatch(f"need {self.t + 1} rows of {self.n} values")
         return tuple(x for row in rows for x in row) + (root,)
 
     def lift_automorphism(self, h: tuple[int, ...]) -> tuple[int, ...]:
@@ -79,7 +79,7 @@ class MycLayout(namedtuple("MycLayout", "n t")):
 def build_mycielskian(g: Graph, t: int) -> tuple[Graph, MycLayout]:
     """Construct (mu_t(g), layout). Requires g.n >= 1 and t >= 1."""
     if g.n == 0:
-        raise EmptySource("source graph must have at least one vertex")
+        raise PreconditionViolated("source graph must have at least one vertex")
     layout = MycLayout(g.n, t)
     n = g.n
     edges: list[tuple[int, int]] = []

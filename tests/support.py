@@ -26,7 +26,7 @@ from mycdist.automorphism import (AutListing, _search_pair,
                                   enumerate_automorphisms,
                                   search_color_preserving)
 from mycdist.distinguishing import Coloring
-from mycdist.errors import LayoutMismatch, SizeMismatch
+from mycdist.errors import SizeMismatch
 from mycdist.graphs import Graph
 from mycdist.mycielskian import MycLayout
 
@@ -208,9 +208,9 @@ def validate_facts(g: Graph, t: int, h: Graph, layout: MycLayout) -> FactReport:
     independent sets.
     """
     if layout.n != g.n or layout.t != t:
-        raise LayoutMismatch(f"layout is for (n={layout.n}, t={layout.t}), not (n={g.n}, t={t})")
+        raise SizeMismatch(f"layout is for (n={layout.n}, t={layout.t}), not (n={g.n}, t={t})")
     if h.n != layout.order:
-        raise LayoutMismatch(f"graph order {h.n} != layout order {layout.order}")
+        raise SizeMismatch(f"graph order {h.n} != layout order {layout.order}")
     n = g.n
     checks = []
 

@@ -13,8 +13,7 @@ from mycdist import (Coloring, DistPrediction, Graph, build_mycielskian,
 from mycdist.constructions import (CASE_GENERIC, CASE_ISOLATE_DOMINATED,
                                    CASE_K1_T1, CASE_K1_TGT1, CASE_K2_T1,
                                    CASE_K2_TGT1, EXACT, UPPER_BOUND)
-from mycdist.errors import (EmptySource, InvalidM, InvalidN, InvalidT,
-                            MalformedColoring, PreconditionViolated)
+from mycdist.errors import InvalidT, PreconditionViolated, SizeMismatch
 
 from .oracles import _canonical_colorings_exactly
 from .support import disjoint_union, distinguishes, graphs
@@ -79,7 +78,7 @@ def test_star_case_coloring_values():
     # leaves 0..2, center 3, shadows 4..7, root 8
     assert c.k == 3
     assert c.assign == (1, 2, 3, 2, 1, 2, 3, 2, 1)
-    with pytest.raises(InvalidM):
+    with pytest.raises(PreconditionViolated, match="star case needs m >= 2, got 1"):
         star_case_coloring(1, 1)
     with pytest.raises(InvalidT):
         star_case_coloring(2, 0)
@@ -130,7 +129,7 @@ def test_kn_base_coloring_values():
     assert kn_base_coloring(5, 1).k == 3
     assert kn_base_coloring(3, 2).k == 2
     assert kn_base_coloring(9, 1).k == 3
-    with pytest.raises(InvalidN):
+    with pytest.raises(PreconditionViolated, match="base coloring needs n >= 3, got 2"):
         kn_base_coloring(2, 1)
     with pytest.raises(InvalidT):
         kn_base_coloring(3, 0)
@@ -180,12 +179,12 @@ def test_isolate_case_coloring_examples():
 def test_isolate_case_coloring_guards():
     with pytest.raises(InvalidT):
         isolate_case_coloring(Graph(2), 0, Coloring(2, (1, 2)))
-    with pytest.raises(MalformedColoring):
+    with pytest.raises(SizeMismatch, match="coloring length 1 != source order 2"):
         isolate_case_coloring(Graph(2), 2, Coloring(1, (1,)))
     with pytest.raises(PreconditionViolated):
         isolate_case_coloring(complete_graph(3), 2, Coloring(3, (1, 2, 3)))
     # the order-0 graph, as build_mycielskian rejects it
-    with pytest.raises(EmptySource):
+    with pytest.raises(PreconditionViolated, match="at least one vertex"):
         isolate_case_coloring(Graph(0), 1, Coloring(0, ()))
 
 
@@ -290,7 +289,7 @@ def test_lift_coloring_guards():
     with pytest.raises(PreconditionViolated):
         lift_coloring(Graph(3), 2, Coloring(3, (1, 2, 3)))
     # the order-0 graph, before its empty palette fails the w_color check
-    with pytest.raises(EmptySource):
+    with pytest.raises(PreconditionViolated, match="at least one vertex"):
         lift_coloring(Graph(0), 1, Coloring(0, ()))
 
 

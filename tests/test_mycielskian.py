@@ -5,7 +5,8 @@ import pytest
 from mycdist import (Graph, MycLayout, build_mycielskian, complete_graph,
                      cycle_graph, enumerate_automorphisms, find_isomorphism,
                      parse_graph6, star_graph)
-from mycdist.errors import EmptySource, InvalidT, LayoutMismatch
+from mycdist.errors import (InvalidT, PreconditionViolated, SizeMismatch,
+                            VertexOutOfRange)
 
 from .conftest import corpus_lines
 from .support import (disjoint_union, is_automorphism, naive_component_count,
@@ -69,9 +70,9 @@ def test_layout_roles():
     assert layout.role(0).kind == "original"
     assert layout.role(4) == type(layout.role(4))("shadow", 1, 1)
     assert layout.role(9).kind == "root"
-    with pytest.raises(LayoutMismatch):
+    with pytest.raises(VertexOutOfRange, match="vertex 10 outside layout of order 10"):
         layout.role(10)
-    with pytest.raises(LayoutMismatch):
+    with pytest.raises(VertexOutOfRange, match=r"no vertex \(i=0, s=3\)"):
         layout.vertex_id(0, 3)
 
 
@@ -90,7 +91,7 @@ def test_lift_rejects_rows_of_the_wrong_shape():
     layout = MycLayout(3, 2)
     row = [1, 1, 1]
     for rows in ([row] * 2, [row] * 4, [row, row, [1, 1]], [row, row, row + [1]]):
-        with pytest.raises(LayoutMismatch):
+        with pytest.raises(SizeMismatch, match="need 3 rows of 3 values"):
             layout.lift(rows, 1)
 
 
@@ -108,7 +109,7 @@ def test_lift_automorphism_is_the_lift_of_per_level_images(corpus_n6):
 
 
 def test_builder_rejects_bad_inputs():
-    with pytest.raises(EmptySource):
+    with pytest.raises(PreconditionViolated, match="at least one vertex"):
         build_mycielskian(Graph(0), 1)
     with pytest.raises(InvalidT):
         build_mycielskian(Graph(1), 0)
@@ -165,11 +166,11 @@ def test_validate_facts_detects_wrong_graph():
 def test_validate_facts_layout_mismatch():
     g = complete_graph(3)
     mu, layout = build_mycielskian(g, 1)
-    with pytest.raises(LayoutMismatch):
+    with pytest.raises(SizeMismatch, match=r"layout is for \(n=3, t=1\)"):
         validate_facts(g, 2, mu, layout)
-    with pytest.raises(LayoutMismatch):
+    with pytest.raises(SizeMismatch, match=r"layout is for \(n=3, t=1\)"):
         validate_facts(complete_graph(4), 1, mu, layout)
-    with pytest.raises(LayoutMismatch):
+    with pytest.raises(SizeMismatch, match="graph order 5 != layout order 7"):
         validate_facts(g, 1, complete_graph(5), layout)
 
 
