@@ -12,14 +12,13 @@ import json
 import sys
 
 from .automorphism import Budget, enumerate_automorphisms, search_color_preserving
-from .constructions import (isolate_case_coloring, kn_base_coloring,
-                            lift_coloring, star_case_coloring)
-from .distinguishing import (DEFAULT_BUDGET, Coloring, ExceedsCap,
-                             distinguishing_number)
-from .errors import InvalidT, MycdistError, SearchBudgetExceeded, Unsupported
+from .constructions import paper_coloring, predict_dist
+from .distinguishing import DEFAULT_BUDGET, Coloring, distinguishing_number
+from .errors import (InvalidT, MycdistError, PreconditionViolated,
+                     SearchBudgetExceeded, Unsupported)
 from .graph6 import (_MAX_N, parse_edge_list, parse_graph6, write_edge_list,
                      write_graph6)
-from .graphs import Graph, complete_graph, star_graph
+from .graphs import Graph, classify_star
 from .mycielskian import MycLayout, build_mycielskian
 from .verify import _dumps, report_to_csv, report_to_json, run_verify
 
@@ -170,13 +169,10 @@ def cmd_aut(args) -> int:
 
 def cmd_dist(args) -> int:
     g = _read_graph(args.input, args.format)
-    res = distinguishing_number(g, args.k_cap, budget=Budget(args.budget))
-    if isinstance(res, ExceedsCap):
-        _emit({"exceeds_cap": res.k_cap})
-    else:
-        _emit({"dist": res.value,
-               "certificate": list(res.certificate.assign),
-               "lower_bound_witness": res.lower_bound_witness})
+    res = distinguishing_number(g, budget=Budget(args.budget))
+    _emit({"dist": res.value,
+           "certificate": list(res.certificate.assign),
+           "lower_bound_witness": res.lower_bound_witness})
     return EXIT_OK
 
 
@@ -190,33 +186,23 @@ def cmd_check_coloring(args) -> int:
 
 
 def cmd_coloring(args) -> int:
-    """Each t's coloring and source, printed before the next t is built.
-    construct builds both, the coloring first, so that its own checks
-    come before the source's."""
+    """For each t, the coloring of mu_t(g) by which the paper proves the
+    case of predict_dist, as verify checks it: paper_coloring of g's
+    certificate. Each t's document is printed before the next t is built;
+    a case with no paper coloring (K1_t1, K2_t1, K2_tgt1) exits 2 there."""
     ts = _parse_t_list(args.t)
-    if args.construction == "star":
-        if args.m is None:
-            raise MycdistError("--construction star needs --m")
-        _check_graph6_order(args.m + 1, ts)
-        construct = lambda t: (star_case_coloring(args.m, t), star_graph(args.m))
-    elif args.construction == "kn":
-        if args.n is None:
-            raise MycdistError("--construction kn needs --n")
-        _check_graph6_order(args.n, ts)
-        construct = lambda t: (kn_base_coloring(args.n, t), complete_graph(args.n))
-    else:
-        # read once: stdin is empty after the first read
-        src = _read_graph(args.input, args.format)
-        _check_graph6_order(src.n, ts)
-        cert = distinguishing_number(src, budget=Budget(args.budget)).certificate
-        if args.construction == "isolate":
-            construct = lambda t: (isolate_case_coloring(src, t, cert), src)
-        else:
-            construct = lambda t: (lift_coloring(src, t, cert, args.w_color), src)
+    g = _read_graph(args.input, args.format)
+    _check_graph6_order(g.n, ts)
+    res = distinguishing_number(g, budget=Budget(args.budget))
+    star = classify_star(g)
     for t in ts:
-        coloring, g = construct(t)
+        # built first, so that an order-0 g fails as an empty source
         mu, _ = build_mycielskian(g, t)
-        _emit({"construction": args.construction, "t": t, "k": coloring.k,
+        case = predict_dist(g, t, res.value).case_tag
+        coloring = paper_coloring(g, t, case, res.certificate, star)
+        if coloring is None:
+            raise PreconditionViolated(f"case {case} has no paper coloring")
+        _emit({"case": case, "t": t, "k": coloring.k,
                "graph6": write_graph6(mu),
                "colors": list(coloring.assign),
                "distinguishing": search_color_preserving(mu, coloring.assign) is None})
@@ -264,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="exact distinguishing number")
     common(p, "format", "budget")
-    p.add_argument("--k-cap", type=int, default=None)
     p.set_defaults(fn=cmd_dist)
 
     p = sub.add_parser("check-coloring", help="is the coloring distinguishing?")
@@ -273,13 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON array of 1-based colors, or @file")
     p.set_defaults(fn=cmd_check_coloring)
 
-    p = sub.add_parser("coloring", help="emit a constructive coloring of mu_t")
+    p = sub.add_parser("coloring", help="emit the paper's coloring of mu_t")
     common(p, "format", "t", "budget")
-    p.add_argument("--construction", choices=("star", "kn", "isolate", "lift"),
-                   required=True)
-    p.add_argument("--m", type=int, default=None, help="star leaf count")
-    p.add_argument("--n", type=int, default=None, help="complete graph order")
-    p.add_argument("--w-color", type=int, default=1)
     p.set_defaults(fn=cmd_coloring)
 
     p = sub.add_parser("verify", help="sweep a corpus against the case analysis")

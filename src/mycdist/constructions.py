@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .distinguishing import Coloring
-from .errors import InvalidT, PreconditionViolated, SizeMismatch
+from .errors import PreconditionViolated, SizeMismatch
 from .graphs import Graph, Star, isolated_vertices, star_graph
 from .mycielskian import MycLayout
 
@@ -58,8 +58,7 @@ class DistPrediction(namedtuple("DistPrediction", "case_tag kind value")):
 
 def predict_dist(g: Graph, t: int, dist_g: int) -> DistPrediction:
     """Case analysis; dist_g must be the distinguishing number of g."""
-    if t < 1:
-        raise InvalidT(f"t must be >= 1, got {t}")
+    MycLayout(g.n, t)  # checks t >= 1
     if g.n == 0:
         raise PreconditionViolated("no prediction for the empty graph")
     if g.n == 1:

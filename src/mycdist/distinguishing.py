@@ -111,12 +111,6 @@ class DistResult(namedtuple("DistResult", "value certificate lower_bound_witness
     __slots__ = ()
 
 
-class ExceedsCap(namedtuple("ExceedsCap", "k_cap")):
-    """Returned when the distinguishing number is proven to exceed k_cap."""
-
-    __slots__ = ()
-
-
 def twin_lower_bound(g: Graph) -> int:
     """Largest twin class size: twins must all receive distinct colors."""
     return max(map(len, twin_classes(g)), default=0)
@@ -204,15 +198,13 @@ def _search_k(n: int, k: int, prev, gens, moves_last, budget: Budget):
     return dfs(0, 0, gens)
 
 
-def distinguishing_number(g: Graph, k_cap: int | None = None, *,
-                          budget: Budget | None = None,
-                          group: AutListing | None = None) -> DistResult | ExceedsCap:
+def distinguishing_number(g: Graph, *, budget: Budget | None = None,
+                          group: AutListing | None = None) -> DistResult:
     """Exact distinguishing number with a certificate coloring.
 
     The search starts at lower_bound(group) and increments k after
     exhausting each level, so the returned value is minimal. Raises
-    SearchBudgetExceeded when the step budget runs out; returns
-    ExceedsCap once the value is proven to exceed k_cap. One stabilizer
+    SearchBudgetExceeded when the step budget runs out. One stabilizer
     chain of g serves the color-preserving check, the generators of the
     lex-leader prune, and the twin classes behind the twin order and the
     lower bound: group, when given, is that chain, built by
@@ -235,8 +227,6 @@ def distinguishing_number(g: Graph, k_cap: int | None = None, *,
     gens = _generators(group)
 
     for k in range(lower_bound(group), n + 1):
-        if k_cap is not None and k > k_cap:
-            return ExceedsCap(k_cap)
         cert = _search_k(n, k, prev, gens, group.preserving_moves_last, bud)
         if cert is not None:
             witness = tb if (tb >= 2 and k == tb) else None

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mycdist import (Coloring, DistResult, ExceedsCap, Graph,
-                     build_mycielskian, complete_graph, cycle_graph,
-                     distinguishing_number, parse_graph6, path_graph,
-                     star_graph, twin_lower_bound)
+from mycdist import (Coloring, Graph, build_mycielskian, complete_graph,
+                     cycle_graph, distinguishing_number, parse_graph6,
+                     path_graph, star_graph, twin_lower_bound)
 from mycdist import automorphism, distinguishing
 from mycdist.automorphism import Budget, enumerate_automorphisms
 from mycdist.distinguishing import _smaller_image
@@ -126,13 +125,6 @@ def test_is_distinguishing_examples():
     assert not distinguishes(c5, Coloring(2, (1, 1, 2, 2, 2)))
     with pytest.raises(SizeMismatch):
         distinguishes(c5, Coloring(1, (1, 1)))
-
-
-def test_exceeds_cap():
-    assert distinguishing_number(complete_graph(5), k_cap=3) == ExceedsCap(3)
-    res = distinguishing_number(complete_graph(5), k_cap=5)
-    assert isinstance(res, DistResult) and res.value == 5
-    assert distinguishing_number(cycle_graph(6), k_cap=2).value == 2
 
 
 def test_budget_exhaustion():

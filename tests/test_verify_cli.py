@@ -18,12 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mycdist import (AutListing, Coloring, ExceedsCap, Graph, MycLayout,
-                     VerifyRecord, build_mycielskian, classify_star,
-                     complete_graph,
+from mycdist import (AutListing, Coloring, Graph, MycLayout, VerifyRecord,
+                     build_mycielskian, classify_star, complete_graph,
                      cycle_graph, distinguishing_number,
                      enumerate_automorphisms, kn_base_coloring, orbit_of,
-                     parse_graph6, path_graph, star_graph, write_graph6)
+                     paper_coloring, parse_graph6, path_graph, predict_dist,
+                     star_graph, write_graph6)
 from mycdist import automorphism, constructions, distinguishing, verify
 from mycdist import cli
 from mycdist.cli import _dumps, main
@@ -447,8 +447,7 @@ def test_records_round_trip_through_pickle():
     group = enumerate_automorphisms(g)
     res = distinguishing_number(g, group=group)
     records = process_record("Bw", [1, 2], 10**6)
-    for obj in [g, *records, res, res.certificate, ExceedsCap(2),
-                MycLayout(3, 2)]:
+    for obj in [g, *records, res, res.certificate, MycLayout(3, 2)]:
         back = pickle.loads(pickle.dumps(obj))
         assert type(back) is type(obj) and back == obj
     back = pickle.loads(pickle.dumps(group))
@@ -560,10 +559,10 @@ def test_cli_myc_edge_format(monkeypatch, capsys):
 @pytest.mark.parametrize("argv, stdin_text", [
     (["myc", "--t", "1,-1"], "Bw\n"),
     (["myc", "--format", "edges", "--t", "1,0"], "3 2\n0 1\n1 2\n"),
-    (["coloring", "--construction", "kn", "--n", "5", "--t", "1,0"], ""),
+    (["coloring", "--t", "1,0"], ""),
     (["verify", "--t", "1,0"], "Bw\n"),
-    # the t error comes before the star's own m error
-    (["coloring", "--construction", "star", "--m", "1", "--t", "0"], ""),
+    # the t error comes before the input is read: none is given here
+    (["coloring", "--t", "0"], ""),
 ])
 def test_cli_t_below_1_exits_2_before_any_output(argv, stdin_text, monkeypatch, capsys):
     code, out, err = run_cli(argv, stdin_text, monkeypatch, capsys)
@@ -578,10 +577,8 @@ def test_cli_myc_empty_input(monkeypatch, capsys):
     assert (code, out, err) == (2, "", "error: empty --t list\n")
 
 
-@pytest.mark.parametrize("argv", [["myc"],
-                                  ["coloring", "--construction", "lift"],
-                                  ["coloring", "--construction", "isolate"]],
-                         ids=["myc", "lift", "isolate"])
+@pytest.mark.parametrize("argv", [["myc"], ["coloring"]],
+                         ids=["myc", "coloring"])
 def test_cli_order_0_graph_exits_2_as_empty_source(argv, monkeypatch, capsys):
     code, out, err = run_cli(argv, "?\n", monkeypatch, capsys)
     assert (code, out, err) == (
@@ -714,11 +711,12 @@ def replay_golden(name, monkeypatch, capsys):
 
 
 def test_cli_coloring_matches_golden(monkeypatch, capsys):
-    # isolate, lift and lift --w-color 2 on every graph with n <= 5, star
-    # and kn, each at --t 1,2,3: the colorings and the precondition errors
+    # every graph with n <= 5 at --t 1,2,3, and K_1 at --t 2,3: the paper
+    # colorings, and the cases that have none
     records = replay_golden("coloring.jsonl", monkeypatch, capsys)
-    assert len(records) == 172
-    assert sum(r["exit"] == 0 for r in records) == 86
+    assert len(records) == 53
+    assert sum(r["exit"] == 0 for r in records) == 51
+    assert sum(len(r["stdout"]) for r in records) == 152
 
 
 def test_cli_myc_matches_golden(monkeypatch, capsys):
@@ -771,13 +769,8 @@ def test_n7_t2_t3_sweeps_match_their_digests(t, want):
     assert hashlib.sha256(report_to_csv(report).encode()).hexdigest() == want
 
 
-def test_cli_dist_k_cap_and_budget(monkeypatch, capsys):
+def test_cli_dist_budget(monkeypatch, capsys):
     k4 = write_graph6(complete_graph(4))
-    code, out, _ = run_cli(["dist", "--k-cap", "2"], k4 + "\n",
-                           monkeypatch, capsys)
-    assert code == 0
-    assert json_docs(out)[0] == {"exceeds_cap": 2}
-
     code, _, err = run_cli(["dist", "--budget", "3"], k4 + "\n",
                            monkeypatch, capsys)
     assert code == 3 and "error" in err
@@ -877,67 +870,76 @@ def test_cli_deeply_nested_coloring_exits_2(monkeypatch, capsys):
     assert (code, out) == (2, "") and err.startswith("error: bad coloring JSON")
 
 
+def test_cli_coloring_prints_the_paper_coloring(corpus_n6, monkeypatch, capsys):
+    # each document holds what verify checks for its row: the case of
+    # predict_dist and paper_coloring of G's certificate, which
+    # distinguishes mu_t(G); K_1 and K_2 stop at t = 1, which has none
+    for line, g in corpus_n6:
+        code, out, err = run_cli(["coloring", "--t", "1,2,3"], line + "\n",
+                                 monkeypatch, capsys)
+        if line in ("@", "A_"):
+            assert (code, out) == (2, "") and "has no paper coloring" in err
+            continue
+        assert (code, err) == (0, ""), line
+        res = distinguishing_number(g)
+        star = classify_star(g)
+        for t, doc in zip([1, 2, 3], json_docs(out), strict=True):
+            case = predict_dist(g, t, res.value).case_tag
+            coloring = paper_coloring(g, t, case, res.certificate, star)
+            assert (doc["case"], doc["t"], doc["k"], doc["colors"]) == (
+                case, t, coloring.k, list(coloring.assign)), (line, t)
+            assert doc["distinguishing"] is True, (line, t)
+
+
 def test_cli_coloring_star_and_kn(monkeypatch, capsys):
-    code, out, _ = run_cli(["coloring", "--construction", "star", "--m", "3"],
-                           "", monkeypatch, capsys)
+    k13 = write_graph6(star_graph(3))
+    code, out, _ = run_cli(["coloring"], k13 + "\n", monkeypatch, capsys)
     assert code == 0
     (doc,) = json_docs(out)
     assert doc["k"] == 3 and doc["distinguishing"] is True
     assert parse_graph6(doc["graph6"]).n == 9
 
-    code, out, _ = run_cli(["coloring", "--construction", "kn", "--n", "5"],
-                           "", monkeypatch, capsys)
+    k5 = write_graph6(complete_graph(5))
+    code, out, _ = run_cli(["coloring"], k5 + "\n", monkeypatch, capsys)
     (doc,) = json_docs(out)
     assert doc["k"] == 3 and doc["distinguishing"] is True
 
-    code, _, err = run_cli(["coloring", "--construction", "star"],
-                           "", monkeypatch, capsys)
-    assert code == 2
-    code, _, err = run_cli(["coloring", "--construction", "star", "--m", "1"],
-                           "", monkeypatch, capsys)
-    assert code == 2
-    code, out, err = run_cli(["coloring", "--construction", "kn", "--t", "1"],
-                             "", monkeypatch, capsys)
-    assert (code, out, err) == (2, "", "error: --construction kn needs --n\n")
-
 
 def test_cli_coloring_isolate_and_lift(monkeypatch, capsys):
-    code, out, _ = run_cli(["coloring", "--construction", "isolate", "--t", "2"],
-                           "A?\n", monkeypatch, capsys)
+    code, out, _ = run_cli(["coloring", "--t", "2"], "A?\n", monkeypatch, capsys)
     assert code == 0
     (doc,) = json_docs(out)
+    assert doc["case"] == "ISOLATE_DOMINATED"
     assert doc["k"] == 4 and doc["distinguishing"] is True
 
     c6 = write_graph6(cycle_graph(6))
-    code, out, _ = run_cli(
-        ["coloring", "--construction", "lift", "--t", "2", "--w-color", "2"],
-        c6 + "\n", monkeypatch, capsys)
+    code, out, _ = run_cli(["coloring", "--t", "2"], c6 + "\n", monkeypatch, capsys)
     (doc,) = json_docs(out)
+    assert doc["case"] == "GENERIC"
     assert doc["k"] == 2 and doc["distinguishing"] is True
 
-    # lift refuses K_2
-    code, _, _ = run_cli(["coloring", "--construction", "lift"],
-                         "A_\n", monkeypatch, capsys)
-    assert code == 2
+    # K_2 has no paper coloring at t = 1
+    code, out, err = run_cli(["coloring"], "A_\n", monkeypatch, capsys)
+    assert (code, out, err) == (2, "", "error: case K2_t1 has no paper coloring\n")
 
 
 def test_cli_coloring_reads_its_input_once_for_every_t(monkeypatch, capsys):
-    code, out, _ = run_cli(["coloring", "--construction", "isolate", "--t", "2,3"],
-                           "A?\n", monkeypatch, capsys)
+    code, out, _ = run_cli(["coloring", "--t", "2,3"], "A?\n", monkeypatch, capsys)
     assert code == 0
     assert [doc["t"] for doc in json_docs(out)] == [2, 3]
 
 
 # graph6 holds at most 62 vertices; a mu_t past that is rejected before
-# any mu_t or coloring is built, and before any document is printed
+# any mu_t or coloring is built, and before any document is printed;
+# for coloring, before the distinguishing search, which takes seconds on K_62
 @pytest.mark.parametrize("argv, stdin_text", [
     (["myc", "--t", "1,20000"], "E~~w\n"),
     (["myc", "--t", "30"], "A_\n"),
-    (["coloring", "--construction", "kn", "--n", "1500", "--t", "1"], ""),
-    (["coloring", "--construction", "star", "--m", "2", "--t", "300000"], ""),
-    (["coloring", "--construction", "star", "--m", "2", "--t", "1,30"], ""),
-    (["coloring", "--construction", "isolate", "--t", "1,40"], "A?\n"),
-], ids=["myc-t20000", "myc-t30", "kn-n1500", "star-t300000", "star-t30",
+    (["coloring", "--t", "1"], write_graph6(complete_graph(62)) + "\n"),
+    (["coloring", "--t", "300000"], "Bw\n"),
+    (["coloring", "--t", "1,30"], "Bw\n"),
+    (["coloring", "--t", "1,40"], "A?\n"),
+], ids=["myc-t20000", "myc-t30", "kn-n62", "star-t300000", "star-t30",
         "isolate-t40"])
 def test_cli_rejects_mu_t_over_graph6_range(argv, stdin_text, monkeypatch, capsys):
     start = time.perf_counter()
@@ -1024,6 +1026,11 @@ UNREAD_FLAGS = [
     ["check-coloring", "--coloring", "[1,2,3]", "--budget", "5"],
     ["verify", "--format", "edges"],
     ["verify", "--max-n", "6"],  # the vertex cap verify once had
+    # the options dist and coloring once had: the input's case now picks
+    # the coloring, and the step budget is the one stop rule of dist
+    ["dist", "--k-cap", "2"],
+    ["coloring", "--construction", "kn"],
+    ["coloring", "--w-color", "2"],
 ]
 
 
@@ -1037,10 +1044,10 @@ def test_cli_rejects_flags_a_subcommand_does_not_read(argv, monkeypatch, capsys)
 
 
 # Commands whose arguments would leak into the next one if parsing kept
-# state between calls: a flag left over (--k-cap), a subcommand default
-# overridden (--t of myc against the 1,2 default of verify).
+# state between calls: a flag left over (--t 2,3 of coloring), a subcommand
+# default overridden (--t of myc against the 1,2 default of verify).
 IN_ONE_PROCESS = [
-    (["dist", "--k-cap", "2"], "Dhc\n"),
+    (["coloring", "--t", "2,3"], "A?\n"),
     (["dist"], "Dhc\n"),
     (["myc", "--t", "1"], "A_\n"),
     (["verify"], "Bw\n"),
@@ -1061,6 +1068,8 @@ def test_cli_calls_in_one_process_match_fresh_processes(monkeypatch, capsys):
 
 
 _SMALL = st.integers(-1, 4).map(str)
+# --k-cap, --construction, --m, --n, --w-color and --max-n are flags that
+# no subcommand reads any more
 _FLAG_VALUES = {
     "--format": st.sampled_from(["graph6", "edges", "x"]),
     "--t": st.sampled_from(["1", "2", "3", "1,2", "1,2,3", "0", "-1", "x", ""]),

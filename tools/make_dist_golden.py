@@ -2,9 +2,8 @@
 
 * dist.jsonl: what `mycdist dist` prints for every graph with n <= 7 and
   for mu_1 and mu_2 of every graph with n <= 5;
-* coloring.jsonl: what `mycdist coloring` does for `isolate`, `lift` and
-  `lift --w-color 2` on every graph with n <= 5, `star --m 0..6` and
-  `kn --n 1..9`, each at `--t 1,2,3`;
+* coloring.jsonl: what `mycdist coloring --t 1,2,3` does on every graph
+  with n <= 5, and `--t 2,3` on K_1, whose t = 1 case has no coloring;
 * myc.jsonl: what `mycdist myc --t 1,2` does on every graph with n <= 5,
   read and written as graph6 and as an edge list;
 * verify.csv: what `mycdist verify data/graphs_n1_6.g6 --t 1,2,3 --out csv`
@@ -15,8 +14,8 @@
 Each dist.jsonl line is the graph's graph6 string merged into the
 command's JSON output. Each coloring.jsonl and myc.jsonl line is one
 command: its stdin, argv, exit code, the JSON documents it printed and
-its stderr, so the precondition errors are pinned along with the
-colorings. Run it only at a commit whose output is known good: the tests
+its stderr, so the cases with no paper coloring are pinned along with
+the colorings. Run it only at a commit whose output is known good: the tests
 that read the files treat them as correct.
 """
 
@@ -84,15 +83,9 @@ def dist_output(g6: str) -> dict:
 
 def coloring_commands() -> list[tuple[str, list[str]]]:
     """(stdin, argv) of each pinned `coloring` command."""
-    cmds = []
-    for g6 in corpus(5):
-        for extra in (["isolate"], ["lift"], ["lift", "--w-color", "2"]):
-            cmds.append((g6 + "\n", ["coloring", "--construction", *extra, *T_LIST]))
-    cmds += [("", ["coloring", "--construction", "star", "--m", str(m), *T_LIST])
-             for m in range(7)]
-    cmds += [("", ["coloring", "--construction", "kn", "--n", str(n), *T_LIST])
-             for n in range(1, 10)]
-    return cmds
+    cmds = [(g6 + "\n", ["coloring", *T_LIST]) for g6 in corpus(5)]
+    # K1_tgt1, past the K1_t1 case that stops --t 1,2,3
+    return cmds + [("@\n", ["coloring", "--t", "2,3"])]
 
 
 def myc_commands() -> list[tuple[str, list[str]]]:
