@@ -1,12 +1,13 @@
 """Generalized Mycielskian graphs, automorphisms, distinguishing numbers."""
 
 from .automorphism import (AutListing, Budget, enumerate_automorphisms,
-                           find_isomorphism, orbit_of, search_color_preserving)
+                           equitable_partition, find_isomorphism, orbit_of,
+                           search_color_preserving)
 from .constructions import (DistPrediction, isolate_case_coloring,
                             kn_base_coloring, lift_coloring, paper_coloring,
                             predict_dist, star_case_coloring)
 from .distinguishing import (Coloring, DistResult, distinguishing_number,
-                             twin_lower_bound)
+                             mycielskian_dist, twin_lower_bound)
 from .graph6 import (parse_edge_list, parse_graph6, write_edge_list,
                      write_graph6)
 from .graphs import (Graph, Star, classify_star, complete_graph, cycle_graph,

@@ -38,21 +38,19 @@ search_color_preserving, the check of a whole coloring for a caller with
 no chain, seeds the same search with the color classes instead.
 
 The chain is seeded with automorphisms known before any search: the swap
-of each pair of consecutive members of an open-twin class (the chain keeps
-the classes as twins, for the distinguishing search) or of a closed-twin
-class (N[u] = N[v]), and whatever the caller passes as known (verify
-passes the lifts of Aut(G) to mu_t(G)), which come from outside the
-search and so are each checked edge by edge. Starting Schreier-Sims
-from known generators is standard practice (Seress, 2003), and nauty
-reuses the automorphisms it has found the same way (McKay & Piperno,
-2014). A seed whose largest moved point is m fixes m+1..n-1, so it lies
-in H_(m+1) and moves m; it joins the generators just before level m's
-orbit step, which first closes the orbit under the generators so far and
-only then runs a targeted search for each cell member still unreached.
-The seeds can only reach points of the true orbit, and every point they
-miss still gets its own search, so every level's orbit, and with it the
-order, is that of the unseeded chain; only the transversal elements
-chosen, the stored generators and the number of searches change.
+of each pair of consecutive members of an open-twin class or of a
+closed-twin class (N[u] = N[v]). The chain keeps both kinds of class, for
+the distinguishing search. Starting Schreier-Sims from known generators
+is standard practice (Seress, 2003), and nauty reuses the automorphisms
+it has found the same way (McKay & Piperno, 2014). A swap whose larger
+point is m fixes m+1..n-1, so it lies in H_(m+1) and moves m; it joins
+the generators just before level m's orbit step, which first closes the
+orbit under the generators so far and only then runs a targeted search
+for each cell member still unreached. The seeds can only reach points of
+the true orbit, and every point they miss still gets its own search, so
+every level's orbit, and with it the order, is that of the unseeded
+chain; only the transversal elements chosen, the stored generators and
+the number of searches change.
 
 Refinement works in rounds. In each round every cell is split by the
 signatures its vertices have against the partition the round started
@@ -83,10 +81,10 @@ equitable, and the kernel would return the cut unchanged.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from functools import cached_property
 
-from .errors import PreconditionViolated, SearchBudgetExceeded, SizeMismatch
+from .errors import SearchBudgetExceeded, SizeMismatch
 from .graphs import Graph, twin_classes
 
 
@@ -100,15 +98,19 @@ class AutListing:
     level. Every automorphism is uniquely a product of one image per level,
     so order is read off the levels and preserving_moves_last walks them;
     the distinguishing search reads gens, and nothing builds the group.
-    twins holds the open-twin classes of g (graphs.twin_classes), whose
-    swaps seeded the chain and which the distinguishing search reads too.
+    twins holds the open-twin classes of g (graphs.twin_classes) and
+    closed_twins its closed-twin classes (N[u] = N[v]), each ordered by
+    least member: their swaps seeded the chain, and the distinguishing
+    search reads them too.
     """
 
     def __init__(self, n: int, levels: tuple[tuple[int, tuple, tuple], ...],
-                 twins: tuple[tuple[int, ...], ...]):
+                 twins: tuple[tuple[int, ...], ...],
+                 closed_twins: tuple[tuple[int, ...], ...]):
         self.n = n
         self.levels = levels
         self.twins = twins
+        self.closed_twins = closed_twins
 
     @property
     def order(self) -> int:
@@ -329,15 +331,6 @@ def _target_cell(P) -> int:
     return best
 
 
-def _maps_edges(adj, img) -> bool:
-    """Does the bijection img map every neighbourhood of adj onto the
-    neighbourhood of the image vertex?"""
-    for v in range(len(adj)):
-        if {img[u] for u in adj[v]} != adj[img[v]]:
-            return False
-    return True
-
-
 def _search_pair(adj_s, adj_t, P, Q,
                  split: int = -1) -> Iterator[tuple[int, ...]]:
     """Yield every isomorphism consistent with the aligned pair (P, Q),
@@ -365,8 +358,7 @@ def _search_pair(adj_s, adj_t, P, Q,
         yield from _search_pair(adj_s, adj_t, newP, newQ, best)
 
 
-def enumerate_automorphisms(g: Graph,
-                            known: Iterable[Sequence[int]] = ()) -> AutListing:
+def enumerate_automorphisms(g: Graph) -> AutListing:
     """Aut(g) as one stabilizer chain with base n-1, n-2, ..., 0.
 
     Level b is the stable pair with n-1..b+1 individualized, whose
@@ -375,14 +367,11 @@ def enumerate_automorphisms(g: Graph,
     No element is built: the order is read off the chain, and the
     color-preserving walk multiplies transversal elements as it goes.
 
-    known takes automorphisms of g already found elsewhere, as image
-    vectors; each is checked edge by edge and one that is not a
-    permutation or not an automorphism raises PreconditionViolated. They
-    and the swap of each pair of consecutive members of an open-twin or
-    closed-twin class seed the chain's generators, which spares the orbit
-    step a targeted search for every point they reach. The chain's order
-    and orbits do not depend on the seeds. The twin classes are kept on
-    the chain as twins.
+    The swap of each pair of consecutive members of an open-twin or
+    closed-twin class seeds the chain's generators, which spares the
+    orbit step a targeted search for every point it reaches. The chain's
+    order and orbits do not depend on the seeds. Both kinds of twin class
+    are kept on the chain.
     """
     n = g.n
     adj = g.adjacency
@@ -390,17 +379,17 @@ def enumerate_automorphisms(g: Graph,
     closed: dict[frozenset[int], list[int]] = {}
     for v in range(n):
         closed.setdefault(adj[v] | {v}, []).append(v)
+    closed_twins = tuple(map(tuple, closed.values()))
     # most classes are singletons, which have no swap
-    swaps = [cls for cls in (*twins, *closed.values()) if len(cls) > 1]
-    seeds = _seeds(n, adj, swaps, known)
+    swaps = [cls for cls in (*twins, *closed_twins) if len(cls) > 1]
     if n == 0:
-        return AutListing(0, (), twins)
+        return AutListing(0, (), twins, closed_twins)
+    seeds = _seeds(n, swaps)
     # the class in swaps of each vertex in one; no vertex is in both an
     # open-twin and a closed-twin class, since open twins are non-adjacent
     # and closed twins adjacent
     twin_of = {v: cls for cls in swaps for v in cls}
-    P = [list(range(n))]
-    P, _ = _refine_pair(adj, adj, P, P)
+    P = equitable_partition(g)
     cuts = []
     for b in range(n - 1, -1, -1):
         if len(P) == n:
@@ -422,33 +411,24 @@ def enumerate_automorphisms(g: Graph,
         gens.extend(seeds.get(b, ()))
         trans = _orbit(adj, P, ci, cut, gens)
         levels.append((b, tuple(trans.values()), tuple(gens[start:])))
-    return AutListing(n, tuple(levels), twins)
+    return AutListing(n, tuple(levels), twins, closed_twins)
 
 
-def _seeds(n: int, adj, classes, known) -> dict[int, dict[tuple[int, ...], None]]:
+def _seeds(n: int, classes) -> dict[int, list[tuple[int, ...]]]:
     """The swaps of consecutive members of each class in classes (the
     open-twin classes of the graph of size >= 2, then its closed-twin
-    classes, N[u] = N[v], of size >= 2) and the elements of known, each
-    under the largest point m it moves, in insertion order and without
-    repeats.
+    classes of size >= 2), each under its larger point m, in order.
 
-    A seed fixes m+1..n-1, so it lies in H_(m+1), moves m, and belongs
+    A swap fixes m+1..n-1, so it lies in H_(m+1), moves m, and belongs
     with the generators of level m, which exists because H_(m+1) moves m.
-    The identity moves nothing and is dropped.
+    No two classes share a vertex, so no swap repeats.
     """
-    by: dict[int, dict[tuple[int, ...], None]] = {}
+    by: dict[int, list[tuple[int, ...]]] = {}
     for cls in classes:
         for u, v in zip(cls, cls[1:]):
             img = list(range(n))
             img[u], img[v] = v, u
-            by.setdefault(v, {})[tuple(img)] = None
-    for p in known:
-        img = tuple(p)
-        if sorted(img) != list(range(n)) or not _maps_edges(adj, img):
-            raise PreconditionViolated(f"not an automorphism of the graph: {img}")
-        moved = [v for v, w in enumerate(img) if v != w]
-        if moved:
-            by.setdefault(moved[-1], {})[img] = None
+            by.setdefault(v, []).append(tuple(img))
     return by
 
 
@@ -512,6 +492,14 @@ def _close(trans: dict[int, tuple[int, ...]], gens: list[tuple[int, ...]]):
                 frontier.append(y)
 
 
+def equitable_partition(g: Graph) -> list[list[int]]:
+    """The stable equitable refinement of g's unit partition, its cells in
+    order and each ascending. Every automorphism of g maps each cell onto
+    itself, so a vertex alone in its cell is fixed by all of them."""
+    P = [list(range(g.n))]
+    return _refine_pair(g.adjacency, g.adjacency, P, P)[0]
+
+
 def orbit_of(g: Graph, v: int) -> frozenset[int]:
     """Orbit of v under Aut(g), without listing the group.
 
@@ -522,8 +510,7 @@ def orbit_of(g: Graph, v: int) -> frozenset[int]:
     """
     g._check(v)
     adj = g.adjacency
-    P = [list(range(g.n))]
-    P, _ = _refine_pair(adj, adj, P, P)
+    P = equitable_partition(g)
     ci = next(i for i, cell in enumerate(P) if v in cell)
     cut = P[:ci] + [[v], [x for x in P[ci] if x != v]] + P[ci + 1:]
     return frozenset(_orbit(adj, P, ci, cut, []))

@@ -7,9 +7,10 @@ permutations are never revisited and the first distinguishing k-coloring
 found is the lex-first one. Three prunes keep the tree small, all of them
 sound:
 
-* each class of open twins (equal open neighborhoods) takes strictly
-  ascending colors in id order. For twins u < v the swap h = (u v) is an
-  automorphism. If a canonical distinguishing coloring c had
+* each class of open twins (equal open neighborhoods) or of closed twins
+  (N[u] = N[v]) takes strictly ascending colors in id order. For twins
+  u < v of either kind the swap h = (u v) is an automorphism. If a
+  canonical distinguishing coloring c had
   c(u) > c(v), c o h renumbered would distinguish too and agree with c
   before u; c(v) < c(u) <= max(c[:u]) + 1, so c(v) already occurs before
   u, the renumbering keeps it, and c o h reads c(v) < c(u) at u. So c is
@@ -51,18 +52,38 @@ sound:
   DFS node or one transversal element composed, and the pruned tree never
   costs more than the unpruned one.
 
-The k loop starts at lower_bound, read off the chain: the largest twin
-class, and 2 when the group is nontrivial. A level below it has no
-distinguishing coloring, so skipping it changes no value or certificate.
+The k loop starts at lower_bound, read off the chain: the largest class
+of open or of closed twins, and 2 when the group is nontrivial. A level
+below it has no distinguishing coloring, so skipping it changes no value
+or certificate.
 
 distinguishing_number builds g's chain itself unless it is passed one as
-group=, as verify does with the chain it has already read the root orbit
-off, seeded with the automorphisms it knew. Seeds change which generators
-the chain stores, so the lex-leader prune may cut other prefixes and the
-budget count may move, but never the value or the certificate. The DFS
+group=, as verify does with the chain it has already built. The DFS
 keeps the running maximum of the colors on its path per depth, which is
 where each generator's renumbering starts. Its steps come out of the
 Budget the caller passes, or out of a fresh one of DEFAULT_BUDGET steps.
+
+mycielskian_dist answers dist(mu_t(G)) on G's chain, with no graph or
+chain of mu_t(G), for a G whose mu_t(G) has every automorphism fix the
+root w. README proves that the automorphisms of mu_t(G) fixing w are
+then exactly LT: the lifts L of Aut(G), each acting as it does on G on
+every level, times the group T of permutations within the sets of open
+twins of mu_t(G), which are C^s for each open-twin class C of G other
+than its isolates I and each level s, the t*l isolated vertices
+I^0 u ... u I^(t-1), and I^t. A coloring c of mu_t(G) distinguishes it
+exactly when c is injective on each set of T and no nontrivial
+automorphism of G preserves the coloring that gives member i of each C
+the color (lambda(C), i), where the label lambda(C) is the tuple of
+color sets c(C^0), ..., c(C^t), and gives each isolate a color of its
+own. So a class C can take any of comb(k, |C|)^(t+1) labels, the
+isolates only ask k >= t*l, the root's color is free, and the search
+asks on G's chain which labelings of the classes leave no nontrivial
+automorphism of G: a list-distinguishing question on G's open-twin
+quotient (Ferrara, Flesch & Gethner, EJC 18 (2011) P161). Labels are
+numbered by first occurrence within each class size, since only classes
+of one size can map onto each other; closed twins of G, each a class of
+one vertex, take ascending labels, by the twin argument above; and the
+color-preserving walk cuts each vertex-order prefix as in _search_k.
 
 This module checks no given coloring: search_color_preserving does, with
 no chain, and AutListing.is_distinguishing does on a chain.
@@ -70,6 +91,7 @@ no chain, and AutListing.is_distinguishing does on a chain.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from .automorphism import AutListing, Budget, enumerate_automorphisms
@@ -117,9 +139,10 @@ def twin_lower_bound(g: Graph) -> int:
 
 
 def lower_bound(group: AutListing) -> int:
-    """A lower bound on dist(g) read off g's chain: the largest twin class,
-    as twins take distinct colors, and 2 when Aut(g) is nontrivial."""
-    tb = max(map(len, group.twins), default=0)
+    """A lower bound on dist(g) read off g's chain: the largest class of
+    open or of closed twins, as twins take distinct colors, and 2 when
+    Aut(g) is nontrivial."""
+    tb = max(map(len, (*group.twins, *group.closed_twins)), default=0)
     return max(tb, 2) if group.order > 1 else tb
 
 
@@ -220,9 +243,11 @@ def distinguishing_number(g: Graph, *, budget: Budget | None = None,
     elif group.n != n:
         raise SizeMismatch(f"chain on {group.n} points != graph order {n}")
     prev = [-1] * n  # prev[v]: the member of v's twin class before v, or -1
-    for cl in group.twins:
+    for cl in (*group.twins, *group.closed_twins):
         for u, v in zip(cl, cl[1:]):
             prev[v] = u
+    # the witness reads the open classes alone, as it did before the bound
+    # read closed ones, so that what dist prints stays the same
     tb = max(len(cl) for cl in group.twins)
     gens = _generators(group)
 
@@ -232,3 +257,64 @@ def distinguishing_number(g: Graph, *, budget: Budget | None = None,
             witness = tb if (tb >= 2 and k == tb) else None
             return DistResult(k, Coloring(k, cert), witness)
     raise AssertionError("rainbow coloring is always distinguishing")
+
+
+def _labeling_k(classes, ends, prev, caps, colors, moves_last, budget: Budget) -> bool:
+    """Is there a labeling of classes, with labels 1..caps[s] for a class
+    of size s, under which no nontrivial automorphism preserves colors?
+    Member i of a class of size s with label x is colored (s, x, i);
+    ends[j] is the length of the vertex-order prefix that is colored once
+    classes[:j+1] are, and colors already holds every other vertex's.
+    prev[v] is the closed twin before v, or -1: closed twins take
+    ascending labels (module docstring)."""
+    used = dict.fromkeys(caps, 0)  # labels used so far, per class size
+
+    def dfs(j: int, d: int) -> bool:
+        budget.spend()
+        if j == len(classes):
+            return True
+        cls = classes[j]
+        s = len(cls)
+        top = used[s]
+        lo = colors[prev[cls[0]]][1] + 1 if prev[cls[0]] >= 0 else 1
+        for label in range(lo, min(top + 1, caps[s]) + 1):
+            for i, v in enumerate(cls):
+                colors[v] = (s, label, i)
+            if any(moves_last(colors, e, budget) for e in range(d + 1, ends[j] + 1)):
+                continue
+            used[s] = max(top, label)
+            if dfs(j + 1, ends[j]):
+                return True
+        used[s] = top
+        return False
+
+    # the vertices before the first class are isolates, which no
+    # nontrivial automorphism preserves, as their colors all differ
+    return dfs(0, classes[0][0] if classes else 0)
+
+
+def mycielskian_dist(g: Graph, t: int, group: AutListing, budget: Budget) -> int:
+    """dist(mu_t(g)), for t >= 1 and a g whose mu_t(g) has every
+    automorphism fix the root, read off group, g's chain: the least k for
+    which some labeling of g's open-twin classes other than the isolates
+    distinguishes (module docstring). k starts at the largest such class
+    and at t*l. A budget step is one node of the search or one transversal
+    element of the walk; SearchBudgetExceeded when budget runs out.
+    """
+    adj = g.adjacency
+    classes = [cls for cls in group.twins if adj[cls[0]]]
+    ell = g.n - sum(map(len, classes))
+    # every vertex starts with a color of its own, which the isolates keep
+    colors: list = [(0, 0, v) for v in range(g.n)]
+    ends = [cls[0] for cls in classes[1:]] + [g.n]
+    # closed twins of g are open-twin classes of one vertex each
+    prev = [-1] * g.n
+    for cl in group.closed_twins:
+        for u, v in zip(cl, cl[1:]):
+            prev[v] = u
+    k = max(max(map(len, classes), default=0), t * ell)
+    while not _labeling_k(classes, ends, prev,
+                          {len(cls): math.comb(k, len(cls)) ** (t + 1) for cls in classes},
+                          colors, group.preserving_moves_last, budget):
+        k += 1
+    return k

@@ -7,8 +7,7 @@ edges (s*n+i, (s+1)*n+j) and (s*n+j, (s+1)*n+i) for 0 <= s < t; w is
 adjacent to exactly the level-t vertices.
 
 This module is the only one that knows the scheme: the constructions
-build their colorings as per-level rows and verify lifts Aut(G), both
-through MycLayout.lift and MycLayout.lift_automorphism.
+build their colorings as per-level rows through MycLayout.lift.
 """
 
 from __future__ import annotations
@@ -68,12 +67,6 @@ class MycLayout(namedtuple("MycLayout", "n t")):
         if len(rows) != self.t + 1 or any(len(row) != self.n for row in rows):
             raise SizeMismatch(f"need {self.t + 1} rows of {self.n} values")
         return tuple(x for row in rows for x in row) + (root,)
-
-    def lift_automorphism(self, h: tuple[int, ...]) -> tuple[int, ...]:
-        """The automorphism h of the source, an image vector of length n,
-        acting as h on every level and fixing the root."""
-        n, t = self
-        return tuple(s * n + x for s in range(t + 1) for x in h) + (self.root,)
 
 
 def build_mycielskian(g: Graph, t: int) -> tuple[Graph, MycLayout]:

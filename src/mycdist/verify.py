@@ -5,25 +5,26 @@ predict_dist, and classifies the orbit of the root. Records are
 independent, so sweeps may run across processes; results are emitted in
 input order either way, making reports byte-identical for any --jobs.
 
-Each graph's group is built once as a stabilizer chain. Every
-automorphism sigma of G lifts to mu_t(G), acting on each layer as sigma
-does and fixing the root, so the chain of mu_t(G) is seeded with the
-lifts of the generators of G's chain and searches only for the
-automorphisms they do not reach. The root is the last vertex, the
-chain's first base point, so its orbit is read off the chain's top level
-with no search of its own, and the same chain serves the distinguishing
-search.
+Each graph's group is built once as a stabilizer chain, which serves
+G's own distinguishing search and every row of the graph where the root
+w of mu_t(G) is fixed. Each row refines the unit partition of mu_t(G)
+once. Where w is a singleton cell, every automorphism fixes it, so the
+root orbit is fixed, the automorphisms of mu_t(G) are the lifts of
+Aut(G) times the swaps of open twins (README), and
+distinguishing.mycielskian_dist measures the row on G's chain.
 
-Every case with a paper coloring of mu_t(G) (constructions.paper_coloring
-names it) settles the row the same way. The coloring bounds the value
-from above. When it has as many colors as the chain's lower bound
-(distinguishing.lower_bound) and the chain finds no nontrivial
-automorphism that preserves it, the two bounds meet and that is the
-value, found with no DFS. The row's method is search either way: the
-value is exact and was found within the budget, which the chain's walk
-spends from. Apart from the chain builds, every search a record runs
-spends from its budget; a row whose walk or DFS runs out of it reads
-budget_exceeded.
+Every other row (the stars, K_1 and K_2 among them) builds the chain of
+mu_t(G). The root is the last vertex, the chain's first base point, so
+its orbit is read off the chain's top level with no search of its own.
+A case with a paper coloring of mu_t(G) (constructions.paper_coloring
+names it) settles the row when the coloring has as many colors as the
+chain's lower bound (distinguishing.lower_bound) and the chain finds no
+nontrivial automorphism that preserves it: the two bounds meet and that
+is the value, found with no DFS. Otherwise the DFS runs on that chain.
+The row's method is search either way: the value is exact and was found
+within the budget. Apart from the chain builds and the refinement, every
+search a record runs spends from its budget; a row whose search, walk
+or DFS runs out of it reads budget_exceeded.
 """
 
 from __future__ import annotations
@@ -36,10 +37,12 @@ from collections import namedtuple
 
 from . import distinguishing
 # bench/run.py --trace 1 wraps verify.orbit_of by name; records read the
-# root orbit off the chain instead
-from .automorphism import AutListing, Budget, orbit_of  # noqa: F401
+# root orbit off the refinement or the chain instead
+from .automorphism import (AutListing, Budget, equitable_partition,  # noqa: F401
+                           orbit_of)
 from .constructions import paper_coloring, predict_dist
-from .distinguishing import DEFAULT_BUDGET, distinguishing_number, lower_bound
+from .distinguishing import (DEFAULT_BUDGET, distinguishing_number, lower_bound,
+                             mycielskian_dist)
 from .errors import MycdistError, SearchBudgetExceeded
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Star, classify_star, isolated_vertices
@@ -126,20 +129,11 @@ def expected_root_orbit(star: Star | None) -> str:
     return ORBIT_ALL if star.m == 1 else ORBIT_CENTER_SHADOW
 
 
-def _lifts(group: AutListing, t: int) -> list[tuple[int, ...]]:
-    """The generators of G's chain lifted to mu_t(G): each acts as it
-    does on G on every layer and fixes the root."""
-    layout = MycLayout(group.n, t)
-    return [layout.lift_automorphism(h) for _, _, gens in group.levels for h in gens]
-
-
 def _root_orbit(chain: AutListing, root: int) -> frozenset[int]:
-    """Orbit of the last vertex, the chain's first base point: the images
-    of the top level when the root is its base point, and the root alone
-    when the refined unit partition already isolates it."""
-    if chain.levels and chain.levels[-1][0] == root:
-        return frozenset(img[root] for img in chain.levels[-1][1])
-    return frozenset((root,))
+    """Orbit of the last vertex where the refined unit partition leaves it
+    in a larger cell: it is then the chain's first base point, and its
+    orbit the images of the top level."""
+    return frozenset(img[root] for img in chain.levels[-1][1])
 
 
 def _malformed_rows(line: str, ts: list[int]) -> list[VerifyRecord]:
@@ -174,8 +168,14 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
     rows = []
     for t in ts:
         mu, layout = build_mycielskian(g, t)
-        mu_group = distinguishing.enumerate_automorphisms(mu, known=_lifts(group, t))
-        orbit_class = classify_root_orbit(_root_orbit(mu_group, layout.root), layout, star)
+        root = layout.root
+        mu_group = None
+        if [root] in equitable_partition(mu):
+            orbit: frozenset[int] = frozenset((root,))
+        else:
+            mu_group = distinguishing.enumerate_automorphisms(mu)
+            orbit = _root_orbit(mu_group, root)
+        orbit_class = classify_root_orbit(orbit, layout, star)
         if dist_g_result is None:
             # no prediction possible without dist(g); still worth a row
             rows.append(VerifyRecord(g6, g.n, ell, t=t, method=METHOD_BUDGET_EXCEEDED,
@@ -184,16 +184,19 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
         prediction = predict_dist(g, t, dist_g_result.value)
         method = METHOD_SEARCH
         measured: int | None
-        coloring = paper_coloring(g, t, prediction.case_tag,
-                                  dist_g_result.certificate, star)
         budget = Budget(budget_steps)
         try:
-            if (coloring is not None and coloring.k == lower_bound(mu_group)
-                    and mu_group.is_distinguishing(coloring.assign, budget)):
-                measured = coloring.k
+            if mu_group is None:
+                measured = mycielskian_dist(g, t, group, budget)
             else:
-                measured = distinguishing_number(mu, budget=budget,
-                                                 group=mu_group).value
+                coloring = paper_coloring(g, t, prediction.case_tag,
+                                          dist_g_result.certificate, star)
+                if (coloring is not None and coloring.k == lower_bound(mu_group)
+                        and mu_group.is_distinguishing(coloring.assign, budget)):
+                    measured = coloring.k
+                else:
+                    measured = distinguishing_number(mu, budget=budget,
+                                                     group=mu_group).value
         except SearchBudgetExceeded:
             measured, method = None, METHOD_BUDGET_EXCEEDED
         ok = (measured is not None and prediction.holds(measured)

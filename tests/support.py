@@ -10,7 +10,8 @@ listing in oracles.py checks the first two. validate_facts reads the
 MycLayout it is given, since what it checks is that a built graph fits
 that layout. It also holds the small helpers that only the tests use:
 disjoint_union, canonical, is_automorphism, is_isomorphism, distinguishes,
-mycielskian_group_order and mycielskian_twin_sets.
+lifted_automorphism, lt_order, mycielskian_group_order and
+mycielskian_twin_sets.
 """
 
 import dataclasses
@@ -106,26 +107,46 @@ def is_isomorphism(g, h, img):
         (min(img[u], img[v]), max(img[u], img[v])) in edges for u, v in g.edges())
 
 
-def mycielskian_group_order(g, t, aut_order):
-    """|Aut(mu_t(G))| in closed form, for aut_order = |Aut(G)|: with ell
-    the isolated vertices of G and C its open-twin classes other than the
-    isolates, |Aut(G)| (t ell)! prod_C (|C|!)^t; twice that for a star
-    K_{1,m} with m != 1 (K_1 is the star with m = 0), and 2(2t+3) for
-    K_2, whose mu_t is the cycle C_(2t+3). A measured observation, not a
-    theorem (README)."""
+def _neighbourhoods(g):
     nbhd = [set() for _ in range(g.n)]
     for u, v in g.edges():
         nbhd[u].add(v)
         nbhd[v].add(u)
+    return nbhd
+
+
+def lt_order(g, t, aut_order):
+    """|LT| for mu_t(G), aut_order = |Aut(G)|: with ell the isolated
+    vertices of G and C its open-twin classes other than the isolates,
+    |Aut(G)| (t ell)! prod_C (|C|!)^t (README's lemma)."""
+    nbhd = _neighbourhoods(g)
     classes = Counter(frozenset(s) for s in nbhd if s)
     ell = sum(1 for s in nbhd if not s)
+    return aut_order * math.factorial(t * ell) * math.prod(
+        math.factorial(size) ** t for size in classes.values())
+
+
+def mycielskian_group_order(g, t, aut_order):
+    """|Aut(mu_t(G))| in closed form, for aut_order = |Aut(G)|: |LT|;
+    twice that for a star K_{1,m} with m != 1 (K_1 is the star with
+    m = 0), and 2(2t+3) for K_2, whose mu_t is the cycle C_(2t+3). That
+    the root is fixed on every other G is a measured observation, not a
+    theorem (README)."""
+    nbhd = _neighbourhoods(g)
     m = len(g.edges())
     if g.n == 2 and m == 1:
         return 2 * (2 * t + 3)
-    order = aut_order * math.factorial(t * ell) * math.prod(
-        math.factorial(size) ** t for size in classes.values())
+    order = lt_order(g, t, aut_order)
     star = g.n == 1 or (m == g.n - 1 and any(len(s) == g.n - 1 for s in nbhd))
     return 2 * order if star else order
+
+
+def lifted_automorphism(h, t):
+    """The automorphism h of G, an image vector of length n, lifted to
+    mu_t(G) in MycLayout's scheme (copy s of vertex i is s n + i, the
+    root (t+1) n): h on every level, the root fixed."""
+    n = len(h)
+    return tuple(s * n + x for s in range(t + 1) for x in h) + ((t + 1) * n,)
 
 
 def mycielskian_twin_sets(g, t):
@@ -343,7 +364,7 @@ def chain_without_generators(g: Graph):
     group= it runs unpruned, with the same value and certificate."""
     group = enumerate_automorphisms(g)
     levels = tuple((b, images, ()) for b, images, _ in group.levels)
-    return AutListing(group.n, levels, group.twins)
+    return AutListing(group.n, levels, group.twins, group.closed_twins)
 
 
 # The listing as it was before the stabilizer chain: every group element

@@ -14,18 +14,20 @@ from mycdist import (Graph, build_mycielskian, complete_graph, cycle_graph,
                      enumerate_automorphisms, find_isomorphism, orbit_of,
                      path_graph, search_color_preserving, star_graph,
                      twin_classes)
-from mycdist import automorphism, verify
-from mycdist.automorphism import Budget, _refine_pair
+from mycdist import automorphism
+from mycdist.automorphism import Budget, _refine_pair, equitable_partition
 from mycdist.constructions import kn_base_coloring, lift_coloring
 from mycdist.distinguishing import distinguishing_number
 from mycdist.errors import (PreconditionViolated, SearchBudgetExceeded,
                             SizeMismatch)
+from mycdist.graphs import classify_star
 
 from .oracles import enumerate_automorphisms_naive
 from .support import (assert_group_axioms, chain_elements, disjoint_union,
                       graphs, is_automorphism, is_isomorphism,
-                      mycielskian_group_order, mycielskian_twin_sets,
-                      reference_listing, twin_rich_graphs)
+                      lifted_automorphism, lt_order, mycielskian_group_order,
+                      mycielskian_twin_sets, reference_listing,
+                      twin_rich_graphs)
 
 
 def petersen() -> Graph:
@@ -297,14 +299,12 @@ def test_listing_has_one_element_per_group_element(g):
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.one_of(graphs(7), twin_rich_graphs(7)), st.data())
-def test_seeded_chain_lists_the_group(g, data):
-    """Twin swaps and known automorphisms seed the generators; every
-    unreached orbit point still gets its own search, so the chain lists
-    exactly the group."""
+@given(st.one_of(graphs(7), twin_rich_graphs(7)))
+def test_seeded_chain_lists_the_group(g):
+    """Twin swaps seed the generators; every unreached orbit point still
+    gets its own search, so the chain lists exactly the group."""
     naive = enumerate_automorphisms_naive(g)
-    known = data.draw(st.lists(st.sampled_from(naive), max_size=3))
-    group = enumerate_automorphisms(g, known=known)
+    group = enumerate_automorphisms(g)
     assert group.order == len(naive)
     assert chain_elements(group) == naive
 
@@ -315,42 +315,71 @@ def _basic_orbits(group):
     return [(b, sorted(img[b] for img in images)) for b, images, _ in group.levels]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(graphs(7), twin_rich_graphs(7)), st.integers(1, 2))
-def test_lifted_generators_leave_the_mycielskian_chain_unchanged(g, t):
-    mu, _ = build_mycielskian(g, t)
-    lifts = verify._lifts(enumerate_automorphisms(g), t)
-    seeded = enumerate_automorphisms(mu, known=lifts)
-    plain = enumerate_automorphisms(mu)
-    assert seeded.order == plain.order
-    assert _basic_orbits(seeded) == _basic_orbits(plain)
-
-
 def test_mycielskian_group_order_in_closed_form(corpus_n6):
-    """The order of mu_t(G)'s chain, seeded as verify seeds it, against
-    the closed form in support, for every G with n <= 6 at t = 1, 2, 3:
-    the lifts of Aut(G) and the open-twin swaps generate Aut(mu_t(G)),
-    up to the root swap of a star and the cycle of K_2."""
+    """The order of mu_t(G)'s chain against the closed form in support,
+    for every G with n <= 6 at t = 1, 2, 3: the lifts of Aut(G) and the
+    open-twin swaps generate Aut(mu_t(G)), up to the root swap of a star
+    and the cycle of K_2."""
     for line, g in corpus_n6:
-        group = enumerate_automorphisms(g)
         aut_order = len(enumerate_automorphisms_naive(g))
         for t in (1, 2, 3):
             mu, _ = build_mycielskian(g, t)
-            order = enumerate_automorphisms(mu, known=verify._lifts(group, t)).order
+            order = enumerate_automorphisms(mu).order
             assert order == mycielskian_group_order(g, t, aut_order), (line, t)
+
+
+def _distances_from(g, v):
+    dist = {v: 0}
+    frontier = [v]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for x in g.neighbors(u):
+                if x not in dist:
+                    dist[x] = dist[u] + 1
+                    nxt.append(x)
+        frontier = nxt
+    return dist
+
+
+def test_root_stabilizer_is_lt(corpus_n6):
+    """README's proof that the automorphisms of mu_t(G) fixing the root w
+    are LT, checked on every G with n <= 6 at t = 1, 2, 3 (624 rows): step
+    1's distances from w; |Aut(mu_t(G))| = |LT| |orbit of w|, with no case
+    for stars or K_2; and w alone in its cell of the refined unit
+    partition, so fixed, on every row but a star's."""
+    rows = 0
+    for line, g in corpus_n6:
+        aut_order = len(enumerate_automorphisms_naive(g))
+        for t in (1, 2, 3):
+            mu, layout = build_mycielskian(g, t)
+            w = layout.root
+            dist = _distances_from(mu, w)
+            for i in range(g.n):
+                if g.neighbors(i):
+                    for s in range(t + 1):
+                        want = t + 1 - s if s else t + 1
+                        assert dist[layout.vertex_id(i, s)] == want, (line, t, i, s)
+            orbit = orbit_of(mu, w)
+            assert enumerate_automorphisms(mu).order == lt_order(
+                g, t, aut_order) * len(orbit), (line, t)
+            fixed = [w] in equitable_partition(mu)
+            assert fixed == (classify_star(g) is None), (line, t)
+            rows += 1
+    assert rows == 624
 
 
 def test_lifts_normalize_the_open_twin_swaps(corpus_n6):
     """The "⊇" half of README's lemma, on every G with n <= 6 at t = 1, 2,
     3: each swap of consecutive members of a set of T is an automorphism
     of mu_t(G), so T <= Aut(mu_t(G)); and the lift of each generator of
-    G's chain maps every set of T onto a set of T, so the lifts
-    normalize T."""
+    G's chain (support.lifted_automorphism) is an automorphism of mu_t(G)
+    that maps every set of T onto a set of T, so the lifts normalize T."""
     swaps = 0
     for line, g in corpus_n6:
         gens = [h for _, _, found in enumerate_automorphisms(g).levels for h in found]
         for t in (1, 2, 3):
-            mu, layout = build_mycielskian(g, t)
+            mu, _ = build_mycielskian(g, t)
             sets = mycielskian_twin_sets(g, t)
             for members in sets:
                 for a, b in zip(members, members[1:]):
@@ -360,28 +389,22 @@ def test_lifts_normalize_the_open_twin_swaps(corpus_n6):
                     swaps += 1
             blocks = {frozenset(x) for x in sets}
             for h in gens:
-                lift = layout.lift_automorphism(h)
+                lift = lifted_automorphism(h, t)
+                assert is_automorphism(mu, lift), (line, t, h)
                 images = {frozenset(lift[v] for v in x) for x in sets}
                 assert images == blocks, (line, t, h)
     assert swaps == 1743
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.one_of(graphs(7), twin_rich_graphs(7)), st.data())
-def test_known_non_automorphism_is_rejected(g, data):
-    p = data.draw(st.permutations(range(g.n)))
-    if is_automorphism(g, p):
-        assert enumerate_automorphisms(g, known=[p]).order == len(
-            enumerate_automorphisms_naive(g))
-    else:
-        with pytest.raises(PreconditionViolated, match="not an automorphism"):
-            enumerate_automorphisms(g, known=[p])
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(graphs(7), twin_rich_graphs(7)))
 def test_chain_keeps_the_twin_classes(g):
-    assert [list(cls) for cls in enumerate_automorphisms(g).twins] == twin_classes(g)
+    group = enumerate_automorphisms(g)
+    assert [list(cls) for cls in group.twins] == twin_classes(g)
+    closed = [[u for u in range(g.n) if g.adjacency[u] | {u} == g.adjacency[v] | {v}]
+              for v in range(g.n)]
+    assert [list(cls) for cls in group.closed_twins] == sorted(
+        map(list, {tuple(cls) for cls in closed}))
 
 
 def _complement(g):
@@ -433,14 +456,6 @@ def test_closed_twin_swaps_seed_the_chain(g):
 def test_closed_twin_seeded_chain_matches_naive(g):
     # open twins of g are closed twins of its complement
     _chain_matches_naive(_complement(g))
-
-
-def test_known_takes_permutations_and_rejects_non_bijections():
-    g = path_graph(4)
-    assert enumerate_automorphisms(g, known=[(3, 2, 1, 0)]).order == 2
-    for bad in [(1, 0, 2, 3), (0, 1, 2), (0, 0, 2, 3), (0, 1, 2, 3, 4)]:
-        with pytest.raises(PreconditionViolated, match="not an automorphism"):
-            enumerate_automorphisms(g, known=[bad])
 
 
 def _stabilizer(naive, d: int):
@@ -499,8 +514,7 @@ def test_chain_is_distinguishing_matches_search_on_case_colorings(corpus_n6):
         cert = distinguishing_number(g).certificate
         for t in (1, 2):
             mu, _ = build_mycielskian(g, t)
-            group = enumerate_automorphisms(mu, known=verify._lifts(
-                enumerate_automorphisms(g), t))
+            group = enumerate_automorphisms(mu)
             colorings = []
             with contextlib.suppress(PreconditionViolated):
                 colorings.append(lift_coloring(g, t, cert))
@@ -547,45 +561,30 @@ def test_first_preserving_needs_a_shared_color_and_orbit(g, data):
 
 
 # sha256 of repr(chain.levels) over the chains of every graph with n <= 7,
-# then of mu_1 and mu_2 of every graph with n <= 5, in corpus order; and over
-# those mu_t chains seeded with the lifts of G's generators, as verify builds
-# them. Written by the engine before the chain build skipped refining cuts
-# of twin cells and the search stopped checking the identity leaf, they show
-# that neither shortcut changes a chain.
+# then of mu_1 and mu_2 of every graph with n <= 5, in corpus order. Written
+# by the engine before the chain build skipped refining cuts of twin cells
+# and the search stopped checking the identity leaf, it shows that neither
+# shortcut changes a chain.
 CHAIN_SHA256 = "5fda0d49b5c63d0f10996d5253f0904c5878199ec136d46f26167e180c415c4d"
-LIFTED_CHAIN_SHA256 = "a6e0cc3cc0474f0dc3986bc6dd7e19c913f344a33c04bc226657cb4b96114266"
 
 
 def test_chains_are_pinned(corpus_n7):
-    plain, lifted = hashlib.sha256(), hashlib.sha256()
+    plain = hashlib.sha256()
     for _, g in corpus_n7:
         plain.update(repr(enumerate_automorphisms(g).levels).encode())
     for _, g in corpus_n7:
         if g.n > 5:
             continue
-        group = enumerate_automorphisms(g)
         for t in (1, 2):
             mu, _ = build_mycielskian(g, t)
             plain.update(repr(enumerate_automorphisms(mu).levels).encode())
-            seeded = enumerate_automorphisms(mu, known=verify._lifts(group, t))
-            lifted.update(repr(seeded.levels).encode())
     assert plain.hexdigest() == CHAIN_SHA256
-    assert lifted.hexdigest() == LIFTED_CHAIN_SHA256
 
 
-def test_discrete_coloring_needs_no_edge_check(corpus_n7, monkeypatch):
+def test_discrete_coloring_needs_no_edge_check(corpus_n7):
     """No search checks a leaf edge by edge: a coloring whose refinement is
     discrete admits only the identity, and a pair leaf, the identity or
-    not, is yielded as it stands. Only the automorphisms passed as known,
-    which come from outside the search, are checked."""
-    calls = []
-    check = automorphism._maps_edges
-
-    def counted(*args):
-        calls.append(1)
-        return check(*args)
-
-    monkeypatch.setattr(automorphism, "_maps_edges", counted)
+    not, is yielded as it stands."""
     rng = random.Random(0)
     discrete = 0
     for _, g in corpus_n7:
@@ -602,6 +601,3 @@ def test_discrete_coloring_needs_no_edge_check(corpus_n7, monkeypatch):
     assert find_isomorphism(p5, Graph(5, [(4, 3), (3, 2), (2, 1), (1, 0)])) is not None
     assert orbit_of(p5, 0) == {0, 4}
     assert enumerate_automorphisms(petersen()).order == 120
-    assert calls == []
-    assert enumerate_automorphisms(p5, known=[(4, 3, 2, 1, 0)]).order == 2
-    assert calls == [1]

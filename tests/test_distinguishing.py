@@ -1,6 +1,7 @@
 """Exact distinguishing search against the brute-force oracle."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 
 from mycdist import (Coloring, Graph, build_mycielskian, complete_graph,
                      cycle_graph, distinguishing_number, parse_graph6,
-                     path_graph, star_graph, twin_lower_bound)
+                     path_graph, process_record, star_graph, twin_lower_bound,
+                     write_graph6)
 from mycdist import automorphism, distinguishing
-from mycdist.automorphism import Budget, enumerate_automorphisms
-from mycdist.distinguishing import _smaller_image
+from mycdist.automorphism import Budget, enumerate_automorphisms, equitable_partition
+from mycdist.distinguishing import (DEFAULT_BUDGET, _smaller_image, lower_bound,
+                                    mycielskian_dist)
 from mycdist.errors import MalformedColoring, SearchBudgetExceeded, SizeMismatch
 from mycdist.graphs import twin_classes
 
@@ -396,3 +399,83 @@ def test_order_zero_and_singleton():
     assert distinguishing_number(Graph(0)).value == 0
     res = distinguishing_number(Graph(1))
     assert res.value == 1 and res.certificate.assign == (1,)
+
+
+def _root_fixed(g, t):
+    """mu_t(g) when its root is alone in its refined cell, else None."""
+    mu, layout = build_mycielskian(g, t)
+    return mu if [layout.root] in equitable_partition(mu) else None
+
+
+def test_mycielskian_dist_matches_the_dfs_on_the_corpus(corpus_n6):
+    # every row with n <= 6 at t <= 3 whose root is fixed: all but the 18
+    # rows of the six stars K_1, ..., K_{1,5}
+    rows = 0
+    for line, g in corpus_n6:
+        group = enumerate_automorphisms(g)
+        for t in (1, 2, 3):
+            mu = _root_fixed(g, t)
+            if mu is None:
+                continue
+            got = mycielskian_dist(g, t, group, Budget(DEFAULT_BUDGET))
+            assert got == distinguishing_number(mu).value, (line, t)
+            rows += 1
+    assert rows == 606
+
+
+def test_mycielskian_dist_matches_the_dfs_on_random_n8_graphs():
+    rng = random.Random(8)
+    rows = symmetric = 0
+    for _ in range(40):
+        p = rng.choice((0.15, 0.3, 0.5))
+        g = Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8)
+                      if rng.random() < p])
+        group = enumerate_automorphisms(g)
+        symmetric += group.order > 1
+        for t in (1, 2):
+            mu = _root_fixed(g, t)
+            if mu is None:
+                continue
+            got = mycielskian_dist(g, t, group, Budget(DEFAULT_BUDGET))
+            assert got == distinguishing_number(mu).value, (g.edges(), t)
+            rows += 1
+    assert rows == 80 and symmetric >= 10
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_complete_graph_rows_read_the_digit_law(n):
+    # Aut(K_n) is S_n on n classes of one vertex, so every label differs:
+    # the value is the least k with k^(t+1) >= n, and the row is measured
+    # on G's chain, with no chain or DFS of mu_t(K_n)
+    g = complete_graph(n)
+    group = enumerate_automorphisms(g)
+    rows = process_record(write_graph6(g), [1, 2, 3, 4], DEFAULT_BUDGET)
+    for t, r in zip((1, 2, 3, 4), rows):
+        k = next(k for k in itertools.count(1) if k ** (t + 1) >= n)
+        assert _root_fixed(g, t) is not None
+        assert mycielskian_dist(g, t, group, Budget(DEFAULT_BUDGET)) == k
+        assert (r.measured, r.method, r.root_orbit) == (k, "search", "fixed")
+
+
+def test_mycielskian_dist_spends_the_budget():
+    # mu_1(C_5): one step per node and per transversal element walked
+    c5 = cycle_graph(5)
+    group = enumerate_automorphisms(c5)
+    budget = Budget(DEFAULT_BUDGET)
+    assert mycielskian_dist(c5, 1, group, budget) == 2
+    assert budget.used == 18
+    with pytest.raises(SearchBudgetExceeded):
+        mycielskian_dist(c5, 1, group, Budget(budget.used - 1))
+
+
+def test_closed_twins_bound_complete_graphs():
+    # K_n is one class of closed twins: the k loop starts at n, and the
+    # search walks one ascending path to the rainbow coloring, one step
+    # per node; the witness still reads the open classes, which are
+    # single vertices here
+    assert lower_bound(enumerate_automorphisms(complete_graph(5))) == 5
+    budget = Budget(DEFAULT_BUDGET)
+    res = distinguishing_number(complete_graph(62), budget=budget)
+    assert res.value == 62 and res.certificate.assign == tuple(range(1, 63))
+    assert res.lower_bound_witness is None
+    assert budget.used <= 63

@@ -57,8 +57,6 @@ CONDITIONS = [
      PreconditionViolated, "star case needs m >= 2, got 1"),
     ("range-kn", lambda: kn_base_coloring(2, 1),
      PreconditionViolated, "base coloring needs n >= 3, got 2"),
-    ("known", lambda: enumerate_automorphisms(path_graph(3), known=[(1, 0, 2)]),
-     PreconditionViolated, "not an automorphism of the graph: (1, 0, 2)"),
     # a path on 3 vertices, read from stdin
     ("cli-check-coloring", ["check-coloring", "--coloring", "[1,2]"],
      SizeMismatch, "coloring length 2 != graph order 3"),

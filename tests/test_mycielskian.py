@@ -3,13 +3,12 @@
 import pytest
 
 from mycdist import (Graph, MycLayout, build_mycielskian, complete_graph,
-                     cycle_graph, enumerate_automorphisms, find_isomorphism,
-                     parse_graph6, star_graph)
+                     cycle_graph, find_isomorphism, parse_graph6, star_graph)
 from mycdist.errors import (InvalidT, PreconditionViolated, SizeMismatch,
                             VertexOutOfRange)
 
 from .conftest import corpus_lines
-from .support import (disjoint_union, is_automorphism, naive_component_count,
+from .support import (disjoint_union, naive_component_count,
                       naive_cut_vertices, validate_facts)
 
 # mu(K_{1,3}) drawn edge by edge: leaves 0,1,2, center 3, level-1 copies
@@ -93,19 +92,6 @@ def test_lift_rejects_rows_of_the_wrong_shape():
     for rows in ([row] * 2, [row] * 4, [row, row, [1, 1]], [row, row, row + [1]]):
         with pytest.raises(SizeMismatch, match="need 3 rows of 3 values"):
             layout.lift(rows, 1)
-
-
-def test_lift_automorphism_is_the_lift_of_per_level_images(corpus_n6):
-    for _, g in corpus_n6:
-        group = enumerate_automorphisms(g)
-        for t in (1, 2, 3):
-            mu, layout = build_mycielskian(g, t)
-            for _, images, gens in group.levels:
-                for h in images + gens:
-                    rows = [[layout.vertex_id(x, s) for x in h] for s in range(t + 1)]
-                    lifted = layout.lift_automorphism(h)
-                    assert lifted == layout.lift(rows, layout.root)
-                    assert is_automorphism(mu, lifted)
 
 
 def test_builder_rejects_bad_inputs():

@@ -179,8 +179,8 @@ def test_star_rows_settle_without_a_dfs(m, monkeypatch):
 
 def test_isolate_case_settles_under_tiny_budget():
     # dist(empty_3) fits in 8 steps (it takes 4), the 10-vertex DFS would
-    # not (it takes 11); the paper's 6-coloring is checked on mu_2's chain
-    # within the budget, so no DFS runs and the row is measured
+    # not (it takes 11); mu_2's root is fixed, so the row is measured on
+    # G's chain, in one step: G has no class but its isolates
     report = run_verify(["B?"], [2], budget_steps=8)
     (r,) = report.records
     assert r.method == "search"
@@ -192,8 +192,10 @@ def test_isolate_case_settles_under_tiny_budget():
 
 @pytest.mark.parametrize("budget_steps", [8, 64])
 def test_paper_coloring_rows_settle_under_tiny_budgets(budget_steps, corpus_n6):
-    # every row with an isolate-case coloring is measured by the budgeted
-    # chain check, whatever the budget left to a DFS; no row is certified
+    # every row with an isolate-case coloring is measured within the
+    # budget, by the search on G's chain where the root is fixed and by
+    # the chain check of the paper coloring on K_1, whatever the budget
+    # left to a DFS; no row is certified
     lines = [line for line, _ in corpus_n6]
     report = run_verify(lines, [1, 2, 3], budget_steps=budget_steps)
     methods = {r.method for r in report.records}
@@ -207,13 +209,12 @@ def test_paper_coloring_rows_settle_under_tiny_budgets(budget_steps, corpus_n6):
 
 
 def test_budget_exceeded_recorded_not_fatal():
-    # dist(C_5) fits in 70 steps (it takes 53), dist(mu_1(C_5)) does not
-    # (it takes 71)
-    c5 = write_graph6(cycle_graph(5))
-    report = run_verify([c5], [1], budget_steps=70)
+    # dist(K_2) fits in 58 steps (it takes 3); mu_1(K_2) is C_5, whose
+    # root is not fixed, and its DFS does not (it takes 59)
+    report = run_verify(["A_"], [1], budget_steps=58)
     (r,) = report.records
     assert r.method == "budget_exceeded"
-    assert r.case == "GENERIC" and r.measured is None and not r.passed
+    assert r.case == "K2_t1" and r.measured is None and not r.passed
     assert report.summary == {"records": 1, "violations": 0,
                               "budget_exceeded": 1, "malformed": 0}
     # even dist(g) out of budget: still one row per t, orbit still classified
@@ -342,8 +343,9 @@ def test_process_record_row_shape():
 
 
 def test_process_record_builds_one_chain_per_graph(monkeypatch):
-    # G's chain and one per t, each shared by the distinguishing search,
-    # and the root orbit read off mu_t's chain with no search of its own
+    # G's chain, shared by G's search and every row whose root is fixed;
+    # a star's rows build mu_t's chain too, shared by the distinguishing
+    # search, with the root orbit read off it with no search of its own
     builds, orbits = [], []
     build = distinguishing.enumerate_automorphisms
 
@@ -358,15 +360,17 @@ def test_process_record_builds_one_chain_per_graph(monkeypatch):
     monkeypatch.setattr(distinguishing, "enumerate_automorphisms", counted_build)
     monkeypatch.setattr(verify, "orbit_of", counted_orbit)
     monkeypatch.setattr(automorphism, "orbit_of", counted_orbit)
-    rows = process_record("ElUg", [1, 2], 10**8)
-    assert [r.method for r in rows] == ["search", "search"]
-    assert builds == [6, 13, 19]
+    for line, orders in [("ElUg", [6]), ("CF", [4, 9, 13])]:  # K_{1,3} last
+        builds.clear()
+        rows = process_record(line, [1, 2], 10**8)
+        assert [r.method for r in rows] == ["search", "search"]
+        assert builds == orders
     assert orbits == []
 
 
 def test_process_record_finds_twin_classes_once_per_graph(monkeypatch):
-    # once for G and once per t, by the chain build; the distinguishing
-    # search reads them off the chain
+    # once for G, by the chain build; the distinguishing searches read
+    # them off G's chain, and mu_t's root is fixed, so it has no chain
     calls = []
     find = automorphism.twin_classes
 
@@ -378,13 +382,12 @@ def test_process_record_finds_twin_classes_once_per_graph(monkeypatch):
     monkeypatch.setattr(distinguishing, "twin_classes", counted)
     rows = process_record("ElUg", [1, 2], 10**8)
     assert [r.method for r in rows] == ["search", "search"]
-    assert calls == [6, 13, 19]
+    assert calls == [6]
 
 
 def test_isolate_case_finds_twin_classes_once_per_graph(monkeypatch):
-    # under a budget too small for mu_2's DFS the record is settled by its
-    # bounds: the twin lower bound is read off mu_2's chain, not found a
-    # second time
+    # under a budget too small for mu_2's DFS the row is measured on G's
+    # chain, whose twin classes are found once
     calls = []
     find = automorphism.twin_classes
 
@@ -396,7 +399,7 @@ def test_isolate_case_finds_twin_classes_once_per_graph(monkeypatch):
     monkeypatch.setattr(distinguishing, "twin_classes", counted)
     rows = process_record("B?", [2], 8)
     assert [(r.method, r.measured, r.passed) for r in rows] == [("search", 6, True)]
-    assert calls == [3, 10]
+    assert calls == [3]
 
 
 def test_import_leaves_the_process_pool_out():
@@ -452,20 +455,24 @@ def test_records_round_trip_through_pickle():
         assert type(back) is type(obj) and back == obj
     back = pickle.loads(pickle.dumps(group))
     assert type(back) is AutListing
-    assert (back.n, back.order, back.levels, back.twins) == (
-        3, 6, group.levels, group.twins)
+    assert (back.n, back.order, back.levels, back.twins, back.closed_twins) == (
+        3, 6, group.levels, group.twins, group.closed_twins)
     with pytest.raises(MalformedColoring, match=r"colors \[3\] outside 1..2"):
         Coloring(2, (1, 3))
 
 
 def test_root_orbit_read_off_the_chain_matches_orbit_of(corpus_n6):
+    # the root alone in its refined cell is fixed; any other root is the
+    # chain's first base point, and its orbit is read off the top level
     for line, g in corpus_n6:
-        group = enumerate_automorphisms(g)
         for t in (1, 2, 3):
             mu, layout = build_mycielskian(g, t)
-            chain = enumerate_automorphisms(mu, known=verify._lifts(group, t))
-            assert verify._root_orbit(chain, layout.root) == orbit_of(
-                mu, layout.root), (line, t)
+            orbit = orbit_of(mu, layout.root)
+            if [layout.root] in automorphism.equitable_partition(mu):
+                assert orbit == {layout.root}, (line, t)
+            else:
+                chain = enumerate_automorphisms(mu)
+                assert verify._root_orbit(chain, layout.root) == orbit, (line, t)
 
 
 def test_root_orbit_classification():
@@ -767,6 +774,14 @@ def test_n7_t2_t3_sweeps_match_their_digests(t, want):
     report = run_verify(lines, [t])
     assert len(report.records) == 1044
     assert hashlib.sha256(report_to_csv(report).encode()).hexdigest() == want
+
+
+def test_n6_t8_sweep_is_measured_under_the_default_budget(corpus_n6):
+    # mu_8 has up to 55 vertices; a row whose root is fixed is measured on
+    # G's chain, so every row of n <= 6 is a pass within the budget
+    report = run_verify([line for line, _ in corpus_n6], [8])
+    assert len(report.records) == 208
+    assert {(r.method, r.passed) for r in report.records} == {("search", True)}
 
 
 def test_cli_dist_budget(monkeypatch, capsys):
