@@ -5,7 +5,7 @@ from .automorphism import (AutListing, Budget, enumerate_automorphisms,
                            search_color_preserving)
 from .constructions import (DistPrediction, isolate_case_coloring,
                             kn_base_coloring, lift_coloring, paper_coloring,
-                            predict_dist, star_case_coloring)
+                            predict_dist)
 from .distinguishing import (Coloring, DistResult, distinguishing_number,
                              mycielskian_dist, twin_lower_bound)
 from .graph6 import (parse_edge_list, parse_graph6, write_edge_list,

@@ -17,7 +17,7 @@ Each constructive coloring below realizes the upper bound of its case.
 Each is built as one row of colors per level, row s giving the level-s
 copy of every source vertex, plus a root color, and MycLayout.lift lays
 them out in mu_t(G)'s vertex ids, so no graph needs to be built here.
-The star and isolate colorings are lifts of a coloring of G: every
+The lift and isolate colorings are lifts of a coloring of G: every
 shadow repeats its original's color and the isolated shadows take fresh
 colors, so _lift_rows is the one place that builds such rows.
 kn_base_coloring instead spreads base-k digits over the levels.
@@ -29,7 +29,7 @@ from collections import namedtuple
 
 from .distinguishing import Coloring
 from .errors import PreconditionViolated, SizeMismatch
-from .graphs import Graph, Star, isolated_vertices, star_graph
+from .graphs import Graph, Star, isolated_vertices
 from .mycielskian import MycLayout
 
 CASE_K1_T1 = "K1_t1"
@@ -100,18 +100,6 @@ def paper_coloring(g: Graph, t: int, case_tag: str, certificate: Coloring,
     return None
 
 
-def star_case_coloring(m: int, t: int) -> Coloring:
-    """m-coloring of mu_t(K_{1,m}) for m >= 2 (leaves 0..m-1, center m).
-
-    The lift of the coloring giving leaf i color i+1 and the center
-    color 2: every copy of leaf i carries i+1, every copy of the center
-    2, and the root 1.
-    """
-    if m < 2:
-        raise PreconditionViolated(f"star case needs m >= 2, got {m}")
-    return lift_coloring(star_graph(m), t, Coloring(m, tuple(range(1, m + 1)) + (2,)))
-
-
 def kn_base_coloring(n: int, t: int) -> Coloring:
     """Optimal coloring of mu_t(K_n) for n >= 3: k least with k^(t+1) >= n.
 
@@ -175,8 +163,7 @@ def lift_coloring(g: Graph, t: int, dist_coloring_g: Coloring, w_color: int = 1)
     isolates) take distinct colors unused on the isolates themselves, and
     the root color is free. On K_{1,m}, m >= 2, the root's orbit is
     {w, c^t}, w the root and c^t the top copy of the center c, and the
-    lift distinguishes exactly when w_color differs from c's color;
-    star_case_coloring is one such lift.
+    lift distinguishes exactly when w_color differs from c's color.
     """
     layout = MycLayout(g.n, t)
     if g.n == 1 or (g.n == 2 and g.edge_count == 1):

@@ -297,9 +297,11 @@ def mycielskian_dist(g: Graph, t: int, group: AutListing, budget: Budget) -> int
     """dist(mu_t(g)), for t >= 1 and a g whose mu_t(g) has every
     automorphism fix the root, read off group, g's chain: the least k for
     which some labeling of g's open-twin classes other than the isolates
-    distinguishes (module docstring). k starts at the largest such class
-    and at t*l. A budget step is one node of the search or one transversal
-    element of the walk; SearchBudgetExceeded when budget runs out.
+    distinguishes (module docstring). k starts at the largest such class,
+    at t*l, and at 2 when g has a nontrivial automorphism, whose lift is a
+    nontrivial automorphism of mu_t(g). A budget step is one node of the
+    search or one transversal element of the walk; SearchBudgetExceeded
+    when budget runs out.
     """
     adj = g.adjacency
     classes = [cls for cls in group.twins if adj[cls[0]]]
@@ -312,7 +314,7 @@ def mycielskian_dist(g: Graph, t: int, group: AutListing, budget: Budget) -> int
     for cl in group.closed_twins:
         for u, v in zip(cl, cl[1:]):
             prev[v] = u
-    k = max(max(map(len, classes), default=0), t * ell)
+    k = max(max(map(len, classes), default=0), t * ell, 2 if group.order > 1 else 0)
     while not _labeling_k(classes, ends, prev,
                           {len(cls): math.comb(k, len(cls)) ** (t + 1) for cls in classes},
                           colors, group.preserving_moves_last, budget):

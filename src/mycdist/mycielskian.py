@@ -7,7 +7,10 @@ edges (s*n+i, (s+1)*n+j) and (s*n+j, (s+1)*n+i) for 0 <= s < t; w is
 adjacent to exactly the level-t vertices.
 
 This module is the only one that knows the scheme: the constructions
-build their colorings as per-level rows through MycLayout.lift.
+build their colorings as per-level rows through MycLayout.lift, and
+root_fixed_by_degrees reads the first two rounds of colour refinement on
+mu_t(G) off G's degrees, so that verify certifies a fixed root without
+building mu_t(G).
 """
 
 from __future__ import annotations
@@ -85,3 +88,39 @@ def build_mycielskian(g: Graph, t: int) -> tuple[Graph, MycLayout]:
     edges.extend((t * n + i, w) for i in range(n))
     return Graph(layout.order, edges), layout
 
+
+def degree_rounds(g: Graph, t: int) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+    """Rounds 1 and 2 of colour refinement on mu_t(g), read off g's
+    degrees without building mu_t(g): the degree of every vertex in id
+    order, and the sorted degrees of the neighbours of each vertex whose
+    degree is the root's, n.
+
+    The level-s copy v^s of v has degree 2 d(v) for s < t and d(v) + 1 at
+    s = t. Its neighbours are N(v)^0 u N(v)^1 at s = 0, N(v)^(s-1) u
+    N(v)^(s+1) for 0 < s < t, and N(v)^(t-1) u {w} at s = t; the root's
+    are the n copies on level t.
+    """
+    layout = MycLayout(g.n, t)
+    n = g.n
+    adj = g.adjacency
+    below = [2 * len(nbhd) for nbhd in adj]
+    rows = [below] * t + [[len(nbhd) + 1 for nbhd in adj]]
+    around = {layout.root: tuple(sorted(rows[t]))}
+    for s, row in enumerate(rows):
+        for v, d in enumerate(row):
+            if d == n:
+                near = [rows[max(s - 1, 0)][u] for u in adj[v]]
+                near += [rows[s + 1][u] for u in adj[v]] if s < t else [n]
+                around[s * n + v] = tuple(sorted(near))
+    return layout.lift(rows, n), around
+
+
+def root_fixed_by_degrees(g: Graph, t: int) -> bool:
+    """True when no vertex of mu_t(g) other than the root w has both w's
+    degree and w's sorted neighbour degrees (degree_rounds). Every
+    automorphism keeps both, so True proves that each one fixes w. False
+    on every star K_{1,m}, K_1 and K_2, whose w is not fixed, and on the
+    few other g whose w only a deeper refinement sets apart."""
+    around = degree_rounds(g, t)[1]
+    root = around.pop((t + 1) * g.n)
+    return root not in around.values()

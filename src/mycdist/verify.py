@@ -7,24 +7,26 @@ input order either way, making reports byte-identical for any --jobs.
 
 Each graph's group is built once as a stabilizer chain, which serves
 G's own distinguishing search and every row of the graph where the root
-w of mu_t(G) is fixed. Each row refines the unit partition of mu_t(G)
-once. Where w is a singleton cell, every automorphism fixes it, so the
-root orbit is fixed, the automorphisms of mu_t(G) are the lifts of
-Aut(G) times the swaps of open twins (README), and
+w of mu_t(G) is fixed. A row first reads the first two rounds of colour
+refinement on mu_t(G) off G's degrees (mycielskian.root_fixed_by_degrees),
+with no mu_t(G) built. Where they set w apart, every automorphism fixes
+it, so the root orbit is fixed, the automorphisms of mu_t(G) are the
+lifts of Aut(G) times the swaps of open twins (README), and
 distinguishing.mycielskian_dist measures the row on G's chain.
 
-Every other row (the stars, K_1 and K_2 among them) builds the chain of
-mu_t(G). The root is the last vertex, the chain's first base point, so
-its orbit is read off the chain's top level with no search of its own.
-A case with a paper coloring of mu_t(G) (constructions.paper_coloring
-names it) settles the row when the coloring has as many colors as the
-chain's lower bound (distinguishing.lower_bound) and the chain finds no
-nontrivial automorphism that preserves it: the two bounds meet and that
-is the value, found with no DFS. Otherwise the DFS runs on that chain.
-The row's method is search either way: the value is exact and was found
-within the budget. Apart from the chain builds and the refinement, every
-search a record runs spends from its budget; a row whose search, walk
-or DFS runs out of it reads budget_exceeded.
+Every other row (the stars, K_1, K_2 and the few graphs whose root only
+a deeper refinement sets apart) builds mu_t(G) and its chain. The root
+is the last vertex, so its orbit is read off the chain's top level with
+no search of its own. A case with a paper coloring of mu_t(G)
+(constructions.paper_coloring names it) settles the row when the
+coloring has as many colors as the chain's lower bound
+(distinguishing.lower_bound) and the chain finds no nontrivial
+automorphism that preserves it: the two bounds meet and that is the
+value, found with no DFS. Otherwise the DFS runs on that chain. The
+row's method is search either way: the value is exact and was found
+within the budget. Apart from the chain builds, every search a record
+runs spends from its budget; a row whose search, walk or DFS runs out of
+it reads budget_exceeded.
 """
 
 from __future__ import annotations
@@ -37,16 +39,15 @@ from collections import namedtuple
 
 from . import distinguishing
 # bench/run.py --trace 1 wraps verify.orbit_of by name; records read the
-# root orbit off the refinement or the chain instead
-from .automorphism import (AutListing, Budget, equitable_partition,  # noqa: F401
-                           orbit_of)
+# root orbit off G's degrees or the chain instead
+from .automorphism import AutListing, Budget, orbit_of  # noqa: F401
 from .constructions import paper_coloring, predict_dist
 from .distinguishing import (DEFAULT_BUDGET, distinguishing_number, lower_bound,
                              mycielskian_dist)
 from .errors import MycdistError, SearchBudgetExceeded
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Star, classify_star, isolated_vertices
-from .mycielskian import MycLayout, build_mycielskian
+from .mycielskian import MycLayout, build_mycielskian, root_fixed_by_degrees
 
 ORBIT_FIXED = "fixed"
 ORBIT_CENTER_SHADOW = "center_shadow"
@@ -130,9 +131,12 @@ def expected_root_orbit(star: Star | None) -> str:
 
 
 def _root_orbit(chain: AutListing, root: int) -> frozenset[int]:
-    """Orbit of the last vertex where the refined unit partition leaves it
-    in a larger cell: it is then the chain's first base point, and its
-    orbit the images of the top level."""
+    """Orbit of the last vertex, the images of the chain's top level. Each
+    of them fixes every point above its base point, so where the refined
+    unit partition leaves the root alone in its cell, or the chain has no
+    level at all, the orbit is the root alone."""
+    if not chain.levels:
+        return frozenset((root,))
     return frozenset(img[root] for img in chain.levels[-1][1])
 
 
@@ -167,14 +171,14 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
         dist_g_result = None
     rows = []
     for t in ts:
-        mu, layout = build_mycielskian(g, t)
-        root = layout.root
+        layout = MycLayout(g.n, t)
         mu_group = None
-        if [root] in equitable_partition(mu):
-            orbit: frozenset[int] = frozenset((root,))
+        if root_fixed_by_degrees(g, t):
+            orbit: frozenset[int] = frozenset((layout.root,))
         else:
+            mu = build_mycielskian(g, t)[0]
             mu_group = distinguishing.enumerate_automorphisms(mu)
-            orbit = _root_orbit(mu_group, root)
+            orbit = _root_orbit(mu_group, layout.root)
         orbit_class = classify_root_orbit(orbit, layout, star)
         if dist_g_result is None:
             # no prediction possible without dist(g); still worth a row

@@ -13,8 +13,8 @@ from mycdist import (Graph, build_mycielskian, classify_star, complete_graph,
                      cycle_graph, distinguishing_number,
                      enumerate_automorphisms, isolate_case_coloring,
                      isolated_vertices, kn_base_coloring, lift_coloring,
-                     orbit_of, parse_graph6, path_graph, star_case_coloring,
-                     star_graph, write_graph6)
+                     orbit_of, paper_coloring, parse_graph6, path_graph,
+                     predict_dist, star_graph, write_graph6)
 from mycdist.verify import run_verify
 
 from .conftest import DATA
@@ -57,8 +57,12 @@ def test_criterion_3_constructive_certificates(corpus_n6):
 
     star_grid = [(m, t) for m in range(2, 6) for t in (1, 2)] + [(2, 3), (3, 3)]
     for m, t in star_grid:
-        mu, _ = build_mycielskian(star_graph(m), t)
-        assert distinguishes(mu, star_case_coloring(m, t)), (m, t)
+        g = star_graph(m)
+        mu, _ = build_mycielskian(g, t)
+        base = distinguishing_number(g)
+        case = predict_dist(g, t, base.value).case_tag
+        c = paper_coloring(g, t, case, base.certificate, classify_star(g))
+        assert c.k == base.value and distinguishes(mu, c), (m, t)
         checked += 1
 
     kn_grid = [(n, t) for n in range(3, 7) for t in (1, 2)] + [(3, 3), (4, 3)]

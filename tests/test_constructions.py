@@ -9,7 +9,7 @@ from mycdist import (Coloring, DistPrediction, Graph, build_mycielskian,
                      distinguishing_number, isolate_case_coloring,
                      isolated_vertices, kn_base_coloring, lift_coloring,
                      paper_coloring, predict_dist, search_color_preserving,
-                     star_case_coloring, star_graph)
+                     star_graph)
 from mycdist.constructions import (CASE_GENERIC, CASE_ISOLATE_DOMINATED,
                                    CASE_K1_T1, CASE_K1_TGT1, CASE_K2_T1,
                                    CASE_K2_TGT1, EXACT, UPPER_BOUND)
@@ -73,26 +73,6 @@ def test_predict_isolates_need_strict_dominance():
     assert predict_dist(g, 3, 2) == DistPrediction(CASE_ISOLATE_DOMINATED, EXACT, 3)
 
 
-def test_star_case_coloring_values():
-    c = star_case_coloring(3, 1)
-    # leaves 0..2, center 3, shadows 4..7, root 8
-    assert c.k == 3
-    assert c.assign == (1, 2, 3, 2, 1, 2, 3, 2, 1)
-    with pytest.raises(PreconditionViolated, match="star case needs m >= 2, got 1"):
-        star_case_coloring(1, 1)
-    with pytest.raises(InvalidT):
-        star_case_coloring(2, 0)
-
-
-def test_star_case_coloring_distinguishes():
-    for m in range(2, 6):
-        for t in (1, 2, 3):
-            mu, _ = build_mycielskian(star_graph(m), t)
-            c = star_case_coloring(m, t)
-            assert c.n == mu.n
-            assert distinguishes(mu, c), (m, t)
-
-
 def test_star_lift_distinguishes_iff_root_avoids_center_color():
     # every distinguishing coloring of K_{1,m} with m or m+1 colors, up to
     # renaming, lifted with every root color: the root and the center's
@@ -110,15 +90,6 @@ def test_star_lift_distinguishes_iff_root_avoids_center_color():
                         c = lift_coloring(g, t, Coloring(k, assign), w_color)
                         assert distinguishes(mu, c) == (w_color != assign[center]), (
                             m, assign, t, w_color)
-
-
-def test_star_case_coloring_is_the_row_form():
-    # the closed form the star case had before it became a lift: every
-    # level repeats leaf i -> i+1 and center -> 2, and the root takes 1
-    for m in range(2, 9):
-        for t in range(1, 5):
-            row = tuple(range(1, m + 1)) + (2,)
-            assert star_case_coloring(m, t) == Coloring(m, row * (t + 1) + (1,)), (m, t)
 
 
 def test_kn_base_coloring_values():

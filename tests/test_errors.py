@@ -18,8 +18,7 @@ import pytest
 from mycdist import (Coloring, Graph, MycLayout, build_mycielskian,
                      distinguishing_number, enumerate_automorphisms,
                      isolate_case_coloring, kn_base_coloring, lift_coloring,
-                     path_graph, predict_dist, search_color_preserving,
-                     star_case_coloring)
+                     path_graph, predict_dist, search_color_preserving)
 from mycdist import cli, errors
 from mycdist.errors import (MycdistError, PreconditionViolated, SizeMismatch,
                             VertexOutOfRange)
@@ -53,8 +52,6 @@ CONDITIONS = [
      VertexOutOfRange, "no vertex (i=3, s=0) in this layout"),
     ("id-role", lambda: MycLayout(3, 1).role(7),
      VertexOutOfRange, "vertex 7 outside layout of order 7"),
-    ("range-star", lambda: star_case_coloring(1, 1),
-     PreconditionViolated, "star case needs m >= 2, got 1"),
     ("range-kn", lambda: kn_base_coloring(2, 1),
      PreconditionViolated, "base coloring needs n >= 3, got 2"),
     # a path on 3 vertices, read from stdin

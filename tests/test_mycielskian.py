@@ -2,10 +2,12 @@
 
 import pytest
 
-from mycdist import (Graph, MycLayout, build_mycielskian, complete_graph,
-                     cycle_graph, find_isomorphism, parse_graph6, star_graph)
+from mycdist import (Graph, MycLayout, build_mycielskian, classify_star,
+                     complete_graph, cycle_graph, find_isomorphism, orbit_of,
+                     parse_graph6, star_graph)
 from mycdist.errors import (InvalidT, PreconditionViolated, SizeMismatch,
                             VertexOutOfRange)
+from mycdist.mycielskian import degree_rounds, root_fixed_by_degrees
 
 from .conftest import corpus_lines
 from .support import (disjoint_union, naive_component_count,
@@ -126,6 +128,32 @@ def test_disconnected_source_root_is_unique_cut_vertex(corpus_n6):
         for t in (1, 2):
             mu, layout = build_mycielskian(g, t)
             assert naive_cut_vertices(mu) == {layout.root}
+
+
+def test_root_certificate_matches_the_built_graph(corpus_n7):
+    # rounds 1 and 2 of colour refinement read off G's degrees are those
+    # of the built mu_t(G), and a certified root is fixed; the certificate
+    # fails on the stars, K_1 and K_2, whose root is not fixed, and on
+    # EQKo alone besides, whose root only a deeper refinement sets apart
+    rows = [(line, g, t) for line, g in corpus_n7 if g.n <= 6 for t in (1, 2, 3, 8)]
+    rows += [(line, g, 1) for line, g in corpus_n7 if g.n == 7]
+    missed = []
+    for line, g, t in rows:
+        mu, layout = build_mycielskian(g, t)
+        degrees, around = degree_rounds(g, t)
+        adj = mu.adjacency
+        assert degrees == tuple(map(len, adj)), (line, t)
+        assert around == {v: tuple(sorted(degrees[u] for u in adj[v]))
+                          for v in range(mu.n) if degrees[v] == g.n}, (line, t)
+        if root_fixed_by_degrees(g, t):
+            assert orbit_of(mu, layout.root) == {layout.root}, (line, t)
+        elif classify_star(g) is None:
+            missed.append((line, t))
+    # K_{1,m} for m = 0..6, K_1 and K_2 among them
+    stars = [g for _, g in corpus_n7 if classify_star(g) is not None]
+    assert [classify_star(g).m for g in stars] == list(range(7))
+    assert not any(root_fixed_by_degrees(g, t) for g in stars for t in (1, 2, 3, 8))
+    assert missed == [("EQKo", 1), ("EQKo", 2), ("EQKo", 3), ("EQKo", 8)]
 
 
 def test_validate_facts_full_sweep(corpus_n7):

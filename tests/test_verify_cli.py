@@ -29,7 +29,8 @@ from mycdist import cli
 from mycdist.cli import _dumps, main
 from mycdist.distinguishing import DEFAULT_BUDGET
 from mycdist.errors import MalformedColoring
-from mycdist.verify import (CSV_FIELDS, classify_root_orbit,
+from mycdist.mycielskian import root_fixed_by_degrees
+from mycdist.verify import (CSV_FIELDS, VerifyReport, classify_root_orbit,
                             expected_root_orbit, process_record,
                             report_to_csv, report_to_json, run_verify)
 
@@ -343,29 +344,53 @@ def test_process_record_row_shape():
 
 
 def test_process_record_builds_one_chain_per_graph(monkeypatch):
-    # G's chain, shared by G's search and every row whose root is fixed;
-    # a star's rows build mu_t's chain too, shared by the distinguishing
-    # search, with the root orbit read off it with no search of its own
-    builds, orbits = [], []
-    build = distinguishing.enumerate_automorphisms
+    # G's chain, shared by G's search and every row whose root G's degrees
+    # certify fixed, with no mu_t built; a star's rows, and EQKo's, whose
+    # root only a deeper refinement sets apart, build mu_t and its chain,
+    # shared by the distinguishing search, with the root orbit read off it
+    # with no search of its own
+    builds, mus, orbits = [], [], []
+    build, build_mu = distinguishing.enumerate_automorphisms, verify.build_mycielskian
 
     def counted_build(*args, **kwargs):
         builds.append(args[0].n)
         return build(*args, **kwargs)
+
+    def counted_mu(g, t):
+        mus.append(t)
+        return build_mu(g, t)
 
     def counted_orbit(*args):
         orbits.append(args)
         return automorphism.orbit_of(*args)
 
     monkeypatch.setattr(distinguishing, "enumerate_automorphisms", counted_build)
+    monkeypatch.setattr(verify, "build_mycielskian", counted_mu)
     monkeypatch.setattr(verify, "orbit_of", counted_orbit)
     monkeypatch.setattr(automorphism, "orbit_of", counted_orbit)
-    for line, orders in [("ElUg", [6]), ("CF", [4, 9, 13])]:  # K_{1,3} last
+    golden = (ROOT / "tests" / "golden" / "verify.csv").read_text().splitlines()
+    for line, orders in [("ElUg", [6]), ("CF", [4, 9, 13]),  # K_{1,3}
+                         ("EQKo", [6, 13, 19])]:
         builds.clear()
+        mus.clear()
         rows = process_record(line, [1, 2], 10**8)
         assert [r.method for r in rows] == ["search", "search"]
         assert builds == orders
+        assert mus == ([] if line == "ElUg" else [1, 2])
+        assert report_to_csv(VerifyReport(tuple(rows))).splitlines()[1:] == [
+            row for row in golden if row.startswith(line + ",")][:2]
     assert orbits == []
+
+
+def test_uncertified_root_of_an_asymmetric_mycielskian_reads_fixed():
+    # an asymmetric G on 10 vertices whose degrees do not certify the
+    # root: mu_t(G) is asymmetric too, its chain has no level, and the
+    # root orbit is the root alone
+    g = parse_graph6("Ih??c{?yG")
+    assert not any(root_fixed_by_degrees(g, t) for t in (1, 2, 3))
+    assert enumerate_automorphisms(build_mycielskian(g, 1)[0]).levels == ()
+    rows = process_record("Ih??c{?yG", [1, 2, 3], DEFAULT_BUDGET)
+    assert [(r.measured, r.root_orbit, r.passed) for r in rows] == [(1, "fixed", True)] * 3
 
 
 def test_process_record_finds_twin_classes_once_per_graph(monkeypatch):
