@@ -30,12 +30,10 @@ of the orbit sizes; and the distinguishing search asks whether some
 element of H_d that moves d-1 preserves a partial coloring, a walk down
 the levels below d that multiplies transversal elements only while their
 product keeps the colors (preserving_moves_last), and cuts lex-leader
-prefixes with the generators kept at each level. The same walk, run from
-every level with a nontrivial orbit, checks a whole coloring
-(AutListing.is_distinguishing, for a caller that holds the chain).
-orbit_of runs the same orbit step on its vertex's cell.
-search_color_preserving, the check of a whole coloring for a caller with
-no chain, seeds the same search with the color classes instead.
+prefixes with the generators kept at each level. orbit_of runs the same
+orbit step on its vertex's cell. search_color_preserving, the package's
+one check of a whole coloring, builds no chain: it seeds the same search
+with the color classes instead.
 
 The chain is seeded with automorphisms known before any search: the swap
 of each pair of consecutive members of an open-twin class or of a
@@ -172,17 +170,6 @@ class AutListing:
                 if walk(t, b - 1):
                     return True
         return False
-
-    def is_distinguishing(self, colors: Sequence[int], budget: Budget) -> bool:
-        """True if no nontrivial automorphism preserves colors.
-
-        Such an automorphism, with m the largest point it moves, fixes
-        m+1..n-1 and moves m, so H_(m+1) moves m and it is what
-        preserving_moves_last(colors, m + 1) looks for; that runs on each
-        level whose orbit is nontrivial, with the same budget steps.
-        """
-        return not any(self.preserving_moves_last(colors, b + 1, budget)
-                       for b, images, _ in self.levels if len(images) > 1)
 
 
 class Budget:

@@ -18,7 +18,7 @@ from .errors import (InvalidT, MycdistError, PreconditionViolated,
                      SearchBudgetExceeded, Unsupported)
 from .graph6 import (_MAX_N, parse_edge_list, parse_graph6, write_edge_list,
                      write_graph6)
-from .graphs import Graph, classify_star
+from .graphs import Graph
 from .mycielskian import MycLayout, build_mycielskian
 from .verify import _dumps, report_to_csv, report_to_json, run_verify
 
@@ -187,19 +187,19 @@ def cmd_check_coloring(args) -> int:
 
 def cmd_coloring(args) -> int:
     """For each t, the coloring of mu_t(g) by which the paper proves the
-    case of predict_dist, as verify checks it: paper_coloring of g's
-    certificate. Each t's document is printed before the next t is built;
-    a case with no paper coloring (K1_t1, K2_t1, K2_tgt1) exits 2 there."""
+    case of predict_dist: paper_coloring of g's certificate, checked by
+    search_color_preserving on mu_t(g). Each t's document is printed
+    before the next t is built; a case with no paper coloring (K1_t1,
+    K2_t1, K2_tgt1) exits 2 there."""
     ts = _parse_t_list(args.t)
     g = _read_graph(args.input, args.format)
     _check_graph6_order(g.n, ts)
     res = distinguishing_number(g, budget=Budget(args.budget))
-    star = classify_star(g)
     for t in ts:
         # built first, so that an order-0 g fails as an empty source
         mu, _ = build_mycielskian(g, t)
         case = predict_dist(g, t, res.value).case_tag
-        coloring = paper_coloring(g, t, case, res.certificate, star)
+        coloring = paper_coloring(g, t, case, res.certificate)
         if coloring is None:
             raise PreconditionViolated(f"case {case} has no paper coloring")
         _emit({"case": case, "t": t, "k": coloring.k,

@@ -29,7 +29,7 @@ from collections import namedtuple
 
 from .distinguishing import Coloring
 from .errors import PreconditionViolated, SizeMismatch
-from .graphs import Graph, Star, isolated_vertices
+from .graphs import Graph, classify_star, isolated_vertices
 from .mycielskian import MycLayout
 
 CASE_K1_T1 = "K1_t1"
@@ -75,12 +75,12 @@ def predict_dist(g: Graph, t: int, dist_g: int) -> DistPrediction:
     return DistPrediction(CASE_GENERIC, UPPER_BOUND, dist_g)
 
 
-def paper_coloring(g: Graph, t: int, case_tag: str, certificate: Coloring,
-                   star: Star | None) -> Coloring | None:
+def paper_coloring(g: Graph, t: int, case_tag: str,
+                   certificate: Coloring) -> Coloring | None:
     """The coloring of mu_t(g) by which the paper proves the case of
     predict_dist, from certificate, a distinguishing coloring of g with
-    dist(g) colors, and star = classify_star(g); None on the K1_t1, K2_t1
-    and K2_tgt1 cases, which have none here.
+    dist(g) colors; None on the K1_t1, K2_t1 and K2_tgt1 cases, which
+    have none here.
 
     On a GENERIC row it is kn_base_coloring when g is complete and the
     lift of the certificate otherwise, with root color 2 when g is a star
@@ -93,6 +93,7 @@ def paper_coloring(g: Graph, t: int, case_tag: str, certificate: Coloring,
             return kn_base_coloring(g.n, t)
         # a star's root shares its orbit with the center's top copy, so
         # the lift distinguishes once the root avoids the center's color
+        star = classify_star(g)
         w_color = 2 if star is not None and certificate.assign[star.center] == 1 else 1
         return lift_coloring(g, t, certificate, w_color)
     if case_tag in (CASE_ISOLATE_DOMINATED, CASE_K1_TGT1):

@@ -85,8 +85,8 @@ of one size can map onto each other; closed twins of G, each a class of
 one vertex, take ascending labels, by the twin argument above; and the
 color-preserving walk cuts each vertex-order prefix as in _search_k.
 
-This module checks no given coloring: search_color_preserving does, with
-no chain, and AutListing.is_distinguishing does on a chain.
+This module checks no given coloring: the package's one check of a whole
+coloring is automorphism.search_color_preserving.
 """
 
 from __future__ import annotations
@@ -242,13 +242,12 @@ def distinguishing_number(g: Graph, *, budget: Budget | None = None,
         group = enumerate_automorphisms(g)
     elif group.n != n:
         raise SizeMismatch(f"chain on {group.n} points != graph order {n}")
+    classes = (*group.twins, *group.closed_twins)
     prev = [-1] * n  # prev[v]: the member of v's twin class before v, or -1
-    for cl in (*group.twins, *group.closed_twins):
+    for cl in classes:
         for u, v in zip(cl, cl[1:]):
             prev[v] = u
-    # the witness reads the open classes alone, as it did before the bound
-    # read closed ones, so that what dist prints stays the same
-    tb = max(len(cl) for cl in group.twins)
+    tb = max(map(len, classes))
     gens = _generators(group)
 
     for k in range(lower_bound(group), n + 1):

@@ -17,16 +17,14 @@ distinguishing.mycielskian_dist measures the row on G's chain.
 Every other row (the stars, K_1, K_2 and the few graphs whose root only
 a deeper refinement sets apart) builds mu_t(G) and its chain. The root
 is the last vertex, so its orbit is read off the chain's top level with
-no search of its own. A case with a paper coloring of mu_t(G)
-(constructions.paper_coloring names it) settles the row when the
-coloring has as many colors as the chain's lower bound
-(distinguishing.lower_bound) and the chain finds no nontrivial
-automorphism that preserves it: the two bounds meet and that is the
-value, found with no DFS. Otherwise the DFS runs on that chain. The
-row's method is search either way: the value is exact and was found
-within the budget. Apart from the chain builds, every search a record
-runs spends from its budget; a row whose search, walk or DFS runs out of
-it reads budget_exceeded.
+no search of its own. The orbit alone then picks the search: where it is
+the root alone, every automorphism fixes w, which is all that
+mycielskian_dist asks, so it measures the row on G's chain; where the
+root moves (K_1, K_2 and the stars K_{1,m}), the DFS runs on mu_t(G)'s
+chain. The row's method is search either way: the value is exact and
+was found within the budget. Apart from the chain builds, every search
+a record runs spends from its budget; a row whose search, walk or DFS
+runs out of it reads budget_exceeded.
 """
 
 from __future__ import annotations
@@ -41,9 +39,8 @@ from . import distinguishing
 # bench/run.py --trace 1 wraps verify.orbit_of by name; records read the
 # root orbit off G's degrees or the chain instead
 from .automorphism import AutListing, Budget, orbit_of  # noqa: F401
-from .constructions import paper_coloring, predict_dist
-from .distinguishing import (DEFAULT_BUDGET, distinguishing_number, lower_bound,
-                             mycielskian_dist)
+from .constructions import predict_dist
+from .distinguishing import DEFAULT_BUDGET, distinguishing_number, mycielskian_dist
 from .errors import MycdistError, SearchBudgetExceeded
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Star, classify_star, isolated_vertices
@@ -172,7 +169,6 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
     rows = []
     for t in ts:
         layout = MycLayout(g.n, t)
-        mu_group = None
         if root_fixed_by_degrees(g, t):
             orbit: frozenset[int] = frozenset((layout.root,))
         else:
@@ -190,17 +186,11 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
         measured: int | None
         budget = Budget(budget_steps)
         try:
-            if mu_group is None:
+            if orbit_class == ORBIT_FIXED:
                 measured = mycielskian_dist(g, t, group, budget)
             else:
-                coloring = paper_coloring(g, t, prediction.case_tag,
-                                          dist_g_result.certificate, star)
-                if (coloring is not None and coloring.k == lower_bound(mu_group)
-                        and mu_group.is_distinguishing(coloring.assign, budget)):
-                    measured = coloring.k
-                else:
-                    measured = distinguishing_number(mu, budget=budget,
-                                                     group=mu_group).value
+                measured = distinguishing_number(mu, budget=budget,
+                                                 group=mu_group).value
         except SearchBudgetExceeded:
             measured, method = None, METHOD_BUDGET_EXCEEDED
         ok = (measured is not None and prediction.holds(measured)

@@ -61,7 +61,7 @@ def test_criterion_3_constructive_certificates(corpus_n6):
         mu, _ = build_mycielskian(g, t)
         base = distinguishing_number(g)
         case = predict_dist(g, t, base.value).case_tag
-        c = paper_coloring(g, t, case, base.certificate, classify_star(g))
+        c = paper_coloring(g, t, case, base.certificate)
         assert c.k == base.value and distinguishes(mu, c), (m, t)
         checked += 1
 

@@ -97,19 +97,19 @@ def test_code_lines_total_is_the_sum_of_the_modules():
 # rows per method
 DIGEST = [
     ("n<=6", "1", "208", "583d417eee79c9b40b466588c1b186ebd750246e1721a69b16ab7b2e12d20726",
-     "3411", "2", "search=208"),
+     "3490", "6", "search=208"),
     ("n<=6", "2", "208", "98fb1152a97586da25c10876d0e40cdce1970f33ea644291f4e05ae32573a4f8",
-     "3375", "1", "search=208"),
+     "3487", "6", "search=208"),
     ("n<=6", "3", "208", "dd6aade57bccd8babcf073ee1dcd30c26f09352dc752e7e040e9eb2bde5ec8b4",
-     "3371", "1", "search=208"),
+     "3512", "6", "search=208"),
     ("n<=5", "2", "52", "39bc725f3a7d493685d321a5e1e68a54b40041d08b9bf8f4494615c5dc35b307",
-     "685", "1", "search=52"),
+     "756", "5", "search=52"),
     ("n=7", "1", "1044", "50373ac21fe07690d065fc99284dd69393d7302bc85ed7bdb4adfe0399e6ccc8",
-     "18896", "0", "search=1044"),
+     "18924", "1", "search=1044"),
     ("n=7", "2", "1044", "4a3785db0837e7cbf626057cbadf4ee1648f526333b3645f21e217a69b21e3a1",
-     "18852", "0", "search=1044"),
+     "18892", "1", "search=1044"),
     ("n=7", "3", "1044", "376178d4526c6a9cd90e99875e60954d16fc9fa49af6c76189f470c7ece0b623",
-     "18822", "0", "search=1044"),
+     "18874", "1", "search=1044"),
 ]
 
 

@@ -51,8 +51,7 @@ def test_paper_coloring_realizes_each_case(corpus_n6):
         for t in (1, 2, 3):
             rows += 1
             prediction = predict_dist(g, t, dist_g.value)
-            c = paper_coloring(g, t, prediction.case_tag, dist_g.certificate,
-                               classify_star(g))
+            c = paper_coloring(g, t, prediction.case_tag, dist_g.certificate)
             if c is None:
                 none_cases.append(prediction.case_tag)
                 continue

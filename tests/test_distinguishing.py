@@ -17,6 +17,7 @@ from mycdist.distinguishing import (DEFAULT_BUDGET, _smaller_image, lower_bound,
                                     mycielskian_dist)
 from mycdist.errors import MalformedColoring, SearchBudgetExceeded, SizeMismatch
 from mycdist.graphs import twin_classes
+from mycdist.mycielskian import root_fixed_by_degrees
 
 from .oracles import (_canonical_colorings_exactly,
                       distinguishing_number_bruteforce,
@@ -442,6 +443,22 @@ def test_mycielskian_dist_matches_the_dfs_on_random_n8_graphs():
     assert rows == 80 and symmetric >= 10
 
 
+@pytest.mark.parametrize("line, ts", [("EQKo", (1, 2, 3, 8)),
+                                      ("Ih??c{?yG", (1, 2, 3))])
+def test_mycielskian_dist_matches_the_dfs_where_degrees_leave_the_root(line, ts):
+    # G's degrees do not set these roots apart, so verify reads the root
+    # orbit off mu_t(G)'s chain; it is the root alone, which is all that
+    # mycielskian_dist asks, and verify measures the row with it
+    g = parse_graph6(line)
+    group = enumerate_automorphisms(g)
+    for t in ts:
+        mu, layout = build_mycielskian(g, t)
+        assert not root_fixed_by_degrees(g, t)
+        assert automorphism.orbit_of(mu, layout.root) == {layout.root}
+        got = mycielskian_dist(g, t, group, Budget(DEFAULT_BUDGET))
+        assert got == distinguishing_number(mu).value, (line, t)
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_complete_graph_rows_read_the_digit_law(n):
     # Aut(K_n) is S_n on n classes of one vertex, so every label differs:
@@ -472,11 +489,11 @@ def test_mycielskian_dist_spends_the_budget():
 def test_closed_twins_bound_complete_graphs():
     # K_n is one class of closed twins: the k loop starts at n, and the
     # search walks one ascending path to the rainbow coloring, one step
-    # per node; the witness still reads the open classes, which are
-    # single vertices here
+    # per node; the witness reads the same classes as the bound, so the
+    # closed class forced the value
     assert lower_bound(enumerate_automorphisms(complete_graph(5))) == 5
     budget = Budget(DEFAULT_BUDGET)
     res = distinguishing_number(complete_graph(62), budget=budget)
     assert res.value == 62 and res.certificate.assign == tuple(range(1, 63))
-    assert res.lower_bound_witness is None
+    assert res.lower_bound_witness == 62
     assert budget.used <= 63

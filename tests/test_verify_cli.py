@@ -98,8 +98,8 @@ def test_run_verify_bare_header_is_a_malformed_row():
 
 
 def test_rows_measure_the_unbounded_search(corpus_n6):
-    # rows settled by the chain's lower bound and the case's coloring
-    # read the value the search finds with no budget
+    # rows measured on G's chain and rows measured by the DFS on mu_t(G)'s
+    # read the value the search on mu_t(G) finds with no budget
     for line, g in corpus_n6:
         for r in process_record(line, [1, 2, 3], DEFAULT_BUDGET):
             mu, _ = build_mycielskian(g, r.t)
@@ -115,17 +115,15 @@ def test_twin_rich_rows_measure_the_unbounded_search(g):
 
 
 @pytest.mark.parametrize("line, t, n, value", [
-    # the chain's lower bound on mu_2(K_5) is 2, and kn_base_coloring's
-    # 2-coloring distinguishes it
+    # mu_2(K_5): Aut(K_5) is nontrivial, so the search on G's chain starts
+    # at 2, and a labeling with 2 colors distinguishes
     ("D~{", 2, 5, 2),
-    # mu_2 of the empty graph on 3 vertices: 6 isolated twins, and
-    # isolate_case_coloring's 6-coloring distinguishes it
+    # mu_2 of the empty graph on 3 vertices: 6 isolated twins, so the
+    # search on G's chain starts at 6, with no class to label
     ("B?", 2, 3, 6),
-    # mu_3(K_1): 3 isolated twins, and the same coloring with 3 colors
-    ("@", 3, 1, 3),
 ])
 def test_bounds_settle_without_a_dfs(line, t, n, value, monkeypatch):
-    # only G's own search runs, never mu_t(G)'s
+    # the root is fixed: only G's own DFS runs, never mu_t(G)'s
     orders = []
     search_k = distinguishing._search_k
 
@@ -162,9 +160,8 @@ def test_run_verify_parses_each_line_once(corpus_n6, monkeypatch):
 
 @pytest.mark.parametrize("m", range(2, 6))
 def test_star_rows_settle_without_a_dfs(m, monkeypatch):
-    # the paper coloring of mu_t(K_{1,m}) lifts G's certificate with the
-    # root off the center's color, so the chain walk settles every row and
-    # the distinguishing search runs once, on G
+    # the root of mu_t(K_{1,m}) moves, so each row runs one DFS on mu_t,
+    # after the one on G
     orders = []
     search = verify.distinguishing_number
 
@@ -174,8 +171,31 @@ def test_star_rows_settle_without_a_dfs(m, monkeypatch):
 
     monkeypatch.setattr(verify, "distinguishing_number", counted)
     rows = process_record(write_graph6(star_graph(m)), [1, 2, 3], DEFAULT_BUDGET)
-    assert orders == [m + 1]
+    assert orders == [m + 1] + [(m + 1) * (t + 1) + 1 for t in (1, 2, 3)]
     assert [(r.case, r.method, r.passed) for r in rows] == [("GENERIC", "search", True)] * 3
+
+
+def test_dfs_on_mu_runs_exactly_where_the_root_moves(corpus_n7, monkeypatch):
+    # every row of n <= 7 at t = 1, 2, 3: the root orbit alone picks the
+    # search, the DFS on mu_t(G) where the root moves and the search on
+    # G's chain where it is fixed; mu_t(G) has n(t + 1) + 1 vertices
+    orders = []
+    search = verify.distinguishing_number
+
+    def counted(g, *args, **kwargs):
+        orders.append(g.n)
+        return search(g, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "distinguishing_number", counted)
+    moved = 0
+    for line, g in corpus_n7:
+        orders.clear()
+        rows = process_record(line, [1, 2, 3], DEFAULT_BUDGET)
+        mu_orders = [g.n * (r.t + 1) + 1 for r in rows if r.root_orbit != "fixed"]
+        assert orders == [g.n, *mu_orders], line
+        moved += len(mu_orders)
+    # K_1, K_2 and the stars K_{1,m}, m = 2..6, at three values of t
+    assert moved == 3 * 7
 
 
 def test_isolate_case_settles_under_tiny_budget():
@@ -194,9 +214,9 @@ def test_isolate_case_settles_under_tiny_budget():
 @pytest.mark.parametrize("budget_steps", [8, 64])
 def test_paper_coloring_rows_settle_under_tiny_budgets(budget_steps, corpus_n6):
     # every row with an isolate-case coloring is measured within the
-    # budget, by the search on G's chain where the root is fixed and by
-    # the chain check of the paper coloring on K_1, whatever the budget
-    # left to a DFS; no row is certified
+    # budget: by the search on G's chain where the root is fixed, and by
+    # the DFS on mu_t(K_1), whose root moves, on K_1's rows, the largest
+    # of which, mu_3(K_1), takes 6 steps
     lines = [line for line, _ in corpus_n6]
     report = run_verify(lines, [1, 2, 3], budget_steps=budget_steps)
     methods = {r.method for r in report.records}
@@ -317,8 +337,8 @@ def test_process_record_answers_unreadable_lines(line):
 
 
 def test_process_record_classifies_the_star_once_per_record(monkeypatch, corpus_n6):
-    # the record's Star serves the root orbit and the GENERIC row's lift
-    # at every t: once for each of the 208 records, not once more per row
+    # the record's Star serves the root orbit at every t: once for each
+    # of the 208 records, not once more per row
     calls = []
     classify = verify.classify_star
 
@@ -344,11 +364,11 @@ def test_process_record_row_shape():
 
 
 def test_process_record_builds_one_chain_per_graph(monkeypatch):
-    # G's chain, shared by G's search and every row whose root G's degrees
-    # certify fixed, with no mu_t built; a star's rows, and EQKo's, whose
-    # root only a deeper refinement sets apart, build mu_t and its chain,
-    # shared by the distinguishing search, with the root orbit read off it
-    # with no search of its own
+    # G's chain, shared by G's search and every row whose root is fixed,
+    # with no mu_t built where G's degrees certify it; a star's rows, and
+    # EQKo's, whose root only a deeper refinement sets apart, build mu_t
+    # and its chain and read the root orbit off it with no search of its
+    # own, and the star's DFS runs on that chain
     builds, mus, orbits = [], [], []
     build, build_mu = distinguishing.enumerate_automorphisms, verify.build_mycielskian
 
@@ -911,9 +931,9 @@ def test_cli_deeply_nested_coloring_exits_2(monkeypatch, capsys):
 
 
 def test_cli_coloring_prints_the_paper_coloring(corpus_n6, monkeypatch, capsys):
-    # each document holds what verify checks for its row: the case of
-    # predict_dist and paper_coloring of G's certificate, which
-    # distinguishes mu_t(G); K_1 and K_2 stop at t = 1, which has none
+    # each document holds the case of predict_dist for its row and
+    # paper_coloring of G's certificate, which distinguishes mu_t(G);
+    # K_1 and K_2 stop at t = 1, which has none
     for line, g in corpus_n6:
         code, out, err = run_cli(["coloring", "--t", "1,2,3"], line + "\n",
                                  monkeypatch, capsys)
@@ -922,10 +942,9 @@ def test_cli_coloring_prints_the_paper_coloring(corpus_n6, monkeypatch, capsys):
             continue
         assert (code, err) == (0, ""), line
         res = distinguishing_number(g)
-        star = classify_star(g)
         for t, doc in zip([1, 2, 3], json_docs(out), strict=True):
             case = predict_dist(g, t, res.value).case_tag
-            coloring = paper_coloring(g, t, case, res.certificate, star)
+            coloring = paper_coloring(g, t, case, res.certificate)
             assert (doc["case"], doc["t"], doc["k"], doc["colors"]) == (
                 case, t, coloring.k, list(coloring.assign)), (line, t)
             assert doc["distinguishing"] is True, (line, t)
