@@ -50,6 +50,15 @@ every level's orbit, and with it the order, is that of the unseeded
 chain; only the transversal elements chosen, the stored generators and
 the number of searches change.
 
+A chain of the automorphisms that keep a vertex coloring
+(enumerate_automorphisms(g, colors)) starts from the refined color
+classes instead of the unit partition, as search_color_preserving seeds
+its search, and only the swaps of twins of one color seed it. Every
+later step only splits cells, so each automorphism it finds keeps the
+colors. verify builds such a chain for G's twin quotient, colored by
+kind; on most small graphs that refinement is already discrete, and the
+chain has no level.
+
 Refinement works in rounds. In each round every cell is split by the
 signatures its vertices have against the partition the round started
 with, and the fragments of a cell are laid out in the order of their
@@ -83,7 +92,7 @@ from collections.abc import Iterator, Sequence
 from functools import cached_property
 
 from .errors import SearchBudgetExceeded, SizeMismatch
-from .graphs import Graph, twin_classes
+from .graphs import Graph, closed_twin_classes, twin_classes
 
 
 class AutListing:
@@ -97,9 +106,10 @@ class AutListing:
     so order is read off the levels and preserving_moves_last walks them;
     the distinguishing search reads gens, and nothing builds the group.
     twins holds the open-twin classes of g (graphs.twin_classes) and
-    closed_twins its closed-twin classes (N[u] = N[v]), each ordered by
-    least member: their swaps seeded the chain, and the distinguishing
-    search reads them too.
+    closed_twins its closed-twin classes (N[u] = N[v]), each split by
+    color on a chain of a colored graph and ordered by least member:
+    their swaps seeded the chain, and the distinguishing search reads
+    them too.
     """
 
     def __init__(self, n: int, levels: tuple[tuple[int, tuple, tuple], ...],
@@ -345,7 +355,8 @@ def _search_pair(adj_s, adj_t, P, Q,
         yield from _search_pair(adj_s, adj_t, newP, newQ, best)
 
 
-def enumerate_automorphisms(g: Graph) -> AutListing:
+def enumerate_automorphisms(g: Graph,
+                            colors: Sequence | None = None) -> AutListing:
     """Aut(g) as one stabilizer chain with base n-1, n-2, ..., 0.
 
     Level b is the stable pair with n-1..b+1 individualized, whose
@@ -359,14 +370,22 @@ def enumerate_automorphisms(g: Graph) -> AutListing:
     orbit step a targeted search for every point it reaches. The chain's
     order and orbits do not depend on the seeds. Both kinds of twin class
     are kept on the chain.
+
+    colors, when given, holds one sortable color per vertex, and the chain
+    is then that of the automorphisms preserving every color: it starts
+    from the refined color classes, as search_color_preserving seeds its
+    search, and each twin class, kept and seeded, is split by color.
     """
     n = g.n
     adj = g.adjacency
     twins = tuple(map(tuple, twin_classes(g)))
-    closed: dict[frozenset[int], list[int]] = {}
-    for v in range(n):
-        closed.setdefault(adj[v] | {v}, []).append(v)
-    closed_twins = tuple(map(tuple, closed.values()))
+    closed_twins = tuple(map(tuple, closed_twin_classes(g)))
+    if colors is None:
+        cells = [list(range(n))]
+    else:
+        cells = _color_cells(g, colors)
+        twins = _split_by_color(twins, colors)
+        closed_twins = _split_by_color(closed_twins, colors)
     # most classes are singletons, which have no swap
     swaps = [cls for cls in (*twins, *closed_twins) if len(cls) > 1]
     if n == 0:
@@ -376,7 +395,7 @@ def enumerate_automorphisms(g: Graph) -> AutListing:
     # open-twin and a closed-twin class, since open twins are non-adjacent
     # and closed twins adjacent
     twin_of = {v: cls for cls in swaps for v in cls}
-    P = equitable_partition(g)
+    P = _refine_pair(adj, adj, cells, cells)[0]
     cuts = []
     for b in range(n - 1, -1, -1):
         if len(P) == n:
@@ -399,6 +418,27 @@ def enumerate_automorphisms(g: Graph) -> AutListing:
         trans = _orbit(adj, P, ci, cut, gens)
         levels.append((b, tuple(trans.values()), tuple(gens[start:])))
     return AutListing(n, tuple(levels), twins, closed_twins)
+
+
+def _split_by_color(classes, colors) -> tuple[tuple[int, ...], ...]:
+    """Each class split into its members of one color, the parts ordered
+    by least member."""
+    parts: dict = {}
+    for cls in classes:
+        for v in cls:
+            parts.setdefault((cls[0], colors[v]), []).append(v)
+    return tuple(sorted(map(tuple, parts.values())))
+
+
+def _color_cells(g: Graph, colors: Sequence) -> list[list[int]]:
+    """The color classes of colors, one color per vertex of g, in color
+    order, each ascending."""
+    if len(colors) != g.n:
+        raise SizeMismatch(f"coloring length {len(colors)} != graph order {g.n}")
+    by: dict = {}
+    for v, c in enumerate(colors):
+        by.setdefault(c, []).append(v)
+    return [by[c] for c in sorted(by)]
 
 
 def _seeds(n: int, classes) -> dict[int, list[tuple[int, ...]]]:
@@ -426,12 +466,7 @@ def search_color_preserving(g: Graph, colors: Sequence[int]) -> tuple[int, ...] 
     colors[v] is the color of v. The color classes, in color order, seed
     the search's initial partition; no listing is built.
     """
-    if len(colors) != g.n:
-        raise SizeMismatch(f"coloring length {len(colors)} != graph order {g.n}")
-    by: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by.setdefault(c, []).append(v)
-    cells = [by[c] for c in sorted(by)]
+    cells = _color_cells(g, colors)
     adj = g.adjacency
     found = _search_pair(adj, adj, cells, cells)
     # a same pair never mismatches and its first child is a same pair, so

@@ -58,32 +58,37 @@ below it has no distinguishing coloring, so skipping it changes no value
 or certificate.
 
 distinguishing_number builds g's chain itself unless it is passed one as
-group=, as verify does with the chain it has already built. The DFS
-keeps the running maximum of the colors on its path per depth, which is
-where each generator's renumbering starts. Its steps come out of the
-Budget the caller passes, or out of a fresh one of DEFAULT_BUDGET steps.
+group=, as verify does with mu_t(G)'s chain on a row whose root moves.
+The DFS keeps the running maximum of the colors on its path per depth,
+which is where each generator's renumbering starts. Its steps come out
+of the Budget the caller passes, or out of a fresh one of DEFAULT_BUDGET
+steps.
 
-mycielskian_dist answers dist(mu_t(G)) on G's chain, with no graph or
-chain of mu_t(G), for a G whose mu_t(G) has every automorphism fix the
-root w. README proves that the automorphisms of mu_t(G) fixing w are
-then exactly LT: the lifts L of Aut(G), each acting as it does on G on
-every level, times the group T of permutations within the sets of open
-twins of mu_t(G), which are C^s for each open-twin class C of G other
-than its isolates I and each level s, the t*l isolated vertices
-I^0 u ... u I^(t-1), and I^t. A coloring c of mu_t(G) distinguishes it
-exactly when c is injective on each set of T and no nontrivial
-automorphism of G preserves the coloring that gives member i of each C
-the color (lambda(C), i), where the label lambda(C) is the tuple of
-color sets c(C^0), ..., c(C^t), and gives each isolate a color of its
-own. So a class C can take any of comb(k, |C|)^(t+1) labels, the
-isolates only ask k >= t*l, the root's color is free, and the search
-asks on G's chain which labelings of the classes leave no nontrivial
-automorphism of G: a list-distinguishing question on G's open-twin
-quotient (Ferrara, Flesch & Gethner, EJC 18 (2011) P161). Labels are
-numbered by first occurrence within each class size, since only classes
-of one size can map onto each other; closed twins of G, each a class of
-one vertex, take ascending labels, by the twin argument above; and the
-color-preserving walk cuts each vertex-order prefix as in _search_k.
+quotient_dist answers dist(G), and dist(mu_t(G)) where every
+automorphism of mu_t(G) fixes the root w, on G's twin quotient Q
+(graphs.twin_quotient): one vertex per class C of twins of G, its
+closed-twin classes of size >= 2 and the open-twin classes of every
+other vertex, colored by its kind (|C|, closed, isolated). README proves
+that Aut(G) is the group T of permutations within the classes extended
+by the kind-preserving automorphisms of Q, and that the automorphisms of
+mu_t(G) fixing w are the lifts of Aut(G) times the permutations within
+the sets of open twins of mu_t(G). So a coloring distinguishes exactly
+when it is injective on each set of twins and no nontrivial automorphism
+of Q preserves the labels of its classes: the set of colors of C at
+t = 0; the tuple of color sets of C's copies on levels 0..t for an open C,
+comb(k, |C|)^(t+1) labels; and the set of the members' color tuples over
+the t+1 levels for a closed C, whose members are open twins of nobody in
+mu_t(G) but whose swap lifts to one that swaps their copies on every
+level, so the tuples differ: comb(k^(t+1), |C|) labels. At t = 0 both
+read comb(k, |C|). The isolates' class is alone in its kind, and asks
+only k >= max(t, 1) * l for l isolates, which fills I^t and the t*l
+isolated vertices of mu_t(G). That is a list-distinguishing question on
+Q (Ferrara, Flesch & Gethner, EJC 18 (2011) P161), and the search walks
+Q's chain, colored by kind: labels are numbered by first occurrence
+within each kind, since only classes of one kind map onto each other,
+each vertex-order prefix is cut as in _search_k, and the vertices above
+the chain's last base point, which every automorphism fixes, take any
+label, so a chain with no level needs no search at all.
 
 This module checks no given coloring: the package's one check of a whole
 coloring is automorphism.search_color_preserving.
@@ -96,7 +101,7 @@ from collections import namedtuple
 
 from .automorphism import AutListing, Budget, enumerate_automorphisms
 from .errors import MalformedColoring, SizeMismatch
-from .graphs import Graph, twin_classes
+from .graphs import Graph, TwinQuotient, twin_classes
 
 DEFAULT_BUDGET = 10**8
 
@@ -231,8 +236,7 @@ def distinguishing_number(g: Graph, *, budget: Budget | None = None,
     chain of g serves the color-preserving check, the generators of the
     lex-leader prune, and the twin classes behind the twin order and the
     lower bound: group, when given, is that chain, built by
-    enumerate_automorphisms(g) with or without known automorphisms,
-    and otherwise it is built here.
+    enumerate_automorphisms(g), and otherwise it is built here.
     """
     n = g.n
     if n == 0:
@@ -258,64 +262,67 @@ def distinguishing_number(g: Graph, *, budget: Budget | None = None,
     raise AssertionError("rainbow coloring is always distinguishing")
 
 
-def _labeling_k(classes, ends, prev, caps, colors, moves_last, budget: Budget) -> bool:
-    """Is there a labeling of classes, with labels 1..caps[s] for a class
-    of size s, under which no nontrivial automorphism preserves colors?
-    Member i of a class of size s with label x is colored (s, x, i);
-    ends[j] is the length of the vertex-order prefix that is colored once
-    classes[:j+1] are, and colors already holds every other vertex's.
-    prev[v] is the closed twin before v, or -1: closed twins take
-    ascending labels (module docstring)."""
-    used = dict.fromkeys(caps, 0)  # labels used so far, per class size
+def _labeling_k(kinds, caps, moves_last, budget: Budget) -> bool:
+    """Is there a labeling of the quotient's vertices, vertex j with a label
+    in 1..caps[kinds[j]], under which no nontrivial automorphism of the
+    quotient's chain preserves the labels? Labels are numbered by first
+    occurrence within each kind, and each vertex-order prefix is cut by
+    the color-preserving walk, as in _search_k (module docstring)."""
+    m = len(kinds)
+    labels = [0] * m
+    used = dict.fromkeys(caps, 0)  # labels used so far, per kind
 
-    def dfs(j: int, d: int) -> bool:
+    def dfs(d: int) -> bool:
         budget.spend()
-        if j == len(classes):
+        if d == m:
             return True
-        cls = classes[j]
-        s = len(cls)
-        top = used[s]
-        lo = colors[prev[cls[0]]][1] + 1 if prev[cls[0]] >= 0 else 1
-        for label in range(lo, min(top + 1, caps[s]) + 1):
-            for i, v in enumerate(cls):
-                colors[v] = (s, label, i)
-            if any(moves_last(colors, e, budget) for e in range(d + 1, ends[j] + 1)):
+        kind = kinds[d]
+        top = used[kind]
+        for label in range(1, min(top + 1, caps[kind]) + 1):
+            labels[d] = label
+            if moves_last(labels, d + 1, budget):
                 continue
-            used[s] = max(top, label)
-            if dfs(j + 1, ends[j]):
+            used[kind] = max(top, label)
+            if dfs(d + 1):
                 return True
-        used[s] = top
+        used[kind] = top
         return False
 
-    # the vertices before the first class are isolates, which no
-    # nontrivial automorphism preserves, as their colors all differ
-    return dfs(0, classes[0][0] if classes else 0)
+    return dfs(0)
 
 
-def mycielskian_dist(g: Graph, t: int, group: AutListing, budget: Budget) -> int:
-    """dist(mu_t(g)), for t >= 1 and a g whose mu_t(g) has every
-    automorphism fix the root, read off group, g's chain: the least k for
-    which some labeling of g's open-twin classes other than the isolates
-    distinguishes (module docstring). k starts at the largest such class,
-    at t*l, and at 2 when g has a nontrivial automorphism, whose lift is a
-    nontrivial automorphism of mu_t(g). A budget step is one node of the
-    search or one transversal element of the walk; SearchBudgetExceeded
-    when budget runs out.
+def _label_cap(kind, k: int, t: int) -> int:
+    """The labels a class of this kind can take with k colors at level t
+    (module docstring); the isolates' one class is alone in its kind."""
+    s, closed, isolated = kind
+    if isolated:
+        return 1
+    return math.comb(k ** (t + 1), s) if closed else math.comb(k, s) ** (t + 1)
+
+
+def quotient_dist(quotient: TwinQuotient, t: int, group: AutListing,
+                  budget: Budget) -> int:
+    """dist(g) at t = 0, and dist(mu_t(g)) at t >= 1 for a g whose
+    mu_t(g) has every automorphism fix the root: the least k for which
+    some labeling of the twin quotient of g (graphs.twin_quotient), with
+    _label_cap(kind, k, t) labels for a class of that kind, is preserved
+    by no nontrivial automorphism in group, the chain of quotient.graph
+    colored by quotient.kinds (module docstring). g has at least one
+    vertex. k starts at max(t, 1) * l for the l isolates, and at 2 when
+    Aut(g) is nontrivial, which then has a nontrivial lift to mu_t(g). A
+    budget step is one node of the search or one transversal element of
+    the walk; SearchBudgetExceeded when budget runs out.
     """
-    adj = g.adjacency
-    classes = [cls for cls in group.twins if adj[cls[0]]]
-    ell = g.n - sum(map(len, classes))
-    # every vertex starts with a color of its own, which the isolates keep
-    colors: list = [(0, 0, v) for v in range(g.n)]
-    ends = [cls[0] for cls in classes[1:]] + [g.n]
-    # closed twins of g are open-twin classes of one vertex each
-    prev = [-1] * g.n
-    for cl in group.closed_twins:
-        for u, v in zip(cl, cl[1:]):
-            prev[v] = u
-    k = max(max(map(len, classes), default=0), t * ell, 2 if group.order > 1 else 0)
-    while not _labeling_k(classes, ends, prev,
-                          {len(cls): math.comb(k, len(cls)) ** (t + 1) for cls in classes},
-                          colors, group.preserving_moves_last, budget):
+    kinds = quotient.kinds
+    ell = sum(s for s, _, isolated in kinds if isolated)
+    nontrivial = group.order > 1 or any(s > 1 for s, _, _ in kinds)
+    k = max(max(t, 1) * ell, 2 if nontrivial else 1)
+    # every automorphism fixes each vertex above the chain's last base
+    # point, so only the labels of the vertices up to it are searched
+    moved = kinds[:group.levels[-1][0] + 1] if group.levels else ()
+    while True:
+        caps = {kind: _label_cap(kind, k, t) for kind in set(kinds)}
+        if all(caps.values()) and _labeling_k(moved, caps,
+                                              group.preserving_moves_last, budget):
+            return k
         k += 1
-    return k

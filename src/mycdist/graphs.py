@@ -1,5 +1,6 @@
 """Simple undirected graphs on vertex ids 0..n-1, with the few analyses
-the pipeline reads: isolated vertices, open-twin classes and stars.
+the pipeline reads: isolated vertices, open- and closed-twin classes, the
+twin quotient and stars.
 
 Graphs are immutable once built; all analyses return deterministically
 ordered results so downstream reports are reproducible.
@@ -90,6 +91,45 @@ def twin_classes(g: Graph) -> list[list[int]]:
     # vertices join in ascending order, so each class is ascending and the
     # classes come in order of their least members
     return list(by_nbhd.values())
+
+
+def closed_twin_classes(g: Graph) -> list[list[int]]:
+    """Partition into closed-twin classes (N[x] = N[y]), ordered by least
+    member, each ascending."""
+    by_nbhd: dict[frozenset[int], list[int]] = {}
+    for v, nbhd in enumerate(g.adjacency):
+        by_nbhd.setdefault(nbhd | {v}, []).append(v)
+    return list(by_nbhd.values())
+
+
+class TwinQuotient(namedtuple("TwinQuotient", "graph classes kinds")):
+    """g's twin quotient: vertex j of graph stands for classes[j], and
+    kinds[j] is that class's (size, closed, isolated)."""
+
+    __slots__ = ()
+
+
+def twin_quotient(g: Graph) -> TwinQuotient:
+    """One vertex per twin class of g: its closed-twin classes of size >= 2
+    and its open-twin classes of every other vertex, ordered by least
+    member. No vertex has both an open and a closed twin, since open twins
+    are non-adjacent and closed twins adjacent. Between two classes g has
+    every edge or none, so two classes are adjacent in the quotient when
+    their least members are adjacent in g. A class's kind is its size,
+    whether it is a closed class of size >= 2, and whether it is the class
+    of g's isolated vertices (README: Aut(g) is the twin swaps extended by
+    the kind-preserving automorphisms of the quotient)."""
+    adj = g.adjacency
+    of = {v: cls for cls in twin_classes(g) for v in cls}
+    of.update((v, cls) for cls in closed_twin_classes(g) if len(cls) > 1 for v in cls)
+    classes = [of[v] for v in range(g.n) if of[v][0] == v]
+    index = {v: j for j, cls in enumerate(classes) for v in cls}
+    edges = [(i, j) for i, cls in enumerate(classes)
+             for j in {index[u] for u in adj[cls[0]]} if i < j]
+    # the members of a class of size >= 2 are adjacent exactly when it is closed
+    kinds = tuple((len(cls), len(cls) > 1 and cls[1] in adj[cls[0]], not adj[cls[0]])
+                  for cls in classes)
+    return TwinQuotient(Graph(len(classes), edges), tuple(map(tuple, classes)), kinds)
 
 
 class Star(namedtuple("Star", "m center")):

@@ -5,26 +5,29 @@ predict_dist, and classifies the orbit of the root. Records are
 independent, so sweeps may run across processes; results are emitted in
 input order either way, making reports byte-identical for any --jobs.
 
-Each graph's group is built once as a stabilizer chain, which serves
-G's own distinguishing search and every row of the graph where the root
-w of mu_t(G) is fixed. A row first reads the first two rounds of colour
+Each graph's twin quotient (graphs.twin_quotient) and its chain, colored
+by the kind of each class, are built once, with no chain of G: they
+answer dist(G) and every row of the graph where the root w of mu_t(G)
+is fixed (distinguishing.quotient_dist at t = 0 and at the row's t), and
+no DFS runs on G. A row first reads the first two rounds of colour
 refinement on mu_t(G) off G's degrees (mycielskian.root_fixed_by_degrees),
 with no mu_t(G) built. Where they set w apart, every automorphism fixes
 it, so the root orbit is fixed, the automorphisms of mu_t(G) are the
 lifts of Aut(G) times the swaps of open twins (README), and
-distinguishing.mycielskian_dist measures the row on G's chain.
+quotient_dist measures the row.
 
 Every other row (the stars, K_1, K_2 and the few graphs whose root only
 a deeper refinement sets apart) builds mu_t(G) and its chain. The root
 is the last vertex, so its orbit is read off the chain's top level with
 no search of its own. The orbit alone then picks the search: where it is
 the root alone, every automorphism fixes w, which is all that
-mycielskian_dist asks, so it measures the row on G's chain; where the
-root moves (K_1, K_2 and the stars K_{1,m}), the DFS runs on mu_t(G)'s
-chain. The row's method is search either way: the value is exact and
-was found within the budget. Apart from the chain builds, every search
-a record runs spends from its budget; a row whose search, walk or DFS
-runs out of it reads budget_exceeded.
+quotient_dist asks, so it measures the row on G's twin quotient; where
+the root moves (K_1, K_2 and the stars K_{1,m}), the DFS runs on
+mu_t(G)'s chain. The row's method is search either way: the value is
+exact and was found within the budget. Apart from the chain builds,
+every search a record runs spends from its budget; a row whose search,
+walk or DFS runs out of it reads budget_exceeded, and every row of a
+graph whose dist(G) runs out of it does too.
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ from . import distinguishing
 # root orbit off G's degrees or the chain instead
 from .automorphism import AutListing, Budget, orbit_of  # noqa: F401
 from .constructions import predict_dist
-from .distinguishing import DEFAULT_BUDGET, distinguishing_number, mycielskian_dist
+from .distinguishing import DEFAULT_BUDGET, distinguishing_number, quotient_dist
 from .errors import MycdistError, SearchBudgetExceeded
 from .graph6 import parse_graph6, write_graph6
-from .graphs import Star, classify_star, isolated_vertices
+from .graphs import Star, classify_star, isolated_vertices, twin_quotient
 from .mycielskian import MycLayout, build_mycielskian, root_fixed_by_degrees
 
 ORBIT_FIXED = "fixed"
@@ -158,14 +161,14 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
     g6 = write_graph6(g)
     ell = len(isolated_vertices(g))
     star = classify_star(g)
+    quotient = twin_quotient(g)
     # chains are built through the distinguishing module's attribute, the
     # one that bench/run.py --trace 1 wraps as the listing layer
-    group = distinguishing.enumerate_automorphisms(g)
+    group = distinguishing.enumerate_automorphisms(quotient.graph, quotient.kinds)
     try:
-        dist_g_result = distinguishing_number(g, budget=Budget(budget_steps),
-                                              group=group)
+        dist_g: int | None = quotient_dist(quotient, 0, group, Budget(budget_steps))
     except SearchBudgetExceeded:
-        dist_g_result = None
+        dist_g = None
     rows = []
     for t in ts:
         layout = MycLayout(g.n, t)
@@ -176,18 +179,18 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
             mu_group = distinguishing.enumerate_automorphisms(mu)
             orbit = _root_orbit(mu_group, layout.root)
         orbit_class = classify_root_orbit(orbit, layout, star)
-        if dist_g_result is None:
+        if dist_g is None:
             # no prediction possible without dist(g); still worth a row
             rows.append(VerifyRecord(g6, g.n, ell, t=t, method=METHOD_BUDGET_EXCEEDED,
                                      root_orbit=orbit_class))
             continue
-        prediction = predict_dist(g, t, dist_g_result.value)
+        prediction = predict_dist(g, t, dist_g)
         method = METHOD_SEARCH
         measured: int | None
         budget = Budget(budget_steps)
         try:
             if orbit_class == ORBIT_FIXED:
-                measured = mycielskian_dist(g, t, group, budget)
+                measured = quotient_dist(quotient, t, group, budget)
             else:
                 measured = distinguishing_number(mu, budget=budget,
                                                  group=mu_group).value
@@ -196,7 +199,7 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
         ok = (measured is not None and prediction.holds(measured)
               and orbit_class == expected_root_orbit(star))
         rows.append(VerifyRecord(
-            graph6=g6, n=g.n, ell=ell, dist_g=dist_g_result.value, t=t,
+            graph6=g6, n=g.n, ell=ell, dist_g=dist_g, t=t,
             case=prediction.case_tag, predicted_kind=prediction.kind,
             predicted_value=prediction.value, measured=measured, method=method,
             root_orbit=orbit_class, passed=ok))

@@ -32,6 +32,13 @@ def enumerate_automorphisms_naive(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in p) for p in perms[mask])
 
 
+def color_preserving_order_naive(g: Graph, colors) -> int:
+    """Oracle count of the automorphisms of g that keep every vertex's
+    color, colors[v] the color of v: the naive listing, filtered."""
+    return sum(1 for img in enumerate_automorphisms_naive(g)
+               if all(colors[img[v]] == colors[v] for v in range(g.n)))
+
+
 def _canonical_colorings_exactly(n: int, k: int):
     """All canonical colorings of n vertices using exactly colors 1..k."""
     colors = [0] * n

@@ -10,8 +10,8 @@ listing in oracles.py checks the first two. validate_facts reads the
 MycLayout it is given, since what it checks is that a built graph fits
 that layout. It also holds the small helpers that only the tests use:
 disjoint_union, canonical, is_automorphism, is_isomorphism, distinguishes,
-lifted_automorphism, lt_order, mycielskian_group_order and
-mycielskian_twin_sets.
+lifted_automorphism, lt_order, quotient_group_order,
+mycielskian_group_order and mycielskian_twin_sets.
 """
 
 import dataclasses
@@ -124,6 +124,20 @@ def lt_order(g, t, aut_order):
     ell = sum(1 for s in nbhd if not s)
     return aut_order * math.factorial(t * ell) * math.prod(
         math.factorial(size) ** t for size in classes.values())
+
+
+def quotient_group_order(g, quotient_order):
+    """|Aut(G)| from quotient_order = |Aut(Q, kinds)| of G's twin quotient
+    Q: quotient_order times |C|! for each twin class C of G. The closed
+    classes of size >= 2 and the open classes are those classes, since
+    the open class of a vertex with a closed twin is the vertex alone and
+    adds the factor 1! (README: Aut(G)/T is Aut(Q, kinds))."""
+    nbhd = _neighbourhoods(g)
+    open_classes = Counter(frozenset(s) for s in nbhd)
+    closed_classes = Counter(frozenset(s | {v}) for v, s in enumerate(nbhd))
+    return quotient_order * math.prod(
+        math.factorial(size)
+        for size in (*open_classes.values(), *closed_classes.values()))
 
 
 def mycielskian_group_order(g, t, aut_order):

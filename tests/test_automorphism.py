@@ -20,13 +20,15 @@ from mycdist.constructions import kn_base_coloring, lift_coloring
 from mycdist.distinguishing import distinguishing_number
 from mycdist.errors import (PreconditionViolated, SearchBudgetExceeded,
                             SizeMismatch)
-from mycdist.graphs import classify_star
+from mycdist.graphs import classify_star, twin_quotient
 
-from .oracles import enumerate_automorphisms_naive
+from .oracles import (color_preserving_order_naive,
+                      enumerate_automorphisms_naive)
 from .support import (assert_group_axioms, chain_elements, disjoint_union,
                       graphs, is_automorphism, is_isomorphism,
                       lifted_automorphism, lt_order, mycielskian_group_order,
-                      mycielskian_twin_sets, reference_listing,
+                      mycielskian_twin_sets, naive_twin_classes,
+                      quotient_group_order, reference_listing,
                       twin_rich_graphs)
 
 
@@ -101,6 +103,46 @@ def test_automorphisms_preserve_local_structure():
                 assert g.degree(img[v]) == g.degree(v)
                 assert (sorted(g.degree(u) for u in g.neighbors(img[v]))
                         == sorted(g.degree(u) for u in g.neighbors(v)))
+
+
+def test_colored_chain_counts_the_color_preserving_automorphisms(corpus_n6):
+    # fixed colorings of every graph with n <= 6: one color, and two and
+    # three colors drawn with a fixed seed
+    rng = random.Random(6)
+    for line, g in corpus_n6:
+        colorings = [[0] * g.n] + [[rng.randint(1, c) for _ in range(g.n)]
+                                   for c in (2, 3)]
+        for colors in colorings:
+            group = enumerate_automorphisms(g, colors)
+            assert group.order == color_preserving_order_naive(g, colors), (line, colors)
+            assert all(colors[img[v]] == colors[v]
+                       for img in chain_elements(group) for v in range(g.n))
+            # the chain keeps, and was seeded with, same-color twins only
+            assert all(len({colors[v] for v in cls}) == 1
+                       for cls in (*group.twins, *group.closed_twins))
+        # one color is no color: the same chain as the uncolored call
+        assert enumerate_automorphisms(g, [0] * g.n).levels == \
+            enumerate_automorphisms(g).levels
+
+
+def test_twin_quotient_chain_and_twin_swaps_give_the_group(corpus_n7):
+    # |Aut(G)| = |Aut(Q, kinds)| prod |C|! over G's twin classes, the
+    # quotient's vertices in order of their least members
+    discrete = 0
+    for line, g in corpus_n7:
+        q = twin_quotient(g)
+        group = enumerate_automorphisms(q.graph, q.kinds)
+        assert quotient_group_order(g, group.order) == enumerate_automorphisms(g).order, line
+        assert sorted(v for cls in q.classes for v in cls) == list(range(g.n))
+        assert [cls[0] for cls in q.classes] == sorted(cls[0] for cls in q.classes)
+        open_classes = {tuple(cls) for cls in naive_twin_classes(g)}
+        for cls, (size, closed, isolated) in zip(q.classes, q.kinds):
+            assert size == len(cls) and isolated == (not g.neighbors(cls[0]))
+            assert closed == (size > 1 and g.has_edge(cls[0], cls[1]))
+            assert closed or cls in open_classes
+        discrete += not group.levels
+    # the colored refinement of the quotient is already discrete on most
+    assert discrete == 135 + 688
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,6 +1,8 @@
 """Exact distinguishing search against the brute-force oracle."""
 
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -14,9 +16,9 @@ from mycdist import (Coloring, Graph, build_mycielskian, complete_graph,
 from mycdist import automorphism, distinguishing
 from mycdist.automorphism import Budget, enumerate_automorphisms, equitable_partition
 from mycdist.distinguishing import (DEFAULT_BUDGET, _smaller_image, lower_bound,
-                                    mycielskian_dist)
+                                    quotient_dist)
 from mycdist.errors import MalformedColoring, SearchBudgetExceeded, SizeMismatch
-from mycdist.graphs import twin_classes
+from mycdist.graphs import twin_classes, twin_quotient
 from mycdist.mycielskian import root_fixed_by_degrees
 
 from .oracles import (_canonical_colorings_exactly,
@@ -24,6 +26,8 @@ from .oracles import (_canonical_colorings_exactly,
                       enumerate_automorphisms_naive)
 from .support import (canonical, chain_without_generators, disjoint_union,
                       distinguishes, graphs, twin_rich_graphs)
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # value pairs frozen from distinguishing_number_bruteforce runs
 KNOWN = [
@@ -408,82 +412,113 @@ def _root_fixed(g, t):
     return mu if [layout.root] in equitable_partition(mu) else None
 
 
-def test_mycielskian_dist_matches_the_dfs_on_the_corpus(corpus_n6):
+def _quotient_dist(g, t, budget=None):
+    """quotient_dist on g's twin quotient and its chain colored by kind,
+    as verify calls it."""
+    q = twin_quotient(g)
+    group = enumerate_automorphisms(q.graph, q.kinds)
+    return quotient_dist(q, t, group, Budget(DEFAULT_BUDGET) if budget is None else budget)
+
+
+def test_quotient_dist_at_t0_is_dist_on_the_corpus(corpus_n7):
+    for line, g in corpus_n7:
+        assert _quotient_dist(g, 0) == distinguishing_number(g).value, line
+
+
+def test_quotient_dist_at_t0_matches_the_dist_golden():
+    # every graph with n <= 7 and mu_1, mu_2 of every graph with n <= 5
+    golden = ROOT / "tests" / "golden" / "dist.jsonl"
+    records = [json.loads(ln) for ln in golden.read_text().splitlines()]
+    assert len(records) == 1356
+    for rec in records:
+        assert _quotient_dist(parse_graph6(rec["graph6"]), 0) == rec["dist"], rec
+
+
+def test_quotient_dist_matches_the_dfs_on_the_corpus(corpus_n6):
     # every row with n <= 6 at t <= 3 whose root is fixed: all but the 18
     # rows of the six stars K_1, ..., K_{1,5}
     rows = 0
     for line, g in corpus_n6:
-        group = enumerate_automorphisms(g)
         for t in (1, 2, 3):
             mu = _root_fixed(g, t)
             if mu is None:
                 continue
-            got = mycielskian_dist(g, t, group, Budget(DEFAULT_BUDGET))
-            assert got == distinguishing_number(mu).value, (line, t)
+            assert _quotient_dist(g, t) == distinguishing_number(mu).value, (line, t)
             rows += 1
     assert rows == 606
 
 
-def test_mycielskian_dist_matches_the_dfs_on_random_n8_graphs():
+def test_quotient_dist_matches_the_dfs_on_random_n8_graphs():
     rng = random.Random(8)
     rows = symmetric = 0
     for _ in range(40):
         p = rng.choice((0.15, 0.3, 0.5))
         g = Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8)
                       if rng.random() < p])
-        group = enumerate_automorphisms(g)
-        symmetric += group.order > 1
+        symmetric += enumerate_automorphisms(g).order > 1
         for t in (1, 2):
             mu = _root_fixed(g, t)
             if mu is None:
                 continue
-            got = mycielskian_dist(g, t, group, Budget(DEFAULT_BUDGET))
-            assert got == distinguishing_number(mu).value, (g.edges(), t)
+            assert _quotient_dist(g, t) == distinguishing_number(mu).value, (g.edges(), t)
             rows += 1
     assert rows == 80 and symmetric >= 10
 
 
 @pytest.mark.parametrize("line, ts", [("EQKo", (1, 2, 3, 8)),
-                                      ("Ih??c{?yG", (1, 2, 3))])
-def test_mycielskian_dist_matches_the_dfs_where_degrees_leave_the_root(line, ts):
+                                      ("Ih??c{?yG", (1, 2, 3, 8))])
+def test_quotient_dist_matches_the_dfs_where_degrees_leave_the_root(line, ts):
     # G's degrees do not set these roots apart, so verify reads the root
     # orbit off mu_t(G)'s chain; it is the root alone, which is all that
-    # mycielskian_dist asks, and verify measures the row with it
+    # quotient_dist asks, and verify measures the row with it
     g = parse_graph6(line)
-    group = enumerate_automorphisms(g)
     for t in ts:
         mu, layout = build_mycielskian(g, t)
         assert not root_fixed_by_degrees(g, t)
         assert automorphism.orbit_of(mu, layout.root) == {layout.root}
-        got = mycielskian_dist(g, t, group, Budget(DEFAULT_BUDGET))
-        assert got == distinguishing_number(mu).value, (line, t)
+        assert _quotient_dist(g, t) == distinguishing_number(mu).value, (line, t)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_complete_graph_rows_read_the_digit_law(n):
-    # Aut(K_n) is S_n on n classes of one vertex, so every label differs:
-    # the value is the least k with k^(t+1) >= n, and the row is measured
-    # on G's chain, with no chain or DFS of mu_t(K_n)
+    # Aut(K_n) is S_n on one closed class of n vertices, whose labels all
+    # differ: the value is the least k with k^(t+1) >= n, and the row is
+    # measured on the twin quotient, with no chain or DFS of mu_t(K_n)
     g = complete_graph(n)
-    group = enumerate_automorphisms(g)
     rows = process_record(write_graph6(g), [1, 2, 3, 4], DEFAULT_BUDGET)
     for t, r in zip((1, 2, 3, 4), rows):
         k = next(k for k in itertools.count(1) if k ** (t + 1) >= n)
         assert _root_fixed(g, t) is not None
-        assert mycielskian_dist(g, t, group, Budget(DEFAULT_BUDGET)) == k
+        assert _quotient_dist(g, t) == k
         assert (r.measured, r.method, r.root_orbit) == (k, "search", "fixed")
 
 
-def test_mycielskian_dist_spends_the_budget():
-    # mu_1(C_5): one step per node and per transversal element walked;
-    # Aut(C_5) is nontrivial, so the search starts at k = 2
-    c5 = cycle_graph(5)
-    group = enumerate_automorphisms(c5)
+def test_complete_graphs_need_no_quotient_chain():
+    # K_n's quotient is one vertex, so its chain has no level: n colors at
+    # t = 0, and the least k with k^(t+1) >= n at t >= 1 (K_1's root moves
+    # at t >= 1, so its rows are not asked)
+    for n in range(1, 63):
+        g = complete_graph(n)
+        q = twin_quotient(g)
+        assert q.kinds == ((n, n > 1, n == 1),)
+        group = enumerate_automorphisms(q.graph, q.kinds)
+        assert group.levels == ()
+        assert quotient_dist(q, 0, group, Budget(DEFAULT_BUDGET)) == n
+        for t in range(1, 5):
+            k = next(k for k in itertools.count(1) if k ** (t + 1) >= n)
+            if n > 1:
+                assert quotient_dist(q, t, group, Budget(DEFAULT_BUDGET)) == k
+
+
+def test_quotient_dist_spends_the_budget():
+    # mu_1(C_5): C_5 has no twins, so its quotient is C_5 itself, and a
+    # budget step is one node of the search or one transversal element
+    # walked; Aut(C_5) is nontrivial, so the search starts at k = 2
     budget = Budget(DEFAULT_BUDGET)
-    assert mycielskian_dist(c5, 1, group, budget) == 2
+    assert _quotient_dist(cycle_graph(5), 1, budget) == 2
     assert budget.used == 13
     with pytest.raises(SearchBudgetExceeded):
-        mycielskian_dist(c5, 1, group, Budget(budget.used - 1))
+        _quotient_dist(cycle_graph(5), 1, Budget(budget.used - 1))
 
 
 def test_closed_twins_bound_complete_graphs():

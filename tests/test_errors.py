@@ -43,6 +43,8 @@ CONDITIONS = [
      SizeMismatch, "coloring length 2 != source order 3"),
     ("length-layout", lambda: MycLayout(3, 1).lift([[1, 1, 1]], 1),
      SizeMismatch, "need 2 rows of 3 values"),
+    ("length-colored-chain", lambda: enumerate_automorphisms(path_graph(3), (1, 2)),
+     SizeMismatch, "coloring length 2 != graph order 3"),
     ("length-chain", lambda: distinguishing_number(
         path_graph(3), group=enumerate_automorphisms(path_graph(4))),
      SizeMismatch, "chain on 4 points != graph order 3"),

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mycdist.graphs
 from mycdist import (AutListing, Coloring, Graph, MycLayout, VerifyRecord,
                      build_mycielskian, classify_star, complete_graph,
                      cycle_graph, distinguishing_number,
@@ -98,8 +99,9 @@ def test_run_verify_bare_header_is_a_malformed_row():
 
 
 def test_rows_measure_the_unbounded_search(corpus_n6):
-    # rows measured on G's chain and rows measured by the DFS on mu_t(G)'s
-    # read the value the search on mu_t(G) finds with no budget
+    # rows measured on G's twin quotient and rows measured by the DFS on
+    # mu_t(G)'s chain read the value the search on mu_t(G) finds with no
+    # budget
     for line, g in corpus_n6:
         for r in process_record(line, [1, 2, 3], DEFAULT_BUDGET):
             mu, _ = build_mycielskian(g, r.t)
@@ -115,15 +117,16 @@ def test_twin_rich_rows_measure_the_unbounded_search(g):
 
 
 @pytest.mark.parametrize("line, t, n, value", [
-    # mu_2(K_5): Aut(K_5) is nontrivial, so the search on G's chain starts
-    # at 2, and a labeling with 2 colors distinguishes
+    # mu_2(K_5): Aut(K_5) is nontrivial, so the search on G's twin
+    # quotient starts at 2, and a labeling with 2 colors distinguishes
     ("D~{", 2, 5, 2),
     # mu_2 of the empty graph on 3 vertices: 6 isolated twins, so the
-    # search on G's chain starts at 6, with no class to label
+    # search on G's twin quotient starts at 6, with no class to label
     ("B?", 2, 3, 6),
 ])
 def test_bounds_settle_without_a_dfs(line, t, n, value, monkeypatch):
-    # the root is fixed: only G's own DFS runs, never mu_t(G)'s
+    # the root is fixed, and dist(G) is read off G's twin quotient: no
+    # DFS runs, on G (n vertices) or on mu_t(G)
     orders = []
     search_k = distinguishing._search_k
 
@@ -133,8 +136,8 @@ def test_bounds_settle_without_a_dfs(line, t, n, value, monkeypatch):
 
     monkeypatch.setattr(distinguishing, "_search_k", counted)
     (r,) = process_record(line, [t], DEFAULT_BUDGET)
-    assert (r.measured, r.method, r.passed) == (value, "search", True)
-    assert orders and set(orders) == {n}
+    assert (r.n, r.measured, r.method, r.passed) == (n, value, "search", True)
+    assert orders == []
 
 
 def test_run_verify_takes_records_of_any_size(monkeypatch, capsys):
@@ -159,9 +162,9 @@ def test_run_verify_parses_each_line_once(corpus_n6, monkeypatch):
 
 
 @pytest.mark.parametrize("m", range(2, 6))
-def test_star_rows_settle_without_a_dfs(m, monkeypatch):
-    # the root of mu_t(K_{1,m}) moves, so each row runs one DFS on mu_t,
-    # after the one on G
+def test_star_rows_run_one_dfs_on_mu_per_t(m, monkeypatch):
+    # the root of mu_t(K_{1,m}) moves, so each row runs one DFS on mu_t;
+    # dist(G) is read off G's twin quotient, with no DFS on G
     orders = []
     search = verify.distinguishing_number
 
@@ -171,14 +174,15 @@ def test_star_rows_settle_without_a_dfs(m, monkeypatch):
 
     monkeypatch.setattr(verify, "distinguishing_number", counted)
     rows = process_record(write_graph6(star_graph(m)), [1, 2, 3], DEFAULT_BUDGET)
-    assert orders == [m + 1] + [(m + 1) * (t + 1) + 1 for t in (1, 2, 3)]
+    assert orders == [(m + 1) * (t + 1) + 1 for t in (1, 2, 3)]
     assert [(r.case, r.method, r.passed) for r in rows] == [("GENERIC", "search", True)] * 3
 
 
 def test_dfs_on_mu_runs_exactly_where_the_root_moves(corpus_n7, monkeypatch):
     # every row of n <= 7 at t = 1, 2, 3: the root orbit alone picks the
     # search, the DFS on mu_t(G) where the root moves and the search on
-    # G's chain where it is fixed; mu_t(G) has n(t + 1) + 1 vertices
+    # G's twin quotient where it is fixed, which also answers dist(G);
+    # mu_t(G) has n(t + 1) + 1 vertices
     orders = []
     search = verify.distinguishing_number
 
@@ -192,7 +196,7 @@ def test_dfs_on_mu_runs_exactly_where_the_root_moves(corpus_n7, monkeypatch):
         orders.clear()
         rows = process_record(line, [1, 2, 3], DEFAULT_BUDGET)
         mu_orders = [g.n * (r.t + 1) + 1 for r in rows if r.root_orbit != "fixed"]
-        assert orders == [g.n, *mu_orders], line
+        assert orders == mu_orders, line
         moved += len(mu_orders)
     # K_1, K_2 and the stars K_{1,m}, m = 2..6, at three values of t
     assert moved == 3 * 7
@@ -364,11 +368,13 @@ def test_process_record_row_shape():
 
 
 def test_process_record_builds_one_chain_per_graph(monkeypatch):
-    # G's chain, shared by G's search and every row whose root is fixed,
-    # with no mu_t built where G's degrees certify it; a star's rows, and
-    # EQKo's, whose root only a deeper refinement sets apart, build mu_t
-    # and its chain and read the root orbit off it with no search of its
-    # own, and the star's DFS runs on that chain
+    # the chain of G's twin quotient, colored by kind, shared by dist(G)
+    # and every row whose root is fixed, with no chain of G and no mu_t
+    # built where G's degrees certify the root; a star's rows, and EQKo's,
+    # whose root only a deeper refinement sets apart, build mu_t and its
+    # chain and read the root orbit off it with no search of its own, and
+    # the star's DFS runs on that chain. K_{3,3}, K_{1,3} and EQKo have
+    # quotients of 2, 2 and 5 vertices.
     builds, mus, orbits = [], [], []
     build, build_mu = distinguishing.enumerate_automorphisms, verify.build_mycielskian
 
@@ -389,8 +395,8 @@ def test_process_record_builds_one_chain_per_graph(monkeypatch):
     monkeypatch.setattr(verify, "orbit_of", counted_orbit)
     monkeypatch.setattr(automorphism, "orbit_of", counted_orbit)
     golden = (ROOT / "tests" / "golden" / "verify.csv").read_text().splitlines()
-    for line, orders in [("ElUg", [6]), ("CF", [4, 9, 13]),  # K_{1,3}
-                         ("EQKo", [6, 13, 19])]:
+    for line, orders in [("ElUg", [2]), ("CF", [2, 9, 13]),  # K_{1,3}
+                         ("EQKo", [5, 13, 19])]:
         builds.clear()
         mus.clear()
         rows = process_record(line, [1, 2], 10**8)
@@ -413,38 +419,39 @@ def test_uncertified_root_of_an_asymmetric_mycielskian_reads_fixed():
     assert [(r.measured, r.root_orbit, r.passed) for r in rows] == [(1, "fixed", True)] * 3
 
 
-def test_process_record_finds_twin_classes_once_per_graph(monkeypatch):
-    # once for G, by the chain build; the distinguishing searches read
-    # them off G's chain, and mu_t's root is fixed, so it has no chain
+def _count_twin_classes(monkeypatch) -> list[int]:
+    """The order of each graph whose open-twin classes are found, through
+    any module's binding."""
     calls = []
-    find = automorphism.twin_classes
+    find = mycdist.graphs.twin_classes
 
     def counted(g):
         calls.append(g.n)
         return find(g)
 
-    monkeypatch.setattr(automorphism, "twin_classes", counted)
-    monkeypatch.setattr(distinguishing, "twin_classes", counted)
+    for module in (mycdist.graphs, automorphism, distinguishing):
+        monkeypatch.setattr(module, "twin_classes", counted)
+    return calls
+
+
+def test_process_record_finds_twin_classes_once_per_graph(monkeypatch):
+    # once for G, by its twin quotient, and once for the quotient (here
+    # K_2), by its chain build; the searches read the quotient and its
+    # chain, and mu_t's root is fixed, so it has no chain
+    calls = _count_twin_classes(monkeypatch)
     rows = process_record("ElUg", [1, 2], 10**8)
     assert [r.method for r in rows] == ["search", "search"]
-    assert calls == [6]
+    assert calls == [6, 2]
 
 
 def test_isolate_case_finds_twin_classes_once_per_graph(monkeypatch):
     # under a budget too small for mu_2's DFS the row is measured on G's
-    # chain, whose twin classes are found once
-    calls = []
-    find = automorphism.twin_classes
-
-    def counted(g):
-        calls.append(g.n)
-        return find(g)
-
-    monkeypatch.setattr(automorphism, "twin_classes", counted)
-    monkeypatch.setattr(distinguishing, "twin_classes", counted)
+    # twin quotient, a single vertex; each graph's twin classes are found
+    # once
+    calls = _count_twin_classes(monkeypatch)
     rows = process_record("B?", [2], 8)
     assert [(r.method, r.measured, r.passed) for r in rows] == [("search", 6, True)]
-    assert calls == [3]
+    assert calls == [3, 1]
 
 
 def test_import_leaves_the_process_pool_out():

@@ -7,8 +7,9 @@ at t = 1, 2 and 3, n <= 5 at t = 2, and n = 7 at t = 1, 2 and 3. For each
 it prints the number of rows, the sha256 of the CSV report, the summed
 Budget.used of every search the sweep ran (G's and mu_t(G)'s, counted by
 wrapping verify.Budget), the number of mu_t(G) rows that ran the
-distinguishing DFS (the calls of verify.distinguishing_number, less the
-one each record makes for G), the wall seconds and the number of rows
+distinguishing DFS (the calls of verify.distinguishing_number: verify
+answers dist(G) and every row whose root is fixed on G's twin quotient,
+with no DFS), the wall seconds and the number of rows
 per method, so that a change of label shows even where the values do
 not. Two commits whose sweeps print the same hashes wrote byte-identical
 reports; the step sums and DFS rows compare the work their searches did.
@@ -63,7 +64,7 @@ def main():
             used = sum(b.used for b in budgets)
             methods = Counter(r.method for r in report.records)
             print(f"{label:<6} {t:>1} {len(report.records):>5} {digest} "
-                  f"{used:>11} {len(searches) - len(lines):>8} {wall:>7.3f} "
+                  f"{used:>11} {len(searches):>8} {wall:>7.3f} "
                   + ",".join(f"{m}={c}" for m, c in sorted(methods.items())))
     finally:
         verify.Budget, verify.distinguishing_number = plain, search
