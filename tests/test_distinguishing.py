@@ -467,10 +467,11 @@ def test_quotient_dist_matches_the_dfs_on_random_n8_graphs():
 
 @pytest.mark.parametrize("line, ts", [("EQKo", (1, 2, 3, 8)),
                                       ("Ih??c{?yG", (1, 2, 3, 8))])
-def test_quotient_dist_matches_the_dfs_where_degrees_leave_the_root(line, ts):
-    # G's degrees do not set these roots apart, so verify reads the root
-    # orbit off mu_t(G)'s chain; it is the root alone, which is all that
-    # quotient_dist asks, and verify measures the row with it
+def test_mycielskian_dist_matches_the_dfs_where_degrees_leave_the_root(line, ts):
+    # the dist of mu_t(G), read off G's twin quotient. G's degrees do not
+    # set these roots apart, so verify reads the root orbit off mu_t(G)'s
+    # chain; it is the root alone, which is all that quotient_dist asks,
+    # and verify measures the row with it
     g = parse_graph6(line)
     for t in ts:
         mu, layout = build_mycielskian(g, t)
