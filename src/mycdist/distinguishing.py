@@ -58,24 +58,26 @@ below it has no distinguishing coloring, so skipping it changes no value
 or certificate.
 
 distinguishing_number builds g's chain itself unless it is passed one as
-group=, as verify does with mu_t(G)'s chain on a row whose root moves.
-The DFS keeps the running maximum of the colors on its path per depth,
-which is where each generator's renumbering starts. Its steps come out
-of the Budget the caller passes, or out of a fresh one of DEFAULT_BUDGET
-steps.
+group=. The DFS keeps the running maximum of the colors on its path per
+depth, which is where each generator's renumbering starts. Its steps
+come out of the Budget the caller passes, or out of a fresh one of
+DEFAULT_BUDGET steps.
 
-quotient_dist answers dist(G), and dist(mu_t(G)) where every
-automorphism of mu_t(G) fixes the root w, on G's twin quotient Q
-(graphs.twin_quotient): one vertex per class C of twins of G, its
-closed-twin classes of size >= 2 and the open-twin classes of every
-other vertex, colored by its kind (|C|, closed, isolated). README proves
-that Aut(G) is the group T of permutations within the classes extended
-by the kind-preserving automorphisms of Q, and that the automorphisms of
-mu_t(G) fixing w are the lifts of Aut(G) times the permutations within
-the sets of open twins of mu_t(G). So a coloring distinguishes exactly
-when it is injective on each set of twins and no nontrivial automorphism
-of Q preserves the labels of its classes: the set of colors of C at
-t = 0; the tuple of color sets of C's copies on levels 0..t for an open C,
+quotient_dist answers dist(G), and at t >= 1 the least k for which some
+k-coloring of mu_t(G) is kept by no nontrivial automorphism that fixes
+the root w. Where every automorphism fixes w, that is dist(mu_t(G));
+where the root orbit is {w, x}, dist(mu_t(G)) is the larger of it and 2
+(README). It works on G's twin quotient Q (graphs.twin_quotient): one
+vertex per class C of twins of G, its closed-twin classes of size >= 2
+and the open-twin classes of every other vertex, colored by its kind
+(|C|, closed, isolated). README proves that Aut(G) is the group T of
+permutations within the classes extended by the kind-preserving
+automorphisms of Q, and that the automorphisms of mu_t(G) fixing w are
+the lifts of Aut(G) times the permutations within the sets of open twins
+of mu_t(G). So no nontrivial one of them keeps a coloring exactly when
+it is injective on each set of twins and no nontrivial automorphism of Q
+preserves the labels of its classes: the set of colors of C at t = 0;
+the tuple of color sets of C's copies on levels 0..t for an open C,
 comb(k, |C|)^(t+1) labels; and the set of the members' color tuples over
 the t+1 levels for a closed C, whose members are open twins of nobody in
 mu_t(G) but whose swap lifts to one that swaps their copies on every
@@ -302,16 +304,17 @@ def _label_cap(kind, k: int, t: int) -> int:
 
 def quotient_dist(quotient: TwinQuotient, t: int, group: AutListing,
                   budget: Budget) -> int:
-    """dist(g) at t = 0, and dist(mu_t(g)) at t >= 1 for a g whose
-    mu_t(g) has every automorphism fix the root: the least k for which
-    some labeling of the twin quotient of g (graphs.twin_quotient), with
-    _label_cap(kind, k, t) labels for a class of that kind, is preserved
-    by no nontrivial automorphism in group, the chain of quotient.graph
-    colored by quotient.kinds (module docstring). g has at least one
-    vertex. k starts at max(t, 1) * l for the l isolates, and at 2 when
-    Aut(g) is nontrivial, which then has a nontrivial lift to mu_t(g). A
-    budget step is one node of the search or one transversal element of
-    the walk; SearchBudgetExceeded when budget runs out.
+    """dist(g) at t = 0, and at t >= 1 the least k for which some k-coloring
+    of mu_t(g) is kept by no nontrivial automorphism fixing the root, which
+    is dist(mu_t(g)) where every automorphism fixes it. Both are the least k
+    for which some labeling of the twin quotient of g
+    (graphs.twin_quotient), with _label_cap(kind, k, t) labels for a class
+    of that kind, is preserved by no nontrivial automorphism in group, the
+    chain of quotient.graph colored by quotient.kinds (module docstring). g
+    has at least one vertex. k starts at max(t, 1) * l for the l isolates,
+    and at 2 when Aut(g) is nontrivial, which then has a nontrivial lift to
+    mu_t(g). A budget step is one node of the search or one transversal
+    element of the walk; SearchBudgetExceeded when budget runs out.
     """
     kinds = quotient.kinds
     ell = sum(s for s, _, isolated in kinds if isolated)

@@ -7,27 +7,31 @@ input order either way, making reports byte-identical for any --jobs.
 
 Each graph's twin quotient (graphs.twin_quotient) and its chain, colored
 by the kind of each class, are built once, with no chain of G: they
-answer dist(G) and every row of the graph where the root w of mu_t(G)
-is fixed (distinguishing.quotient_dist at t = 0 and at the row's t), and
-no DFS runs on G. A row first reads the first two rounds of colour
+answer dist(G) and every row of the graph whose root orbit has at most
+two points (distinguishing.quotient_dist at t = 0 and at the row's t),
+and no DFS runs on G. A row first reads the first two rounds of colour
 refinement on mu_t(G) off G's degrees (mycielskian.root_fixed_by_degrees),
-with no mu_t(G) built. Where they set w apart, every automorphism fixes
-it, so the root orbit is fixed, the automorphisms of mu_t(G) are the
-lifts of Aut(G) times the swaps of open twins (README), and
-quotient_dist measures the row.
+with no mu_t(G) built. Where they set the root w apart, every
+automorphism fixes it, the automorphisms of mu_t(G) are the lifts of
+Aut(G) times the swaps of open twins (README), and quotient_dist
+measures the row.
 
 Every other row (the stars, K_1, K_2 and the few graphs whose root only
-a deeper refinement sets apart) builds mu_t(G) and its chain. The root
-is the last vertex, so its orbit is read off the chain's top level with
-no search of its own. The orbit alone then picks the search: where it is
-the root alone, every automorphism fixes w, which is all that
-quotient_dist asks, so it measures the row on G's twin quotient; where
-the root moves (K_1, K_2 and the stars K_{1,m}), the DFS runs on
-mu_t(G)'s chain. The row's method is search either way: the value is
-exact and was found within the budget. Apart from the chain builds,
-every search a record runs spends from its budget; a row whose search,
-walk or DFS runs out of it reads budget_exceeded, and every row of a
-graph whose dist(G) runs out of it does too.
+a deeper refinement sets apart) builds mu_t(G) and reads the root orbit
+with orbit_of: one refinement, and at most one targeted search per other
+member of the root's cell, with no chain of mu_t(G). The orbit's size
+alone then picks the search. Where it is {w}, quotient_dist measures the
+row. Where it is {w, x} (K_1 and the stars K_{1,m}, m >= 2), the value
+is the larger of quotient_dist and 2: no automorphism fixing w reads the
+root's color, so with two colors it can differ from x's, and then no
+automorphism moving w keeps the coloring (README). Only a larger orbit
+(K_2, whose mu_t(G) is an odd cycle) runs the distinguishing DFS on
+mu_t(G), which builds its own chain. The row's method is search either
+way: the value is exact and was found within the budget. Apart from the
+chain builds and orbit_of, every search a record runs spends from its
+budget; a row whose search, walk or DFS runs out of it reads
+budget_exceeded, and every row of a graph whose dist(G) runs out of it
+does too.
 """
 
 from __future__ import annotations
@@ -39,9 +43,7 @@ import os
 from collections import namedtuple
 
 from . import distinguishing
-# bench/run.py --trace 1 wraps verify.orbit_of by name; records read the
-# root orbit off G's degrees or the chain instead
-from .automorphism import AutListing, Budget, orbit_of  # noqa: F401
+from .automorphism import Budget, orbit_of
 from .constructions import predict_dist
 from .distinguishing import DEFAULT_BUDGET, distinguishing_number, quotient_dist
 from .errors import MycdistError, SearchBudgetExceeded
@@ -130,16 +132,6 @@ def expected_root_orbit(star: Star | None) -> str:
     return ORBIT_ALL if star.m == 1 else ORBIT_CENTER_SHADOW
 
 
-def _root_orbit(chain: AutListing, root: int) -> frozenset[int]:
-    """Orbit of the last vertex, the images of the chain's top level. Each
-    of them fixes every point above its base point, so where the refined
-    unit partition leaves the root alone in its cell, or the chain has no
-    level at all, the orbit is the root alone."""
-    if not chain.levels:
-        return frozenset((root,))
-    return frozenset(img[root] for img in chain.levels[-1][1])
-
-
 def _malformed_rows(line: str, ts: list[int]) -> list[VerifyRecord]:
     """The rows of an unreadable line, its bytes outside printable ASCII
     written as \\xNN, so that the report encodes under any codec."""
@@ -176,8 +168,7 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
             orbit: frozenset[int] = frozenset((layout.root,))
         else:
             mu = build_mycielskian(g, t)[0]
-            mu_group = distinguishing.enumerate_automorphisms(mu)
-            orbit = _root_orbit(mu_group, layout.root)
+            orbit = orbit_of(mu, layout.root)
         orbit_class = classify_root_orbit(orbit, layout, star)
         if dist_g is None:
             # no prediction possible without dist(g); still worth a row
@@ -189,11 +180,10 @@ def process_record(line: str, ts: list[int], budget_steps: int) -> list[VerifyRe
         measured: int | None
         budget = Budget(budget_steps)
         try:
-            if orbit_class == ORBIT_FIXED:
-                measured = quotient_dist(quotient, t, group, budget)
+            if len(orbit) <= 2:
+                measured = max(quotient_dist(quotient, t, group, budget), len(orbit))
             else:
-                measured = distinguishing_number(mu, budget=budget,
-                                                 group=mu_group).value
+                measured = distinguishing_number(mu, budget=budget).value
         except SearchBudgetExceeded:
             measured, method = None, METHOD_BUDGET_EXCEEDED
         ok = (measured is not None and prediction.holds(measured)

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mycdist import (Coloring, Graph, build_mycielskian, complete_graph,
-                     cycle_graph, distinguishing_number, parse_graph6,
-                     path_graph, process_record, star_graph, twin_lower_bound,
-                     write_graph6)
-from mycdist import automorphism, distinguishing
+from mycdist import (Coloring, Graph, build_mycielskian, classify_star,
+                     complete_graph, cycle_graph, distinguishing_number,
+                     parse_graph6, path_graph, process_record, star_graph,
+                     twin_lower_bound, write_graph6)
+from mycdist import automorphism, distinguishing, verify
 from mycdist.automorphism import Budget, enumerate_automorphisms, equitable_partition
 from mycdist.distinguishing import (DEFAULT_BUDGET, _smaller_image, lower_bound,
                                     quotient_dist)
@@ -469,15 +469,41 @@ def test_quotient_dist_matches_the_dfs_on_random_n8_graphs():
                                       ("Ih??c{?yG", (1, 2, 3, 8))])
 def test_mycielskian_dist_matches_the_dfs_where_degrees_leave_the_root(line, ts):
     # the dist of mu_t(G), read off G's twin quotient. G's degrees do not
-    # set these roots apart, so verify reads the root orbit off mu_t(G)'s
-    # chain; it is the root alone, which is all that quotient_dist asks,
-    # and verify measures the row with it
+    # set these roots apart, so verify reads the root orbit with orbit_of;
+    # it is the root alone, and verify measures the row with quotient_dist
     g = parse_graph6(line)
     for t in ts:
         mu, layout = build_mycielskian(g, t)
         assert not root_fixed_by_degrees(g, t)
         assert automorphism.orbit_of(mu, layout.root) == {layout.root}
         assert _quotient_dist(g, t) == distinguishing_number(mu).value, (line, t)
+
+
+def test_two_point_root_orbit_adds_one_color_at_most(corpus_n7, monkeypatch):
+    # README's two-point corollary: where the root orbit of mu_t(G) is
+    # {w, x}, dist(mu_t(G)) = max(quotient_dist, 2). The DFS on mu_t(G)
+    # is the reference, and verify runs none on these rows
+    two_point = {}
+    for line, g in corpus_n7:
+        for t in (1, 2, 3, 8):
+            if root_fixed_by_degrees(g, t):
+                continue
+            mu, layout = build_mycielskian(g, t)
+            if len(automorphism.orbit_of(mu, layout.root)) == 2:
+                two_point.setdefault((line, g), []).append(t)
+                assert max(_quotient_dist(g, t), 2) == distinguishing_number(mu).value, (
+                    line, t)
+    # K_1 and the stars K_{1,m}, m = 2..6, at every t
+    assert sorted(classify_star(g).m for _, g in two_point) == [0, 2, 3, 4, 5, 6]
+    assert all(ts == [1, 2, 3, 8] for ts in two_point.values())
+
+    def no_dfs(*args, **kwargs):
+        raise AssertionError("verify ran the DFS on a two-point row")
+
+    monkeypatch.setattr(verify, "distinguishing_number", no_dfs)
+    for (line, _), ts in two_point.items():
+        rows = process_record(line, ts, DEFAULT_BUDGET)
+        assert all(r.method == "search" and r.passed for r in rows), line
 
 
 @pytest.mark.parametrize("n", range(3, 13))

@@ -99,9 +99,9 @@ def test_run_verify_bare_header_is_a_malformed_row():
 
 
 def test_rows_measure_the_unbounded_search(corpus_n6):
-    # rows measured on G's twin quotient and rows measured by the DFS on
-    # mu_t(G)'s chain read the value the search on mu_t(G) finds with no
-    # budget
+    # rows measured on G's twin quotient (K_1's and the stars' through the
+    # two-point rule) and K_2's rows, measured by the DFS on mu_t(G), read
+    # the value the search on mu_t(G) finds with no budget
     for line, g in corpus_n6:
         for r in process_record(line, [1, 2, 3], DEFAULT_BUDGET):
             mu, _ = build_mycielskian(g, r.t)
@@ -163,8 +163,9 @@ def test_run_verify_parses_each_line_once(corpus_n6, monkeypatch):
 
 @pytest.mark.parametrize("m", range(2, 6))
 def test_star_rows_run_one_dfs_on_mu_per_t(m, monkeypatch):
-    # the root of mu_t(K_{1,m}) moves, so each row runs one DFS on mu_t;
-    # dist(G) is read off G's twin quotient, with no DFS on G
+    # named before the two-point rule, and kept for its ids: the root
+    # orbit of mu_t(K_{1,m}) is {w, c^t}, so each row is measured on G's
+    # twin quotient, as dist(G) is, and no DFS runs on mu_t or on G
     orders = []
     search = verify.distinguishing_number
 
@@ -174,15 +175,16 @@ def test_star_rows_run_one_dfs_on_mu_per_t(m, monkeypatch):
 
     monkeypatch.setattr(verify, "distinguishing_number", counted)
     rows = process_record(write_graph6(star_graph(m)), [1, 2, 3], DEFAULT_BUDGET)
-    assert orders == [(m + 1) * (t + 1) + 1 for t in (1, 2, 3)]
-    assert [(r.case, r.method, r.passed) for r in rows] == [("GENERIC", "search", True)] * 3
+    assert orders == []
+    assert [(r.case, r.method, r.root_orbit, r.passed) for r in rows] == [
+        ("GENERIC", "search", "center_shadow", True)] * 3
 
 
 def test_dfs_on_mu_runs_exactly_where_the_root_moves(corpus_n7, monkeypatch):
     # every row of n <= 7 at t = 1, 2, 3: the root orbit alone picks the
-    # search, the DFS on mu_t(G) where the root moves and the search on
-    # G's twin quotient where it is fixed, which also answers dist(G);
-    # mu_t(G) has n(t + 1) + 1 vertices
+    # search, the DFS on mu_t(G) where it has more than two points, and
+    # the search on G's twin quotient, which also answers dist(G), where
+    # it has one or two; mu_t(G) has n(t + 1) + 1 vertices
     orders = []
     search = verify.distinguishing_number
 
@@ -191,15 +193,18 @@ def test_dfs_on_mu_runs_exactly_where_the_root_moves(corpus_n7, monkeypatch):
         return search(g, *args, **kwargs)
 
     monkeypatch.setattr(verify, "distinguishing_number", counted)
-    moved = 0
+    moved = searched = 0
     for line, g in corpus_n7:
         orders.clear()
         rows = process_record(line, [1, 2, 3], DEFAULT_BUDGET)
-        mu_orders = [g.n * (r.t + 1) + 1 for r in rows if r.root_orbit != "fixed"]
+        mu_orders = [g.n * (r.t + 1) + 1 for r in rows if r.root_orbit == "all"]
         assert orders == mu_orders, line
-        moved += len(mu_orders)
-    # K_1, K_2 and the stars K_{1,m}, m = 2..6, at three values of t
+        moved += sum(r.root_orbit != "fixed" for r in rows)
+        searched += len(mu_orders)
+    # the root moves on K_1, K_2 and the stars K_{1,m}, m = 2..6, at three
+    # values of t; its orbit is all of the odd cycle mu_t(K_2) alone
     assert moved == 3 * 7
+    assert searched == 3
 
 
 def test_isolate_case_settles_under_tiny_budget():
@@ -218,9 +223,8 @@ def test_isolate_case_settles_under_tiny_budget():
 @pytest.mark.parametrize("budget_steps", [8, 64])
 def test_paper_coloring_rows_settle_under_tiny_budgets(budget_steps, corpus_n6):
     # every row with an isolate-case coloring is measured within the
-    # budget: by the search on G's chain where the root is fixed, and by
-    # the DFS on mu_t(K_1), whose root moves, on K_1's rows, the largest
-    # of which, mu_3(K_1), takes 6 steps
+    # budget by the search on G's twin quotient, K_1's rows included,
+    # whose root orbit has two points
     lines = [line for line, _ in corpus_n6]
     report = run_verify(lines, [1, 2, 3], budget_steps=budget_steps)
     methods = {r.method for r in report.records}
@@ -369,14 +373,15 @@ def test_process_record_row_shape():
 
 def test_process_record_builds_one_chain_per_graph(monkeypatch):
     # the chain of G's twin quotient, colored by kind, shared by dist(G)
-    # and every row whose root is fixed, with no chain of G and no mu_t
-    # built where G's degrees certify the root; a star's rows, and EQKo's,
-    # whose root only a deeper refinement sets apart, build mu_t and its
-    # chain and read the root orbit off it with no search of its own, and
-    # the star's DFS runs on that chain. K_{3,3}, K_{1,3} and EQKo have
-    # quotients of 2, 2 and 5 vertices.
+    # and every row whose root orbit has at most two points, with no
+    # chain of G and no mu_t built where G's degrees certify the root; a
+    # star's rows, and EQKo's, whose root only a deeper refinement sets
+    # apart, build mu_t and read the root orbit with one orbit_of call,
+    # with no chain of mu_t. K_{3,3}, K_{1,3} and EQKo have quotients of
+    # 2, 2 and 5 vertices.
     builds, mus, orbits = [], [], []
     build, build_mu = distinguishing.enumerate_automorphisms, verify.build_mycielskian
+    orbit = verify.orbit_of
 
     def counted_build(*args, **kwargs):
         builds.append(args[0].n)
@@ -388,24 +393,28 @@ def test_process_record_builds_one_chain_per_graph(monkeypatch):
 
     def counted_orbit(*args):
         orbits.append(args)
-        return automorphism.orbit_of(*args)
+        return orbit(*args)
 
     monkeypatch.setattr(distinguishing, "enumerate_automorphisms", counted_build)
     monkeypatch.setattr(verify, "build_mycielskian", counted_mu)
+    # the name bench/run.py --trace 1 wraps
     monkeypatch.setattr(verify, "orbit_of", counted_orbit)
-    monkeypatch.setattr(automorphism, "orbit_of", counted_orbit)
     golden = (ROOT / "tests" / "golden" / "verify.csv").read_text().splitlines()
-    for line, orders in [("ElUg", [2]), ("CF", [2, 9, 13]),  # K_{1,3}
-                         ("EQKo", [5, 13, 19])]:
+    for line, orders in [("ElUg", [2]), ("CF", [2]),  # K_{1,3}
+                         ("EQKo", [5])]:
         builds.clear()
         mus.clear()
+        orbits.clear()
         rows = process_record(line, [1, 2], 10**8)
         assert [r.method for r in rows] == ["search", "search"]
         assert builds == orders
         assert mus == ([] if line == "ElUg" else [1, 2])
+        # one orbit_of per uncertified row, asked for the root of mu_t
+        n = parse_graph6(line).n
+        assert [(mu.n, root) for mu, root in orbits] == [
+            (n * (t + 1) + 1, n * (t + 1)) for t in mus]
         assert report_to_csv(VerifyReport(tuple(rows))).splitlines()[1:] == [
             row for row in golden if row.startswith(line + ",")][:2]
-    assert orbits == []
 
 
 def test_uncertified_root_of_an_asymmetric_mycielskian_reads_fixed():
@@ -511,20 +520,6 @@ def test_records_round_trip_through_pickle():
         3, 6, group.levels, group.twins, group.closed_twins)
     with pytest.raises(MalformedColoring, match=r"colors \[3\] outside 1..2"):
         Coloring(2, (1, 3))
-
-
-def test_root_orbit_read_off_the_chain_matches_orbit_of(corpus_n6):
-    # the root alone in its refined cell is fixed; any other root is the
-    # chain's first base point, and its orbit is read off the top level
-    for line, g in corpus_n6:
-        for t in (1, 2, 3):
-            mu, layout = build_mycielskian(g, t)
-            orbit = orbit_of(mu, layout.root)
-            if [layout.root] in automorphism.equitable_partition(mu):
-                assert orbit == {layout.root}, (line, t)
-            else:
-                chain = enumerate_automorphisms(mu)
-                assert verify._root_orbit(chain, layout.root) == orbit, (line, t)
 
 
 def test_root_orbit_classification():

@@ -3,15 +3,15 @@
     PYTHONPATH=src python3 tools/verify_digest.py
 
 Each sweep runs in process with one worker and the default budget: n <= 6
-at t = 1, 2 and 3, n <= 5 at t = 2, and n = 7 at t = 1, 2 and 3. For each
-it prints the number of rows, the sha256 of the CSV report, the summed
-Budget.used of every search the sweep ran (G's and mu_t(G)'s, counted by
+at t = 1, 2 and 3, n <= 5 at t = 2, n = 7 at t = 1, 2 and 3, and n <= 6
+at t = 20. For each it prints the number of rows, the sha256 of the CSV
+report, the summed Budget.used of every search the sweep ran (counted by
 wrapping verify.Budget), the number of mu_t(G) rows that ran the
 distinguishing DFS (the calls of verify.distinguishing_number: verify
-answers dist(G) and every row whose root is fixed on G's twin quotient,
-with no DFS), the wall seconds and the number of rows
-per method, so that a change of label shows even where the values do
-not. Two commits whose sweeps print the same hashes wrote byte-identical
+answers dist(G) and every row whose root orbit has at most two points on
+G's twin quotient, so only K_2's rows run it), the wall seconds and the
+number of rows per method, so that a change of label shows even where
+the values do not. Two commits whose sweeps print the same hashes wrote byte-identical
 reports; the step sums and DFS rows compare the work their searches did.
 """
 
@@ -27,7 +27,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from mycdist import parse_graph6, verify  # noqa: E402
 
 SWEEPS = [("n<=6", 6, 1), ("n<=6", 6, 2), ("n<=6", 6, 3), ("n<=5", 5, 2),
-          ("n=7", 7, 1), ("n=7", 7, 2), ("n=7", 7, 3)]
+          ("n=7", 7, 1), ("n=7", 7, 2), ("n=7", 7, 3), ("n<=6", 6, 20)]
 
 
 def corpus(name: str, max_n: int) -> list[str]:
@@ -50,7 +50,7 @@ def main():
 
     verify.Budget, verify.distinguishing_number = counted, counted_search
     try:
-        print(f"{'sweep':<6} {'t':>1} {'rows':>5} {'csv_sha256':<64} "
+        print(f"{'sweep':<6} {'t':>2} {'rows':>5} {'csv_sha256':<64} "
               f"{'budget_used':>11} {'dfs_rows':>8} {'wall_s':>7} methods")
         for label, max_n, t in SWEEPS:
             lines = corpus("graphs_n7.g6" if max_n == 7 else "graphs_n1_6.g6", max_n)
@@ -63,7 +63,7 @@ def main():
             digest = hashlib.sha256(csv_text.encode()).hexdigest()
             used = sum(b.used for b in budgets)
             methods = Counter(r.method for r in report.records)
-            print(f"{label:<6} {t:>1} {len(report.records):>5} {digest} "
+            print(f"{label:<6} {t:>2} {len(report.records):>5} {digest} "
                   f"{used:>11} {len(searches):>8} {wall:>7.3f} "
                   + ",".join(f"{m}={c}" for m, c in sorted(methods.items())))
     finally:
