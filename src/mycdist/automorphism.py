@@ -56,8 +56,12 @@ classes instead of the unit partition, as search_color_preserving seeds
 its search, and only the swaps of twins of one color seed it. Every
 later step only splits cells, so each automorphism it finds keeps the
 colors. verify builds such a chain for G's twin quotient, colored by
-kind; on most small graphs that refinement is already discrete, and the
-chain has no level.
+kind; on most small graphs that refinement is already discrete, and
+the build stops there. Every chain build refines its cells first: a
+discrete refinement proves the group trivial (McKay & Piperno, 2014),
+and since twins of one color are swapped by an automorphism, no
+refinement parts them, so every twin class is then a singleton. No twin
+class, seed or cut is computed for such a graph.
 
 Refinement works in rounds. In each round every cell is split by the
 signatures its vertices have against the partition the round started
@@ -375,27 +379,29 @@ def enumerate_automorphisms(g: Graph,
     is then that of the automorphisms preserving every color: it starts
     from the refined color classes, as search_color_preserving seeds its
     search, and each twin class, kept and seeded, is split by color.
+
+    The cells are refined first; if that refinement is discrete, the
+    chain has no level and every twin class is a singleton.
     """
     n = g.n
     adj = g.adjacency
+    cells = [list(range(n))] if colors is None else _color_cells(g, colors)
+    P = _refine_pair(adj, adj, cells, cells)[0] if n else []
+    if len(P) == n:
+        singles = tuple((v,) for v in range(n))
+        return AutListing(n, (), singles, singles)
     twins = tuple(map(tuple, twin_classes(g)))
     closed_twins = tuple(map(tuple, closed_twin_classes(g)))
-    if colors is None:
-        cells = [list(range(n))]
-    else:
-        cells = _color_cells(g, colors)
+    if colors is not None:
         twins = _split_by_color(twins, colors)
         closed_twins = _split_by_color(closed_twins, colors)
     # most classes are singletons, which have no swap
     swaps = [cls for cls in (*twins, *closed_twins) if len(cls) > 1]
-    if n == 0:
-        return AutListing(0, (), twins, closed_twins)
     seeds = _seeds(n, swaps)
     # the class in swaps of each vertex in one; no vertex is in both an
     # open-twin and a closed-twin class, since open twins are non-adjacent
     # and closed twins adjacent
     twin_of = {v: cls for cls in swaps for v in cls}
-    P = _refine_pair(adj, adj, cells, cells)[0]
     cuts = []
     for b in range(n - 1, -1, -1):
         if len(P) == n:

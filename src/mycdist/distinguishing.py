@@ -57,11 +57,10 @@ of open or of closed twins, and 2 when the group is nontrivial. A level
 below it has no distinguishing coloring, so skipping it changes no value
 or certificate.
 
-distinguishing_number builds g's chain itself unless it is passed one as
-group=. The DFS keeps the running maximum of the colors on its path per
-depth, which is where each generator's renumbering starts. Its steps
-come out of the Budget the caller passes, or out of a fresh one of
-DEFAULT_BUDGET steps.
+distinguishing_number builds g's chain itself. The DFS keeps the
+running maximum of the colors on its path per depth, which is where each
+generator's renumbering starts. Its steps come out of the Budget the
+caller passes, or out of a fresh one of DEFAULT_BUDGET steps.
 
 quotient_dist answers dist(G), and at t >= 1 the least k for which some
 k-coloring of mu_t(G) is kept by no nontrivial automorphism that fixes
@@ -102,7 +101,7 @@ import math
 from collections import namedtuple
 
 from .automorphism import AutListing, Budget, enumerate_automorphisms
-from .errors import MalformedColoring, SizeMismatch
+from .errors import MalformedColoring
 from .graphs import Graph, TwinQuotient, twin_classes
 
 DEFAULT_BUDGET = 10**8
@@ -228,26 +227,21 @@ def _search_k(n: int, k: int, prev, gens, moves_last, budget: Budget):
     return dfs(0, 0, gens)
 
 
-def distinguishing_number(g: Graph, *, budget: Budget | None = None,
-                          group: AutListing | None = None) -> DistResult:
+def distinguishing_number(g: Graph, *, budget: Budget | None = None) -> DistResult:
     """Exact distinguishing number with a certificate coloring.
 
     The search starts at lower_bound(group) and increments k after
     exhausting each level, so the returned value is minimal. Raises
     SearchBudgetExceeded when the step budget runs out. One stabilizer
-    chain of g serves the color-preserving check, the generators of the
-    lex-leader prune, and the twin classes behind the twin order and the
-    lower bound: group, when given, is that chain, built by
-    enumerate_automorphisms(g), and otherwise it is built here.
+    chain of g, built here by enumerate_automorphisms(g), serves the
+    color-preserving check, the generators of the lex-leader prune, and
+    the twin classes behind the twin order and the lower bound.
     """
     n = g.n
     if n == 0:
         return DistResult(0, Coloring(0, ()))
     bud = Budget(DEFAULT_BUDGET) if budget is None else budget
-    if group is None:
-        group = enumerate_automorphisms(g)
-    elif group.n != n:
-        raise SizeMismatch(f"chain on {group.n} points != graph order {n}")
+    group = enumerate_automorphisms(g)
     classes = (*group.twins, *group.closed_twins)
     prev = [-1] * n  # prev[v]: the member of v's twin class before v, or -1
     for cl in classes:
@@ -293,13 +287,20 @@ def _labeling_k(kinds, caps, moves_last, budget: Budget) -> bool:
     return dfs(0)
 
 
-def _label_cap(kind, k: int, t: int) -> int:
+def _label_cap(kind, k: int, t: int, most: int) -> int:
     """The labels a class of this kind can take with k colors at level t
-    (module docstring); the isolates' one class is alone in its kind."""
+    (module docstring), or most if that is fewer; the isolates' one class
+    is alone in its kind. Labels are numbered by first occurrence within
+    a kind, so a search never reads a cap above the kind's most vertices.
+    No count above it is built: for x >= 2, x ** e > most once
+    e >= most.bit_length(), so the exponent stops there."""
     s, closed, isolated = kind
     if isolated:
         return 1
-    return math.comb(k ** (t + 1), s) if closed else math.comb(k, s) ** (t + 1)
+    if closed:
+        # comb(x, s) grows with x >= s, and comb(x, s) > most for x > most + s
+        return min(math.comb(k ** min(t + 1, (most + s).bit_length()), s), most)
+    return min(math.comb(k, s) ** min(t + 1, most.bit_length()), most)
 
 
 def quotient_dist(quotient: TwinQuotient, t: int, group: AutListing,
@@ -308,24 +309,35 @@ def quotient_dist(quotient: TwinQuotient, t: int, group: AutListing,
     of mu_t(g) is kept by no nontrivial automorphism fixing the root, which
     is dist(mu_t(g)) where every automorphism fixes it. Both are the least k
     for which some labeling of the twin quotient of g
-    (graphs.twin_quotient), with _label_cap(kind, k, t) labels for a class
-    of that kind, is preserved by no nontrivial automorphism in group, the
+    (graphs.twin_quotient), with _label_cap labels for a class of that
+    kind, is preserved by no nontrivial automorphism in group, the
     chain of quotient.graph colored by quotient.kinds (module docstring). g
     has at least one vertex. k starts at max(t, 1) * l for the l isolates,
     and at 2 when Aut(g) is nontrivial, which then has a nontrivial lift to
-    mu_t(g). A budget step is one node of the search or one transversal
-    element of the walk; SearchBudgetExceeded when budget runs out.
+    mu_t(g), or where every cap first reaches 1 if that is larger; a chain
+    with no level stops there. A budget step is one node of the search or
+    one transversal element of the walk; SearchBudgetExceeded when budget
+    runs out.
     """
     kinds = quotient.kinds
     ell = sum(s for s, _, isolated in kinds if isolated)
     nontrivial = group.order > 1 or any(s > 1 for s, _, _ in kinds)
     k = max(max(t, 1) * ell, 2 if nontrivial else 1)
+    # no labeling exists below the least k at which every cap is >= 1:
+    # k >= s for an open class of size s, k^(t+1) >= s for a closed one,
+    # where k >= 2 passes s once the exponent reaches s.bit_length()
+    for s, closed, isolated in kinds:
+        while not isolated and (k ** min(t + 1, s.bit_length()) if closed else k) < s:
+            k += 1
+    if not group.levels:
+        budget.spend()  # the search's one node: nothing moves
+        return k
     # every automorphism fixes each vertex above the chain's last base
     # point, so only the labels of the vertices up to it are searched
-    moved = kinds[:group.levels[-1][0] + 1] if group.levels else ()
+    moved = kinds[:group.levels[-1][0] + 1]
+    counts = {kind: kinds.count(kind) for kind in set(kinds)}
     while True:
-        caps = {kind: _label_cap(kind, k, t) for kind in set(kinds)}
-        if all(caps.values()) and _labeling_k(moved, caps,
-                                              group.preserving_moves_last, budget):
+        caps = {kind: _label_cap(kind, k, t, most) for kind, most in counts.items()}
+        if _labeling_k(moved, caps, group.preserving_moves_last, budget):
             return k
         k += 1

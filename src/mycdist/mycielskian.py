@@ -10,7 +10,7 @@ This module is the only one that knows the scheme: the constructions
 build their colorings as per-level rows through MycLayout.lift, and
 root_fixed_by_degrees reads the first two rounds of colour refinement on
 mu_t(G) off G's degrees, so that verify certifies a fixed root without
-building mu_t(G).
+building mu_t(G), at any t.
 """
 
 from __future__ import annotations
@@ -89,38 +89,33 @@ def build_mycielskian(g: Graph, t: int) -> tuple[Graph, MycLayout]:
     return Graph(layout.order, edges), layout
 
 
-def degree_rounds(g: Graph, t: int) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
-    """Rounds 1 and 2 of colour refinement on mu_t(g), read off g's
-    degrees without building mu_t(g): the degree of every vertex in id
-    order, and the sorted degrees of the neighbours of each vertex whose
-    degree is the root's, n.
+def root_fixed_by_degrees(g: Graph, t: int) -> bool:
+    """True when no vertex of mu_t(g) other than the root w has both w's
+    degree, n, and w's sorted neighbour degrees: the first two rounds of
+    colour refinement, read off g's degrees without building mu_t(g).
+    Every automorphism keeps both, so True proves that each one fixes w.
+    False on every star K_{1,m}, K_1 and K_2, whose w is not fixed, and on
+    the few other g whose w only a deeper refinement sets apart.
 
     The level-s copy v^s of v has degree 2 d(v) for s < t and d(v) + 1 at
     s = t. Its neighbours are N(v)^0 u N(v)^1 at s = 0, N(v)^(s-1) u
-    N(v)^(s+1) for 0 < s < t, and N(v)^(t-1) u {w} at s = t; the root's
-    are the n copies on level t.
+    N(v)^(s+1) for 0 < s < t, and N(v)^(t-1) u {w} at s = t; w's are the n
+    copies on level t. So levels 0..t-2 read one pair of rows, and only
+    levels t-1 and t differ from it: O(n * max degree) at any t.
     """
-    layout = MycLayout(g.n, t)
     n = g.n
     adj = g.adjacency
     below = [2 * len(nbhd) for nbhd in adj]
-    rows = [below] * t + [[len(nbhd) + 1 for nbhd in adj]]
-    around = {layout.root: tuple(sorted(rows[t]))}
-    for s, row in enumerate(rows):
-        for v, d in enumerate(row):
-            if d == n:
-                near = [rows[max(s - 1, 0)][u] for u in adj[v]]
-                near += [rows[s + 1][u] for u in adj[v]] if s < t else [n]
-                around[s * n + v] = tuple(sorted(near))
-    return layout.lift(rows, n), around
-
-
-def root_fixed_by_degrees(g: Graph, t: int) -> bool:
-    """True when no vertex of mu_t(g) other than the root w has both w's
-    degree and w's sorted neighbour degrees (degree_rounds). Every
-    automorphism keeps both, so True proves that each one fixes w. False
-    on every star K_{1,m}, K_1 and K_2, whose w is not fixed, and on the
-    few other g whose w only a deeper refinement sets apart."""
-    around = degree_rounds(g, t)[1]
-    root = around.pop((t + 1) * g.n)
-    return root not in around.values()
+    top = [len(nbhd) + 1 for nbhd in adj]
+    root = sorted(top)
+    # (the level's degrees, its neighbours' on the levels below and above)
+    # for levels t-1 and t, and levels 0..t-2 where t > 1
+    levels = [(below, below, top), (top, below, None)] + [(below, below, below)] * (t > 1)
+    for row, left, right in levels:
+        for v, nbhd in enumerate(adj):
+            if row[v] == n:
+                near = [left[u] for u in nbhd]
+                near += [n] if right is None else [right[u] for u in nbhd]
+                if sorted(near) == root:
+                    return False
+    return True

@@ -5,10 +5,11 @@ shares no code with the package internals it is checking. The three
 exceptions read the package's own structures: reference_listing drives
 its search, because what it checks is how the chain is assembled from
 that search, chain_elements expands the chain it builds, and
-chain_without_generators empties the generators it stores; the naive n!
-listing in oracles.py checks the first two. validate_facts reads the
-MycLayout it is given, since what it checks is that a built graph fits
-that layout. It also holds the small helpers that only the tests use:
+chain_without_generators empties the generators it stores, and
+unpruned_distinguishing_number runs the search on that chain; the naive
+n! listing in oracles.py checks the first two. validate_facts and
+degree_rounds read MycLayout, since what they check is how mu_t(G) is
+laid out. It also holds the small helpers that only the tests use:
 disjoint_union, canonical, is_automorphism, is_isomorphism, distinguishes,
 lifted_automorphism, lt_order, quotient_group_order,
 mycielskian_group_order and mycielskian_twin_sets.
@@ -20,9 +21,11 @@ import os
 import pathlib
 from collections import Counter, deque
 
+import pytest
 from hypothesis import strategies as st
 
 import mycdist
+from mycdist import distinguishing
 from mycdist.automorphism import (AutListing, _search_pair,
                                   enumerate_automorphisms,
                                   search_color_preserving)
@@ -177,6 +180,33 @@ def mycielskian_twin_sets(g, t):
         sets += [[s * n + v for s in range(t) for v in isolates],
                  [t * n + v for v in isolates]]
     return sets
+
+
+def degree_rounds(g: Graph, t: int) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+    """Rounds 1 and 2 of colour refinement on mu_t(g), read off g's
+    degrees level by level without building mu_t(g): the degree of every
+    vertex in id order, and the sorted degrees of the neighbours of each
+    vertex whose degree is the root's, n. The oracle of
+    mycielskian.root_fixed_by_degrees, which reads three levels only.
+
+    The level-s copy v^s of v has degree 2 d(v) for s < t and d(v) + 1 at
+    s = t. Its neighbours are N(v)^0 u N(v)^1 at s = 0, N(v)^(s-1) u
+    N(v)^(s+1) for 0 < s < t, and N(v)^(t-1) u {w} at s = t; the root's
+    are the n copies on level t.
+    """
+    layout = MycLayout(g.n, t)
+    n = g.n
+    adj = g.adjacency
+    below = [2 * len(nbhd) for nbhd in adj]
+    rows = [below] * t + [[len(nbhd) + 1 for nbhd in adj]]
+    around = {layout.root: tuple(sorted(rows[t]))}
+    for s, row in enumerate(rows):
+        for v, d in enumerate(row):
+            if d == n:
+                near = [rows[max(s - 1, 0)][u] for u in adj[v]]
+                near += [rows[s + 1][u] for u in adj[v]] if s < t else [n]
+                around[s * n + v] = tuple(sorted(near))
+    return layout.lift(rows, n), around
 
 
 def distinguishes(g: Graph, c: Coloring) -> bool:
@@ -374,11 +404,21 @@ def chain_elements(group) -> tuple[tuple[int, ...], ...]:
 
 def chain_without_generators(g: Graph):
     """g's stabilizer chain with no generators stored: the distinguishing
-    search reads its lex-leader prune off them, so given this chain as
-    group= it runs unpruned, with the same value and certificate."""
+    search reads its lex-leader prune off them, so on this chain it runs
+    unpruned, with the same value and certificate."""
     group = enumerate_automorphisms(g)
     levels = tuple((b, images, ()) for b, images, _ in group.levels)
     return AutListing(group.n, levels, group.twins, group.closed_twins)
+
+
+def unpruned_distinguishing_number(g: Graph, budget=None):
+    """distinguishing_number(g) with the lex-leader prune cut off: the
+    search builds its chain through distinguishing.enumerate_automorphisms,
+    which returns chain_without_generators(g) for the length of the call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distinguishing, "enumerate_automorphisms",
+                      chain_without_generators)
+        return distinguishing.distinguishing_number(g, budget=budget)
 
 
 # The listing as it was before the stabilizer chain: every group element

@@ -29,7 +29,7 @@ from .support import (assert_group_axioms, chain_elements, disjoint_union,
                       lifted_automorphism, lt_order, mycielskian_group_order,
                       mycielskian_twin_sets, naive_twin_classes,
                       quotient_group_order, reference_listing,
-                      twin_rich_graphs)
+                      reference_refine_pair, twin_rich_graphs)
 
 
 def petersen() -> Graph:
@@ -142,6 +142,33 @@ def test_twin_quotient_chain_and_twin_swaps_give_the_group(corpus_n7):
             assert closed or cls in open_classes
         discrete += not group.levels
     # the colored refinement of the quotient is already discrete on most
+    assert discrete == 135 + 688
+
+
+def test_discrete_colored_quotients_stop_at_the_refinement(corpus_n7, monkeypatch):
+    # a discrete refinement proves the group trivial: the chain build
+    # returns no level and singleton twin classes, and finds no twin class
+    # and no seed; the refinement is read by the reference kernel
+    calls = []
+    for name in ("twin_classes", "closed_twin_classes", "_seeds"):
+        def counted(*args, _name=name, _real=getattr(automorphism, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(automorphism, name, counted)
+    discrete = 0
+    for line, g in corpus_n7:
+        q = twin_quotient(g)
+        m, adj = q.graph.n, q.graph.adjacency
+        cells = [[j for j in range(m) if q.kinds[j] == kind] for kind in sorted(set(q.kinds))]
+        if len(reference_refine_pair(adj, adj, cells, cells)[0]) < m:
+            continue
+        discrete += 1
+        calls.clear()
+        group = enumerate_automorphisms(q.graph, q.kinds)
+        singles = tuple((j,) for j in range(m))
+        assert (group.n, group.levels, group.twins, group.closed_twins) == (
+            m, (), singles, singles), line
+        assert calls == [], line
     assert discrete == 135 + 688
 
 

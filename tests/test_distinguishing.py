@@ -24,8 +24,8 @@ from mycdist.mycielskian import root_fixed_by_degrees
 from .oracles import (_canonical_colorings_exactly,
                       distinguishing_number_bruteforce,
                       enumerate_automorphisms_naive)
-from .support import (canonical, chain_without_generators, disjoint_union,
-                      distinguishes, graphs, twin_rich_graphs)
+from .support import (canonical, disjoint_union, distinguishes, graphs,
+                      twin_rich_graphs, unpruned_distinguishing_number)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -205,18 +205,9 @@ def test_lex_leader_prune_runs_past_24_vertices():
     assert mu.n == 25
     pruned, plain = Budget(10**8), Budget(10**8)
     res = distinguishing_number(mu, budget=pruned)
-    assert res == distinguishing_number(mu, budget=plain,
-                                        group=chain_without_generators(mu))
+    assert res == unpruned_distinguishing_number(mu, budget=plain)
     assert pruned.used == 183
     assert plain.used == 1434
-
-
-def test_search_takes_a_chain_built_beforehand():
-    mu, _ = build_mycielskian(parse_graph6("ElUg"), 1)
-    group = enumerate_automorphisms(mu)
-    assert distinguishing_number(mu, group=group) == distinguishing_number(mu)
-    with pytest.raises(SizeMismatch):
-        distinguishing_number(path_graph(3), group=enumerate_automorphisms(path_graph(4)))
 
 
 def test_search_makes_no_refinement_search_for_preserving_automorphisms(monkeypatch):
@@ -258,7 +249,7 @@ def test_chain_walk_is_bounded_by_the_budget():
 
 def test_orbit_pruning_is_transparent():
     for g, want in KNOWN:
-        res = distinguishing_number(g, group=chain_without_generators(g))
+        res = unpruned_distinguishing_number(g)
         assert res.value == want
         assert distinguishes(g, res.certificate)
 
@@ -268,8 +259,7 @@ def test_orbit_pruning_is_transparent():
 def test_lex_leader_prune_keeps_certificates(g):
     pruned, plain = Budget(10**8), Budget(10**8)
     res = distinguishing_number(g, budget=pruned)
-    assert res == distinguishing_number(g, budget=plain,
-                                        group=chain_without_generators(g))
+    assert res == unpruned_distinguishing_number(g, budget=plain)
     # the pruned tree is the unpruned one with subtrees cut
     assert pruned.used <= plain.used
     if g.n <= 6:
@@ -280,8 +270,7 @@ def test_lex_leader_prune_keeps_corpus_certificates(corpus_n6):
     for line, g in corpus_n6:
         mu, _ = build_mycielskian(g, 1)
         for h in (g, mu):
-            assert distinguishing_number(h) == distinguishing_number(
-                h, group=chain_without_generators(h)), line
+            assert distinguishing_number(h) == unpruned_distinguishing_number(h), line
 
 
 def _assert_twin_classes_ascend(g):

@@ -16,9 +16,9 @@ import re
 import pytest
 
 from mycdist import (Coloring, Graph, MycLayout, build_mycielskian,
-                     distinguishing_number, enumerate_automorphisms,
-                     isolate_case_coloring, kn_base_coloring, lift_coloring,
-                     path_graph, predict_dist, search_color_preserving)
+                     enumerate_automorphisms, isolate_case_coloring,
+                     kn_base_coloring, lift_coloring, path_graph, predict_dist,
+                     search_color_preserving)
 from mycdist import cli, errors
 from mycdist.errors import (MycdistError, PreconditionViolated, SizeMismatch,
                             VertexOutOfRange)
@@ -45,9 +45,6 @@ CONDITIONS = [
      SizeMismatch, "need 2 rows of 3 values"),
     ("length-colored-chain", lambda: enumerate_automorphisms(path_graph(3), (1, 2)),
      SizeMismatch, "coloring length 2 != graph order 3"),
-    ("length-chain", lambda: distinguishing_number(
-        path_graph(3), group=enumerate_automorphisms(path_graph(4))),
-     SizeMismatch, "chain on 4 points != graph order 3"),
     ("id-graph", lambda: path_graph(3).neighbors(3),
      VertexOutOfRange, "vertex 3 outside 0..2"),
     ("id-vertex_id", lambda: MycLayout(3, 1).vertex_id(3, 0),

@@ -7,10 +7,10 @@ from mycdist import (Graph, MycLayout, build_mycielskian, classify_star,
                      parse_graph6, star_graph)
 from mycdist.errors import (InvalidT, PreconditionViolated, SizeMismatch,
                             VertexOutOfRange)
-from mycdist.mycielskian import degree_rounds, root_fixed_by_degrees
+from mycdist.mycielskian import root_fixed_by_degrees
 
 from .conftest import corpus_lines
-from .support import (disjoint_union, naive_component_count,
+from .support import (degree_rounds, disjoint_union, naive_component_count,
                       naive_cut_vertices, validate_facts)
 
 # mu(K_{1,3}) drawn edge by edge: leaves 0,1,2, center 3, level-1 copies
@@ -154,6 +154,18 @@ def test_root_certificate_matches_the_built_graph(corpus_n7):
     assert [classify_star(g).m for g in stars] == list(range(7))
     assert not any(root_fixed_by_degrees(g, t) for g in stars for t in (1, 2, 3, 8))
     assert missed == [("EQKo", 1), ("EQKo", 2), ("EQKo", 3), ("EQKo", 8)]
+
+
+def test_root_certificate_reads_three_levels(corpus_n7):
+    # levels 0..t-2 of mu_t(G) repeat one degree row with the same
+    # neighbour rows, so the certificate reads levels 0, t-1 and t only:
+    # it agrees with both rounds on every level, and t = 10**6 reads as 3
+    for line, g in corpus_n7:
+        for t in range(1, 9):
+            around = degree_rounds(g, t)[1]
+            root = around.pop((t + 1) * g.n)
+            assert root_fixed_by_degrees(g, t) == (root not in around.values()), (line, t)
+        assert root_fixed_by_degrees(g, 10**6) == root_fixed_by_degrees(g, 3), line
 
 
 def test_validate_facts_full_sweep(corpus_n7):

@@ -30,6 +30,7 @@ from mycdist import cli
 from mycdist.cli import _dumps, main
 from mycdist.distinguishing import DEFAULT_BUDGET
 from mycdist.errors import MalformedColoring
+from mycdist.graphs import isolated_vertices
 from mycdist.mycielskian import root_fixed_by_degrees
 from mycdist.verify import (CSV_FIELDS, VerifyReport, classify_root_orbit,
                             expected_root_orbit, process_record,
@@ -162,10 +163,9 @@ def test_run_verify_parses_each_line_once(corpus_n6, monkeypatch):
 
 
 @pytest.mark.parametrize("m", range(2, 6))
-def test_star_rows_run_one_dfs_on_mu_per_t(m, monkeypatch):
-    # named before the two-point rule, and kept for its ids: the root
-    # orbit of mu_t(K_{1,m}) is {w, c^t}, so each row is measured on G's
-    # twin quotient, as dist(G) is, and no DFS runs on mu_t or on G
+def test_star_rows_run_no_dfs(m, monkeypatch):
+    # the root orbit of mu_t(K_{1,m}) is {w, c^t}, so each row is measured
+    # on G's twin quotient, as dist(G) is, and no DFS runs on mu_t or on G
     orders = []
     search = verify.distinguishing_number
 
@@ -180,7 +180,8 @@ def test_star_rows_run_one_dfs_on_mu_per_t(m, monkeypatch):
         ("GENERIC", "search", "center_shadow", True)] * 3
 
 
-def test_dfs_on_mu_runs_exactly_where_the_root_moves(corpus_n7, monkeypatch):
+def test_dfs_on_mu_runs_exactly_where_the_root_orbit_exceeds_two_points(corpus_n7,
+                                                                        monkeypatch):
     # every row of n <= 7 at t = 1, 2, 3: the root orbit alone picks the
     # search, the DFS on mu_t(G) where it has more than two points, and
     # the search on G's twin quotient, which also answers dist(G), where
@@ -455,12 +456,29 @@ def test_process_record_finds_twin_classes_once_per_graph(monkeypatch):
 
 def test_isolate_case_finds_twin_classes_once_per_graph(monkeypatch):
     # under a budget too small for mu_2's DFS the row is measured on G's
-    # twin quotient, a single vertex; each graph's twin classes are found
-    # once
+    # twin quotient, a single vertex; G's twin classes are found once, by
+    # the quotient, and the quotient's not at all, since its chain build
+    # stops at its discrete refinement
     calls = _count_twin_classes(monkeypatch)
     rows = process_record("B?", [2], 8)
     assert [(r.method, r.measured, r.passed) for r in rows] == [("search", 6, True)]
-    assert calls == [3, 1]
+    assert calls == [3]
+
+
+def test_certified_rows_at_any_t_read_as_at_t3(corpus_n6):
+    # the root certificate reads three levels of mu_t(G), and no label
+    # cap is counted past its kind's vertices of the quotient, so a
+    # certified row at t = 10**6 builds no mu_t(G) and no power of k; on
+    # every certified, isolate-free, non-star graph it reads as at t = 3
+    checked = 0
+    for line, g in corpus_n6:
+        if (not root_fixed_by_degrees(g, 3) or classify_star(g) is not None
+                or isolated_vertices(g)):
+            continue
+        low, high = process_record(line, [3, 10**6], DEFAULT_BUDGET)
+        assert (high.method, high.measured) == ("search", low.measured), line
+        checked += 1
+    assert checked == 149
 
 
 def test_import_leaves_the_process_pool_out():
@@ -509,7 +527,7 @@ def test_records_round_trip_through_pickle():
     # --jobs pickles tasks to the workers and their records back
     g = parse_graph6("Bw")
     group = enumerate_automorphisms(g)
-    res = distinguishing_number(g, group=group)
+    res = distinguishing_number(g)
     records = process_record("Bw", [1, 2], 10**6)
     for obj in [g, *records, res, res.certificate, MycLayout(3, 2)]:
         back = pickle.loads(pickle.dumps(obj))
