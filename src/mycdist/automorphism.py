@@ -36,9 +36,9 @@ one check of a whole coloring, builds no chain: it seeds the same search
 with the color classes instead.
 
 The chain is seeded with automorphisms known before any search: the swap
-of each pair of consecutive members of an open-twin class or of a
-closed-twin class (N[u] = N[v]). The chain keeps both kinds of class, for
-the distinguishing search. Starting Schreier-Sims from known generators
+of each pair of consecutive members of a twin class
+(graphs.twin_partition). The chain keeps the classes, for the
+distinguishing search. Starting Schreier-Sims from known generators
 is standard practice (Seress, 2003), and nauty reuses the automorphisms
 it has found the same way (McKay & Piperno, 2014). A swap whose larger
 point is m fixes m+1..n-1, so it lies in H_(m+1) and moves m; it joins
@@ -82,11 +82,11 @@ trees and witnesses do not depend on the shortcut. Refinement spends no
 budget steps.
 
 The chain's base-point walk does not refine a cut of a cell C whose
-members are all open twins of one another, or all closed twins, of a
-stable P: each vertex outside C is adjacent to all of C or to none of it,
-and the members of C are pairwise non-adjacent (open twins) or pairwise
-adjacent (closed twins), so splitting C into [b] and C minus b is already
-equitable, and the kernel would return the cut unchanged.
+members all lie in one twin class, of a stable P: each vertex outside C
+is adjacent to all of C or to none of it, and the members of C are
+pairwise non-adjacent (open twins) or pairwise adjacent (closed twins),
+so splitting C into [b] and C minus b is already equitable, and the
+kernel would return the cut unchanged.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ from collections.abc import Iterator, Sequence
 from functools import cached_property
 
 from .errors import SearchBudgetExceeded, SizeMismatch
-from .graphs import Graph, closed_twin_classes, twin_classes
+from .graphs import Graph, twin_partition
 
 
 class AutListing:
@@ -109,20 +109,17 @@ class AutListing:
     level. Every automorphism is uniquely a product of one image per level,
     so order is read off the levels and preserving_moves_last walks them;
     the distinguishing search reads gens, and nothing builds the group.
-    twins holds the open-twin classes of g (graphs.twin_classes) and
-    closed_twins its closed-twin classes (N[u] = N[v]), each split by
+    twins holds the twin classes of g (graphs.twin_partition), split by
     color on a chain of a colored graph and ordered by least member:
     their swaps seeded the chain, and the distinguishing search reads
     them too.
     """
 
     def __init__(self, n: int, levels: tuple[tuple[int, tuple, tuple], ...],
-                 twins: tuple[tuple[int, ...], ...],
-                 closed_twins: tuple[tuple[int, ...], ...]):
+                 twins: tuple[tuple[int, ...], ...]):
         self.n = n
         self.levels = levels
         self.twins = twins
-        self.closed_twins = closed_twins
 
     @property
     def order(self) -> int:
@@ -369,10 +366,10 @@ def enumerate_automorphisms(g: Graph,
     No element is built: the order is read off the chain, and the
     color-preserving walk multiplies transversal elements as it goes.
 
-    The swap of each pair of consecutive members of an open-twin or
-    closed-twin class seeds the chain's generators, which spares the
-    orbit step a targeted search for every point it reaches. The chain's
-    order and orbits do not depend on the seeds. Both kinds of twin class
+    The swap of each pair of consecutive members of a twin class
+    (graphs.twin_partition) seeds the chain's generators, which spares
+    the orbit step a targeted search for every point it reaches. The
+    chain's order and orbits do not depend on the seeds. The twin classes
     are kept on the chain.
 
     colors, when given, holds one sortable color per vertex, and the chain
@@ -389,18 +386,14 @@ def enumerate_automorphisms(g: Graph,
     P = _refine_pair(adj, adj, cells, cells)[0] if n else []
     if len(P) == n:
         singles = tuple((v,) for v in range(n))
-        return AutListing(n, (), singles, singles)
-    twins = tuple(map(tuple, twin_classes(g)))
-    closed_twins = tuple(map(tuple, closed_twin_classes(g)))
+        return AutListing(n, (), singles)
+    twins = twin_partition(g)
     if colors is not None:
         twins = _split_by_color(twins, colors)
-        closed_twins = _split_by_color(closed_twins, colors)
     # most classes are singletons, which have no swap
-    swaps = [cls for cls in (*twins, *closed_twins) if len(cls) > 1]
+    swaps = [cls for cls in twins if len(cls) > 1]
     seeds = _seeds(n, swaps)
-    # the class in swaps of each vertex in one; no vertex is in both an
-    # open-twin and a closed-twin class, since open twins are non-adjacent
-    # and closed twins adjacent
+    # the class in swaps of each vertex in one
     twin_of = {v: cls for cls in swaps for v in cls}
     cuts = []
     for b in range(n - 1, -1, -1):
@@ -423,7 +416,7 @@ def enumerate_automorphisms(g: Graph,
         gens.extend(seeds.get(b, ()))
         trans = _orbit(adj, P, ci, cut, gens)
         levels.append((b, tuple(trans.values()), tuple(gens[start:])))
-    return AutListing(n, tuple(levels), twins, closed_twins)
+    return AutListing(n, tuple(levels), twins)
 
 
 def _split_by_color(classes, colors) -> tuple[tuple[int, ...], ...]:
@@ -449,8 +442,8 @@ def _color_cells(g: Graph, colors: Sequence) -> list[list[int]]:
 
 def _seeds(n: int, classes) -> dict[int, list[tuple[int, ...]]]:
     """The swaps of consecutive members of each class in classes (the
-    open-twin classes of the graph of size >= 2, then its closed-twin
-    classes of size >= 2), each under its larger point m, in order.
+    graph's twin classes of size >= 2), each under its larger point m, in
+    order.
 
     A swap fixes m+1..n-1, so it lies in H_(m+1), moves m, and belongs
     with the generators of level m, which exists because H_(m+1) moves m.

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 
@@ -28,10 +29,13 @@ EXIT_BUDGET = 3
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     # bytes that are not UTF-8 reach the parsers as lone surrogates, and
-    # the parsers reject them
+    # the parsers reject them, from stdin as from a file; a stream that is
+    # not a TextIOWrapper holds text already
+    if path == "-":
+        if isinstance(sys.stdin, io.TextIOWrapper):
+            sys.stdin.reconfigure(errors="surrogateescape")
+        return sys.stdin.read()
     with open(path, errors="surrogateescape") as fh:
         return fh.read()
 

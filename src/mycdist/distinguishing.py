@@ -7,11 +7,11 @@ permutations are never revisited and the first distinguishing k-coloring
 found is the lex-first one. Three prunes keep the tree small, all of them
 sound:
 
-* each class of open twins (equal open neighborhoods) or of closed twins
-  (N[u] = N[v]) takes strictly ascending colors in id order. For twins
-  u < v of either kind the swap h = (u v) is an automorphism. If a
-  canonical distinguishing coloring c had
-  c(u) > c(v), c o h renumbered would distinguish too and agree with c
+* each twin class (graphs.twin_partition: closed twins, N[u] = N[v], and
+  the open twins, N(u) = N(v), of every other vertex) takes strictly
+  ascending colors in id order. For twins u < v of either kind the swap
+  h = (u v) is an automorphism. If a canonical distinguishing coloring c
+  had c(u) > c(v), c o h renumbered would distinguish too and agree with c
   before u; c(v) < c(u) <= max(c[:u]) + 1, so c(v) already occurs before
   u, the renumbering keeps it, and c o h reads c(v) < c(u) at u. So c is
   not the lex-first coloring, and the DFS starts each vertex's colors
@@ -52,10 +52,9 @@ sound:
   DFS node or one transversal element composed, and the pruned tree never
   costs more than the unpruned one.
 
-The k loop starts at lower_bound, read off the chain: the largest class
-of open or of closed twins, and 2 when the group is nontrivial. A level
-below it has no distinguishing coloring, so skipping it changes no value
-or certificate.
+The k loop starts at lower_bound, read off the chain: the largest twin
+class, and 2 when the group is nontrivial. A level below it has no
+distinguishing coloring, so skipping it changes no value or certificate.
 
 distinguishing_number builds g's chain itself. The DFS keeps the
 running maximum of the colors on its path per depth, which is where each
@@ -67,9 +66,8 @@ k-coloring of mu_t(G) is kept by no nontrivial automorphism that fixes
 the root w. Where every automorphism fixes w, that is dist(mu_t(G));
 where the root orbit is {w, x}, dist(mu_t(G)) is the larger of it and 2
 (README). It works on G's twin quotient Q (graphs.twin_quotient): one
-vertex per class C of twins of G, its closed-twin classes of size >= 2
-and the open-twin classes of every other vertex, colored by its kind
-(|C|, closed, isolated). README proves that Aut(G) is the group T of
+vertex per twin class C of G (graphs.twin_partition), colored by its
+kind (|C|, closed, isolated). README proves that Aut(G) is the group T of
 permutations within the classes extended by the kind-preserving
 automorphisms of Q, and that the automorphisms of mu_t(G) fixing w are
 the lifts of Aut(G) times the permutations within the sets of open twins
@@ -140,15 +138,16 @@ class DistResult(namedtuple("DistResult", "value certificate lower_bound_witness
 
 
 def twin_lower_bound(g: Graph) -> int:
-    """Largest twin class size: twins must all receive distinct colors."""
+    """Largest open-twin class size (graphs.twin_classes): open twins must
+    all receive distinct colors."""
     return max(map(len, twin_classes(g)), default=0)
 
 
 def lower_bound(group: AutListing) -> int:
-    """A lower bound on dist(g) read off g's chain: the largest class of
-    open or of closed twins, as twins take distinct colors, and 2 when
-    Aut(g) is nontrivial."""
-    tb = max(map(len, (*group.twins, *group.closed_twins)), default=0)
+    """A lower bound on dist(g) read off g's chain: the largest twin
+    class, as twins take distinct colors, and 2 when Aut(g) is
+    nontrivial."""
+    tb = max(map(len, group.twins), default=0)
     return max(tb, 2) if group.order > 1 else tb
 
 
@@ -242,12 +241,11 @@ def distinguishing_number(g: Graph, *, budget: Budget | None = None) -> DistResu
         return DistResult(0, Coloring(0, ()))
     bud = Budget(DEFAULT_BUDGET) if budget is None else budget
     group = enumerate_automorphisms(g)
-    classes = (*group.twins, *group.closed_twins)
     prev = [-1] * n  # prev[v]: the member of v's twin class before v, or -1
-    for cl in classes:
+    for cl in group.twins:
         for u, v in zip(cl, cl[1:]):
             prev[v] = u
-    tb = max(map(len, classes))
+    tb = max(map(len, group.twins))
     gens = _generators(group)
 
     for k in range(lower_bound(group), n + 1):
@@ -323,11 +321,10 @@ def quotient_dist(quotient: TwinQuotient, t: int, group: AutListing,
     ell = sum(s for s, _, isolated in kinds if isolated)
     nontrivial = group.order > 1 or any(s > 1 for s, _, _ in kinds)
     k = max(max(t, 1) * ell, 2 if nontrivial else 1)
-    # no labeling exists below the least k at which every cap is >= 1:
-    # k >= s for an open class of size s, k^(t+1) >= s for a closed one,
-    # where k >= 2 passes s once the exponent reaches s.bit_length()
-    for s, closed, isolated in kinds:
-        while not isolated and (k ** min(t + 1, s.bit_length()) if closed else k) < s:
+    # no labeling exists below the least k at which every cap is >= 1;
+    # a cap never falls as k grows, so each kind can raise k in turn
+    for kind in set(kinds):
+        while not _label_cap(kind, k, t, 1):
             k += 1
     if not group.levels:
         budget.spend()  # the search's one node: nothing moves

@@ -1,6 +1,6 @@
 """Simple undirected graphs on vertex ids 0..n-1, with the few analyses
-the pipeline reads: isolated vertices, open- and closed-twin classes, the
-twin quotient and stars.
+the pipeline reads: isolated vertices, open-twin classes, the twin
+partition and quotient, and stars.
 
 Graphs are immutable once built; all analyses return deterministically
 ordered results so downstream reports are reproducible.
@@ -93,13 +93,29 @@ def twin_classes(g: Graph) -> list[list[int]]:
     return list(by_nbhd.values())
 
 
-def closed_twin_classes(g: Graph) -> list[list[int]]:
-    """Partition into closed-twin classes (N[x] = N[y]), ordered by least
-    member, each ascending."""
-    by_nbhd: dict[frozenset[int], list[int]] = {}
+def twin_partition(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """g's twin classes: each vertex's closed-twin class (N[x] = N[y]) where
+    it has a closed twin, and its open-twin class (twin_classes) otherwise,
+    each ascending, ordered by least member.
+
+    These classes partition V(g), since no vertex v has both an open twin
+    x and a closed twin y. Closed twins are adjacent, so y lies in
+    N(v) = N(x), and x then lies in N[y] = N[v]; as x != v, x would be
+    adjacent to v, but open twins are non-adjacent (v is not in
+    N(v) = N(x)). So every member of a closed class of size >= 2 has that
+    class, and every member of an open class of size >= 2 has no closed
+    twin and so has that open class. Aut(g) is the swaps inside these
+    classes extended by the automorphisms of the twin quotient that keep
+    each class's kind (README)."""
+    closed: dict[frozenset[int], list[int]] = {}
     for v, nbhd in enumerate(g.adjacency):
-        by_nbhd.setdefault(nbhd | {v}, []).append(v)
-    return list(by_nbhd.values())
+        closed.setdefault(nbhd | {v}, []).append(v)
+    parts = [cls for cls in closed.values() if len(cls) > 1]
+    paired = {v for cls in parts for v in cls}
+    # the open class of a vertex with a closed twin is that vertex alone
+    parts += [cls for cls in twin_classes(g) if cls[0] not in paired]
+    # disjoint ascending lists sort in order of their least members
+    return tuple(map(tuple, sorted(parts)))
 
 
 class TwinQuotient(namedtuple("TwinQuotient", "graph classes kinds")):
@@ -110,26 +126,20 @@ class TwinQuotient(namedtuple("TwinQuotient", "graph classes kinds")):
 
 
 def twin_quotient(g: Graph) -> TwinQuotient:
-    """One vertex per twin class of g: its closed-twin classes of size >= 2
-    and its open-twin classes of every other vertex, ordered by least
-    member. No vertex has both an open and a closed twin, since open twins
-    are non-adjacent and closed twins adjacent. Between two classes g has
-    every edge or none, so two classes are adjacent in the quotient when
-    their least members are adjacent in g. A class's kind is its size,
-    whether it is a closed class of size >= 2, and whether it is the class
-    of g's isolated vertices (README: Aut(g) is the twin swaps extended by
-    the kind-preserving automorphisms of the quotient)."""
+    """One vertex per class of twin_partition(g), in its order. Between two
+    classes g has every edge or none, so two classes are adjacent in the
+    quotient when their least members are adjacent in g. A class's kind is
+    its size, whether it is a closed class of size >= 2, and whether it is
+    the class of g's isolated vertices."""
     adj = g.adjacency
-    of = {v: cls for cls in twin_classes(g) for v in cls}
-    of.update((v, cls) for cls in closed_twin_classes(g) if len(cls) > 1 for v in cls)
-    classes = [of[v] for v in range(g.n) if of[v][0] == v]
+    classes = twin_partition(g)
     index = {v: j for j, cls in enumerate(classes) for v in cls}
     edges = [(i, j) for i, cls in enumerate(classes)
              for j in {index[u] for u in adj[cls[0]]} if i < j]
     # the members of a class of size >= 2 are adjacent exactly when it is closed
     kinds = tuple((len(cls), len(cls) > 1 and cls[1] in adj[cls[0]], not adj[cls[0]])
                   for cls in classes)
-    return TwinQuotient(Graph(len(classes), edges), tuple(map(tuple, classes)), kinds)
+    return TwinQuotient(Graph(len(classes), edges), classes, kinds)
 
 
 class Star(namedtuple("Star", "m center")):
@@ -154,7 +164,7 @@ def classify_star(g: Graph) -> Star | None:
     return None if c is None else Star(n - 1, c)
 
 
-# -- small constructors used throughout tests and the CLI ------------------
+# -- small constructors for the tests, the bench and examples -------------
 
 
 def complete_graph(n: int) -> Graph:

@@ -408,7 +408,7 @@ def chain_without_generators(g: Graph):
     unpruned, with the same value and certificate."""
     group = enumerate_automorphisms(g)
     levels = tuple((b, images, ()) for b, images, _ in group.levels)
-    return AutListing(group.n, levels, group.twins, group.closed_twins)
+    return AutListing(group.n, levels, group.twins)
 
 
 def unpruned_distinguishing_number(g: Graph, budget=None):

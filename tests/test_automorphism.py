@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from mycdist import (Graph, build_mycielskian, complete_graph, cycle_graph,
                      enumerate_automorphisms, find_isomorphism, orbit_of,
-                     path_graph, search_color_preserving, star_graph,
-                     twin_classes)
+                     path_graph, search_color_preserving, star_graph)
 from mycdist import automorphism
 from mycdist.automorphism import Budget, _refine_pair, equitable_partition
 from mycdist.constructions import kn_base_coloring, lift_coloring
@@ -118,8 +117,7 @@ def test_colored_chain_counts_the_color_preserving_automorphisms(corpus_n6):
             assert all(colors[img[v]] == colors[v]
                        for img in chain_elements(group) for v in range(g.n))
             # the chain keeps, and was seeded with, same-color twins only
-            assert all(len({colors[v] for v in cls}) == 1
-                       for cls in (*group.twins, *group.closed_twins))
+            assert all(len({colors[v] for v in cls}) == 1 for cls in group.twins)
         # one color is no color: the same chain as the uncolored call
         assert enumerate_automorphisms(g, [0] * g.n).levels == \
             enumerate_automorphisms(g).levels
@@ -150,7 +148,7 @@ def test_discrete_colored_quotients_stop_at_the_refinement(corpus_n7, monkeypatc
     # returns no level and singleton twin classes, and finds no twin class
     # and no seed; the refinement is read by the reference kernel
     calls = []
-    for name in ("twin_classes", "closed_twin_classes", "_seeds"):
+    for name in ("twin_partition", "_seeds"):
         def counted(*args, _name=name, _real=getattr(automorphism, name)):
             calls.append(_name)
             return _real(*args)
@@ -166,8 +164,7 @@ def test_discrete_colored_quotients_stop_at_the_refinement(corpus_n7, monkeypatc
         calls.clear()
         group = enumerate_automorphisms(q.graph, q.kinds)
         singles = tuple((j,) for j in range(m))
-        assert (group.n, group.levels, group.twins, group.closed_twins) == (
-            m, (), singles, singles), line
+        assert (group.n, group.levels, group.twins) == (m, (), singles), line
         assert calls == [], line
     assert discrete == 135 + 688
 
@@ -468,12 +465,36 @@ def test_lifts_normalize_the_open_twin_swaps(corpus_n6):
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(graphs(7), twin_rich_graphs(7)))
 def test_chain_keeps_the_twin_classes(g):
-    group = enumerate_automorphisms(g)
-    assert [list(cls) for cls in group.twins] == twin_classes(g)
-    closed = [[u for u in range(g.n) if g.adjacency[u] | {u} == g.adjacency[v] | {v}]
-              for v in range(g.n)]
-    assert [list(cls) for cls in group.closed_twins] == sorted(
-        map(list, {tuple(cls) for cls in closed}))
+    _assert_chain_keeps_the_twin_partition(g)
+
+
+def test_chain_keeps_the_twin_partition_on_the_corpus(corpus_n7):
+    for line, g in corpus_n7:
+        _assert_chain_keeps_the_twin_partition(g)
+
+
+def _naive_twin_partition(g):
+    """Each vertex's closed-twin class where it has size >= 2, else its
+    open-twin class, by comparing every pair of neighborhoods; each class
+    once, in order of least member."""
+    adj = g.adjacency
+    parts = []
+    for v in range(g.n):
+        cls = tuple(u for u in range(g.n) if adj[u] | {u} == adj[v] | {v})
+        if len(cls) < 2:
+            cls = tuple(u for u in range(g.n) if adj[u] == adj[v])
+        if cls not in parts:
+            parts.append(cls)
+    return tuple(parts)
+
+
+def _assert_chain_keeps_the_twin_partition(g):
+    naive = _naive_twin_partition(g)
+    # every vertex lies in its own class, so n members in all means that
+    # no two classes meet
+    assert sum(map(len, naive)) == g.n
+    twins = enumerate_automorphisms(g).twins
+    assert twins == tuple(map(tuple, twin_quotient(g).classes)) == naive
 
 
 def _complement(g):
@@ -483,14 +504,14 @@ def _complement(g):
 
 def _chain_matches_naive(g):
     """The chain's order, its basic orbits and its twin classes are those
-    of the naive listing and of graphs.twin_classes."""
+    of the naive listing and of graphs.twin_partition."""
     naive = enumerate_automorphisms_naive(g)
     group = enumerate_automorphisms(g)
     assert group.order == len(naive)
     assert _basic_orbits(group) == [
         (b, sorted({h[b] for h in _stabilizer(naive, b + 1)}))
         for b, _, _ in group.levels]
-    assert [list(cls) for cls in group.twins] == twin_classes(g)
+    assert group.twins == _naive_twin_partition(g)
     return group
 
 

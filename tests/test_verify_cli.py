@@ -25,7 +25,7 @@ from mycdist import (AutListing, Coloring, Graph, MycLayout, VerifyRecord,
                      enumerate_automorphisms, kn_base_coloring, orbit_of,
                      paper_coloring, parse_graph6, path_graph, predict_dist,
                      star_graph, write_graph6)
-from mycdist import automorphism, constructions, distinguishing, verify
+from mycdist import constructions, distinguishing, verify
 from mycdist import cli
 from mycdist.cli import _dumps, main
 from mycdist.distinguishing import DEFAULT_BUDGET
@@ -439,7 +439,7 @@ def _count_twin_classes(monkeypatch) -> list[int]:
         calls.append(g.n)
         return find(g)
 
-    for module in (mycdist.graphs, automorphism, distinguishing):
+    for module in (mycdist.graphs, distinguishing):
         monkeypatch.setattr(module, "twin_classes", counted)
     return calls
 
@@ -534,8 +534,8 @@ def test_records_round_trip_through_pickle():
         assert type(back) is type(obj) and back == obj
     back = pickle.loads(pickle.dumps(group))
     assert type(back) is AutListing
-    assert (back.n, back.order, back.levels, back.twins, back.closed_twins) == (
-        3, 6, group.levels, group.twins, group.closed_twins)
+    assert (back.n, back.order, back.levels, back.twins) == (
+        3, 6, group.levels, group.twins)
     with pytest.raises(MalformedColoring, match=r"colors \[3\] outside 1..2"):
         Coloring(2, (1, 3))
 
@@ -935,12 +935,24 @@ def test_cli_verify_escapes_undecodable_bytes_under_strict_stdout(tmp_path,
 
 
 def test_cli_undecodable_stdin_exits_2(monkeypatch, capsys):
-    # under a strict UTF-8 locale, reading stdin raises UnicodeDecodeError
+    # under a strict UTF-8 stdin the byte reaches the graph6 parser as a
+    # lone surrogate, which it rejects
     stdin = io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8")
     monkeypatch.setattr("sys.stdin", stdin)
     code = main(["aut"])
     out = capsys.readouterr()
     assert (code, out.out) == (2, "") and out.err.startswith("error: ")
+
+
+def test_cli_undecodable_stdin_line_is_a_malformed_row(monkeypatch, capsys):
+    # stdin decodes as a file does, so under a strict UTF-8 stdin a line
+    # that is not UTF-8 is one malformed row and the sweep goes on
+    stdin = io.TextIOWrapper(io.BytesIO(b"Bw\n\xff\xfe\nA_\n"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code = main(["verify", "--t", "1"])
+    rows = json.loads(capsys.readouterr().out)["records"]
+    assert code == 0
+    assert [r["method"] for r in rows] == ["search", "malformed", "search"]
 
 
 def test_cli_deeply_nested_coloring_exits_2(monkeypatch, capsys):
